@@ -45,8 +45,8 @@
 //
 // The perception stack is batch-first: Regressor.PredictBatch and
 // Detector.ForwardBatch/DetectBatch run whole frame batches through one
-// blocked MatMul per layer, bit-identical frame-for-frame to the
-// per-frame calls.
+// im2row lowering and one k-major GEMM per layer, bit-identical
+// frame-for-frame to the per-frame calls.
 //
 // The serving layer (NewServer; `advrepro serve`) exposes the same core
 // as a long-lived daemon: POST a Spec, stream its Observer events as

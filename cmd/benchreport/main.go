@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go run ./cmd/benchreport                         # default micro suite
-//	go run ./cmd/benchreport -bench 'MatMul' -pkg ./internal/tensor
+//	go run ./cmd/benchreport -bench 'MatMulKMajor' -pkg ./internal/tensor
 //	go run ./cmd/benchreport -baseline BENCH_old.json -out BENCH_new.json
 package main
 
@@ -36,7 +36,7 @@ const defaultBench = "BenchmarkRegressorForward|BenchmarkRegressorForwardBatch8|
 	"BenchmarkAttackAutoPGD|BenchmarkAttackCAPFrame|BenchmarkDefenseLatencyMedian|" +
 	"BenchmarkDefenseLatencyBitDepth|BenchmarkDefenseLatencyRandomization|" +
 	"BenchmarkMatMul|BenchmarkMatMulKMajorSerial|BenchmarkMatMulKMajorParallel|" +
-	"BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkTranspose2D|BenchmarkSequential"
+	"BenchmarkTranspose2D|BenchmarkSequential"
 
 // Result is one parsed benchmark line.
 type Result struct {

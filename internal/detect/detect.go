@@ -89,13 +89,6 @@ func (d *Detector) Clone() *Detector {
 	return &Detector{Net: d.Net.Clone(), Size: d.Size, Grid: d.Grid}
 }
 
-// BackboneLayers returns the feature-extraction layers (everything but the
-// prediction head); contrastive fine-tuning operates on these.
-func (d *Detector) BackboneLayers() []nn.Layer {
-	ls := d.Net.Layers()
-	return ls[:len(ls)-1]
-}
-
 // Forward runs the network, returning the raw (5,G,G) prediction map.
 func (d *Detector) Forward(img *imaging.Image) *tensor.Tensor {
 	return d.Net.Forward(img.Tensor(), false)

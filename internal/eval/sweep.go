@@ -89,12 +89,14 @@ type sweepRecord struct {
 	Cell     sweepCell `json:"cell"`
 }
 
-// jfloat is a float64 whose JSON round-trips IEEE infinities (MinTTC is
-// +Inf whenever the gap never closes, which encoding/json rejects).
-type jfloat float64
+// JFloat is a float64 whose JSON round-trips IEEE infinities and NaN
+// (MinTTC is +Inf whenever the gap never closes, which encoding/json
+// rejects). It is the one float codec of checkpoint lines, the serving
+// layer's wire events and cached payloads.
+type JFloat float64
 
 // MarshalJSON implements json.Marshaler.
-func (f jfloat) MarshalJSON() ([]byte, error) {
+func (f JFloat) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
@@ -108,23 +110,23 @@ func (f jfloat) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (f *jfloat) UnmarshalJSON(b []byte) error {
+func (f *JFloat) UnmarshalJSON(b []byte) error {
 	switch string(b) {
 	case `"+Inf"`:
-		*f = jfloat(math.Inf(1))
+		*f = JFloat(math.Inf(1))
 		return nil
 	case `"-Inf"`:
-		*f = jfloat(math.Inf(-1))
+		*f = JFloat(math.Inf(-1))
 		return nil
 	case `"NaN"`:
-		*f = jfloat(math.NaN())
+		*f = JFloat(math.NaN())
 		return nil
 	}
 	var v float64
 	if err := json.Unmarshal(b, &v); err != nil {
 		return err
 	}
-	*f = jfloat(v)
+	*f = JFloat(v)
 	return nil
 }
 
@@ -136,9 +138,9 @@ type sweepCell struct {
 	Seed     int64  `json:"seed"`
 
 	Collision  bool   `json:"collision"`
-	MinGap     jfloat `json:"min_gap_m"`
-	MinTTC     jfloat `json:"min_ttc_s"`
-	MeanGapErr jfloat `json:"mean_gap_err_m"`
+	MinGap     JFloat `json:"min_gap_m"`
+	MinTTC     JFloat `json:"min_ttc_s"`
+	MeanGapErr JFloat `json:"mean_gap_err_m"`
 	Steps      int    `json:"steps"`
 
 	Result sweepResult `json:"result"`
@@ -151,21 +153,21 @@ type sweepResult struct {
 	PerceivedGaps []float64 `json:"perceived_gaps"`
 	EgoSpeeds     []float64 `json:"ego_speeds"`
 	LeadSpeeds    []float64 `json:"lead_speeds"`
-	MinGap        jfloat    `json:"min_gap"`
-	MinTTC        jfloat    `json:"min_ttc"`
+	MinGap        JFloat    `json:"min_gap"`
+	MinTTC        JFloat    `json:"min_ttc"`
 	Collision     bool      `json:"collision"`
 }
 
 func toSweepCell(c MatrixCell) sweepCell {
 	return sweepCell{
 		Scenario: c.Scenario, Attack: c.Attack, Defense: c.Defense, Seed: c.Seed,
-		Collision: c.Collision, MinGap: jfloat(c.MinGap), MinTTC: jfloat(c.MinTTC),
-		MeanGapErr: jfloat(c.MeanGapErr), Steps: c.Steps,
+		Collision: c.Collision, MinGap: JFloat(c.MinGap), MinTTC: JFloat(c.MinTTC),
+		MeanGapErr: JFloat(c.MeanGapErr), Steps: c.Steps,
 		Result: sweepResult{
 			Times: c.Result.Times, TrueGaps: c.Result.TrueGaps,
 			PerceivedGaps: c.Result.PerceivedGaps, EgoSpeeds: c.Result.EgoSpeeds,
 			LeadSpeeds: c.Result.LeadSpeeds,
-			MinGap:     jfloat(c.Result.MinGap), MinTTC: jfloat(c.Result.MinTTC),
+			MinGap:     JFloat(c.Result.MinGap), MinTTC: JFloat(c.Result.MinTTC),
 			Collision: c.Result.Collision,
 		},
 	}

@@ -225,11 +225,11 @@ func TestSweepShardValidation(t *testing.T) {
 // TestJFloatRoundTrip pins the infinity-safe float encoding.
 func TestJFloatRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, 1.5, -3.25, math.Inf(1), math.Inf(-1)} {
-		buf, err := json.Marshal(jfloat(v))
+		buf, err := json.Marshal(JFloat(v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back jfloat
+		var back JFloat
 		if err := json.Unmarshal(buf, &back); err != nil {
 			t.Fatal(err)
 		}
@@ -237,8 +237,8 @@ func TestJFloatRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %s -> %v", v, buf, float64(back))
 		}
 	}
-	buf, _ := json.Marshal(jfloat(math.NaN()))
-	var back jfloat
+	buf, _ := json.Marshal(JFloat(math.NaN()))
+	var back JFloat
 	if err := json.Unmarshal(buf, &back); err != nil || !math.IsNaN(float64(back)) {
 		t.Fatalf("NaN round trip: %s err %v", buf, err)
 	}

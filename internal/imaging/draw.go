@@ -124,16 +124,6 @@ func (im *Image) DrawLine(y0, x0, y1, x1 float64, col Color) {
 	}
 }
 
-// DrawThickLine draws a line with the given half-width by stamping discs.
-func (im *Image) DrawThickLine(y0, x0, y1, x1, halfWidth float64, col Color) {
-	dy, dx := y1-y0, x1-x0
-	steps := int(math.Max(math.Abs(dy), math.Abs(dx))) + 1
-	for i := 0; i <= steps; i++ {
-		t := float64(i) / float64(steps)
-		im.FillCircle(y0+t*dy, x0+t*dx, halfWidth, col)
-	}
-}
-
 // glyphRows is a 5x3 block font for the letters of "STOP"; enough to give
 // the synthetic sign the white-on-red glyph texture the detector keys on.
 var glyphRows = map[rune][5]uint8{

@@ -13,9 +13,8 @@ import (
 // Im2RowInto lowering, one MatMulKMajorInto, one fused permute+bias pass —
 // so the single-frame forward enjoys the same SIMD throughput as batched
 // inference. Every output element is an ascending-k float32 dot product
-// plus one bias rounding, the exact per-element order of the original
-// scalar packed kernel: unifying the paths changed no bits (the tests pin
-// single-frame outputs against an Im2Col+MatMul reference).
+// plus one bias rounding — the order of a direct per-tap convolution, which
+// the tests pin the forward and backward against bit for bit.
 //
 // Weights are stored as an (outC)×(inC·K·K) matrix; bias is per output
 // channel. All per-call tensors (patches, outputs, gradient scratch) live
@@ -92,7 +91,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // runForward lowers the input (batched or single) into patch-major rows and
-// runs one SIMD k-major MatMul. The orientation keeps the small weight
+// runs one SIMD k-major GEMM. The orientation keeps the small weight
 // matrix cache-resident — patches · Wᵀ — while the samples stream through
 // once; the output is then permuted into (N)CHW with the bias fused into
 // the pass. v stored-then-added and v+bias round identically, so the fused
@@ -132,7 +131,7 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 }
 
 // Backward implements Layer. The input gradient of each sample is
-// bit-identical to the pre-unification per-sample path (same per-element
+// bit-identical to a single-sample backward (same per-element
 // accumulation order); the parameter gradients accumulate across the whole
 // batch in one pass, so for N>1 their summation order differs from N
 // sequential single-sample backwards by floating-point rounding only.

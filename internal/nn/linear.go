@@ -8,7 +8,7 @@ import (
 )
 
 // Linear is a fully connected layer y = Wx + b. Single flat vectors and
-// [N,In] batches run the same unified kernel path: one k-major SIMD MatMul
+// [N,In] batches run the same unified kernel path: one k-major SIMD GEMM
 // against the transposed weight matrix (for a single sample that is a
 // 1×In gemv, which the kernel's single-row assembly tail keeps on SIMD),
 // then a bias pass. Every output element is the same ascending-index
@@ -85,7 +85,7 @@ func (l *Linear) scratchKeys() *linearScratchNames {
 // runForward computes the [N,Out] output as X · Wᵀ with the k-major SIMD
 // kernel — one gemm for the batch, a SIMD gemv for a single sample — then
 // adds the bias. The input is copied into workspace scratch first (Backward
-// needs it), and that stable copy is the MatMul operand, so no per-call
+// needs it), and that stable copy is the GEMM operand, so no per-call
 // tensor view of the caller's storage is ever built.
 //
 // The transposed weight matrix is folded behind the parameter's version

@@ -6,9 +6,9 @@
 //
 //   - Layers are batch-first: every layer accepts a leading batch
 //     dimension ([N,C,H,W] images, [N,In] vectors) and runs the whole batch
-//     through one lowering and one MatMul instead of N small ones.
+//     through one lowering and one GEMM instead of N small ones.
 //     Single-sample CHW/flat inputs remain first-class and run the SAME
-//     unified kernel path (one k-major SIMD MatMul; for Linear that is a
+//     unified kernel path (one k-major SIMD GEMM; for Linear that is a
 //     single-row gemv the assembly row tail keeps on SIMD). Batched,
 //     single and pre-unification scalar results are all bit-identical:
 //     every output element is the same ascending-index float32 dot
@@ -90,7 +90,7 @@ type Sequential struct {
 	layers []Layer
 	ws     *Workspace
 
-	params []*Param // lazy cache; invalidated by Append
+	params []*Param // lazy cache; the layer list is fixed at construction
 }
 
 // NewSequential builds a sequential network from the given layers.
@@ -107,13 +107,6 @@ func (s *Sequential) attach(layers []Layer) {
 			u.setWorkspace(s.ws)
 		}
 	}
-}
-
-// Append adds layers to the end of the network.
-func (s *Sequential) Append(layers ...Layer) {
-	s.layers = append(s.layers, layers...)
-	s.attach(layers)
-	s.params = nil
 }
 
 // Layers exposes the underlying layers (e.g. to split a backbone from a

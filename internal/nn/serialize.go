@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // savedParam is the on-disk form of one parameter tensor.
@@ -64,32 +63,4 @@ func EncodeParams(params []*Param) ([]byte, error) {
 // EncodeParams (or SaveParams). Count and shapes must match exactly.
 func DecodeParams(data []byte, params []*Param) error {
 	return LoadParams(bytes.NewReader(data), params)
-}
-
-// SaveParamsFile saves parameters to a file path.
-func SaveParamsFile(path string, params []*Param) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return SaveParams(f, params)
-}
-
-// LoadParamsFile loads parameters from a file path.
-func LoadParamsFile(path string, params []*Param) (err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("open %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return LoadParams(f, params)
 }

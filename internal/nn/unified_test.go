@@ -9,73 +9,108 @@ import (
 	"repro/internal/xrand"
 )
 
-// The single-frame conv/linear paths were unified onto the k-major SIMD
-// kernel; these tests pin them byte-for-byte against the previous scalar
-// implementations, which survive in the tensor package (Im2Col/Col2Im,
-// MatMul, MatMulTransB) exactly so they can serve as references here. Any
-// kernel change that alters a single bit of a forward or backward fails.
+// The single-frame conv/linear paths run on the k-major SIMD kernel; these
+// tests pin them byte-for-byte against naive scalar loops written straight
+// from the definitions. Every reference sum starts at zero, runs in
+// ascending index order and rounds each product before adding it
+// (float32(a * b), so no compiler fuses it into an FMA): the per-element
+// order the production path must reproduce. Any kernel change that alters
+// a single bit of a forward or backward fails.
 
-// legacyConvForward is the pre-unification single-sample path: column-major
-// Im2Col lowering, packed scalar MatMul, broadcast bias.
-func legacyConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
-	ps := c.Params()
-	w, b := ps[0].Value, ps[1].Value
-	g := tensor.ConvGeom{InC: c.InC, InH: x.Dim(1), InW: x.Dim(2), K: c.K, Stride: c.Stride, Pad: c.Pad}
-	oHW := g.OutH() * g.OutW()
-	cols := tensor.New(c.InC*c.K*c.K, oHW)
-	tensor.Im2ColInto(cols, x, g)
-	out := tensor.New(c.OutC, oHW)
-	tensor.MatMulInto(out, w, cols)
-	od := out.Data()
-	bd := b.Data()
-	for ch := 0; ch < c.OutC; ch++ {
-		bias := bd[ch]
-		row := od[ch*oHW : (ch+1)*oHW]
-		for i := range row {
-			row[i] += bias
-		}
+// convTap is input pixel (ch, iy, ix) of the CHW sample x, or 0 where the
+// tap falls in the padding.
+func convTap(x *tensor.Tensor, ch, iy, ix int) float32 {
+	if iy < 0 || iy >= x.Dim(1) || ix < 0 || ix >= x.Dim(2) {
+		return 0
 	}
-	return out.Reshape(c.OutC, g.OutH(), g.OutW())
+	return x.At(ch, iy, ix)
 }
 
-// legacyConvBackward is the pre-unification single-sample adjoint: dW via
-// the packed MatMulTransB against the columns, db row sums, dX through
-// Wᵀ·G and Col2Im. It returns (dW, db, dX) without touching the layer.
-func legacyConvBackward(c *Conv2D, x, grad *tensor.Tensor) (dW, db, dX *tensor.Tensor) {
+// directConvForward computes a single-sample convolution tap by tap: each
+// output is the ascending (c,ky,kx) dot of its window with the filter, plus
+// the bias.
+func directConvForward(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	ps := c.Params()
-	w := ps[0].Value
+	wd, bd := ps[0].Value.Data(), ps[1].Value.Data()
 	g := tensor.ConvGeom{InC: c.InC, InH: x.Dim(1), InW: x.Dim(2), K: c.K, Stride: c.Stride, Pad: c.Pad}
-	oHW := g.OutH() * g.OutW()
-	cols := tensor.New(c.InC*c.K*c.K, oHW)
-	tensor.Im2ColInto(cols, x, g)
-	gm := grad.Reshape(c.OutC, oHW)
-
-	dW = tensor.New(c.OutC, c.InC*c.K*c.K)
-	tensor.MatMulTransBInto(dW, gm, cols)
-
-	db = tensor.New(c.OutC)
-	gd := gm.Data()
-	for ch := 0; ch < c.OutC; ch++ {
-		var s float32
-		for _, v := range gd[ch*oHW : (ch+1)*oHW] {
-			s += v
+	out := tensor.New(c.OutC, g.OutH(), g.OutW())
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < g.OutH(); oy++ {
+			for ox := 0; ox < g.OutW(); ox++ {
+				var s float32
+				for ch := 0; ch < c.InC; ch++ {
+					for ky := 0; ky < c.K; ky++ {
+						for kx := 0; kx < c.K; kx++ {
+							v := convTap(x, ch, oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx)
+							s += float32(v * wd[((oc*c.InC+ch)*c.K+ky)*c.K+kx])
+						}
+					}
+				}
+				out.Set(s+bd[oc], oc, oy, ox)
+			}
 		}
-		db.Data()[ch] = s
 	}
+	return out
+}
 
-	wT := tensor.New(c.InC*c.K*c.K, c.OutC)
-	tensor.Transpose2DInto(wT, w)
-	dCols := tensor.New(c.InC*c.K*c.K, oHW)
-	tensor.MatMulInto(dCols, wT, gm)
+// directConvBackward is the single-sample adjoint computed tap by tap: dW
+// sums output gradient × input tap over output positions, db sums the
+// output gradient, and dX scatters, for each tap (c,ky,kx) and output
+// position in ascending order, the dot of the output gradient with that
+// tap's filter weights. It returns (dW, db, dX) without touching the layer.
+func directConvBackward(c *Conv2D, x, grad *tensor.Tensor) (dW, db, dX *tensor.Tensor) {
+	wd := c.Params()[0].Value.Data()
+	g := tensor.ConvGeom{InC: c.InC, InH: x.Dim(1), InW: x.Dim(2), K: c.K, Stride: c.Stride, Pad: c.Pad}
+	l := c.InC * c.K * c.K
+	dW = tensor.New(c.OutC, l)
+	db = tensor.New(c.OutC)
 	dX = tensor.New(g.InC, g.InH, g.InW)
-	tensor.Col2ImInto(dX, dCols, g)
+	for oc := 0; oc < c.OutC; oc++ {
+		var s float32
+		for oy := 0; oy < g.OutH(); oy++ {
+			for ox := 0; ox < g.OutW(); ox++ {
+				s += grad.At(oc, oy, ox)
+			}
+		}
+		db.Data()[oc] = s
+	}
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				tap := (ch*c.K+ky)*c.K + kx
+				for oc := 0; oc < c.OutC; oc++ {
+					var s float32
+					for oy := 0; oy < g.OutH(); oy++ {
+						for ox := 0; ox < g.OutW(); ox++ {
+							v := convTap(x, ch, oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx)
+							s += float32(grad.At(oc, oy, ox) * v)
+						}
+					}
+					dW.Data()[oc*l+tap] = s
+				}
+				for oy := 0; oy < g.OutH(); oy++ {
+					for ox := 0; ox < g.OutW(); ox++ {
+						iy, ix := oy*c.Stride-c.Pad+ky, ox*c.Stride-c.Pad+kx
+						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+							continue
+						}
+						var s float32
+						for oc := 0; oc < c.OutC; oc++ {
+							s += float32(grad.At(oc, oy, ox) * wd[oc*l+tap])
+						}
+						dX.Set(dX.At(ch, iy, ix)+s, ch, iy, ix)
+					}
+				}
+			}
+		}
+	}
 	return dW, db, dX
 }
 
 // TestConv2DUnifiedMatchesScalarReference pins the unified single-frame
-// conv forward AND backward to the previous scalar path byte for byte,
-// across geometries and GOMAXPROCS settings (kernel choice is CPU-gated,
-// never worker-count-gated).
+// conv forward AND backward (dW, db, dX) to the direct per-tap convolution
+// byte for byte, across geometries and GOMAXPROCS settings (kernel choice
+// is CPU-gated, never worker-count-gated).
 func TestConv2DUnifiedMatchesScalarReference(t *testing.T) {
 	type geom struct{ inC, outC, k, stride, pad, h, w int }
 	geoms := []geom{
@@ -93,7 +128,7 @@ func TestConv2DUnifiedMatchesScalarReference(t *testing.T) {
 			rng.FillUniform(x.Data(), -1, 1)
 
 			got := c.Forward(x, false)
-			want := legacyConvForward(c, x)
+			want := directConvForward(c, x)
 			if !got.ShapeEq(want.Shape()...) {
 				t.Fatalf("procs=%d %+v: shape %v vs %v", procs, ge, got.Shape(), want.Shape())
 			}
@@ -108,7 +143,7 @@ func TestConv2DUnifiedMatchesScalarReference(t *testing.T) {
 			rng.FillUniform(grad.Data(), -1, 1)
 			gradCopy := grad.Clone()
 			dX := c.Backward(grad)
-			wantW, wantB, wantX := legacyConvBackward(c, x, gradCopy)
+			wantW, wantB, wantX := directConvBackward(c, x, gradCopy)
 			for i := range wantX.Data() {
 				if dX.Data()[i] != wantX.Data()[i] {
 					t.Fatalf("procs=%d %+v: dX diverges at %d", procs, ge, i)
@@ -150,7 +185,7 @@ func TestLinearUnifiedMatchesScalarReference(t *testing.T) {
 	for o := 0; o < out; o++ {
 		var s float32
 		for i := 0; i < in; i++ {
-			s += wd[o*in+i] * x.Data()[i]
+			s += float32(wd[o*in+i] * x.Data()[i])
 		}
 		if want := s + bd[o]; got.Data()[o] != want {
 			t.Fatalf("forward diverges at %d: %v vs %v", o, got.Data()[o], want)
@@ -168,7 +203,7 @@ func TestLinearUnifiedMatchesScalarReference(t *testing.T) {
 	for i := 0; i < in; i++ {
 		var s float32
 		for o := 0; o < out; o++ {
-			s += grad.Data()[o] * wd[o*in+i]
+			s += float32(grad.Data()[o] * wd[o*in+i])
 		}
 		if dx.Data()[i] != s {
 			t.Fatalf("dx diverges at %d: %v vs %v", i, dx.Data()[i], s)

@@ -3,7 +3,7 @@ package nn
 import "repro/internal/tensor"
 
 // Workspace owns the reusable scratch tensors of one model instance:
-// im2col column matrices, matmul outputs, transposes, activation caches and
+// im2row patch matrices, GEMM outputs, transposes, activation caches and
 // gradient buffers. Layers request buffers keyed by (layer, name); a buffer
 // is allocated on the first Forward/Backward that needs it and reused on
 // every later call with the same shape, which makes steady-state inference,
@@ -36,22 +36,11 @@ func NewWorkspace() *Workspace {
 	return &Workspace{m: make(map[wsKey]*tensor.Tensor)}
 }
 
-// Tensor1, Tensor2 and Tensor3 return the scratch tensor registered under
+// Tensor2, Tensor3 and Tensor4 return the scratch tensor registered under
 // (owner, name), allocating or replacing it when the requested shape
 // changed. The rank is in the signature rather than a variadic so the hot
 // path — shape unchanged — materialises no shape slice and allocates
 // nothing.
-
-// Tensor1 returns a rank-1 scratch tensor of length n.
-func (w *Workspace) Tensor1(owner any, name string, n int) *tensor.Tensor {
-	k := wsKey{owner: owner, name: name}
-	if t, ok := w.m[k]; ok && t.Rank() == 1 && t.Dim(0) == n {
-		return t
-	}
-	t := tensor.New(n)
-	w.m[k] = t
-	return t
-}
 
 // Tensor2 returns a rank-2 scratch tensor of shape d0×d1.
 func (w *Workspace) Tensor2(owner any, name string, d0, d1 int) *tensor.Tensor {
@@ -166,17 +155,6 @@ func (vc *viewCache) of2(t *tensor.Tensor, d0, d1 int) *tensor.Tensor {
 	}
 	vc.src = d
 	vc.view = t.Reshape(d0, d1)
-	return vc.view
-}
-
-// of3 returns t viewed as a d0×d1×d2 volume with the same memoisation.
-func (vc *viewCache) of3(t *tensor.Tensor, d0, d1, d2 int) *tensor.Tensor {
-	d := t.Data()
-	if vc.sameBacking(d) && vc.view.Rank() == 3 && vc.view.Dim(0) == d0 && vc.view.Dim(1) == d1 && vc.view.Dim(2) == d2 {
-		return vc.view
-	}
-	vc.src = d
-	vc.view = t.Reshape(d0, d1, d2)
 	return vc.view
 }
 

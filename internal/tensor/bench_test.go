@@ -6,18 +6,6 @@ import "testing"
 // produce; the CI perf-smoke job runs these once per PR with -benchmem so
 // allocation regressions in the hot kernels surface immediately.
 
-// BenchmarkMatMulConvForward is the im2col product of DistNet's middle
-// convolution: (24 × 108) · (108 × 576).
-func BenchmarkMatMulConvForward(b *testing.B) {
-	a, x, dst := New(24, 108), New(108, 576), New(24, 576)
-	fillSeq(a)
-	fillSeq(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, a, x)
-	}
-}
-
 // BenchmarkMatMulKMajorConvForward is the unified conv forward product at
 // the single-frame conv2 shape — (256×108) patches against the (108×24)
 // k-major weight matrix — on the dispatched SIMD lane kernel.
@@ -68,54 +56,6 @@ func BenchmarkMatMulKMajorGemv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulKMajorInto(dst, a, x)
-	}
-}
-
-// BenchmarkMatMulTransBGradW is the weight-gradient product dW = G·colsᵀ
-// at the same layer's shape, consuming the columns untransposed.
-func BenchmarkMatMulTransBGradW(b *testing.B) {
-	g, cols, dst := New(24, 576), New(108, 576), New(24, 108)
-	fillSeq(g)
-	fillSeq(cols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTransBInto(dst, g, cols)
-	}
-}
-
-// BenchmarkMatMulTall is a tall product (the dCols backward shape) that
-// exercises the row fan-out.
-func BenchmarkMatMulTall(b *testing.B) {
-	a, x, dst := New(216, 24), New(24, 576), New(216, 576)
-	fillSeq(a)
-	fillSeq(x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, a, x)
-	}
-}
-
-// BenchmarkIm2ColInto unrolls a 3×64×64 frame with a 3×3 stride-2 kernel.
-func BenchmarkIm2ColInto(b *testing.B) {
-	g := ConvGeom{InC: 3, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}
-	x := New(3, 64, 64)
-	fillSeq(x)
-	dst := New(3*3*3, g.OutH()*g.OutW())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2ColInto(dst, x, g)
-	}
-}
-
-// BenchmarkCol2ImInto scatters the same geometry back.
-func BenchmarkCol2ImInto(b *testing.B) {
-	g := ConvGeom{InC: 3, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}
-	cols := New(3*3*3, g.OutH()*g.OutW())
-	fillSeq(cols)
-	dst := New(3, 64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Col2ImInto(dst, cols, g)
 	}
 }
 

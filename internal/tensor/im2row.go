@@ -2,16 +2,44 @@ package tensor
 
 import "fmt"
 
-// Batched, patch-major convolution lowering. Im2Col lowers one sample into
-// a (InC·K·K) × (OutH·OutW) column matrix, which is the right layout for
-// the per-sample packed MatMul. For batches the roles flip: Im2RowInto
-// lowers an [N,C,H,W] tensor into an (N·OutH·OutW) × (InC·K·K) patch
-// matrix, so one blocked MatMulTransB against the (OutC) × (InC·K·K)
-// weight matrix serves the whole batch while the small weight operand stays
-// cache-resident and the patches stream through exactly once — the
-// single-core-friendly orientation. Each output element remains an
-// ascending-k dot product, so batched convolution is bit-identical per
-// frame to the per-sample kernels.
+// Patch-major convolution lowering. Im2RowInto lowers an [N,C,H,W] tensor
+// (or one CHW sample) into an (N·OutH·OutW) × (InC·K·K) patch matrix, so
+// one MatMulKMajorInto against the (InC·K·K) × (OutC) transposed weight
+// matrix serves the whole batch while the small weight operand stays
+// cache-resident and the patches stream through exactly once. Each output
+// element remains an ascending-k dot product, so batched convolution is
+// bit-identical per frame to a single-sample call.
+
+// ConvGeom describes the geometry of a 2-D convolution over a CHW tensor.
+// It is shared by the forward Im2RowInto lowering and the backward
+// Row2ImInto scatter so the two always agree.
+type ConvGeom struct {
+	InC, InH, InW int // input channels, height, width
+	K             int // square kernel size
+	Stride        int
+	Pad           int
+}
+
+// OutH returns the output height implied by the geometry.
+func (g ConvGeom) OutH() int { return (g.InH+2*g.Pad-g.K)/g.Stride + 1 }
+
+// OutW returns the output width implied by the geometry.
+func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.K)/g.Stride + 1 }
+
+// Validate reports an error for geometries that would produce an empty
+// output or are otherwise malformed.
+func (g ConvGeom) Validate() error {
+	if g.InC <= 0 || g.InH <= 0 || g.InW <= 0 {
+		return fmt.Errorf("conv geom: non-positive input dims %+v", g)
+	}
+	if g.K <= 0 || g.Stride <= 0 || g.Pad < 0 {
+		return fmt.Errorf("conv geom: bad kernel/stride/pad %+v", g)
+	}
+	if g.OutH() <= 0 || g.OutW() <= 0 {
+		return fmt.Errorf("conv geom: empty output %+v", g)
+	}
+	return nil
+}
 
 // batchGeomCheck validates an [N,C,H,W] — or single-sample [C,H,W],
 // treated as N=1 — operand against the conv geometry and returns N.
@@ -138,10 +166,9 @@ func Row2ImInto(dst, rows *Tensor, g ConvGeom) {
 }
 
 // row2imSample accumulates one sample's patch rows back into CHW storage.
-// The loop nest mirrors Col2ImInto exactly — (c,ky,kx) outer, (oy,ox)
-// inner — so every input pixel receives its overlapping-window
-// contributions in the same order and the batched backward's input
-// gradient stays bit-identical to the per-sample path.
+// The loop nest runs (c,ky,kx) outer and (oy,ox) inner, so every input
+// pixel receives its overlapping-window contributions in ascending tap
+// order — the order the direct per-tap reference in the nn tests pins.
 func row2imSample(xd, pd []float32, g ConvGeom, outH, outW, l int) {
 	k := g.K
 	for c := 0; c < g.InC; c++ {

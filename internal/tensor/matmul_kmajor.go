@@ -6,13 +6,18 @@ import (
 )
 
 // K-major matmul: dst = A·B with B supplied in k-major layout (k×n), the
-// natural layout of an untransposed right operand. Unlike the packed
-// MatMulInto kernel it never materialises a transpose; instead it
-// vectorizes across output columns — each SIMD lane owns one output element
-// and accumulates a[i][l]·b[l][j] in strictly ascending l with a separate
-// float32 rounding per multiply and add, exactly like the scalar kernels.
-// Every output element is therefore bit-identical to MatMul/MatMulTransB,
-// and the kernel choice remains a pure throughput decision.
+// natural layout of an untransposed right operand. It never materialises a
+// transpose; instead it vectorizes across output columns — each SIMD lane
+// owns one output element and accumulates a[i][l]·b[l][j] in strictly
+// ascending l with a separate float32 rounding per multiply and add,
+// exactly like a scalar dot product. Every output element is therefore
+// bit-identical to the naive triple loop the tests compare against, and
+// the kernel choice remains a pure throughput decision.
+//
+// The pure-Go kernels below write each product as float32(a * b). Go may
+// fuse a*b + c into one FMA with a single rounding (it does on arm64); the
+// explicit conversion forbids that, so the generic rung and the scalar
+// column tail keep the two roundings every assembly rung performs.
 //
 // This is the unified GEMM of the perception stack: the batched AND
 // single-frame Conv2D/Linear forwards lower onto it (tall-skinny patch
@@ -23,7 +28,7 @@ import (
 // NEON 4-wide on arm64, a pure-Go lane kernel elsewhere or under the
 // noasm build tag (see sgemm_amd64.go / sgemm_arm64.go).
 //
-// Above the shared parallelMinWork threshold the row dimension is sharded
+// Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
 // contiguous row range with this same serial driver, so parallelism is
 // pure dispatch and the bits never depend on GOMAXPROCS.
@@ -147,10 +152,10 @@ func kmajorColsGeneric(c, a, bk []float32, i0, i1, j0, w, k, n int) {
 			a2 := a[(i+2)*k+l]
 			a3 := a[(i+3)*k+l]
 			for z, bv := range brow {
-				acc[z] += a0 * bv
-				acc[w+z] += a1 * bv
-				acc[2*w+z] += a2 * bv
-				acc[3*w+z] += a3 * bv
+				acc[z] += float32(a0 * bv)
+				acc[w+z] += float32(a1 * bv)
+				acc[2*w+z] += float32(a2 * bv)
+				acc[3*w+z] += float32(a3 * bv)
 			}
 		}
 		for r := 0; r < 4; r++ {
@@ -165,7 +170,7 @@ func kmajorColsGeneric(c, a, bk []float32, i0, i1, j0, w, k, n int) {
 			brow := bk[l*n+j0 : l*n+j0+w]
 			a0 := a[i*k+l]
 			for z, bv := range brow {
-				acc[z] += a0 * bv
+				acc[z] += float32(a0 * bv)
 			}
 		}
 		copy(c[i*n+j0:i*n+j0+w], acc[:w])
@@ -180,7 +185,7 @@ func kmajorScalar(c, a, bk []float32, i0, i1, j0, j1, k, n int) {
 		for j := j0; j < j1; j++ {
 			var s float32
 			for l, av := range ai {
-				s += av * bk[l*n+j]
+				s += float32(av * bk[l*n+j])
 			}
 			c[i*n+j] = s
 		}

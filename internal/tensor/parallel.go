@@ -5,41 +5,29 @@ import (
 	"sync"
 )
 
-// This file is the package's single source of parallelism: the tuning
-// constants every fan-out path gates on, the persistent worker pool they
-// all dispatch over, and the row-shard driver for the unified k-major
-// GEMM. Keeping them together means the legacy MatMul heuristics and the
-// k-major GEMM threshold cannot drift apart, and every parallel kernel
+// This file is the package's single source of parallelism: the work
+// threshold the k-major GEMM gates on, the persistent worker pool it
+// dispatches over, and the row-shard split itself. Every parallel call
 // amortises goroutine startup over the same long-lived workers.
 //
 // Parallelism here is strictly a dispatch concern, never a numeric one:
-// workers own disjoint contiguous row (or column) ranges of the output and
-// every output element is still one ascending-k accumulation with per-step
+// workers own disjoint contiguous row ranges of the output and every
+// output element is still one ascending-k accumulation with per-step
 // float32 rounding, so results are bit-identical at any GOMAXPROCS and any
 // shard count. Tests sweep GOMAXPROCS ∈ {1,2,4,16} over the split
 // boundaries to pin this.
 
-// parallelThreshold is the number of result rows below which the legacy
-// MatMul/MatMulTransB kernels run single-threaded; fan-out dispatch costs
-// more than it saves on tiny matrices (the common case for the small heads
-// in this repository).
-const parallelThreshold = 32
-
-// parallelMinWork is the m·k·n product below which every parallel path in
-// the package — the k-major GEMM row shards and the legacy column splits —
-// stays serial. One constant, one tuning decision: small and gemv-shaped
-// products (the single-frame dense heads) never pay dispatch overhead,
-// while the batched conv patch products (m in the thousands) shard across
-// cores. Changing this value changes dispatch only, never bits.
+// parallelMinWork is the m·k·n product below which the k-major GEMM stays
+// serial: small and gemv-shaped products (the single-frame dense heads)
+// never pay dispatch overhead, while the batched conv patch products (m in
+// the thousands) shard across cores. Changing this value changes dispatch
+// only, never bits.
 const parallelMinWork = 1 << 17
 
-// poolTask is one unit of work for the persistent pool: either a generic
-// range closure (the legacy parallelRanges path) or, when fn is nil, a
-// row shard of the k-major GEMM described by the remaining fields. The
-// struct travels by value through the channel so steady-state dispatch
-// allocates nothing.
+// poolTask is one row shard of the k-major GEMM for the persistent pool.
+// The struct travels by value through the channel so steady-state
+// dispatch allocates nothing.
 type poolTask struct {
-	fn       func(lo, hi int)
 	c, a, bk []float32
 	lo, hi   int
 	k, n     int
@@ -47,11 +35,7 @@ type poolTask struct {
 }
 
 func (t poolTask) run() {
-	if t.fn != nil {
-		t.fn(t.lo, t.hi)
-	} else {
-		matMulKMajorRows(t.c, t.a, t.bk, t.lo, t.hi, t.k, t.n)
-	}
+	matMulKMajorRows(t.c, t.a, t.bk, t.lo, t.hi, t.k, t.n)
 	t.wg.Done()
 }
 
@@ -87,40 +71,13 @@ func startPool() {
 	}
 }
 
-// parallelRanges splits [0, n) into one contiguous chunk per worker and
-// runs fn on each chunk concurrently over the persistent pool. The caller
-// computes the final chunk inline (it would otherwise idle in Wait), and
-// pool workers never re-submit work, so nested dispatch cannot deadlock.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	per := (n + workers - 1) / workers
-	if workers <= 1 || per >= n {
-		fn(0, n)
-		return
-	}
-	poolOnce.Do(startPool)
-	wg := wgPool.Get().(*sync.WaitGroup)
-	lo := 0
-	for ; lo+per < n; lo += per {
-		wg.Add(1)
-		poolCh <- poolTask{fn: fn, lo: lo, hi: lo + per, wg: wg}
-	}
-	fn(lo, n)
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
 // matMulKMajorParallel row-shards dst = A·B_k across the pool: workers
 // contiguous row ranges, each computed by the same serial lane-kernel
 // driver restricted to its rows. Every lane still accumulates strictly
 // ascending k with per-step rounding, so the split is invisible in the
-// bits. The caller runs the last shard inline and allocates nothing once
-// the pool is warm.
+// bits. The caller runs the last shard inline (it would otherwise idle in
+// Wait), and pool workers never re-submit work, so nested dispatch cannot
+// deadlock. It allocates nothing once the pool is warm.
 func matMulKMajorParallel(c, a, bk []float32, m, k, n, workers int) {
 	if workers > m {
 		workers = m

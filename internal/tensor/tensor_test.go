@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -180,27 +181,43 @@ func TestReductions(t *testing.T) {
 	}
 }
 
+// matMul returns A·B computed by the package GEMM into a fresh tensor.
+func matMul(a, b *Tensor) *Tensor {
+	c := New(a.Dim(0), b.Dim(1))
+	MatMulKMajorInto(c, a, b)
+	return c
+}
+
+// transpose returns the transpose of a 2-D tensor as a fresh tensor.
+func transpose(t *Tensor) *Tensor {
+	out := New(t.Dim(1), t.Dim(0))
+	Transpose2DInto(out, t)
+	return out
+}
+
 func TestMatMulKnownValues(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, v := range c.Data() {
 		if v != want[i] {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, v, want[i])
+			t.Fatalf("MatMulKMajorInto[%d] = %v, want %v", i, v, want[i])
 		}
 	}
 }
 
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
 	rng := xrand.New(1)
-	// Big enough to trigger the parallel path.
-	a := randTensor(rng, 64, 33)
+	// Past parallelMinWork, so the product is row-sharded.
+	a := randTensor(rng, 256, 33)
 	b := randTensor(rng, 33, 17)
-	c := MatMul(a, b)
-	// Serial reference.
-	ref := New(64, 17)
-	for i := 0; i < 64; i++ {
+	c := matMul(a, b)
+	// Serial float64 reference.
+	ref := New(256, 17)
+	for i := 0; i < 256; i++ {
 		for j := 0; j < 17; j++ {
 			var s float64
 			for k := 0; k < 33; k++ {
@@ -211,19 +228,22 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range c.Data() {
 		if !almostEq(float64(c.Data()[i]), float64(ref.Data()[i]), 1e-3) {
-			t.Fatalf("parallel MatMul diverges at %d: %v vs %v", i, c.Data()[i], ref.Data()[i])
+			t.Fatalf("parallel GEMM diverges at %d: %v vs %v", i, c.Data()[i], ref.Data()[i])
 		}
 	}
 }
 
 func TestTranspose2D(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose2D(a)
-	if at.Dim(0) != 3 || at.Dim(1) != 2 {
-		t.Fatalf("transpose shape %v", at.Shape())
-	}
-	if at.At(2, 1) != a.At(1, 2) {
-		t.Fatal("transpose values wrong")
+	at := New(3, 2)
+	at.Fill(99) // every element must be overwritten
+	Transpose2DInto(at, a)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if at.At(j, i) != a.At(i, j) {
+				t.Fatalf("transpose[%d,%d] = %v, want %v", j, i, at.At(j, i), a.At(i, j))
+			}
+		}
 	}
 }
 
@@ -236,8 +256,8 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
 		c := randTensor(r, k, n)
-		left := MatMul(a, b.Add(c))
-		right := MatMul(a, b).Add(MatMul(a, c))
+		left := matMul(a, b.Add(c))
+		right := matMul(a, b).Add(matMul(a, c))
 		for i := range left.Data() {
 			if !almostEq(float64(left.Data()[i]), float64(right.Data()[i]), 1e-3) {
 				return false
@@ -257,8 +277,8 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		m, k, n := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
-		lhs := Transpose2D(MatMul(a, b))
-		rhs := MatMul(Transpose2D(b), Transpose2D(a))
+		lhs := transpose(matMul(a, b))
+		rhs := matMul(transpose(b), transpose(a))
 		for i := range lhs.Data() {
 			if !almostEq(float64(lhs.Data()[i]), float64(rhs.Data()[i]), 1e-3) {
 				return false
@@ -283,43 +303,55 @@ func TestDotNormProperty(t *testing.T) {
 	}
 }
 
+// im2row lowers one CHW sample with Im2RowInto into a fresh patch matrix.
+func im2row(x *Tensor, g ConvGeom) *Tensor {
+	rows := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
+	rows.Fill(99) // every element must be overwritten
+	Im2RowInto(rows, x, g)
+	return rows
+}
+
+// The TestIm2Col… known-value and adjoint tests below exercise Im2RowInto
+// and Row2ImInto, the package's only convolution lowering; they keep the
+// textbook name of the transform.
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with stride 1 and no padding must reproduce the input.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, K: 1, Stride: 1, Pad: 0}
-	cols := Im2Col(x, g)
-	if cols.Dim(0) != 1 || cols.Dim(1) != 4 {
-		t.Fatalf("cols shape %v", cols.Shape())
+	rows := im2row(x, g)
+	if rows.Dim(0) != 4 || rows.Dim(1) != 1 {
+		t.Fatalf("rows shape %v", rows.Shape())
 	}
-	for i, v := range cols.Data() {
+	for i, v := range rows.Data() {
 		if v != x.Data()[i] {
-			t.Fatalf("identity im2col mismatch at %d", i)
+			t.Fatalf("identity im2row mismatch at %d", i)
 		}
 	}
 }
 
 func TestIm2ColKnownWindow(t *testing.T) {
-	// 3x3 input, 2x2 kernel, stride 1: output is 2x2 = 4 columns.
+	// 3x3 input, 2x2 kernel, stride 1: output is 2x2 = 4 patch rows.
 	x := FromSlice([]float32{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, K: 2, Stride: 1, Pad: 0}
-	cols := Im2Col(x, g)
-	// Row 0 of cols holds the top-left tap of each window: 1,2,4,5.
+	rows := im2row(x, g)
+	// Row 0 holds the top-left window: 1,2,4,5.
 	want := []float32{1, 2, 4, 5}
-	for i, v := range cols.Data()[:4] {
+	for i, v := range rows.Data()[:4] {
 		if v != want[i] {
-			t.Fatalf("cols row0[%d] = %v, want %v", i, v, want[i])
+			t.Fatalf("rows row0[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	// Last row holds the bottom-right taps: 5,6,8,9.
-	last := cols.Data()[3*4:]
+	// The last row holds the bottom-right window: 5,6,8,9.
+	last := rows.Data()[3*4:]
 	wantLast := []float32{5, 6, 8, 9}
 	for i, v := range last {
 		if v != wantLast[i] {
-			t.Fatalf("cols row3[%d] = %v, want %v", i, v, wantLast[i])
+			t.Fatalf("rows row3[%d] = %v, want %v", i, v, wantLast[i])
 		}
 	}
 }
@@ -330,19 +362,19 @@ func TestIm2ColPadding(t *testing.T) {
 	if g.OutH() != 2 || g.OutW() != 2 {
 		t.Fatalf("geom out %dx%d", g.OutH(), g.OutW())
 	}
-	cols := Im2Col(x, g)
+	rows := im2row(x, g)
 	// Top-left kernel tap of the first window reads padding => 0.
-	if cols.At(0, 0) != 0 {
-		t.Fatalf("padded tap should be 0, got %v", cols.At(0, 0))
+	if rows.At(0, 0) != 0 {
+		t.Fatalf("padded tap should be 0, got %v", rows.At(0, 0))
 	}
-	// Center tap (ky=1,kx=1 => row 4) of first window is x[0,0]=1.
-	if cols.At(4, 0) != 1 {
-		t.Fatalf("center tap = %v, want 1", cols.At(4, 0))
+	// Center tap (ky=1,kx=1 => column 4) of the first window is x[0,0]=1.
+	if rows.At(0, 4) != 1 {
+		t.Fatalf("center tap = %v, want 1", rows.At(0, 4))
 	}
 }
 
-// Property: Col2Im is the exact adjoint of Im2Col:
-// <Im2Col(x), y> == <x, Col2Im(y)> for all x, y.
+// Property: Row2ImInto is the exact adjoint of Im2RowInto:
+// <Im2Row(x), y> == <x, Row2Im(y)> for all x, y.
 func TestIm2ColAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := xrand.New(seed)
@@ -354,10 +386,12 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 			return true // skip degenerate geometry
 		}
 		x := randTensor(r, g.InC, g.InH, g.InW)
-		cols := Im2Col(x, g)
-		y := randTensor(r, cols.Dim(0), cols.Dim(1))
-		lhs := cols.Dot(y)
-		rhs := x.Dot(Col2Im(y, g))
+		rows := im2row(x, g)
+		y := randTensor(r, rows.Dim(0), rows.Dim(1))
+		back := New(g.InC, g.InH, g.InW)
+		Row2ImInto(back, y, g)
+		lhs := rows.Dot(y)
+		rhs := x.Dot(back)
 		return almostEq(lhs, rhs, 1e-2*(1+math.Abs(lhs)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -384,19 +418,5 @@ func TestConvGeomValidate(t *testing.T) {
 				t.Fatalf("Validate() err=%v, wantErr=%v", err, tt.wantErr)
 			}
 		})
-	}
-}
-
-func TestMatMulIntoReusesStorage(t *testing.T) {
-	rng := xrand.New(3)
-	a := randTensor(rng, 4, 5)
-	b := randTensor(rng, 5, 6)
-	dst := New(4, 6)
-	MatMulInto(dst, a, b)
-	ref := MatMul(a, b)
-	for i := range dst.Data() {
-		if dst.Data()[i] != ref.Data()[i] {
-			t.Fatal("MatMulInto differs from MatMul")
-		}
 	}
 }
