@@ -188,7 +188,8 @@ type (
 	Server = serve.Server
 	// ServerConfig configures NewServer.
 	ServerConfig = serve.Config
-	// WireEvent is one NDJSON line of a /run stream.
+	// WireEvent is one NDJSON line of a /run stream; a cell-done line
+	// carries the cell and its checkpoint record.
 	WireEvent = serve.WireEvent
 	// WireResult is the terminal (and cached) payload of a /run stream.
 	WireResult = serve.ResultPayload
@@ -197,7 +198,12 @@ type (
 
 	// SweepRecord is one JSONL checkpoint line as a typed value: a
 	// finished grid cell plus the run configuration that produced it.
+	// Lanes, store segments, wire events and cached payloads carry it.
 	SweepRecord = eval.SweepRecord
+	// Grid is what a SweepRecord must match — grid identity plus run
+	// stamp — and the codec over it: Record, Validate, Load, LoadBytes,
+	// Merge. Spec.Grid derives it.
+	Grid = eval.Grid
 
 	// Transport executes one shard spec on some worker (fleet dispatch).
 	Transport = dispatch.Transport

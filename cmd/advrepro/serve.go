@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/serve"
 )
@@ -144,16 +146,18 @@ func printWireProgress(w io.Writer, ev serve.WireEvent) {
 		if ev.Cell == nil {
 			return
 		}
+		// The metrics ride in the cell's checkpoint record; without one
+		// the line shows zero metrics.
+		var rec eval.SweepRecord
+		if err := json.Unmarshal(ev.Record, &rec); err != nil {
+			rec = eval.SweepRecord{}
+		}
 		status := "ok"
-		minGap := 0.0
-		if ev.Metrics != nil {
-			if ev.Metrics.Collision {
-				status = "COLLISION"
-			}
-			minGap = float64(ev.Metrics.MinGap)
+		if rec.Cell.Collision {
+			status = "COLLISION"
 		}
 		fmt.Fprintf(w, "[%d/%d] cell %d  %s / %s / %s  min-gap %.2f m  %s\n",
-			ev.Done, ev.Total, ev.Cell.Index, ev.Cell.Scenario, ev.Cell.Attack, ev.Cell.Defense, minGap, status)
+			ev.Done, ev.Total, ev.Cell.Index, ev.Cell.Scenario, ev.Cell.Attack, ev.Cell.Defense, rec.Cell.MinGap, status)
 	case "run-done":
 		if ev.Err != "" {
 			fmt.Fprintf(w, "run stopped: %s\n", ev.Err)

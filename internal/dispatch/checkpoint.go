@@ -56,7 +56,7 @@ type CheckpointTransport interface {
 	// given grid: the store transport derives its content-address prefix
 	// from the spec here, the mirror creates its tree. Must be called
 	// before any other method.
-	Bind(spec exp.Spec, meta gridMeta) error
+	Bind(spec exp.Spec, grid eval.Grid) error
 	// Publish replicates one finished-cell checkpoint record of the
 	// named lane. Records may arrive more than once (hedges, resumes,
 	// duplicate delivery); implementations deduplicate by grid index.
@@ -106,27 +106,18 @@ func ParseCheckpointTransport(s string) (CheckpointTransport, error) {
 	}
 }
 
-// laneRecord stamps one cell as its checkpoint record under the grid's
-// run configuration.
-func laneRecord(meta gridMeta, idx int, cell eval.MatrixCell) eval.SweepRecord {
-	return eval.SweepRecord{
-		Index: idx, Seed: meta.ids[idx].Seed, Preset: meta.preset,
-		Duration: meta.duration, DT: meta.dt, Cell: cell,
-	}
-}
-
 // syncLane reconciles one lane between its local file and the transport
 // replica until both hold the union: replica records the local file lacks
 // are merged in (atomic temp+rename rewrite, which also repairs a torn
 // local tail), local records the replica lacks are published. Returns how
 // many records were recovered FROM the replica — the cells a lost local
 // disk would otherwise have cost.
-func syncLane(ct CheckpointTransport, lane, path string, meta gridMeta) (int, error) {
+func syncLane(ct CheckpointTransport, lane, path string, grid eval.Grid) (int, error) {
 	remote, err := ct.Load(lane)
 	if err != nil {
 		return 0, err
 	}
-	local, validLen, err := eval.LoadSweepCheckpoint(path, meta.ids, meta.preset, meta.duration, meta.dt)
+	local, validLen, err := grid.Load(path)
 	if err != nil {
 		return 0, err
 	}
@@ -149,7 +140,7 @@ func syncLane(ct CheckpointTransport, lane, path string, meta gridMeta) (int, er
 			}
 			continue
 		}
-		if err := ct.Publish(lane, laneRecord(meta, idx, cell)); err != nil {
+		if err := ct.Publish(lane, grid.Record(idx, cell)); err != nil {
 			return 0, err
 		}
 	}
@@ -175,7 +166,7 @@ func syncLane(ct CheckpointTransport, lane, path string, meta gridMeta) (int, er
 		buf.Write(prev[:validLen])
 	}
 	for _, idx := range add {
-		line, err := json.Marshal(laneRecord(meta, idx, remote[idx]))
+		line, err := json.Marshal(grid.Record(idx, remote[idx]))
 		if err != nil {
 			return 0, fmt.Errorf("dispatch: sync lane %s: %w", lane, err)
 		}
@@ -193,8 +184,8 @@ func syncLane(ct CheckpointTransport, lane, path string, meta gridMeta) (int, er
 // exec transport's liveness poll reads this instead of the local tail
 // alone, so a worker streaming results off-machine is not declared hung
 // while it is making progress.
-func laneProgress(path string, meta gridMeta, ct CheckpointTransport) map[int]eval.MatrixCell {
-	done, _, err := eval.LoadSweepCheckpoint(path, meta.ids, meta.preset, meta.duration, meta.dt)
+func laneProgress(path string, grid eval.Grid, ct CheckpointTransport) map[int]eval.MatrixCell {
+	done, _, err := grid.Load(path)
 	if err != nil {
 		done = map[int]eval.MatrixCell{}
 	}
@@ -242,7 +233,7 @@ type FSTransport struct{}
 func (t *FSTransport) String() string { return "fs" }
 
 // Bind implements CheckpointTransport.
-func (t *FSTransport) Bind(spec exp.Spec, meta gridMeta) error { return nil }
+func (t *FSTransport) Bind(spec exp.Spec, grid eval.Grid) error { return nil }
 
 // Publish implements CheckpointTransport.
 func (t *FSTransport) Publish(lane string, rec eval.SweepRecord) error { return nil }
@@ -273,7 +264,7 @@ type MirrorTransport struct {
 	Dir string
 
 	mu    sync.Mutex
-	meta  gridMeta
+	grid  eval.Grid
 	lanes map[string]*mirrorLane
 }
 
@@ -287,7 +278,7 @@ type mirrorLane struct {
 func (t *MirrorTransport) String() string { return "mirror:" + t.Dir }
 
 // Bind implements CheckpointTransport.
-func (t *MirrorTransport) Bind(spec exp.Spec, meta gridMeta) error {
+func (t *MirrorTransport) Bind(spec exp.Spec, grid eval.Grid) error {
 	if t.Dir == "" {
 		return fmt.Errorf("dispatch: mirror transport needs a directory")
 	}
@@ -295,7 +286,7 @@ func (t *MirrorTransport) Bind(spec exp.Spec, meta gridMeta) error {
 		return fmt.Errorf("dispatch: mirror dir: %w", err)
 	}
 	t.mu.Lock()
-	t.meta = meta
+	t.grid = grid
 	t.lanes = map[string]*mirrorLane{}
 	t.mu.Unlock()
 	return nil
@@ -313,7 +304,7 @@ func (t *MirrorTransport) laneLocked(lane string) (*mirrorLane, error) {
 		return nil, fmt.Errorf("dispatch: mirror lane %s: %w", lane, err)
 	}
 	if len(buf) > 0 {
-		done, validLen, err := eval.LoadSweepCheckpointBytes(buf, t.meta.ids, t.meta.preset, t.meta.duration, t.meta.dt)
+		done, validLen, err := t.grid.LoadBytes(buf)
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: mirror lane %s: %w", lane, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/serve"
 )
 
@@ -286,19 +285,18 @@ func TestStoreTransportRejectsStaleRemoteLane(t *testing.T) {
 
 	// Bind a throwaway twin to learn the content-address prefix, then
 	// plant a stale record where the resume will look.
-	meta, err := specGridMeta(cfg.Spec)
+	grid, err := cfg.Spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	twin := &StoreTransport{Store: st.Store}
-	if err := twin.Bind(cfg.Spec, meta); err != nil {
+	if err := twin.Bind(cfg.Spec, grid); err != nil {
 		t.Fatal(err)
 	}
-	id := meta.ids[0]
-	raw, err := json.Marshal(eval.SweepRecord{
-		Index: id.Index, Seed: id.Seed, Preset: meta.preset,
-		Duration: meta.duration * 2, DT: meta.dt, Cell: fakeCell(id),
-	})
+	id := grid.IDs[0]
+	stale := grid
+	stale.Duration *= 2
+	raw, err := json.Marshal(stale.Record(id.Index, fakeCell(id)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,26 +349,26 @@ func TestFreshRunClearsReplica(t *testing.T) {
 // the liveness poll cannot falsely declare the shard hung.
 func TestLaneProgressSeesReplicaOnlyRecords(t *testing.T) {
 	spec := testSpec()
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := &MirrorTransport{Dir: t.TempDir()}
-	if err := ct.Bind(spec, meta); err != nil {
+	if err := ct.Bind(spec, grid); err != nil {
 		t.Fatal(err)
 	}
 	lane := "shard_0_of_2.jsonl"
 	for _, idx := range []int{0, 2} {
-		if err := ct.Publish(lane, laneRecord(meta, idx, fakeCell(meta.ids[idx]))); err != nil {
+		if err := ct.Publish(lane, grid.Record(idx, fakeCell(grid.IDs[idx]))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	localPath := filepath.Join(t.TempDir(), lane) // never written
-	if done := laneProgress(localPath, meta, nil); len(done) != 0 {
+	if done := laneProgress(localPath, grid, nil); len(done) != 0 {
 		t.Fatalf("no transport, no local file: %d records, want 0", len(done))
 	}
-	done := laneProgress(localPath, meta, ct)
+	done := laneProgress(localPath, grid, ct)
 	if len(done) != 2 {
 		t.Fatalf("laneProgress saw %d records via the replica, want 2", len(done))
 	}
@@ -381,17 +379,17 @@ func TestLaneProgressSeesReplicaOnlyRecords(t *testing.T) {
 // prefix and keeps accepting publishes.
 func TestMirrorToleratesTornReplicaFile(t *testing.T) {
 	spec := testSpec()
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	lane := "shard_0_of_2.jsonl"
-	good, err := json.Marshal(laneRecord(meta, 0, fakeCell(meta.ids[0])))
+	good, err := json.Marshal(grid.Record(0, fakeCell(grid.IDs[0])))
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn, err := json.Marshal(laneRecord(meta, 2, fakeCell(meta.ids[2])))
+	torn, err := json.Marshal(grid.Record(2, fakeCell(grid.IDs[2])))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +399,7 @@ func TestMirrorToleratesTornReplicaFile(t *testing.T) {
 	}
 
 	ct := &MirrorTransport{Dir: dir}
-	if err := ct.Bind(spec, meta); err != nil {
+	if err := ct.Bind(spec, grid); err != nil {
 		t.Fatal(err)
 	}
 	done, err := ct.Load(lane)
@@ -411,7 +409,7 @@ func TestMirrorToleratesTornReplicaFile(t *testing.T) {
 	if len(done) != 1 {
 		t.Fatalf("torn mirror loaded %d records, want the 1 valid one", len(done))
 	}
-	if err := ct.Publish(lane, laneRecord(meta, 4, fakeCell(meta.ids[4]))); err != nil {
+	if err := ct.Publish(lane, grid.Record(4, fakeCell(grid.IDs[4]))); err != nil {
 		t.Fatal(err)
 	}
 	done, err = ct.Load(lane)

@@ -7,7 +7,7 @@
 // hedged to a second worker with first-writer-wins dedup by cell index,
 // and repeat offenders are quarantined so the sweep degrades gracefully
 // down to one healthy worker. On completion the lane files pass the
-// MergeSweeps coverage/seed verification, so the final report is
+// Grid.Merge coverage/seed verification, so the final report is
 // byte-identical to an unsharded run no matter how many failures
 // occurred along the way.
 package dispatch
@@ -191,7 +191,7 @@ type attemptResult struct {
 
 type dispatcher struct {
 	cfg  Config
-	meta gridMeta
+	grid eval.Grid
 
 	mu      sync.Mutex
 	cells   map[int]eval.MatrixCell
@@ -224,23 +224,23 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		return nil, fmt.Errorf("dispatch: spec kind %q has no grid to shard", cfg.Spec.Kind)
 	}
 	cfg.Spec = spec
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NumShards > len(meta.ids) {
-		cfg.NumShards = len(meta.ids)
+	if cfg.NumShards > len(grid.IDs) {
+		cfg.NumShards = len(grid.IDs)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: lane dir: %w", err)
 	}
-	if err := cfg.Checkpoints.Bind(spec, meta); err != nil {
+	if err := cfg.Checkpoints.Bind(spec, grid); err != nil {
 		return nil, err
 	}
 
 	d := &dispatcher{
 		cfg:   cfg,
-		meta:  meta,
+		grid:  grid,
 		cells: map[int]eval.MatrixCell{},
 		rng:   xrand.New(cfg.Seed),
 	}
@@ -256,7 +256,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 			lane:    filepath.Join(cfg.Dir, fmt.Sprintf("shard_%d_of_%d.jsonl", s, cfg.NumShards)),
 			hedgeLn: filepath.Join(cfg.Dir, fmt.Sprintf("shard_%d_of_%d_hedge.jsonl", s, cfg.NumShards)),
 		}
-		for _, id := range meta.ids {
+		for _, id := range grid.IDs {
 			if id.Index%cfg.NumShards == s {
 				st.cellIdx = append(st.cellIdx, id.Index)
 			}
@@ -269,9 +269,9 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		return nil, err
 	}
 
-	d.observe(eval.Event{Kind: eval.EventRunStart, Total: len(meta.ids)})
+	d.observe(eval.Event{Kind: eval.EventRunStart, Total: len(grid.IDs)})
 	runErr := d.loop(ctx)
-	d.observe(eval.Event{Kind: eval.EventRunDone, Total: len(meta.ids), Err: runErr})
+	d.observe(eval.Event{Kind: eval.EventRunDone, Total: len(grid.IDs), Err: runErr})
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -323,12 +323,12 @@ func (d *dispatcher) recoverLanes() (int, error) {
 	resumed := 0
 	for _, s := range d.shards {
 		for _, p := range []string{s.lane, s.hedgeLn} {
-			fetched, err := syncLane(d.cfg.Checkpoints, filepath.Base(p), p, d.meta)
+			fetched, err := syncLane(d.cfg.Checkpoints, filepath.Base(p), p, d.grid)
 			if err != nil {
 				return 0, fmt.Errorf("dispatch: resume: %w", err)
 			}
 			d.fetched += fetched
-			done, _, err := eval.LoadSweepCheckpoint(p, d.meta.ids, d.meta.preset, d.meta.duration, d.meta.dt)
+			done, _, err := d.grid.Load(p)
 			if err != nil {
 				return 0, fmt.Errorf("dispatch: resume: %w", err)
 			}
@@ -626,7 +626,7 @@ func (d *dispatcher) onEvent(a *attempt, ev eval.Event) {
 			return
 		}
 		idx := ev.Cell.Index
-		if idx < 0 || idx >= len(d.meta.ids) {
+		if idx < 0 || idx >= len(d.grid.IDs) {
 			d.fatal = fmt.Errorf("dispatch: worker %s reported cell %d outside the grid", a.worker.w.Name, idx)
 			d.mu.Unlock()
 			return
@@ -644,8 +644,8 @@ func (d *dispatcher) onEvent(a *attempt, ev eval.Event) {
 		d.cells[idx] = *ev.Result
 		d.fresh++
 		out := eval.Event{
-			Kind: eval.EventCellDone, Total: len(d.meta.ids), Done: d.fresh,
-			Cell: d.meta.ids[idx], Result: ev.Result,
+			Kind: eval.EventCellDone, Total: len(d.grid.IDs), Done: d.fresh,
+			Cell: d.grid.IDs[idx], Result: ev.Result,
 		}
 		lane := a.shard.lane
 		if a.hedge {
@@ -655,7 +655,7 @@ func (d *dispatcher) onEvent(a *attempt, ev eval.Event) {
 		// Replicate outside the lock: the store transport may sleep
 		// through a retry window, and the other workers' events must
 		// keep flowing while it does.
-		if err := d.cfg.Checkpoints.Publish(filepath.Base(lane), laneRecord(d.meta, idx, *ev.Result)); err != nil {
+		if err := d.cfg.Checkpoints.Publish(filepath.Base(lane), d.grid.Record(idx, *ev.Result)); err != nil {
 			d.mu.Lock()
 			if d.fatal == nil {
 				d.fatal = err
@@ -773,7 +773,7 @@ func (d *dispatcher) backoff(attempts int) time.Duration {
 	return time.Duration(float64(delay) * (0.5 + 0.5*d.rng.Float64()))
 }
 
-// merge joins every contributing lane file through the MergeSweeps
+// merge joins every contributing lane file through the Grid.Merge
 // coverage/seed verification into the final grid. Each lane first
 // reconciles with the checkpoint replica — replica-only records (a
 // worker whose local writes were lost) land in the local file, local-
@@ -782,7 +782,7 @@ func (d *dispatcher) merge() (eval.MatrixReport, []string, error) {
 	var files []string
 	for _, s := range d.shards {
 		for _, p := range []string{s.lane, s.hedgeLn} {
-			fetched, err := syncLane(d.cfg.Checkpoints, filepath.Base(p), p, d.meta)
+			fetched, err := syncLane(d.cfg.Checkpoints, filepath.Base(p), p, d.grid)
 			if err != nil {
 				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: merge: %w", err)
 			}
@@ -790,7 +790,7 @@ func (d *dispatcher) merge() (eval.MatrixReport, []string, error) {
 			if err := d.cfg.Checkpoints.Sync(filepath.Base(p)); err != nil {
 				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: merge: %w", err)
 			}
-			done, _, err := eval.LoadSweepCheckpoint(p, d.meta.ids, d.meta.preset, d.meta.duration, d.meta.dt)
+			done, _, err := d.grid.Load(p)
 			if err != nil {
 				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: probe lane: %w", err)
 			}
@@ -799,7 +799,7 @@ func (d *dispatcher) merge() (eval.MatrixReport, []string, error) {
 			}
 		}
 	}
-	rep, err := eval.MergeSweeps(d.meta.ids, d.meta.preset, d.meta.duration, d.meta.dt, files)
+	rep, err := d.grid.Merge(files)
 	if err != nil {
 		return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: merge: %w", err)
 	}

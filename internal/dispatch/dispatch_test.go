@@ -94,11 +94,11 @@ type fakeTransport struct {
 }
 
 func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error {
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		return err
 	}
-	lane, err := openLane(spec.Sweep.JSONL, meta, spec.Sweep.Resume)
+	lane, err := openLane(spec.Sweep.JSONL, grid, spec.Sweep.Resume)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 	if n <= 0 {
 		n = 1
 	}
-	for _, id := range meta.ids {
+	for _, id := range grid.IDs {
 		if id.Index%n != spec.Sweep.Shard || lane.seen[id.Index] {
 			continue
 		}
@@ -124,10 +124,7 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			t.computes.bump(id.Index)
 		}
 		cell := fakeCell(id)
-		raw, err := json.Marshal(eval.SweepRecord{
-			Index: id.Index, Seed: id.Seed, Preset: meta.preset,
-			Duration: meta.duration, DT: meta.dt, Cell: cell,
-		})
+		raw, err := json.Marshal(grid.Record(id.Index, cell))
 		if err != nil {
 			return err
 		}
@@ -136,7 +133,7 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			return err
 		}
 		if fresh {
-			emit(obs, meta.cellDone(id.Index, &cell))
+			emit(obs, cellDone(grid, id.Index, &cell))
 		}
 	}
 	return lane.sync()
@@ -146,12 +143,12 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 // reproduce byte for byte.
 func referenceCSV(t *testing.T, spec exp.Spec) string {
 	t.Helper()
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := eval.MatrixReport{Preset: meta.preset, Cells: make([]eval.MatrixCell, len(meta.ids))}
-	for i, id := range meta.ids {
+	rep := eval.MatrixReport{Preset: grid.Preset, Cells: make([]eval.MatrixCell, len(grid.IDs))}
+	for i, id := range grid.IDs {
 		rep.Cells[i] = fakeCell(id)
 	}
 	return rep.CSV()
@@ -410,20 +407,17 @@ func TestDispatchResumeAcrossRestart(t *testing.T) {
 
 	// A previous dispatcher generation completed shard 0 and crashed:
 	// its lane survives in full.
-	meta, err := specGridMeta(cfg.Spec)
+	grid, err := cfg.Spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	prewritten := 0
 	var lines []string
-	for _, id := range meta.ids {
+	for _, id := range grid.IDs {
 		if id.Index%2 != 0 {
 			continue
 		}
-		raw, err := json.Marshal(eval.SweepRecord{
-			Index: id.Index, Seed: id.Seed, Preset: meta.preset,
-			Duration: meta.duration, DT: meta.dt, Cell: fakeCell(id),
-		})
+		raw, err := json.Marshal(grid.Record(id.Index, fakeCell(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +433,7 @@ func TestDispatchResumeAcrossRestart(t *testing.T) {
 	if rep.Resumed != prewritten {
 		t.Fatalf("resumed %d cells, want %d", rep.Resumed, prewritten)
 	}
-	for _, id := range meta.ids {
+	for _, id := range grid.IDs {
 		want := 1
 		if id.Index%2 == 0 {
 			want = 0 // recovered from the lane, never recomputed
@@ -457,15 +451,14 @@ func TestDispatchResumeRejectsStaleLane(t *testing.T) {
 
 	// A lane from a different configuration (doubled duration) must not
 	// silently seed this run.
-	meta, err := specGridMeta(cfg.Spec)
+	grid, err := cfg.Spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := meta.ids[0]
-	raw, err := json.Marshal(eval.SweepRecord{
-		Index: id.Index, Seed: id.Seed, Preset: meta.preset,
-		Duration: meta.duration * 2, DT: meta.dt, Cell: fakeCell(id),
-	})
+	id := grid.IDs[0]
+	stale := grid
+	stale.Duration *= 2
+	raw, err := json.Marshal(stale.Record(id.Index, fakeCell(id)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type StoreTransport struct {
 	Logf func(format string, args ...any)
 
 	mu     sync.Mutex
-	meta   gridMeta
+	grid   eval.Grid
 	prefix string
 	rng    *xrand.RNG
 	lanes  map[string]*storeLane
@@ -74,18 +74,18 @@ func (t *StoreTransport) String() string { return "store" }
 
 // Bind implements CheckpointTransport: derives the dispatch's
 // content-address prefix from the grid spec.
-func (t *StoreTransport) Bind(spec exp.Spec, meta gridMeta) error {
+func (t *StoreTransport) Bind(spec exp.Spec, grid eval.Grid) error {
 	if t.Store == nil {
 		return fmt.Errorf("dispatch: store transport needs an object store")
 	}
-	grid := spec
-	grid.Sweep = nil // the prefix addresses the GRID; lanes carry the shards
-	hash, err := exp.SpecHash(grid)
+	whole := spec
+	whole.Sweep = nil // the prefix addresses the GRID; lanes carry the shards
+	hash, err := exp.SpecHash(whole)
 	if err != nil {
 		return fmt.Errorf("dispatch: store transport: %w", err)
 	}
 	t.mu.Lock()
-	t.meta = meta
+	t.grid = grid
 	t.prefix = "lanes/" + hash + "/"
 	if t.SegmentBytes <= 0 {
 		t.SegmentBytes = 64 << 10
@@ -190,11 +190,11 @@ func (t *StoreTransport) fetchLaneLocked(lane string) (map[int]eval.MatrixCell, 
 		if err != nil {
 			return nil, -1, err
 		}
-		// LoadSweepCheckpointBytes gives exactly the semantics a remote
+		// Grid.LoadBytes gives exactly the semantics a remote
 		// segment needs: grid validation per record, hard rejection of
 		// stale content, and a torn (partially uploaded) tail degrading
 		// to the valid prefix instead of an error.
-		done, _, err := eval.LoadSweepCheckpointBytes(data, t.meta.ids, t.meta.preset, t.meta.duration, t.meta.dt)
+		done, _, err := t.grid.LoadBytes(data)
 		if err != nil {
 			return nil, -1, fmt.Errorf("dispatch: store segment %s: %w", key, err)
 		}

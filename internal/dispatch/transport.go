@@ -33,35 +33,9 @@ type Transport interface {
 	Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error
 }
 
-// gridMeta is the record-stamp metadata of a spec's grid: everything a
-// lane record is validated against.
-type gridMeta struct {
-	ids      []eval.CellID
-	preset   string
-	duration float64
-	dt       float64
-}
-
-// specGridMeta derives the grid identity and record stamp of a spec.
-func specGridMeta(spec exp.Spec) (gridMeta, error) {
-	ids, err := spec.CellIDs()
-	if err != nil {
-		return gridMeta{}, err
-	}
-	p, err := exp.PresetByName(spec.Preset)
-	if err != nil {
-		return gridMeta{}, err
-	}
-	m := gridMeta{ids: ids, preset: p.Name}
-	if spec.Matrix != nil {
-		m.duration, m.dt = spec.Matrix.Duration, spec.Matrix.DT
-	}
-	return m, nil
-}
-
 // cellDone builds the observer event for a finished cell.
-func (m gridMeta) cellDone(index int, cell *eval.MatrixCell) eval.Event {
-	return eval.Event{Kind: eval.EventCellDone, Total: len(m.ids), Cell: m.ids[index], Result: cell}
+func cellDone(grid eval.Grid, index int, cell *eval.MatrixCell) eval.Event {
+	return eval.Event{Kind: eval.EventCellDone, Total: len(grid.IDs), Cell: grid.IDs[index], Result: cell}
 }
 
 // PoolTransport runs shards in-process on a shared Experiment: the
@@ -108,7 +82,7 @@ type ExecTransport struct {
 
 // Run implements Transport.
 func (t *ExecTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error {
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		return err
 	}
@@ -156,7 +130,7 @@ func (t *ExecTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 		// laneProgress tolerates a torn tail mid-poll (normal while the
 		// child is writing; the final load decides) and folds in replica
 		// records the local file lacks.
-		done := laneProgress(lane, meta, t.Checkpoints)
+		done := laneProgress(lane, grid, t.Checkpoints)
 		// Emit fresh cells in grid order: the synthesized event stream
 		// is part of the run's observable output.
 		idxs := make([]int, 0, len(done))
@@ -170,7 +144,7 @@ func (t *ExecTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			}
 			seen[idx] = true
 			c := done[idx]
-			emit(obs, meta.cellDone(idx, &c))
+			emit(obs, cellDone(grid, idx, &c))
 		}
 	}
 	ticker := time.NewTicker(poll)
@@ -234,11 +208,11 @@ type HTTPTransport struct {
 
 // Run implements Transport.
 func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error {
-	meta, err := specGridMeta(spec)
+	grid, err := spec.Grid()
 	if err != nil {
 		return err
 	}
-	lane, err := openLane(spec.Sweep.JSONL, meta, spec.Sweep.Resume)
+	lane, err := openLane(spec.Sweep.JSONL, grid, spec.Sweep.Resume)
 	if err != nil {
 		return err
 	}
@@ -261,7 +235,7 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("dispatch: bad wire record: %w", err)
 		}
-		if err := rec.Validate(meta.ids, meta.preset, meta.duration, meta.dt); err != nil {
+		if err := grid.Validate(rec); err != nil {
 			return fmt.Errorf("dispatch: wire record: %w", err)
 		}
 		fresh, err := lane.append(rec.Index, raw)
@@ -269,7 +243,7 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			return err
 		}
 		if fresh {
-			emit(obs, meta.cellDone(rec.Index, &rec.Cell))
+			emit(obs, cellDone(grid, rec.Index, &rec.Cell))
 		}
 		return nil
 	}
@@ -284,9 +258,9 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 					return record(ev.Record)
 				}
 			case "cell-start":
-				if ev.Cell != nil && ev.Cell.Index >= 0 && ev.Cell.Index < len(meta.ids) {
+				if ev.Cell != nil && ev.Cell.Index >= 0 && ev.Cell.Index < len(grid.IDs) {
 					emit(obs, eval.Event{
-						Kind: eval.EventCellStart, Total: len(meta.ids), Cell: meta.ids[ev.Cell.Index],
+						Kind: eval.EventCellStart, Total: len(grid.IDs), Cell: grid.IDs[ev.Cell.Index],
 					})
 				}
 			case "log":
@@ -316,7 +290,7 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 // deduplicating by grid index (a resumed or reconnected stream replays
 // records it already delivered). Records are written whole, one Write
 // per line, so a crash tears at most the final line — exactly the state
-// LoadSweepCheckpoint repairs.
+// Grid.Load repairs.
 type laneWriter struct {
 	f    *os.File
 	seen map[int]bool
@@ -324,10 +298,10 @@ type laneWriter struct {
 
 // openLane opens (resuming or truncating) a lane file, pre-validating
 // any surviving records against the grid and repairing a torn tail.
-func openLane(path string, meta gridMeta, resume bool) (*laneWriter, error) {
+func openLane(path string, grid eval.Grid, resume bool) (*laneWriter, error) {
 	seen := map[int]bool{}
 	if resume {
-		done, validLen, err := eval.LoadSweepCheckpoint(path, meta.ids, meta.preset, meta.duration, meta.dt)
+		done, validLen, err := grid.Load(path)
 		if err != nil {
 			return nil, err
 		}

@@ -18,8 +18,8 @@ import (
 // directly (no trained environment) — the invariants under test live
 // entirely in the record/checkpoint layer.
 
-// fabricatedGrid is a synthetic 2×2×2 grid identity.
-func fabricatedGrid() []CellID {
+// fabricatedGrid is a synthetic 2×2×2 grid under a fixed run stamp.
+func fabricatedGrid() Grid {
 	ids := make([]CellID, 0, 8)
 	for _, sc := range []string{"s0", "s1"} {
 		for _, at := range []string{"none", "cap"} {
@@ -32,7 +32,7 @@ func fabricatedGrid() []CellID {
 			}
 		}
 	}
-	return ids
+	return Grid{IDs: ids, Preset: "micro", Duration: 0.8, DT: 0.1}
 }
 
 // fabricatedCell derives a deterministic MatrixCell from a grid identity,
@@ -56,31 +56,21 @@ func fabricatedCell(id CellID) MatrixCell {
 	}
 }
 
-const (
-	fabPreset   = "micro"
-	fabDuration = 0.8
-	fabDT       = 0.1
-)
-
-// laneLine encodes one checkpoint line (with trailing newline) for id.
-func laneLine(t *testing.T, id CellID) []byte {
+// laneLine encodes one checkpoint line (with trailing newline) for cell i.
+func laneLine(t *testing.T, g Grid, i int) []byte {
 	t.Helper()
-	rec := SweepRecord{
-		Index: id.Index, Seed: id.Seed, Preset: fabPreset,
-		Duration: fabDuration, DT: fabDT, Cell: fabricatedCell(id),
-	}
-	buf, err := json.Marshal(rec)
+	buf, err := json.Marshal(g.Record(i, fabricatedCell(g.IDs[i])))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return append(buf, '\n')
 }
 
-func writeLane(t *testing.T, path string, ids []CellID, pick []int) {
+func writeLane(t *testing.T, path string, g Grid, pick []int) {
 	t.Helper()
 	var buf []byte
 	for _, i := range pick {
-		buf = append(buf, laneLine(t, ids[i])...)
+		buf = append(buf, laneLine(t, g, i)...)
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
@@ -93,21 +83,21 @@ func writeLane(t *testing.T, path string, ids []CellID, pick []int) {
 // count the torn record done. An unterminated line that happens to parse
 // is equally not done — the repair truncates it and the cell re-runs.
 func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
-	ids := fabricatedGrid()
+	g := fabricatedGrid()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lane.jsonl")
 
 	var complete []byte
 	for _, i := range []int{0, 1, 2} {
-		complete = append(complete, laneLine(t, ids[i])...)
+		complete = append(complete, laneLine(t, g, i)...)
 	}
-	torn := laneLine(t, ids[3])
+	torn := laneLine(t, g, 3)
 	torn = torn[:len(torn)/2] // cut mid-record, no newline
 	if err := os.WriteFile(path, append(append([]byte{}, complete...), torn...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	done, validLen, err := LoadSweepCheckpoint(path, ids, fabPreset, fabDuration, fabDT)
+	done, validLen, err := g.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +108,7 @@ func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
 		t.Fatalf("valid prefix %d bytes, want %d (end of last complete line)", validLen, len(complete))
 	}
 	for _, i := range []int{0, 1, 2} {
-		if !reflect.DeepEqual(done[i], fabricatedCell(ids[i])) {
+		if !reflect.DeepEqual(done[i], fabricatedCell(g.IDs[i])) {
 			t.Fatalf("cell %d corrupted by round trip", i)
 		}
 	}
@@ -135,11 +125,11 @@ func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(laneLine(t, ids[3])); err != nil {
+	if _, err := f.Write(laneLine(t, g, 3)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	done, _, err = LoadSweepCheckpoint(path, ids, fabPreset, fabDuration, fabDT)
+	done, _, err = g.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +138,7 @@ func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
 	}
 
 	// A final record that parses but lacks its newline is still not done.
-	unterminated := laneLine(t, ids[4])
+	unterminated := laneLine(t, g, 4)
 	unterminated = unterminated[:len(unterminated)-1]
 	f, err = os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -158,7 +148,7 @@ func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	done, validLen2, err := LoadSweepCheckpoint(path, ids, fabPreset, fabDuration, fabDT)
+	done, validLen2, err := g.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,33 +168,54 @@ func TestLoadSweepCheckpointTornTailMidRecord(t *testing.T) {
 // seeds, different run configuration) must be rejected loudly when the
 // re-dispatch resumes onto it — silent mixing would corrupt the merge.
 func TestLoadSweepCheckpointRejectsForeignGeneration(t *testing.T) {
-	ids := fabricatedGrid()
+	g := fabricatedGrid()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lane.jsonl")
-	writeLane(t, path, ids, []int{0, 1})
+	writeLane(t, path, g, []int{0, 1})
 
 	// Generation 2 re-derives the grid under a different base seed.
-	shifted := make([]CellID, len(ids))
-	copy(shifted, ids)
-	for i := range shifted {
-		shifted[i].Seed += 1000
+	shifted := g
+	shifted.IDs = make([]CellID, len(g.IDs))
+	copy(shifted.IDs, g.IDs)
+	for i := range shifted.IDs {
+		shifted.IDs[i].Seed += 1000
 	}
-	_, _, err := LoadSweepCheckpoint(path, shifted, fabPreset, fabDuration, fabDT)
+	_, _, err := shifted.Load(path)
 	if err == nil || !strings.Contains(err.Error(), "stale checkpoint?") {
 		t.Fatalf("foreign-seed generation not rejected as stale: %v", err)
 	}
 
 	// Same grid, different run configuration: also a foreign generation.
-	if _, _, err := LoadSweepCheckpoint(path, ids, fabPreset, 2*fabDuration, fabDT); err == nil ||
+	long := g
+	long.Duration *= 2
+	if _, _, err := long.Load(path); err == nil ||
 		!strings.Contains(err.Error(), "stale checkpoint?") {
 		t.Fatalf("foreign-duration generation not rejected: %v", err)
 	}
-	if _, _, err := LoadSweepCheckpoint(path, ids, "paper", fabDuration, fabDT); err == nil {
+	paper := g
+	paper.Preset = "paper"
+	if _, _, err := paper.Load(path); err == nil {
 		t.Fatalf("foreign-preset generation not rejected: %v", err)
 	}
 
+	// A record whose stamp matches the grid but whose cell ran under a
+	// foreign seed is foreign too.
+	rec := g.Record(1, fabricatedCell(g.IDs[1]))
+	rec.Cell.Seed += 1000
+	buf, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded := filepath.Join(dir, "reseeded.jsonl")
+	if err := os.WriteFile(reseeded, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.Load(reseeded); err == nil || !strings.Contains(err.Error(), "stale checkpoint?") {
+		t.Fatalf("foreign cell seed not rejected as stale: %v", err)
+	}
+
 	// The matching generation still loads.
-	done, _, err := LoadSweepCheckpoint(path, ids, fabPreset, fabDuration, fabDT)
+	done, _, err := g.Load(path)
 	if err != nil || len(done) != 2 {
 		t.Fatalf("matching generation failed: %d cells, %v", len(done), err)
 	}
@@ -215,7 +226,7 @@ func TestLoadSweepCheckpointRejectsForeignGeneration(t *testing.T) {
 // merge must accept bit-identical duplicates and produce the exact grid;
 // a duplicate that DIFFERS (diverging runs) must abort the merge.
 func TestMergeSweepsDuplicateHedgedCells(t *testing.T) {
-	ids := fabricatedGrid()
+	g := fabricatedGrid()
 	dir := t.TempDir()
 	primary := filepath.Join(dir, "shard_0_of_2.jsonl")
 	hedge := filepath.Join(dir, "shard_0_of_2_hedge.jsonl")
@@ -223,18 +234,18 @@ func TestMergeSweepsDuplicateHedgedCells(t *testing.T) {
 
 	// The straggler finished half its shard before the hedge fired; the
 	// hedge re-ran the whole shard. Cells 0 and 2 exist in both lanes.
-	writeLane(t, primary, ids, []int{0, 2})
-	writeLane(t, hedge, ids, []int{0, 2, 4, 6})
-	writeLane(t, other, ids, []int{1, 3, 5, 7})
+	writeLane(t, primary, g, []int{0, 2})
+	writeLane(t, hedge, g, []int{0, 2, 4, 6})
+	writeLane(t, other, g, []int{1, 3, 5, 7})
 
-	rep, err := MergeSweeps(ids, fabPreset, fabDuration, fabDT, []string{primary, hedge, other})
+	rep, err := g.Merge([]string{primary, hedge, other})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != len(ids) {
-		t.Fatalf("merged %d cells, want %d", len(rep.Cells), len(ids))
+	if len(rep.Cells) != len(g.IDs) {
+		t.Fatalf("merged %d cells, want %d", len(rep.Cells), len(g.IDs))
 	}
-	for _, id := range ids {
+	for _, id := range g.IDs {
 		if !reflect.DeepEqual(rep.Cells[id.Index], fabricatedCell(id)) {
 			t.Fatalf("merged cell %d diverges", id.Index)
 		}
@@ -243,26 +254,22 @@ func TestMergeSweepsDuplicateHedgedCells(t *testing.T) {
 	// Tamper with the hedge's copy of cell 2: the duplicate now disagrees
 	// with the primary, which means the lanes came from diverging runs —
 	// the merge must fail, not pick a winner.
-	bad := fabricatedCell(ids[2])
+	bad := fabricatedCell(g.IDs[2])
 	bad.MinGap += 0.25
-	rec := SweepRecord{
-		Index: ids[2].Index, Seed: ids[2].Seed, Preset: fabPreset,
-		Duration: fabDuration, DT: fabDT, Cell: bad,
-	}
-	buf, err := json.Marshal(rec)
+	buf, err := json.Marshal(g.Record(2, bad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tampered []byte
-	tampered = append(tampered, laneLine(t, ids[0])...)
+	tampered = append(tampered, laneLine(t, g, 0)...)
 	tampered = append(tampered, buf...)
 	tampered = append(tampered, '\n')
-	tampered = append(tampered, laneLine(t, ids[4])...)
-	tampered = append(tampered, laneLine(t, ids[6])...)
+	tampered = append(tampered, laneLine(t, g, 4)...)
+	tampered = append(tampered, laneLine(t, g, 6)...)
 	if err := os.WriteFile(hedge, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSweeps(ids, fabPreset, fabDuration, fabDT, []string{primary, hedge, other}); err == nil ||
+	if _, err := g.Merge([]string{primary, hedge, other}); err == nil ||
 		!strings.Contains(err.Error(), "differs between") {
 		t.Fatalf("diverging duplicate not rejected: %v", err)
 	}

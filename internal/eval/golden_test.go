@@ -120,8 +120,8 @@ func TestMergeSweepsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := CellIDs(mcfg, e.Preset.Seed)
-	merged, err := MergeSweeps(ids, e.Preset.Name, mcfg.Duration, mcfg.DT, paths)
+	g := NewGrid(mcfg, e.Preset)
+	merged, err := g.Merge(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,13 @@ func TestMergeSweepsRoundTrip(t *testing.T) {
 	}
 
 	// Coverage verification: dropping a shard must fail loudly.
-	if _, err := MergeSweeps(ids, e.Preset.Name, mcfg.Duration, mcfg.DT, paths[:1]); err == nil {
+	if _, err := g.Merge(paths[:1]); err == nil {
 		t.Fatal("merge of an incomplete shard set must be rejected")
 	}
 	// Grid verification: merging under the wrong identity must fail.
-	staleIDs := CellIDs(MatrixConfig{Scenarios: mcfg.Scenarios, Duration: mcfg.Duration, DT: mcfg.DT, BaseSeed: 999}, e.Preset.Seed)
-	if _, err := MergeSweeps(staleIDs, e.Preset.Name, mcfg.Duration, mcfg.DT, paths); err == nil {
+	stale := g
+	stale.IDs = CellIDs(MatrixConfig{Scenarios: mcfg.Scenarios, Duration: mcfg.Duration, DT: mcfg.DT, BaseSeed: 999}, e.Preset.Seed)
+	if _, err := stale.Merge(paths); err == nil {
 		t.Fatal("merge against a mismatching grid identity must be rejected")
 	}
 }

@@ -201,11 +201,11 @@ type MatrixReport struct {
 // a spec-addressed run validates against. It is derivable from a
 // MatrixConfig and a preset seed alone, with no trained environment.
 type CellID struct {
-	Index    int
-	Seed     int64
-	Scenario string
-	Attack   string
-	Defense  string
+	Index    int    `json:"index"`
+	Seed     int64  `json:"seed"`
+	Scenario string `json:"scenario"`
+	Attack   string `json:"attack"`
+	Defense  string `json:"defense"`
 }
 
 // cellSpec is one expanded grid point: its identity plus the factories

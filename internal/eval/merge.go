@@ -1,11 +1,11 @@
 package eval
 
 // Multi-machine shard merge: N sweep shards, run anywhere, stream their
-// cells as JSONL; MergeSweeps joins the files back into the one grid they
-// decompose. The Spec's grid identity (CellIDs) makes verification exact:
-// every record must match its cell's index, seed and axis names, every
-// cell must be covered, and a cell appearing in several files must carry
-// identical results.
+// cells as JSONL; Grid.Merge joins the files back into the one grid they
+// decompose. The grid identity makes verification exact: every record
+// must match its cell's index, seed and axis names, every cell must be
+// covered, and a cell appearing in several files must carry identical
+// results.
 
 import (
 	"fmt"
@@ -14,33 +14,32 @@ import (
 	"sort"
 )
 
-// MergeSweeps joins shard checkpoint files into the combined grid report.
-// ids is the grid identity the shards were derived from (CellIDs of the
-// sweep's MatrixConfig under the preset seed); preset, duration and dt
-// must match the configuration the shards ran under. It verifies:
+// Merge joins shard checkpoint files into the combined grid report. g is
+// the grid the shards were derived from, stamped with the configuration
+// they ran under. It verifies:
 //
 //   - every record matches the grid (index range, seed, axis names,
-//     preset/duration/dt) — the LoadSweepCheckpoint validation;
+//     preset/duration/dt) — the Load validation;
 //   - the files jointly cover every cell of the grid exactly;
 //   - a cell present in more than one file (overlapping shards, a resumed
 //     file merged next to a complete one) carries bit-identical results.
 //
 // The returned report's cells are in global grid order: merging the
 // shards of a sweep reproduces the corresponding RunMatrix report.
-func MergeSweeps(ids []CellID, preset string, duration, dt float64, paths []string) (MatrixReport, error) {
+func (g Grid) Merge(paths []string) (MatrixReport, error) {
 	if len(paths) == 0 {
 		return MatrixReport{}, fmt.Errorf("merge: no shard files given")
 	}
-	cells := make(map[int]MatrixCell, len(ids))
-	from := make(map[int]string, len(ids))
+	cells := make(map[int]MatrixCell, len(g.IDs))
+	from := make(map[int]string, len(g.IDs))
 	for _, path := range paths {
-		// LoadSweepCheckpoint treats a missing file as an empty resume
-		// state; for a merge a missing shard is a caller error (typoed
-		// path, un-synced machine), so surface it as one.
+		// Load treats a missing file as an empty resume state; for a
+		// merge a missing shard is a caller error (typoed path, un-synced
+		// machine), so surface it as one.
 		if _, err := os.Stat(path); err != nil {
 			return MatrixReport{}, fmt.Errorf("merge: shard file: %w", err)
 		}
-		done, _, err := LoadSweepCheckpoint(path, ids, preset, duration, dt)
+		done, _, err := g.Load(path)
 		if err != nil {
 			return MatrixReport{}, fmt.Errorf("merge: %w", err)
 		}
@@ -71,7 +70,7 @@ func MergeSweeps(ids []CellID, preset string, duration, dt float64, paths []stri
 
 	missing := 0
 	firstMissing := -1
-	for _, id := range ids {
+	for _, id := range g.IDs {
 		if _, ok := cells[id.Index]; !ok {
 			if firstMissing < 0 {
 				firstMissing = id.Index
@@ -80,13 +79,13 @@ func MergeSweeps(ids []CellID, preset string, duration, dt float64, paths []stri
 		}
 	}
 	if missing > 0 {
-		id := ids[firstMissing]
+		id := g.IDs[firstMissing]
 		return MatrixReport{}, fmt.Errorf("merge: grid coverage incomplete: %d of %d cells missing (first: cell %d, %s/%s/%s) — is a shard file absent or interrupted?",
-			missing, len(ids), id.Index, id.Scenario, id.Attack, id.Defense)
+			missing, len(g.IDs), id.Index, id.Scenario, id.Attack, id.Defense)
 	}
 
-	rep := MatrixReport{Preset: preset, Cells: make([]MatrixCell, len(ids))}
-	for _, id := range ids {
+	rep := MatrixReport{Preset: g.Preset, Cells: make([]MatrixCell, len(g.IDs))}
+	for _, id := range g.IDs {
 		rep.Cells[id.Index] = cells[id.Index]
 	}
 	return rep, nil

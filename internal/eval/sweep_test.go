@@ -198,7 +198,7 @@ func TestSweepChecksStaleCheckpoint(t *testing.T) {
 	}
 
 	// An out-of-grid index is rejected too.
-	bad := sweepRecord{Index: 10_000, Seed: 1}
+	bad := SweepRecord{Index: 10_000, Seed: 1}
 	buf, _ := json.Marshal(bad)
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)

@@ -307,8 +307,7 @@ func (x *Experiment) Merge(s Spec, paths []string) (eval.MatrixReport, error) {
 	if err != nil {
 		return eval.MatrixReport{}, err
 	}
-	ids := eval.CellIDs(cfg, x.env.Preset.Seed)
-	return eval.MergeSweeps(ids, x.env.Preset.Name, cfg.Duration, cfg.DT, paths)
+	return eval.NewGrid(cfg, x.env.Preset).Merge(paths)
 }
 
 // MergeSpec joins the JSONL shard files of a distributed sweep back into
@@ -316,19 +315,11 @@ func (x *Experiment) Merge(s Spec, paths []string) (eval.MatrixReport, error) {
 // against the spec's grid identity. It needs no trained environment —
 // merge runs on any machine holding the shard files.
 func MergeSpec(s Spec, paths []string) (eval.MatrixReport, error) {
-	ids, err := s.CellIDs()
+	g, err := s.Grid()
 	if err != nil {
 		return eval.MatrixReport{}, err
 	}
-	p, err := PresetByName(s.Preset)
-	if err != nil {
-		return eval.MatrixReport{}, err
-	}
-	var duration, dt float64
-	if s.Matrix != nil {
-		duration, dt = s.Matrix.Duration, s.Matrix.DT
-	}
-	return eval.MergeSweeps(ids, p.Name, duration, dt, paths)
+	return g.Merge(paths)
 }
 
 // formatPipeline renders the closed-loop demo rows (clean / attacked /

@@ -227,19 +227,27 @@ func (s Spec) sweepConfig() (eval.SweepConfig, error) {
 // names — without training anything: the verification key for sweep-merge
 // and for cross-machine grid addressing. Matrix and sweep kinds only.
 func (s Spec) CellIDs() ([]eval.CellID, error) {
+	g, err := s.Grid()
+	return g.IDs, err
+}
+
+// Grid derives the spec's cell-record codec: its grid identity stamped
+// with the preset, duration and dt every checkpoint record of the run
+// carries. Matrix and sweep kinds only.
+func (s Spec) Grid() (eval.Grid, error) {
 	if s.Kind != KindMatrix && s.Kind != KindSweep {
-		return nil, fmt.Errorf("exp: spec kind %q has no grid", s.Kind)
+		return eval.Grid{}, fmt.Errorf("exp: spec kind %q has no grid", s.Kind)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return eval.Grid{}, err
 	}
 	cfg, err := s.matrixConfig()
 	if err != nil {
-		return nil, err
+		return eval.Grid{}, err
 	}
 	p, err := PresetByName(s.Preset)
 	if err != nil {
-		return nil, err
+		return eval.Grid{}, err
 	}
-	return eval.CellIDs(cfg, p.Seed), nil
+	return eval.NewGrid(cfg, p), nil
 }

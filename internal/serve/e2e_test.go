@@ -74,8 +74,9 @@ func assertWellFormedStream(t *testing.T, lines [][]byte, wantCells int, wantHit
 			}
 			cellStarts++
 		case "cell-done":
-			if ev.Cell == nil || ev.Metrics == nil {
-				t.Fatalf("line %d: cell-done lacks cell/metrics: %s", i, line)
+			var rec eval.SweepRecord
+			if ev.Cell == nil || json.Unmarshal(ev.Record, &rec) != nil || rec.Index != ev.Cell.Index {
+				t.Fatalf("line %d: cell-done lacks cell/record: %s", i, line)
 			}
 			cellDones++
 		case "run-done":

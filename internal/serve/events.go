@@ -21,25 +21,6 @@ import (
 	"repro/internal/exp"
 )
 
-// WireCell identifies one grid cell on the wire.
-type WireCell struct {
-	Index    int    `json:"index"`
-	Seed     int64  `json:"seed"`
-	Scenario string `json:"scenario"`
-	Attack   string `json:"attack"`
-	Defense  string `json:"defense"`
-}
-
-// WireMetrics carries the safety metrics of a finished cell, with the
-// checkpoint lines' infinity-safe float codec.
-type WireMetrics struct {
-	MinGap     eval.JFloat `json:"min_gap_m"`
-	MinTTC     eval.JFloat `json:"min_ttc_s"`
-	MeanGapErr eval.JFloat `json:"mean_gap_err_m"`
-	Collision  bool        `json:"collision"`
-	Steps      int         `json:"steps"`
-}
-
 // WireEvent is one JSONL line of the /run stream. Event discriminates:
 // the Observer kinds ("run-start", "cell-start", "cell-done", "log",
 // "run-done") stream while the run executes; "cache" marks the terminal
@@ -49,18 +30,17 @@ type WireMetrics struct {
 type WireEvent struct {
 	Event string `json:"event"`
 
-	Total   int          `json:"total,omitempty"`
-	Done    int          `json:"done,omitempty"`
-	Cell    *WireCell    `json:"cell,omitempty"`
-	Metrics *WireMetrics `json:"metrics,omitempty"`
-	Msg     string       `json:"msg,omitempty"`
-	Err     string       `json:"err,omitempty"`
+	Total int          `json:"total,omitempty"`
+	Done  int          `json:"done,omitempty"`
+	Cell  *eval.CellID `json:"cell,omitempty"`
+	Msg   string       `json:"msg,omitempty"`
+	Err   string       `json:"err,omitempty"`
 
-	// Record, on grid-kind "cell-done" events, is the cell's full
-	// eval.SweepRecord checkpoint line: a client appending it to a local
-	// JSONL lane file reconstructs exactly the checkpoint the worker
-	// would have written, which is what lets the fleet dispatcher resume
-	// remote shards from local state.
+	// Record, on "cell-done" events, is the cell's full eval.SweepRecord
+	// checkpoint line — its min-gap, TTC, collision and steps included. A
+	// client appending it to a local JSONL lane file reconstructs exactly
+	// the checkpoint the worker would have written, which is what lets
+	// the fleet dispatcher resume remote shards from local state.
 	Record json.RawMessage `json:"record,omitempty"`
 
 	Key string `json:"key,omitempty"` // "cache": canonical spec hash
@@ -85,70 +65,32 @@ type ResultPayload struct {
 	Records []json.RawMessage `json:"records,omitempty"`
 }
 
-// recordContext carries the run configuration a grid cell's checkpoint
-// record is stamped with — the same values the in-process jsonlWriter
-// uses, so wire records and locally-written records are byte-identical.
-// Nil disables record emission (non-grid kinds).
-type recordContext struct {
-	preset   string
-	duration float64
-	dt       float64
-}
-
-// specRecordContext derives the record context of a grid-kind spec; nil
-// for kinds without a grid.
-func specRecordContext(spec exp.Spec) (*recordContext, error) {
+// specGrid derives the record codec of a grid-kind spec; nil for kinds
+// without a grid.
+func specGrid(spec exp.Spec) (*eval.Grid, error) {
 	if spec.Kind != exp.KindMatrix && spec.Kind != exp.KindSweep {
 		return nil, nil
 	}
-	p, err := exp.PresetByName(spec.Preset)
+	g, err := spec.Grid()
 	if err != nil {
 		return nil, err
 	}
-	rc := &recordContext{preset: p.Name}
-	if spec.Matrix != nil {
-		rc.duration, rc.dt = spec.Matrix.Duration, spec.Matrix.DT
-	}
-	return rc, nil
+	return &g, nil
 }
 
-// checkpointRecord encodes one finished cell as its JSONL checkpoint line.
-func (rc *recordContext) checkpointRecord(index int, seed int64, cell eval.MatrixCell) json.RawMessage {
-	buf, err := json.Marshal(eval.SweepRecord{
-		Index: index, Seed: seed, Preset: rc.preset,
-		Duration: rc.duration, DT: rc.dt, Cell: cell,
-	})
-	if err != nil {
-		// Unreachable: SweepRecord marshals through the infinity-safe
-		// checkpoint schema.
-		panic(err)
-	}
-	return buf
-}
-
-// encodeEventLine converts an Observer event to its wire line. rc, when
+// encodeEventLine converts an Observer event to its wire line. g, when
 // non-nil, attaches the full checkpoint record to cell-done events.
-func encodeEventLine(ev exp.Event, rc *recordContext) []byte {
+func encodeEventLine(ev exp.Event, g *eval.Grid) []byte {
 	we := WireEvent{Event: ev.Kind.String(), Total: ev.Total, Done: ev.Done, Msg: ev.Msg}
 	if ev.Err != nil {
 		we.Err = ev.Err.Error()
 	}
 	switch ev.Kind {
 	case eval.EventCellStart, eval.EventCellDone:
-		we.Cell = &WireCell{
-			Index: ev.Cell.Index, Seed: ev.Cell.Seed,
-			Scenario: ev.Cell.Scenario, Attack: ev.Cell.Attack, Defense: ev.Cell.Defense,
-		}
+		we.Cell = &ev.Cell
 	}
-	if ev.Kind == eval.EventCellDone && ev.Result != nil {
-		we.Metrics = &WireMetrics{
-			MinGap: eval.JFloat(ev.Result.MinGap), MinTTC: eval.JFloat(ev.Result.MinTTC),
-			MeanGapErr: eval.JFloat(ev.Result.MeanGapErr),
-			Collision:  ev.Result.Collision, Steps: ev.Result.Steps,
-		}
-		if rc != nil {
-			we.Record = rc.checkpointRecord(ev.Cell.Index, ev.Cell.Seed, *ev.Result)
-		}
+	if ev.Kind == eval.EventCellDone && ev.Result != nil && g != nil {
+		we.Record = mustMarshal(g.Record(ev.Cell.Index, *ev.Result))
 	}
 	return mustMarshal(we)
 }
@@ -179,24 +121,24 @@ func EncodeResult(key string, res *exp.Result) ([]byte, error) {
 	}
 	if res.Matrix != nil {
 		payload.CSV = res.Matrix.CSV()
-		rc, err := specRecordContext(res.Spec)
+		g, err := specGrid(res.Spec)
 		if err != nil {
 			return nil, err
 		}
 		switch {
-		case rc == nil:
+		case g == nil:
 		case res.Sweep != nil:
 			// A sweep shard's cells carry their GLOBAL grid indices in
 			// Indices — a record stamped with the slice position would
 			// fail grid validation on any shard but 0/1.
 			payload.Records = make([]json.RawMessage, len(res.Sweep.Cells))
 			for i, cell := range res.Sweep.Cells {
-				payload.Records[i] = rc.checkpointRecord(res.Sweep.Indices[i], cell.Seed, cell)
+				payload.Records[i] = mustMarshal(g.Record(res.Sweep.Indices[i], cell))
 			}
 		default:
 			payload.Records = make([]json.RawMessage, len(res.Matrix.Cells))
 			for i, cell := range res.Matrix.Cells {
-				payload.Records[i] = rc.checkpointRecord(i, cell.Seed, cell)
+				payload.Records[i] = mustMarshal(g.Record(i, cell))
 			}
 		}
 	}
@@ -207,7 +149,8 @@ func EncodeResult(key string, res *exp.Result) ([]byte, error) {
 	return buf, nil
 }
 
-// mustMarshal encodes a wire value whose types cannot fail to marshal.
+// mustMarshal encodes a wire value whose types cannot fail to marshal
+// (every float of a checkpoint record goes through eval.JFloat).
 func mustMarshal(v any) []byte {
 	buf, err := json.Marshal(v)
 	if err != nil {

@@ -286,6 +286,7 @@ func TestServeGridStreamCarriesCheckpointRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := eval.Grid{IDs: ids, Preset: "quick", Duration: 1.0, DT: 0.1}
 
 	lines := postRun(t, hs.URL, specJSON)
 	var records int
@@ -307,7 +308,7 @@ func TestServeGridStreamCarriesCheckpointRecords(t *testing.T) {
 			if err := json.Unmarshal(ev.Record, &rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := rec.Validate(ids, "quick", 1.0, 0.1); err != nil {
+			if err := grid.Validate(rec); err != nil {
 				t.Fatalf("wire record rejected by grid validation: %v", err)
 			}
 			records++
@@ -334,7 +335,7 @@ func TestServeGridStreamCarriesCheckpointRecords(t *testing.T) {
 	if rec.Index != 1 {
 		t.Fatalf("payload record index %d, want the global grid index 1", rec.Index)
 	}
-	if err := rec.Validate(ids, "quick", 1.0, 0.1); err != nil {
+	if err := grid.Validate(rec); err != nil {
 		t.Fatalf("payload record rejected: %v", err)
 	}
 }

@@ -285,11 +285,11 @@ func (s *Server) computeResult(fctx context.Context, fl *flight, spec exp.Spec) 
 	}
 	// Grid kinds stream full checkpoint records on every cell-done, so
 	// remote clients can maintain a resumable local lane file.
-	rc, err := specRecordContext(spec)
+	g, err := specGrid(spec)
 	if err != nil {
 		return nil, err
 	}
-	obs := exp.ObserverFunc(func(ev exp.Event) { fl.broadcast(encodeEventLine(ev, rc)) })
+	obs := exp.ObserverFunc(func(ev exp.Event) { fl.broadcast(encodeEventLine(ev, g)) })
 	return runner.RunObserved(fctx, spec, obs)
 }
 
