@@ -2,6 +2,7 @@ package defense
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -355,6 +356,26 @@ func TestDiffPIRRestoreShapeAndRange(t *testing.T) {
 	// Data consistency: restoration must stay anchored to the observation.
 	if out.MeanAbsDiff(img) > 0.35 {
 		t.Fatalf("restoration drifted too far from observation: %v", out.MeanAbsDiff(img))
+	}
+}
+
+// TestDiffPIRRejectsZeroSteps pins the Steps < 1 guard: without it the
+// timestep schedule divides by zero.
+func TestDiffPIRRejectsZeroSteps(t *testing.T) {
+	d := NewDiffusion(xrand.New(37), DefaultDiffusionConfig())
+	img := imaging.NewImage(3, 8, 8)
+	for _, steps := range []int{0, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "defense: ") {
+					t.Fatalf("Steps=%d: got panic %q, want a defense: message", steps, msg)
+				}
+			}()
+			cfg := DefaultDiffPIRConfig()
+			cfg.Steps = steps
+			d.Restore(img, cfg)
+		}()
 	}
 }
 

@@ -146,7 +146,7 @@ func (d *Diffusion) Train(cfg DiffusionConfig, next func() *imaging.Image) {
 // DiffPIRConfig parameterises the restoration loop (Zhu et al., Eq. 9).
 type DiffPIRConfig struct {
 	StartFrac float64 // start timestep as a fraction of T (noise injection)
-	Steps     int     // number of reverse steps (timesteps are subsampled)
+	Steps     int     // number of reverse steps, ≥ 1 (timesteps are subsampled)
 	SigmaY    float64 // assumed observation corruption level (attack strength)
 	Zeta      float64 // stochasticity of the re-noising step in [0,1]
 	Seed      int64
@@ -171,13 +171,16 @@ func (d *Diffusion) Restore(y *imaging.Image, cfg DiffPIRConfig) *imaging.Image 
 }
 
 // RestoreInto is Restore writing the restored frame into dst, which must
-// match y's geometry and not alias it. The restoration loop runs entirely
-// in model-held scratch (iterate, estimate, noise, schedule, RNG), so with
-// the scratch warm a per-frame restoration allocates nothing — the defense
-// side of the closed-loop latency budget.
+// match y's geometry and not alias it; cfg.Steps must be at least 1. The
+// restoration loop runs entirely in model-held scratch (iterate, estimate,
+// noise, schedule, RNG), so with the scratch warm a per-frame restoration
+// allocates nothing — the defense side of the closed-loop latency budget.
 func (d *Diffusion) RestoreInto(dst, y *imaging.Image, cfg DiffPIRConfig) *imaging.Image {
 	if dst.C != y.C || dst.H != y.H || dst.W != y.W {
 		panic("defense: RestoreInto destination geometry mismatch")
+	}
+	if cfg.Steps < 1 {
+		panic("defense: DiffPIR Steps must be at least 1")
 	}
 	if d.restoreRNG == nil {
 		d.restoreRNG = xrand.New(cfg.Seed)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/testenv"
@@ -24,6 +25,26 @@ func TestConv2DForwardSteadyStateAllocs(t *testing.T) {
 	c.Forward(x, false) // size the workspace
 	if avg := testing.AllocsPerRun(100, func() { c.Forward(x, false) }); avg >= 1 {
 		t.Fatalf("Conv2D.Forward allocates %.2f/op in steady state, want 0", avg)
+	}
+}
+
+// TestConv2DShardedForwardSteadyStateAllocs is the Forward guard above
+// tensor's parallel work gate (the 3×32×32 shape above stays serial): the
+// UNet dec1 conv, 26→10 at 64×64, row-shards its fused lowering and GEMM
+// over the pool at GOMAXPROCS=2 and must still allocate nothing.
+func TestConv2DShardedForwardSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	rng := xrand.New(1)
+	c := NewConv2D(rng, 26, 10, 3, 1, 1)
+	x := tensor.New(26, 64, 64)
+	rng.FillUniform(x.Data(), -1, 1)
+	c.Forward(x, false) // size the workspace, warm the pool
+	if avg := testing.AllocsPerRun(20, func() { c.Forward(x, false) }); avg >= 1 {
+		t.Fatalf("sharded Conv2D.Forward allocates %.2f/op in steady state, want 0", avg)
 	}
 }
 

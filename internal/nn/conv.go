@@ -10,7 +10,8 @@ import (
 // Conv2D is a 2-D convolution implemented with an im2row lowering so the
 // inner loop is a single k-major SIMD matrix multiply. Single CHW samples
 // and [N,C,H,W] batches run the same unified kernel path — one patch-major
-// Im2RowInto lowering, one MatMulKMajorInto, one fused permute+bias pass —
+// lowering and k-major GEMM (tensor.Im2RowMatMulInto, row-sharded across
+// cores together on large inputs), one fused permute+bias pass —
 // so the single-frame forward enjoys the same SIMD throughput as batched
 // inference. Every output element is an ascending-k float32 dot product
 // plus one bias rounding — the order of a direct per-tap convolution, which
@@ -91,25 +92,26 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // runForward lowers the input (batched or single) into patch-major rows and
-// runs one SIMD k-major GEMM. The orientation keeps the small weight
-// matrix cache-resident — patches · Wᵀ — while the samples stream through
-// once; the output is then permuted into (N)CHW with the bias fused into
-// the pass. v stored-then-added and v+bias round identically, so the fused
-// bias matches a separate broadcast pass bit for bit.
+// runs one SIMD k-major GEMM, both in one tensor.Im2RowMatMulInto call: a
+// large product row-shards across cores with each shard lowering its own
+// rows. The orientation keeps the small weight matrix cache-resident —
+// patches · Wᵀ — while the samples stream through once; the output is then
+// permuted into (N)CHW with the bias fused into the pass. v
+// stored-then-added and v+bias round identically, so the fused bias
+// matches a separate broadcast pass bit for bit.
 func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm *convScratchNames) {
 	ws := c.workspace()
 	p := g.OutH() * g.OutW()
 	l := c.InC * c.K * c.K
 
-	patches := ws.Tensor2(c, nm.patches, n*p, l)
-	tensor.Im2RowInto(patches, x, g)
 	// The weight matrix is transposed per call (tiny, and weights may have
 	// changed since the last call) so each lane accumulates one output
 	// element in ascending k.
 	wT := ws.Tensor2(c, "wT", l, c.OutC)
 	tensor.Transpose2DInto(wT, c.w.Value)
+	patches := ws.Tensor2(c, nm.patches, n*p, l)
 	pm := ws.Tensor2(c, nm.pm, n*p, c.OutC)
-	tensor.MatMulKMajorInto(pm, patches, wT)
+	tensor.Im2RowMatMulInto(pm, patches, x, wT, g)
 
 	od := out.Data()
 	pd := pm.Data()
@@ -188,6 +190,9 @@ func (c *Conv2D) permuteGrad(grad *tensor.Tensor, nm *convScratchNames, withBias
 
 // accumWeightGrad adds dW[oc] += Σ over patch rows gm[r][oc] · patches[r]:
 // rank-1 updates streaming the patches once while dW stays cache-resident.
+// Each product is rounded before it is added (float32(g * p)), so arm64,
+// where Go would otherwise fuse the update into one FMA, computes the
+// same bits as amd64.
 func (c *Conv2D) accumWeightGrad(gm *tensor.Tensor, nm *convScratchNames) {
 	n, p := c.lastBatch, c.lastOutHW
 	l := c.InC * c.K * c.K
@@ -205,7 +210,7 @@ func (c *Conv2D) accumWeightGrad(gm *tensor.Tensor, nm *convScratchNames) {
 			}
 			wrow := dwd[oc*l : oc*l+l]
 			for i, pv := range prow {
-				wrow[i] += gv * pv
+				wrow[i] += float32(gv * pv)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			wgrow := wg[o*l.In : (o+1)*l.In]
 			for i := range wgrow {
-				wgrow[i] += g * xrow[i]
+				wgrow[i] += float32(g * xrow[i]) // rounded product: no FMA on arm64
 			}
 		}
 	}

@@ -107,8 +107,9 @@ func fillSeq(t *Tensor) {
 // FuzzMatMulKMajorVsRef differentially fuzzes the dispatched k-major
 // kernel (assembly lanes on amd64, generic elsewhere) against a naive
 // ascending-dot reference over random shapes, including K=0, single
-// rows/columns and column counts that are not lane multiples. Any
-// divergence — wrong value OR wrong bits — fails.
+// rows/columns and column counts that are not lane multiples (finished by
+// an overlapping lane block, or scalar below 4 columns). Any divergence —
+// wrong value OR wrong bits — fails.
 func FuzzMatMulKMajorVsRef(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(8), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(8), int64(2))  // k = 0: output must be all zeros
@@ -116,6 +117,9 @@ func FuzzMatMulKMajorVsRef(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(12), int64(4)) // n ≡ 1 mod 4: scalar column tail
 	f.Add(uint8(2), uint8(30), uint8(6), int64(5)) // row tail below the 4-row block
 	f.Add(uint8(16), uint8(40), uint8(47), int64(6))
+	f.Add(uint8(9), uint8(20), uint8(9), int64(7))  // n = 10: overlapping 8-wide tail
+	f.Add(uint8(5), uint8(13), uint8(26), int64(8)) // n = 27: overlapping 16- or 8-wide tail
+	f.Add(uint8(6), uint8(11), uint8(2), int64(9))  // n = 3: three-accumulator scalar path
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, seed int64) {
 		m := int(mr)%17 + 1
 		k := int(kr) % 33 // 0 is a legal contraction length at the slice level

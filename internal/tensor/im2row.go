@@ -69,20 +69,35 @@ func Im2RowInto(dst, x *Tensor, g ConvGeom) {
 	if dst.Rank() != 2 || dst.shape[0] != n*p || dst.shape[1] != l {
 		panic(fmt.Sprintf("tensor: Im2RowInto dst %v, want [%d %d]", dst.shape, n*p, l))
 	}
+	im2rowRows(dst.data, x.data, g, 0, n*outH)
+}
+
+// im2rowRows lowers output rows [u0, u1) of a batch into the patch matrix
+// pd, counting one unit per (sample, oy) pair: unit u is output row
+// u mod OutH of sample u div OutH, and fills patch rows
+// [u·OutW, (u+1)·OutW). Disjoint unit ranges write disjoint patch rows,
+// which is what lets a row shard lower its own patches (Im2RowMatMulInto).
+func im2rowRows(pd, xd []float32, g ConvGeom, u0, u1 int) {
+	outH, outW := g.OutH(), g.OutW()
+	p := outH * outW
+	l := g.InC * g.K * g.K
 	sampleLen := g.InC * g.InH * g.InW
-	for s := 0; s < n; s++ {
-		im2rowSample(dst.data[s*p*l:(s+1)*p*l], x.data[s*sampleLen:(s+1)*sampleLen], g, outH, outW, l)
+	for u := u0; u < u1; {
+		s, oy0 := u/outH, u%outH
+		oy1 := min(outH, oy0+u1-u)
+		im2rowSample(pd[s*p*l:(s+1)*p*l], xd[s*sampleLen:(s+1)*sampleLen], g, oy0, oy1, outW, l)
+		u += oy1 - oy0
 	}
 }
 
-// im2rowSample lowers one CHW sample into patch-major rows. The inner copy
-// is split into left-border / interior / right-border segments so the
-// common case (window fully inside the image) runs without per-tap bounds
-// tests, and the K==3 interior is unrolled (every conv in this repository
-// is 3×3).
-func im2rowSample(pd, xd []float32, g ConvGeom, outH, outW, l int) {
+// im2rowSample lowers output rows [oy0, oy1) of one CHW sample into its
+// patch-major rows. The inner copy is split into left-border / interior /
+// right-border segments so the common case (window fully inside the
+// image) runs without per-tap bounds tests, and the K==3 interior is
+// unrolled (most convs in this repository are 3×3).
+func im2rowSample(pd, xd []float32, g ConvGeom, oy0, oy1, outW, l int) {
 	k := g.K
-	for oy := 0; oy < outH; oy++ {
+	for oy := oy0; oy < oy1; oy++ {
 		iy0 := oy*g.Stride - g.Pad
 		rowBase := oy * outW * l
 		for c := 0; c < g.InC; c++ {

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // K-major matmul: dst = A·B with B supplied in k-major layout (k×n), the
 // natural layout of an untransposed right operand. It never materialises a
@@ -26,12 +23,17 @@ import (
 // products. Lane width is dispatched once at init — AVX-512 16-wide or
 // AVX2 8-wide where the CPU supports them, SSE2 4-wide on baseline amd64,
 // NEON 4-wide on arm64, a pure-Go lane kernel elsewhere or under the
-// noasm build tag (see sgemm_amd64.go / sgemm_arm64.go).
+// noasm build tag (see sgemm_amd64.go / sgemm_arm64.go). Column counts
+// that are not a lane multiple stay on SIMD too: the leftover columns are
+// one overlapping lane block, and only products narrower than 4 columns
+// run scalar.
 //
 // Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
 // contiguous row range with this same serial driver, so parallelism is
-// pure dispatch and the bits never depend on GOMAXPROCS.
+// pure dispatch and the bits never depend on GOMAXPROCS. The conv forward
+// enters through Im2RowMatMulInto, whose shards also lower their own
+// patch rows.
 
 // laneKernel is the signature of the assembly column-lane kernels:
 // c[i][0:w] = Σ_l a[i][l]·bk[l][0:w] for i in [0,m), with bk and c
@@ -78,43 +80,59 @@ func MatMulKMajorInto(dst, a, bK *Tensor) {
 }
 
 // matMulKMajor is the dispatch point every MatMulKMajorInto call funnels
-// through: products past the shared work threshold row-shard across the
-// persistent pool, everything else (small shapes, gemv, GOMAXPROCS=1)
-// runs the serial driver directly. The gate depends only on the operand
-// shape and the worker count — never on values — and the shards reproduce
-// the serial bits exactly, so this is a pure throughput decision.
+// through: products past the shared work threshold (shardWorkers)
+// row-shard across the persistent pool, everything else (small shapes,
+// gemv, GOMAXPROCS=1) runs the serial driver directly. The shards
+// reproduce the serial bits exactly, so this is a pure throughput
+// decision.
 func matMulKMajor(c, a, bk []float32, m, k, n int) {
-	if w := runtime.GOMAXPROCS(0); w > 1 && m >= 2 && m*k*n >= parallelMinWork {
-		matMulKMajorParallel(c, a, bk, m, k, n, w)
-		return
-	}
-	matMulKMajorSerial(c, a, bk, m, k, n)
+	matMulKMajorParallel(c, a, bk, m, k, n, shardWorkers(m, k, n))
 }
 
 // matMulKMajorSerial tiles the product into the widest column blocks the
 // selected ladder rung supports — 16 on AVX-512, 8 on AVX2/SSE2 and the
-// generic kernel, 4 on NEON — and finishes the sub-4 column tail with the
-// scalar ascending-dot loop. All paths agree bit for bit, so the tiling
-// is invisible in the results.
+// generic kernel, 4 on NEON. Columns left over after the full blocks are
+// finished by one more lane-kernel call on the overlapping block [n−w, n),
+// w the widest rung with w ≤ n: it recomputes a few columns already
+// written, but every lane is an independent ascending-k dot with per-step
+// rounding, so the rewrite stores the same bits, from the same goroutine.
+// Only products narrower than 4 columns take the scalar kmajorScalar loop.
+// All paths agree bit for bit, so the tiling is invisible in the results.
 func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
+	switch {
+	case m == 0:
+		return
+	case k == 0:
+		clear(c[:m*n])
+		return
+	case n < 4:
+		kmajorScalar(c, a, bk, 0, m, 0, n, k, n)
+		return
+	}
 	j := 0
-	if m > 0 && k > 0 {
-		if lanes16 != nil {
-			for ; j+16 <= n; j += 16 {
-				lanes16(&a[0], &bk[j], &c[j], m, k, n)
-			}
-		}
-		if lanes8 != nil || lanes4 == nil {
-			for ; j+8 <= n; j += 8 {
-				sgemmLanes(c, a, bk, m, j, 8, k, n)
-			}
-		}
-		for ; j+4 <= n; j += 4 {
-			sgemmLanes(c, a, bk, m, j, 4, k, n)
+	if lanes16 != nil {
+		for ; j+16 <= n; j += 16 {
+			lanes16(&a[0], &bk[j], &c[j], m, k, n)
 		}
 	}
-	if j < n {
-		kmajorScalar(c, a, bk, 0, m, j, n, k, n)
+	if lanes8 != nil || lanes4 == nil {
+		for ; j+8 <= n; j += 8 {
+			sgemmLanes(c, a, bk, m, j, 8, k, n)
+		}
+	}
+	for ; j+4 <= n; j += 4 {
+		sgemmLanes(c, a, bk, m, j, 4, k, n)
+	}
+	if j == n {
+		return
+	}
+	switch {
+	case lanes16 != nil && n >= 16:
+		lanes16(&a[0], &bk[n-16], &c[n-16], m, k, n)
+	case (lanes8 != nil || lanes4 == nil) && n >= 8:
+		sgemmLanes(c, a, bk, m, n-8, 8, k, n)
+	default:
+		sgemmLanes(c, a, bk, m, n-4, 4, k, n)
 	}
 }
 
@@ -177,17 +195,36 @@ func kmajorColsGeneric(c, a, bk []float32, i0, i1, j0, w, k, n int) {
 	}
 }
 
-// kmajorScalar computes rows [i0,i1) × columns [j0,j1) one ascending dot at
-// a time (the sub-lane column tail; bk is read column-strided).
+// kmajorScalar computes rows [i0,i1) × columns [j0,j1) for products
+// narrower than one 4-column lane block (j1−j0 ≤ 3; bk is read
+// column-strided). A row's columns are independent accumulators in the
+// same ascending-l loop, so their add chains overlap instead of running
+// one after another; each still sums its own products in ascending l with
+// per-step rounding, exactly like the lane kernels.
 func kmajorScalar(c, a, bk []float32, i0, i1, j0, j1, k, n int) {
+	w := j1 - j0
+	if w <= 0 {
+		return
+	}
 	for i := i0; i < i1; i++ {
-		ai := a[i*k : i*k+k]
-		for j := j0; j < j1; j++ {
-			var s float32
-			for l, av := range ai {
-				s += float32(av * bk[l*n+j])
+		var s0, s1, s2 float32
+		for l, av := range a[i*k : i*k+k] {
+			b := bk[l*n+j0 : l*n+j1]
+			s0 += float32(av * b[0])
+			if w > 1 {
+				s1 += float32(av * b[1])
 			}
-			c[i*n+j] = s
+			if w > 2 {
+				s2 += float32(av * b[2])
+			}
+		}
+		ci := c[i*n+j0 : i*n+j1]
+		ci[0] = s0
+		if w > 1 {
+			ci[1] = s1
+		}
+		if w > 2 {
+			ci[2] = s2
 		}
 	}
 }

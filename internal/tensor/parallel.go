@@ -7,7 +7,9 @@ import (
 
 // This file is the package's single source of parallelism: the work
 // threshold the k-major GEMM gates on, the persistent worker pool it
-// dispatches over, and the row-shard split itself. Every parallel call
+// dispatches over, and the row-shard split itself. The split serves both
+// the plain GEMM and the conv forward (Im2RowMatMulInto), whose shards
+// lower their own patch rows before multiplying them. Every parallel call
 // amortises goroutine startup over the same long-lived workers.
 //
 // Parallelism here is strictly a dispatch concern, never a numeric one:
@@ -24,18 +26,47 @@ import (
 // only, never bits.
 const parallelMinWork = 1 << 17
 
-// poolTask is one row shard of the k-major GEMM for the persistent pool.
-// The struct travels by value through the channel so steady-state
-// dispatch allocates nothing.
+// shardWorkers is the dispatch gate of every k-major product, plain or
+// fused with its conv lowering: the number of row shards for an m×k·k×n
+// product — GOMAXPROCS past parallelMinWork, 1 (serial on the caller)
+// below it, for a single row, or at GOMAXPROCS=1. It depends only on the
+// operand shape and the worker count, never on values.
+func shardWorkers(m, k, n int) int {
+	if w := runtime.GOMAXPROCS(0); w > 1 && m >= 2 && m*k*n >= parallelMinWork {
+		return w
+	}
+	return 1
+}
+
+// poolTask is one row shard for the persistent pool: rows [lo, hi) of
+// c = a·bk (a is m×k, bk is k×n). A conv shard also carries its input x and
+// geometry g, and first lowers the output rows it owns into a's patch rows
+// (im2rowRows) before multiplying them, so lowering runs on every core
+// instead of serially ahead of the GEMM. A plain GEMM shard is the same
+// task with x nil: nothing to lower. The struct travels by value through
+// the channel so steady-state dispatch allocates nothing.
 type poolTask struct {
 	c, a, bk []float32
 	lo, hi   int
 	k, n     int
+	x        []float32
+	g        ConvGeom
 	wg       *sync.WaitGroup
 }
 
+// compute runs the shard on the calling goroutine: the lowering of its
+// rows (conv shards only), then the serial GEMM driver on row-offset views
+// of a and c.
+func (t *poolTask) compute() {
+	if t.x != nil {
+		outW := t.g.OutW()
+		im2rowRows(t.a, t.x, t.g, t.lo/outW, t.hi/outW)
+	}
+	matMulKMajorSerial(t.c[t.lo*t.n:], t.a[t.lo*t.k:], t.bk, t.hi-t.lo, t.k, t.n)
+}
+
 func (t poolTask) run() {
-	matMulKMajorRows(t.c, t.a, t.bk, t.lo, t.hi, t.k, t.n)
+	t.compute()
 	t.wg.Done()
 }
 
@@ -71,36 +102,38 @@ func startPool() {
 	}
 }
 
-// matMulKMajorParallel row-shards dst = A·B_k across the pool: workers
-// contiguous row ranges, each computed by the same serial lane-kernel
-// driver restricted to its rows. Every lane still accumulates strictly
-// ascending k with per-step rounding, so the split is invisible in the
-// bits. The caller runs the last shard inline (it would otherwise idle in
-// Wait), and pool workers never re-submit work, so nested dispatch cannot
-// deadlock. It allocates nothing once the pool is warm.
+// matMulKMajorParallel row-shards dst = A·B_k across the pool (see
+// shard); a thin entry for the plain GEMM, whose units are single rows.
 func matMulKMajorParallel(c, a, bk []float32, m, k, n, workers int) {
-	if workers > m {
-		workers = m
-	}
-	per := (m + workers - 1) / workers
-	if workers <= 1 || per >= m {
-		matMulKMajorSerial(c, a, bk, m, k, n)
-		return
-	}
-	poolOnce.Do(startPool)
-	wg := wgPool.Get().(*sync.WaitGroup)
-	lo := 0
-	for ; lo+per < m; lo += per {
-		wg.Add(1)
-		poolCh <- poolTask{c: c, a: a, bk: bk, lo: lo, hi: lo + per, k: k, n: n, wg: wg}
-	}
-	matMulKMajorRows(c, a, bk, lo, m, k, n)
-	wg.Wait()
-	wgPool.Put(wg)
+	poolTask{c: c, a: a, bk: bk, k: k, n: n}.shard(m, 1, workers)
 }
 
-// matMulKMajorRows computes rows [lo, hi) of the product: the same serial
-// driver on row-offset views of A and C.
-func matMulKMajorRows(c, a, bk []float32, lo, hi, k, n int) {
-	matMulKMajorSerial(c[lo*n:], a[lo*k:], bk, hi-lo, k, n)
+// shard splits the task's units [0, units) — unitRows output rows each:
+// 1 for a GEMM, OutW for a conv, whose unit is one (sample, oy) output row
+// — into at most workers contiguous ranges and runs each as a poolTask.
+// Every lane still accumulates strictly ascending k with per-step
+// rounding, so the split is invisible in the bits. The caller runs the
+// last shard inline (it would otherwise idle in Wait), and pool workers
+// never re-submit work, so nested dispatch cannot deadlock. It allocates
+// nothing once the pool is warm.
+func (t poolTask) shard(units, unitRows, workers int) {
+	if workers = min(workers, units); workers <= 1 {
+		t.lo, t.hi = 0, units*unitRows
+		t.compute()
+		return
+	}
+	per := (units + workers - 1) / workers
+	poolOnce.Do(startPool)
+	t.wg = wgPool.Get().(*sync.WaitGroup)
+	lo := 0
+	for ; lo+per < units; lo += per {
+		t.wg.Add(1)
+		s := t
+		s.lo, s.hi = lo*unitRows, (lo+per)*unitRows
+		poolCh <- s
+	}
+	t.lo, t.hi = lo*unitRows, units*unitRows
+	t.compute()
+	t.wg.Wait()
+	wgPool.Put(t.wg)
 }

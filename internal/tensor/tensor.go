@@ -204,7 +204,7 @@ func (t *Tensor) ScaleInPlace(s float32) *Tensor {
 func (t *Tensor) AddScaledInPlace(o *Tensor, s float32) *Tensor {
 	t.assertSame(o, "addScaled")
 	for i := range t.data {
-		t.data[i] += s * o.data[i]
+		t.data[i] += float32(s * o.data[i]) // rounded product: no FMA on arm64
 	}
 	return t
 }
@@ -303,7 +303,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	t.assertSame(o, "dot")
 	var s float64
 	for i := range t.data {
-		s += float64(t.data[i]) * float64(o.data[i])
+		s += float64(float64(t.data[i]) * float64(o.data[i])) // rounded product: no FMA on arm64
 	}
 	return s
 }
