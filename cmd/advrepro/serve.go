@@ -66,7 +66,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	fmt.Fprintf(stdout, "advrepro serve: listening on http://%s\n", ln.Addr())
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -79,6 +79,25 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		return hs.Shutdown(shCtx)
+	}
+}
+
+// The daemon's connection timeouts. A client must finish its request
+// headers within daemonReadHeaderTimeout, so one that never does cannot
+// hold a connection forever; a keep-alive connection with no request in
+// flight closes after daemonIdleTimeout. Neither bounds a request body or
+// a response stream: a run's NDJSON stream lasts as long as the run.
+const (
+	daemonReadHeaderTimeout = 10 * time.Second
+	daemonIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's HTTP server for handler h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: daemonReadHeaderTimeout,
+		IdleTimeout:       daemonIdleTimeout,
 	}
 }
 

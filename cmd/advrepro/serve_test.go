@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -80,5 +83,40 @@ func TestPrintWireProgress(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("progress output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the daemon's connection timeouts: a
+// client that never finishes its headers, or an idle keep-alive
+// connection, must not hold a connection forever. The server must still
+// route requests to the handler it was given.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	if hs.ReadHeaderTimeout != daemonReadHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, daemonReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != daemonIdleTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", hs.IdleTimeout, daemonIdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Fatalf("read/write timeouts %v/%v would cut long run streams", hs.ReadTimeout, hs.WriteTimeout)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("served %q, %v; want \"ok\"", body, err)
 	}
 }

@@ -154,17 +154,3 @@ func (im *Image) DrawGlyphText(y, x int, text string, scale int, col Color) {
 		cx += 4 * scale
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -17,46 +17,115 @@ func MedianBlur(im *Image, k int) *Image {
 const medianStackWindow = 7
 
 // MedianBlurInto is MedianBlur writing into dst, which must match im's
-// geometry and not alias it. The per-pixel window is sorted with insertion
-// sort on a stack buffer: for the 3×3–7×7 kernels the defenses use that is
-// both faster than a general sort and allocation-free, so per-frame latency
-// measures filtering rather than the allocator.
+// geometry and not alias it.
+//
+// The 3×3 window the defenses use slides along each row: every clamped
+// 3-tall column is sorted once, and a pixel's median is
+// med3(max of the lows, med3 of the mids, min of the highs) over its three
+// sorted columns — for totally ordered values exactly the 5th smallest of
+// the 9. Other kernels, and the two cases where that identity does not fix
+// the bits, insertion-sort each window on a stack buffer: a plane holding a
+// NaN (no total order), and a pixel whose median is zero (the stable sort
+// decides which signed zero it returns). Either way the filter allocates
+// nothing for k ≤ 7, so per-frame latency measures filtering rather than
+// the allocator.
 func MedianBlurInto(dst, im *Image, k int) *Image {
 	if k%2 == 0 {
 		panic("imaging: MedianBlur kernel must be odd")
 	}
 	checkInto(dst, im, "MedianBlurInto")
-	r := k / 2
 	var stack [medianStackWindow * medianStackWindow]float32
-	window := stack[:0]
+	window := stack[:]
 	if k > medianStackWindow {
-		window = make([]float32, 0, k*k)
+		window = make([]float32, k*k)
 	}
+	plane := im.H * im.W
 	for c := 0; c < im.C; c++ {
+		if k == 3 && !hasNaN(im.Pix[c*plane:(c+1)*plane]) {
+			median3Plane(dst, im, c, window)
+			continue
+		}
 		for y := 0; y < im.H; y++ {
 			for x := 0; x < im.W; x++ {
-				window = window[:0]
-				for dy := -r; dy <= r; dy++ {
-					sy := clampInt(y+dy, 0, im.H-1)
-					row := im.Pix[(c*im.H+sy)*im.W : (c*im.H+sy+1)*im.W]
-					for dx := -r; dx <= r; dx++ {
-						// Insertion sort as we go: shift the tail up until
-						// the new sample's slot appears.
-						v := row[clampInt(x+dx, 0, im.W-1)]
-						i := len(window)
-						window = window[:i+1]
-						for i > 0 && window[i-1] > v {
-							window[i] = window[i-1]
-							i--
-						}
-						window[i] = v
-					}
-				}
-				dst.Set(c, y, x, window[len(window)/2])
+				dst.Set(c, y, x, sortedMedian(window, im, c, y, x, k/2))
 			}
 		}
 	}
 	return dst
+}
+
+// median3Plane writes the 3×3 median of channel c of im into dst with the
+// sliding sorted-column window. The plane must hold no NaN.
+func median3Plane(dst, im *Image, c int, window []float32) {
+	w := im.W
+	src := im.Pix[c*im.H*w : (c+1)*im.H*w]
+	for y := 0; y < im.H; y++ {
+		up := src[max(y-1, 0)*w:][:w]
+		mid := src[y*w:][:w]
+		down := src[min(y+1, im.H-1)*w:][:w]
+		out := dst.Pix[(c*im.H+y)*w:][:w]
+		// Columns x-1, x and x+1, clamped to the row.
+		l0, m0, h0 := sort3(up[0], mid[0], down[0])
+		l1, m1, h1 := l0, m0, h0
+		for x := range out {
+			nx := min(x+1, w-1)
+			l2, m2, h2 := sort3(up[nx], mid[nx], down[nx])
+			v := med3(max(l0, l1, l2), med3(m0, m1, m2), min(h0, h1, h2))
+			if v == 0 {
+				v = sortedMedian(window, im, c, y, x, 1)
+			}
+			out[x] = v
+			l0, m0, h0 = l1, m1, h1
+			l1, m1, h1 = l2, m2, h2
+		}
+	}
+}
+
+// sort3 orders three values with three branchless compare-exchanges.
+func sort3(a, b, c float32) (lo, mid, hi float32) {
+	lo, hi = min(a, b), max(a, b)
+	return min(lo, c), max(lo, min(hi, c)), max(hi, c)
+}
+
+// med3 returns the median of three values.
+func med3(a, b, c float32) float32 {
+	return max(min(a, b), min(max(a, b), c))
+}
+
+// sortedMedian returns the median of the (2r+1)² clamped window around
+// (y, x) in channel c, insertion-sorting it into window (which must hold
+// (2r+1)² values). The sort is stable, which fixes the bits the sliding
+// 3×3 path defers to it: the sign of a zero median, and the order NaNs
+// leave behind.
+func sortedMedian(window []float32, im *Image, c, y, x, r int) float32 {
+	n := 0
+	for dy := -r; dy <= r; dy++ {
+		sy := clampInt(y+dy, 0, im.H-1)
+		row := im.Pix[(c*im.H+sy)*im.W : (c*im.H+sy+1)*im.W]
+		for dx := -r; dx <= r; dx++ {
+			// Insertion sort as we go: shift the tail up until the new
+			// sample's slot appears.
+			v := row[clampInt(x+dx, 0, im.W-1)]
+			i := n
+			for i > 0 && window[i-1] > v {
+				window[i] = window[i-1]
+				i--
+			}
+			window[i] = v
+			n++
+		}
+	}
+	return window[n/2]
+}
+
+// hasNaN reports whether s holds a NaN.
+func hasNaN(s []float32) bool {
+	for _, v := range s {
+		if v != v {
+			return true
+		}
+	}
+	return false
 }
 
 // BitDepthReduce quantises pixel values to the given number of bits per
@@ -126,35 +195,66 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 		kernel[i] = float32(float64(kernel[i]) / sum)
 	}
 
-	// Horizontal pass.
+	// Every output element accumulates its taps in ascending order from
+	// zero, one rounding per product and per sum: float32(kv * v) keeps
+	// the compiler from fusing them into one multiply-add, so the bits do
+	// not depend on the architecture.
 	tmp := GetImage(im.C, im.H, im.W)
-	for c := 0; c < im.C; c++ {
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				var acc float32
-				for i := -r; i <= r; i++ {
-					sx := clampInt(x+i, 0, im.W-1)
-					acc += kernel[i+r] * im.At(c, y, sx)
-				}
-				tmp.Set(c, y, x, acc)
+	w := im.W
+	// Horizontal pass: the interior of a row, whose taps never leave it,
+	// accumulates as row-wide multiply-adds over shifted row slices; only
+	// pixels within r of an edge (all of them when r ≥ W) clamp per tap.
+	lo := min(r, w)
+	hi := max(lo, w-r)
+	for row := 0; row < im.C*im.H; row++ {
+		src := im.Pix[row*w:][:w]
+		out := tmp.Pix[row*w:][:w]
+		if interior := out[lo:hi]; len(interior) > 0 {
+			clear(interior)
+			for i, kv := range kernel {
+				addScaled(interior, src[lo-r+i:][:len(interior)], kv)
 			}
 		}
+		for x := 0; x < lo; x++ {
+			out[x] = blurClamped(src, kernel, x-r)
+		}
+		for x := hi; x < w; x++ {
+			out[x] = blurClamped(src, kernel, x-r)
+		}
 	}
-	// Vertical pass.
+	// Vertical pass: each output row sums its tap rows, in ascending tap
+	// order, as row-wide multiply-adds.
 	for c := 0; c < im.C; c++ {
 		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				var acc float32
-				for i := -r; i <= r; i++ {
-					sy := clampInt(y+i, 0, im.H-1)
-					acc += kernel[i+r] * tmp.At(c, sy, x)
-				}
-				dst.Set(c, y, x, acc)
+			out := dst.Pix[(c*im.H+y)*w:][:w]
+			clear(out)
+			for i, kv := range kernel {
+				sy := clampInt(y+i-r, 0, im.H-1)
+				addScaled(out, tmp.Pix[(c*im.H+sy)*w:][:w], kv)
 			}
 		}
 	}
 	PutImage(tmp)
 	return dst
+}
+
+// addScaled adds kv·src[x] to dst[x] for every x, rounding the product
+// before the sum.
+func addScaled(dst, src []float32, kv float32) {
+	dst = dst[:len(src)]
+	for x, v := range src {
+		dst[x] += float32(kv * v)
+	}
+}
+
+// blurClamped is one horizontal-pass output whose taps start at column x0
+// and are clamped to the row.
+func blurClamped(src, kernel []float32, x0 int) float32 {
+	var acc float32
+	for i, kv := range kernel {
+		acc += float32(kv * src[clampInt(x0+i, 0, len(src)-1)])
+	}
+	return acc
 }
 
 // BoxBlur is a cheap k×k mean filter (k odd), used by scene generation for

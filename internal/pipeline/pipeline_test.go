@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/regress"
 	"repro/internal/scene"
+	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -106,5 +108,58 @@ func TestAttackerFuncAdapter(t *testing.T) {
 	img := imaging.NewRGB(4, 4)
 	if f.Apply(img, box.Box{}) != img || !called {
 		t.Fatal("AttackerFunc adapter broken")
+	}
+}
+
+// referenceMedian is the 3×3 median defense computed the naive way: every
+// clamped window insertion-sorted (a stable sort) in row-major order.
+type referenceMedian struct{}
+
+func (referenceMedian) Name() string { return "reference median" }
+
+func (referenceMedian) Process(img *imaging.Image) *imaging.Image {
+	out := imaging.NewImage(img.C, img.H, img.W)
+	window := make([]float32, 0, 9)
+	for c := 0; c < img.C; c++ {
+		for y := 0; y < img.H; y++ {
+			for x := 0; x < img.W; x++ {
+				window = window[:0]
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						v := img.At(c, min(max(y+dy, 0), img.H-1), min(max(x+dx, 0), img.W-1))
+						i := len(window)
+						window = append(window, v)
+						for i > 0 && window[i-1] > v {
+							window[i] = window[i-1]
+							i--
+						}
+						window[i] = v
+					}
+				}
+				out.Set(c, y, x, window[4])
+			}
+		}
+	}
+	return out
+}
+
+// TestDefendedRunsMatchReferences closes the loop on every registered
+// scenario (fog-brake's blur veil included) and checks two bit-identities
+// of the whole sim.Result: the production median defense against the
+// naive reference median, and the identity defense (None) against the
+// undefended run.
+func TestDefendedRunsMatchReferences(t *testing.T) {
+	for _, sc := range Scenarios() {
+		run := func(d defense.Preprocessor) sim.Result {
+			cfg := shortScenarioCfg(t, sc.Name)
+			cfg.Defense = d
+			return Run(cfg)
+		}
+		if got, want := run(defense.NewMedianBlur()), run(referenceMedian{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: median defense diverges from the reference median", sc.Name)
+		}
+		if got, want := run(defense.None{}), run(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: identity defense diverges from the undefended run", sc.Name)
+		}
 	}
 }

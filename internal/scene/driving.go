@@ -130,8 +130,7 @@ func GenerateDrive(rng *xrand.RNG, cfg DriveConfig, dist float64) DriveScene {
 	lead := drawLeadCar(img, cam, cfg, dist, lateral, body, bright)
 
 	if cfg.Noise > 0 {
-		noisy := img.AddGaussianNoise(rng, cfg.Noise).Clamp()
-		copy(img.Pix, noisy.Pix)
+		addSensorNoise(img, rng, cfg.Noise)
 	}
 	return DriveScene{Img: img, Distance: dist, LeadBox: lead}
 }
@@ -184,21 +183,21 @@ func drawLeadCar(img *imaging.Image, cam Camera, cfg DriveConfig, z, lateral flo
 	// Body.
 	img.FillRect(y0, x0, y1, x1, body.Scale(bright))
 	// Rear window (top third, dark).
-	winY1 := y0 + maxInt(1, (y1-y0)/3)
-	img.FillRect(y0+maxInt(1, (y1-y0)/10), x0+maxInt(1, (x1-x0)/8), winY1, x1-maxInt(1, (x1-x0)/8), imaging.DarkGray.Scale(bright))
+	winY1 := y0 + max(1, (y1-y0)/3)
+	img.FillRect(y0+max(1, (y1-y0)/10), x0+max(1, (x1-x0)/8), winY1, x1-max(1, (x1-x0)/8), imaging.DarkGray.Scale(bright))
 	// Tail lights at the lower corners.
-	lw := maxInt(1, (x1-x0)/6)
-	lh := maxInt(1, (y1-y0)/6)
+	lw := max(1, (x1-x0)/6)
+	lh := max(1, (y1-y0)/6)
 	ly := y1 - 2*lh
 	img.FillRect(ly, x0+1, ly+lh, x0+1+lw, imaging.Color{0.9, 0.1, 0.1}.Scale(bright))
 	img.FillRect(ly, x1-1-lw, ly+lh, x1-1, imaging.Color{0.9, 0.1, 0.1}.Scale(bright))
 	// Tires touching the road.
-	th := maxInt(1, (y1-y0)/8)
+	th := max(1, (y1-y0)/8)
 	img.FillRect(y1-th, x0, y1, x0+lw, imaging.Black)
 	img.FillRect(y1-th, x1-lw, y1, x1, imaging.Black)
 	// Shadow under the car.
 	if y1 < img.H {
-		img.FillRect(y1, x0, minInt(img.H, y1+1), x1, imaging.Asphalt.Scale(0.6))
+		img.FillRect(y1, x0, min(img.H, y1+1), x1, imaging.Asphalt.Scale(0.6))
 	}
 	return clipped
 }
@@ -282,22 +281,7 @@ func generateDriveFixed(rng *xrand.RNG, cfg DriveConfig, dist, lateral float64, 
 	drawRoad(img, cam, cfg, bright)
 	lead := drawLeadCar(img, cam, cfg, dist, lateral, body, bright)
 	if cfg.Noise > 0 {
-		noisy := img.AddGaussianNoise(rng, cfg.Noise).Clamp()
-		copy(img.Pix, noisy.Pix)
+		addSensorNoise(img, rng, cfg.Noise)
 	}
 	return DriveScene{Img: img, Distance: dist, LeadBox: lead}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

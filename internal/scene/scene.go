@@ -86,8 +86,7 @@ func GenerateSign(rng *xrand.RNG, cfg SignConfig) SignScene {
 	}
 
 	if cfg.Noise > 0 {
-		noisy := img.AddGaussianNoise(rng, cfg.Noise).Clamp()
-		copy(img.Pix, noisy.Pix)
+		addSensorNoise(img, rng, cfg.Noise)
 	}
 	return sc
 }
@@ -122,9 +121,18 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// addSensorNoise adds N(0, std²) sensor noise to every pixel of img and
+// clamps it to [0, 1], in place. It draws from rng once per pixel in pixel
+// order, exactly as AddGaussianNoise followed by Clamp would, without the
+// intermediate frame.
+func addSensorNoise(img *imaging.Image, rng *xrand.RNG, std float64) {
+	for i, v := range img.Pix {
+		v += float32(rng.Normal(0, std))
+		if v < 0 {
+			v = 0
+		} else if v > 1 {
+			v = 1
+		}
+		img.Pix[i] = v
 	}
-	return b
 }

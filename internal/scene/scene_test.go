@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/imaging"
 	"repro/internal/xrand"
 )
 
@@ -231,5 +232,20 @@ func TestNightConfigDarkensScene(t *testing.T) {
 	}
 	if nsum >= dsum {
 		t.Fatalf("night scene must be darker: day %.1f vs night %.1f", dsum, nsum)
+	}
+}
+
+// TestAddSensorNoiseMatchesAllocatingPath pins the in-place sensor noise to
+// AddGaussianNoise followed by Clamp: same draws in the same order, same
+// bits, including pixels pushed past either end of [0, 1].
+func TestAddSensorNoiseMatchesAllocatingPath(t *testing.T) {
+	img := imaging.NewRGB(9, 7)
+	xrand.New(3).FillUniform(img.Pix, -0.2, 1.2)
+	want := img.AddGaussianNoise(xrand.New(4), 0.3).Clamp()
+	addSensorNoise(img, xrand.New(4), 0.3)
+	for i := range want.Pix {
+		if math.Float32bits(img.Pix[i]) != math.Float32bits(want.Pix[i]) {
+			t.Fatalf("pixel %d = %v, want %v", i, img.Pix[i], want.Pix[i])
+		}
 	}
 }
