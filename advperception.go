@@ -39,9 +39,10 @@
 // sinks receive cell started/finished/progress events; MergeSweeps joins
 // the shards of a distributed sweep back into one verified grid.
 //
-// The legacy entrypoints (Env.RunTableI … RunFig2, Env.RunMatrix,
-// Env.RunSweep) remain and route through the same engine, pinned
-// bit-identical to their pre-redesign outputs by golden tests.
+// The legacy table entrypoints (Env.RunTableI … RunFig2) remain, and
+// grids run directly through Env.RunMatrixCtx/RunSweepCtx; all of them
+// route through the same engine, pinned bit-identical to their
+// pre-redesign outputs by golden tests.
 //
 // The perception stack is batch-first: Regressor.PredictBatch and
 // Detector.ForwardBatch/DetectBatch run whole frame batches through one
@@ -421,8 +422,8 @@ func DefaultPipelineConfig(reg *Regressor) pipeline.Config {
 }
 
 // Scenarios returns the registry of named closed-loop lead maneuvers, the
-// scenario axis of the evaluation matrix (env.RunMatrix) and the sharded
-// sweep runtime (env.RunSweep).
+// scenario axis of the evaluation matrix (env.RunMatrixCtx) and the
+// sharded sweep runtime (env.RunSweepCtx).
 func Scenarios() []Scenario { return pipeline.Scenarios() }
 
 // FindScenario returns the registered scenario with the given name.

@@ -25,7 +25,7 @@ func runDispatch(ctx context.Context, args []string, stdout io.Writer) error {
 	workers := fs.String("workers", "pool:2", "comma-separated worker fleet: pool:N (in-process), exec[:BIN] (subprocess advrepro run), http://host:port (serve daemon)")
 	shards := fs.Int("shards", 0, "grid decomposition width (0 = one shard per worker)")
 	checkpoints := fs.String("checkpoints", ".dispatch", "directory for per-shard JSONL lane files")
-	transport := fs.String("transport", "fs", "checkpoint transport: fs (local only), mirror:DIR (per-record replica tree), store:DIR|URL (object-store segments, local dir or serve daemon)")
+	transport := fs.String("transport", "fs", "checkpoint transport: fs (local lane files only) or store:DIR|URL (every record durable in object-store segments, local dir or serve daemon)")
 	resume := fs.Bool("resume", false, "recover a crashed dispatch session from its lane files (or their transport replica)")
 	heartbeat := fs.Duration("heartbeat", 2*time.Minute, "per-attempt liveness timeout (no event for this long = presumed hung)")
 	retries := fs.Int("retries", 4, "max dispatch attempts per shard")
@@ -111,7 +111,7 @@ func runDispatch(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "== advrepro dispatch: spec=%s kind=%s workers=%d shards=%d checkpoints=%s transport=%s ==\n",
-		*specPath, spec.Kind, len(fleet), cfg.NumShards, *checkpoints, ckpt)
+		*specPath, spec.Kind, len(fleet), cfg.NumShards, *checkpoints, *transport)
 	rep, err := dispatch.Run(ctx, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -194,7 +194,7 @@ type workerBuildConfig struct {
 	reconnects int
 	verbose    bool
 	logf       func(format string, a ...any)
-	ckpt       dispatch.CheckpointTransport
+	ckpt       *dispatch.StoreTransport
 }
 
 // buildWorkers materialises a parsed fleet: pool entries share ONE

@@ -15,15 +15,13 @@
 //	advrepro dispatch -spec spec.json [-workers pool:2,exec,http://host:8799] [-shards n] [-checkpoints dir] [-resume] [-heartbeat d] [-retries n] [-hedge-after f] [-hedge-factor f] [-strikes n] [-csv grid.csv] [-out report.txt]
 //	advrepro merge -spec spec.json [-out report.txt] [-csv grid.csv] shard0.jsonl shard1.jsonl ...
 //	advrepro -preset quick|paper -exp table1|table2|table3|table4|table5|fig2|pipeline|ablations|all [-out report.txt]
-//	advrepro matrix [-preset quick|paper] [-scenarios a,b,c] [-duration s] [-dt s] [-csv grid.csv] [-md grid.md] [-out report.txt]
-//	advrepro sweep [-preset quick|paper] [-shard i/n] [-jsonl cells.jsonl] [-resume] [-paper-sweep] [-scenarios a,b,c] [-duration s] [-dt s] [-csv grid.csv] [-out report.txt]
 //
 // run executes any committed spec — a paper table, the scenario matrix,
-// or one shard of a sweep — and is the universal entrypoint; the matrix
-// and sweep subcommands are thin spec-building wrappers kept for
-// compatibility. With -remote the spec is submitted to a running daemon
-// instead of trained locally; with -artifacts trained victim weights are
-// cached on disk and reloaded, skipping training on repeat runs.
+// or one shard of a sweep (specs/paper_sweep.json is the paper-preset
+// sweep) — and is the universal entrypoint. With -remote the spec is
+// submitted to a running daemon instead of trained locally; with
+// -artifacts trained victim weights are cached on disk and reloaded,
+// skipping training on repeat runs.
 // Interrupting a checkpointed sweep (Ctrl-C) stops dispatching promptly
 // and leaves a JSONL checkpoint a -resume run completes; every
 // interrupted invocation exits non-zero with the cancellation cause.
@@ -79,10 +77,6 @@ func main() {
 		err = runDispatch(ctx, args[1:], os.Stdout)
 	case len(args) > 0 && args[0] == "merge":
 		err = runMerge(args[1:], os.Stdout)
-	case len(args) > 0 && args[0] == "matrix":
-		err = runMatrix(ctx, args[1:], os.Stdout)
-	case len(args) > 0 && args[0] == "sweep":
-		err = runSweep(ctx, args[1:], os.Stdout)
 	default:
 		err = run(ctx, args, os.Stdout)
 	}
@@ -132,19 +126,6 @@ func writeOutputs(report, csvPath, mdPath, outPath string, res *exp.Result) erro
 		}
 	}
 	return nil
-}
-
-// commonOpts builds the option block the run subcommands share: the
-// stderr logger for -v and the stdout progress observer for -progress.
-func commonOpts(preset string, verbose, progress bool, stdout io.Writer) []exp.Option {
-	opts := []exp.Option{exp.WithPresetName(preset)}
-	if verbose {
-		opts = append(opts, exp.WithLogger(func(format string, a ...any) { log.Printf(format, a...) }))
-	}
-	if progress {
-		opts = append(opts, exp.WithObserver(&exp.ProgressPrinter{W: stdout}))
-	}
-	return opts
 }
 
 // runSpec is the universal subcommand: execute any spec file.
@@ -210,7 +191,13 @@ func runSpec(ctx context.Context, args []string, stdout io.Writer) error {
 		return runRemoteSpec(ctx, *remote, spec, *progress, *reconnects, *csvPath, *mdPath, *out, stdout)
 	}
 
-	opts := append(commonOpts(spec.Preset, *verbose, *progress, stdout), exp.WithWorkers(*workers))
+	opts := []exp.Option{exp.WithPresetName(spec.Preset), exp.WithWorkers(*workers)}
+	if *verbose {
+		opts = append(opts, exp.WithLogger(func(format string, a ...any) { log.Printf(format, a...) }))
+	}
+	if *progress {
+		opts = append(opts, exp.WithObserver(&exp.ProgressPrinter{W: stdout}))
+	}
 	if *artifacts != "" {
 		opts = append(opts, exp.WithArtifactDir(*artifacts))
 	}
@@ -290,131 +277,6 @@ func runMerge(args []string, stdout io.Writer) error {
 	return writeOutputs(report, *csvPath, "", *out, &exp.Result{Matrix: &rep})
 }
 
-// runSweep drives the sharded sweep runtime over the scenario grid: a
-// spec-building wrapper over the experiment core.
-func runSweep(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("advrepro sweep", flag.ContinueOnError)
-	preset := fs.String("preset", "quick", "experiment preset: quick or paper")
-	shard := fs.String("shard", "", "shard spec i/n (default: the whole grid in one shard)")
-	jsonl := fs.String("jsonl", "", "JSONL checkpoint stream for per-cell results")
-	resume := fs.Bool("resume", false, "replay the checkpoint and run only missing cells")
-	paperSweep := fs.Bool("paper-sweep", false, "apply the paper-preset sweep config (fixed base seed, resume on)")
-	scenarios := fs.String("scenarios", "", "comma-separated scenario names (default: full registry)")
-	duration := fs.Float64("duration", 0, "override scenario duration in seconds (0 = default)")
-	dt := fs.Float64("dt", 0, "override control period in seconds (0 = default)")
-	progress := fs.Bool("progress", false, "stream per-cell progress lines to stdout")
-	csvPath := fs.String("csv", "", "optional file for the CSV grid of this shard")
-	out := fs.String("out", "", "optional file to copy the text report to")
-	verbose := fs.Bool("v", false, "log harness progress to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	si, sn, err := parseShard(*shard)
-	if err != nil {
-		return err
-	}
-	spec := exp.Spec{
-		Kind:   exp.KindSweep,
-		Preset: *preset,
-		Matrix: &exp.MatrixSpec{Duration: *duration, DT: *dt},
-		Sweep:  &exp.SweepSpec{Shard: si, NumShards: sn, JSONL: *jsonl, Resume: *resume},
-	}
-	if *paperSweep {
-		spec.Matrix.BaseSeed = 424243
-		spec.Sweep.Resume = true
-		if *jsonl == "" {
-			spec.Sweep.JSONL = fmt.Sprintf("sweep_%s_shard%d_of_%d.jsonl", specPreset(spec), si, sn)
-		}
-	}
-	if *scenarios != "" {
-		spec.Matrix.Scenarios = splitNames(*scenarios)
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-
-	opts := commonOpts(*preset, *verbose, *progress, stdout)
-
-	start := time.Now()
-	fmt.Fprintf(stdout, "== advrepro sweep: preset=%s shard=%d/%d jsonl=%s resume=%v ==\n",
-		specPreset(spec), spec.Sweep.Shard, max(spec.Sweep.NumShards, 1), spec.Sweep.JSONL, spec.Sweep.Resume)
-	x, err := exp.New(ctx, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "victims trained in %v; running shard...\n\n", time.Since(start).Round(time.Second))
-
-	res, err := x.Run(ctx, spec)
-	if err = interruptErr(ctx, err); err != nil {
-		if ctx.Err() != nil && spec.Sweep.JSONL != "" {
-			fmt.Fprintf(stdout, "sweep cancelled; finished cells are checkpointed in %s — rerun with -resume to complete\n", spec.Sweep.JSONL)
-		}
-		return err
-	}
-	rep := res.Sweep
-	fmt.Fprintln(stdout, res.Text)
-	fmt.Fprintf(stdout, "sweep: shard %d/%d ran %d cells (%d resumed) of a %d-cell grid in %v\n",
-		rep.Shard, rep.NumShards, len(rep.Cells)-rep.Resumed, rep.Resumed, rep.Total, time.Since(start).Round(time.Second))
-	return writeOutputs(res.Text, *csvPath, "", *out, res)
-}
-
-// runMatrix drives the scenario-matrix engine: a spec-building wrapper
-// over the experiment core.
-func runMatrix(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("advrepro matrix", flag.ContinueOnError)
-	preset := fs.String("preset", "quick", "experiment preset: quick or paper")
-	scenarios := fs.String("scenarios", "", "comma-separated scenario names (default: full registry)")
-	attacks := fs.String("attacks", "", "comma-separated attack axis names (default: None,CAP-Attack,FGSM)")
-	defenses := fs.String("defenses", "", "comma-separated defense axis names (default: None,Median Blurring,DiffPIR)")
-	duration := fs.Float64("duration", 0, "override scenario duration in seconds (0 = default)")
-	dt := fs.Float64("dt", 0, "override control period in seconds (0 = default)")
-	progress := fs.Bool("progress", false, "stream per-cell progress lines to stdout")
-	csvPath := fs.String("csv", "", "optional file for the CSV grid")
-	mdPath := fs.String("md", "", "optional file for the markdown grid")
-	out := fs.String("out", "", "optional file to copy the text report to")
-	verbose := fs.Bool("v", false, "log harness progress to stderr")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	spec := exp.Spec{
-		Kind:   exp.KindMatrix,
-		Preset: *preset,
-		Matrix: &exp.MatrixSpec{Duration: *duration, DT: *dt},
-	}
-	if *scenarios != "" {
-		spec.Matrix.Scenarios = splitNames(*scenarios)
-	}
-	if *attacks != "" {
-		spec.Matrix.Attacks = splitNames(*attacks)
-	}
-	if *defenses != "" {
-		spec.Matrix.Defenses = splitNames(*defenses)
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-
-	opts := commonOpts(*preset, *verbose, *progress, stdout)
-
-	start := time.Now()
-	fmt.Fprintf(stdout, "== advrepro matrix: preset=%s ==\n", specPreset(spec))
-	x, err := exp.New(ctx, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "victims trained in %v; running grid...\n\n", time.Since(start).Round(time.Second))
-
-	res, err := x.Run(ctx, spec)
-	if err = interruptErr(ctx, err); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, res.Text)
-	fmt.Fprintf(stdout, "matrix: %d cells in %v\n", len(res.Matrix.Cells), time.Since(start).Round(time.Second))
-	return writeOutputs(res.Text, *csvPath, *mdPath, *out, res)
-}
-
 // splitNames splits a comma-separated flag value, trimming whitespace.
 func splitNames(s string) []string {
 	var out []string
@@ -440,6 +302,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "log harness progress to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand %q (want run, serve, dispatch or merge; grids run through run -spec)", fs.Arg(0))
 	}
 
 	want := func(name string) bool { return *expFlag == "all" || *expFlag == name }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestInterruptErr(t *testing.T) {
@@ -82,5 +84,54 @@ func TestRunSpecInterruptExitsNonZero(t *testing.T) {
 	// The run was cut short: the 27-cell grid must not have completed.
 	if n := strings.Count(buf.String(), "] cell "); n >= 27 {
 		t.Fatalf("run executed all %d cells despite cancellation", n)
+	}
+}
+
+// TestPaperSweepSpecMatchesLegacyFlag pins specs/paper_sweep.json to the
+// spec the former `sweep -preset paper -paper-sweep` flag built, shard
+// for shard: the same content hash addresses the same grid, cache entries
+// and store replica.
+func TestPaperSweepSpecMatchesLegacyFlag(t *testing.T) {
+	committed, err := loadSpecFile("../../specs/paper_sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []struct{ i, n int }{{0, 1}, {1, 4}} {
+		legacy := exp.Spec{
+			Kind:   exp.KindSweep,
+			Preset: "paper",
+			Matrix: &exp.MatrixSpec{BaseSeed: 424243},
+			Sweep: &exp.SweepSpec{
+				Shard: sh.i, NumShards: sh.n, Resume: true,
+				JSONL: fmt.Sprintf("sweep_paper_shard%d_of_%d.jsonl", sh.i, sh.n),
+			},
+		}
+		spec := committed
+		sw := *committed.Sweep
+		sw.Shard, sw.NumShards = sh.i, sh.n // what run -shard i/n overrides
+		spec.Sweep = &sw
+		got, err := exp.SpecHash(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := exp.SpecHash(legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("shard %d/%d: specs/paper_sweep.json hashes to %s, the -paper-sweep spec to %s", sh.i, sh.n, got, want)
+		}
+	}
+}
+
+// TestUnknownSubcommandFailsFast: a word the dispatcher does not know
+// (such as the former matrix/sweep subcommands) is an error before any
+// training, not a silent run of every table.
+func TestUnknownSubcommandFailsFast(t *testing.T) {
+	for _, sub := range []string{"matrix", "sweep"} {
+		err := run(context.Background(), []string{sub, "-preset", "quick"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Fatalf("advrepro %s: err = %v, want an unknown-subcommand error", sub, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -63,5 +64,9 @@ func main() {
 		Duration:  0.8, DT: 0.1,
 		BaseSeed: 4242,
 	}
-	write("golden_matrix.csv", env.RunMatrix(cfg).CSV())
+	rep, err := env.RunMatrixCtx(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	write("golden_matrix.csv", rep.CSV())
 }

@@ -3,13 +3,16 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/serve"
 )
 
@@ -20,27 +23,26 @@ import (
 // an unsharded run, and a dispatch whose lane data survives only in the
 // replica resumes with zero recomputed cells.
 
-// testTransports enumerates the replicating transports under test, each
+// testTransports enumerates the store replica backends under test, each
 // constructed fresh over durable backing state so a second construction
-// simulates a new dispatcher process on a new machine.
-func testTransports(t *testing.T) map[string]func() CheckpointTransport {
+// simulates a new dispatcher process on a new machine. The roll size is
+// the shipped default.
+func testTransports(t *testing.T) map[string]func() *StoreTransport {
 	t.Helper()
-	mirrorDir := filepath.Join(t.TempDir(), "mirror")
 	storeDir := filepath.Join(t.TempDir(), "store")
 	srv := serve.New(context.Background(), serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	return map[string]func() CheckpointTransport{
-		"mirror": func() CheckpointTransport { return &MirrorTransport{Dir: mirrorDir} },
-		"store-dir": func() CheckpointTransport {
+	return map[string]func() *StoreTransport{
+		"store-dir": func() *StoreTransport {
 			return &StoreTransport{
-				Store: serve.NewDirStore(storeDir), SegmentBytes: 1,
+				Store:     serve.NewDirStore(storeDir),
 				RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 			}
 		},
-		"store-http": func() CheckpointTransport {
+		"store-http": func() *StoreTransport {
 			return &StoreTransport{
-				Store: &serve.HTTPStore{Base: hs.URL}, SegmentBytes: 1,
+				Store:     &serve.HTTPStore{Base: hs.URL},
 				RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 			}
 		},
@@ -48,7 +50,7 @@ func testTransports(t *testing.T) map[string]func() CheckpointTransport {
 }
 
 // TestCheckpointTransportsFaultMatrix drives every worker fault class
-// through every replicating transport: the byte-identity gate must hold
+// through every store backend: the byte-identity gate must hold
 // on all of them (mustRun asserts it), and crash-resume must still never
 // recompute a checkpointed cell.
 func TestCheckpointTransportsFaultMatrix(t *testing.T) {
@@ -81,8 +83,8 @@ func TestCheckpointTransportsFaultMatrix(t *testing.T) {
 					cfg.Heartbeat = 100 * time.Millisecond
 				}
 				rep := mustRun(t, cfg)
-				if rep.Transport == "fs" {
-					t.Fatalf("report claims the fs transport, want %s", name)
+				if rep.Transport != "store" {
+					t.Fatalf("report claims the %s transport, want store", rep.Transport)
 				}
 				// Nothing persisted — locally or in the replica — may be
 				// computed twice, except the single record a torn tail
@@ -151,8 +153,103 @@ func TestDispatchMachineLossResume(t *testing.T) {
 	}
 }
 
+// TestStorePublishDurableWithoutMerge is the crash window at the
+// transport level: every cell of the grid is published at the shipped
+// roll size, the dispatcher dies before merge, and a fresh transport over
+// the same store must load every record — none may wait on a later
+// flush.
+func TestStorePublishDurableWithoutMerge(t *testing.T) {
+	spec := testSpec()
+	grid, err := spec.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(t.TempDir(), "store")
+	ct := dirStoreTransport(root)
+	if err := ct.Bind(spec, grid); err != nil {
+		t.Fatal(err)
+	}
+	lane := func(idx int) string { return fmt.Sprintf("shard_%d_of_2.jsonl", idx%2) }
+	for _, id := range grid.IDs {
+		if err := ct.Publish(lane(id.Index), grid.Record(id.Index, fakeCell(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The process dies here: no merge, no further publish.
+	fresh := dirStoreTransport(root)
+	if err := fresh.Bind(spec, grid); err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	for s := 0; s < 2; s++ {
+		recs, err := fresh.Load(lane(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded += len(recs)
+	}
+	if loaded != len(grid.IDs) {
+		t.Fatalf("a fresh transport loaded %d of %d published records", loaded, len(grid.IDs))
+	}
+}
+
+// TestDispatchCancelledRunResumesFromReplica is the crash window at the
+// dispatcher level: the run is cut after k observed cells (before any
+// merge), the local lane directory is lost, and a resume over a fresh
+// transport must fetch at least those k cells from the replica and
+// recompute none of them.
+func TestDispatchCancelledRunResumesFromReplica(t *testing.T) {
+	const k = 3
+	root := filepath.Join(t.TempDir(), "store")
+	cfg := baseConfig(t, Worker{Name: "a", Transport: &fakeTransport{computes: newComputeLog()}})
+	cfg.NumShards = 2
+	cfg.Checkpoints = dirStoreTransport(root)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	observed := map[int]bool{}
+	cfg.Observer = eval.ObserverFunc(func(ev eval.Event) {
+		if ev.Kind != eval.EventCellDone {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(observed) < k {
+			observed[ev.Cell.Index] = true
+			if len(observed) == k {
+				cancel()
+			}
+		}
+	})
+	if _, err := Run(ctx, cfg); err == nil {
+		t.Fatalf("dispatch cut after %d cells reported success", k)
+	}
+
+	// The machine dies: every local lane file is gone.
+	if err := os.RemoveAll(cfg.Dir); err != nil {
+		t.Fatal(err)
+	}
+	relog := newComputeLog()
+	cfg2 := cfg
+	cfg2.Workers = []Worker{{Name: "a2", Transport: &fakeTransport{computes: relog}}}
+	cfg2.Resume = true
+	cfg2.Checkpoints = dirStoreTransport(root)
+	cfg2.Observer = nil
+	rep := mustRun(t, cfg2)
+
+	if rep.Fetched < k {
+		t.Fatalf("fetched %d cells from the replica, want at least the %d observed before the cut", rep.Fetched, k)
+	}
+	for idx := range observed {
+		if got := relog.count(idx); got != 0 {
+			t.Fatalf("cell %d was observed before the cut but recomputed %d times", idx, got)
+		}
+	}
+}
+
 // storeConfig builds a dispatch config over a DirStore-backed store
-// transport with per-record segments, returning the store root.
+// transport, returning the store root.
 func storeConfig(t *testing.T, log *computeLog, wrap func(serve.ObjectStore) serve.ObjectStore) (Config, string) {
 	t.Helper()
 	root := filepath.Join(t.TempDir(), "store")
@@ -163,21 +260,32 @@ func storeConfig(t *testing.T, log *computeLog, wrap func(serve.ObjectStore) ser
 	cfg := baseConfig(t, Worker{Name: "a", Transport: &fakeTransport{computes: log}})
 	cfg.NumShards = 2
 	cfg.Checkpoints = &StoreTransport{
-		Store: store, SegmentBytes: 1,
+		Store:     store,
 		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}
 	return cfg, root
 }
 
+// dirStoreTransport is a fresh transport over an existing DirStore root:
+// a new dispatcher process with no in-memory state.
+func dirStoreTransport(root string) *StoreTransport {
+	return &StoreTransport{
+		Store:     serve.NewDirStore(root),
+		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+	}
+}
+
 // TestStoreTransportTornSegmentRecomputesOnlyDamage: a segment whose
 // upload tore mid-record (reported success, stored half the bytes) costs
 // exactly the damaged record on a machine-loss resume — the valid prefix
-// and every other segment still count.
+// and every other segment still count. One record per segment, so the
+// torn segment is closed before a later publish could re-Put it whole.
 func TestStoreTransportTornSegmentRecomputesOnlyDamage(t *testing.T) {
 	log := newComputeLog()
 	cfg, root := storeConfig(t, log, func(s serve.ObjectStore) serve.ObjectStore {
 		return &TornPutStore{Inner: s, N: 1}
 	})
+	cfg.Checkpoints.segmentBytes = 1
 	mustRun(t, cfg)
 	if err := os.RemoveAll(cfg.Dir); err != nil {
 		t.Fatal(err)
@@ -187,10 +295,7 @@ func TestStoreTransportTornSegmentRecomputesOnlyDamage(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Workers = []Worker{{Name: "a2", Transport: &fakeTransport{computes: relog}}}
 	cfg2.Resume = true
-	cfg2.Checkpoints = &StoreTransport{
-		Store: serve.NewDirStore(root), SegmentBytes: 1,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}
+	cfg2.Checkpoints = dirStoreTransport(root)
 	rep := mustRun(t, cfg2)
 
 	recomputed := 0
@@ -233,8 +338,7 @@ func TestStoreTransportOutagePastBudgetFails(t *testing.T) {
 	cfg, _ := storeConfig(t, newComputeLog(), func(s serve.ObjectStore) serve.ObjectStore {
 		return &OutageStore{Inner: s, Times: 10_000}
 	})
-	ct := cfg.Checkpoints.(*StoreTransport)
-	ct.Retries = 2
+	cfg.Checkpoints.Retries = 2
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, err := Run(ctx, cfg)
@@ -246,11 +350,13 @@ func TestStoreTransportOutagePastBudgetFails(t *testing.T) {
 // TestStoreTransportDuplicateSegmentDelivery: every segment delivered
 // twice (under its own key and the following one) still loads to the
 // exact record set — dedup by grid index absorbs at-least-once delivery.
+// One record per segment, so every lane spans several segments.
 func TestStoreTransportDuplicateSegmentDelivery(t *testing.T) {
 	log := newComputeLog()
 	cfg, root := storeConfig(t, log, func(s serve.ObjectStore) serve.ObjectStore {
 		return &DuplicatePutStore{Inner: s}
 	})
+	cfg.Checkpoints.segmentBytes = 1
 	mustRun(t, cfg)
 	if err := os.RemoveAll(cfg.Dir); err != nil {
 		t.Fatal(err)
@@ -260,10 +366,7 @@ func TestStoreTransportDuplicateSegmentDelivery(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Workers = []Worker{{Name: "a2", Transport: &fakeTransport{computes: relog}}}
 	cfg2.Resume = true
-	cfg2.Checkpoints = &StoreTransport{
-		Store: serve.NewDirStore(root), SegmentBytes: 1,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}
+	cfg2.Checkpoints = dirStoreTransport(root)
 	rep := mustRun(t, cfg2)
 	if rep.Fetched != 8 {
 		t.Fatalf("fetched %d cells through duplicate delivery, want 8", rep.Fetched)
@@ -281,7 +384,7 @@ func TestStoreTransportDuplicateSegmentDelivery(t *testing.T) {
 func TestStoreTransportRejectsStaleRemoteLane(t *testing.T) {
 	cfg, _ := storeConfig(t, newComputeLog(), nil)
 	cfg.Resume = true
-	st := cfg.Checkpoints.(*StoreTransport)
+	st := cfg.Checkpoints
 
 	// Bind a throwaway twin to learn the content-address prefix, then
 	// plant a stale record where the resume will look.
@@ -316,21 +419,15 @@ func TestStoreTransportRejectsStaleRemoteLane(t *testing.T) {
 // records into a fresh run's replica.
 func TestFreshRunClearsReplica(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "store")
-	mk := func() CheckpointTransport {
-		return &StoreTransport{
-			Store: serve.NewDirStore(root), SegmentBytes: 1,
-			RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-		}
-	}
 	cfg := baseConfig(t, Worker{Name: "a", Transport: &fakeTransport{computes: newComputeLog()}})
 	cfg.NumShards = 2
-	cfg.Checkpoints = mk()
+	cfg.Checkpoints = dirStoreTransport(root)
 	mustRun(t, cfg)
 
 	// Re-dispatch the same grid WITHOUT resume: the old replica records
 	// must be gone before the run starts, and the run still converges.
 	cfg2 := cfg
-	cfg2.Checkpoints = mk()
+	cfg2.Checkpoints = dirStoreTransport(root)
 	cfg2.Workers = []Worker{{Name: "b", Transport: &fakeTransport{computes: newComputeLog()}}}
 	mustRun(t, cfg2)
 
@@ -353,7 +450,7 @@ func TestLaneProgressSeesReplicaOnlyRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := &MirrorTransport{Dir: t.TempDir()}
+	ct := dirStoreTransport(t.TempDir())
 	if err := ct.Bind(spec, grid); err != nil {
 		t.Fatal(err)
 	}
@@ -374,77 +471,34 @@ func TestLaneProgressSeesReplicaOnlyRecords(t *testing.T) {
 	}
 }
 
-// TestMirrorToleratesTornReplicaFile: a mirror file with a sheared final
-// line (a cruder copier than our atomic writer) still loads its valid
-// prefix and keeps accepting publishes.
-func TestMirrorToleratesTornReplicaFile(t *testing.T) {
-	spec := testSpec()
-	grid, err := spec.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	lane := "shard_0_of_2.jsonl"
-	good, err := json.Marshal(grid.Record(0, fakeCell(grid.IDs[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn, err := json.Marshal(grid.Record(2, fakeCell(grid.IDs[2])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := string(good) + "\n" + string(torn[:len(torn)/2])
-	if err := os.WriteFile(filepath.Join(dir, lane), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ct := &MirrorTransport{Dir: dir}
-	if err := ct.Bind(spec, grid); err != nil {
-		t.Fatal(err)
-	}
-	done, err := ct.Load(lane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 1 {
-		t.Fatalf("torn mirror loaded %d records, want the 1 valid one", len(done))
-	}
-	if err := ct.Publish(lane, grid.Record(4, fakeCell(grid.IDs[4]))); err != nil {
-		t.Fatal(err)
-	}
-	done, err = ct.Load(lane)
-	if err != nil || len(done) != 2 {
-		t.Fatalf("publish after torn load: %d records, err %v", len(done), err)
-	}
-}
-
 func TestParseCheckpointTransport(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want string
-	}{
-		{"", "fs"},
-		{"fs", "fs"},
-		{"mirror:/tmp/m", "mirror:/tmp/m"},
-		{"store:/tmp/s", "store"},
-		{"store:http://localhost:1", "store"},
-	} {
-		ct, err := ParseCheckpointTransport(tc.in)
-		if err != nil {
-			t.Fatalf("ParseCheckpointTransport(%q): %v", tc.in, err)
-		}
-		if ct.String() != tc.want {
-			t.Fatalf("ParseCheckpointTransport(%q) = %s, want %s", tc.in, ct, tc.want)
+	for _, fs := range []string{"", "fs"} {
+		ct, err := ParseCheckpointTransport(fs)
+		if err != nil || ct != nil {
+			t.Fatalf("ParseCheckpointTransport(%q) = %v, %v; want no replica", fs, ct, err)
 		}
 	}
-	if ct, _ := ParseCheckpointTransport("store:http://h"); ct != nil {
-		if _, ok := ct.(*StoreTransport).Store.(*serve.HTTPStore); !ok {
-			t.Fatalf("store:http://… built %T, want HTTPStore", ct.(*StoreTransport).Store)
-		}
+	ct, err := ParseCheckpointTransport("store:/tmp/s")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"mirror:", "store:", "rsync:/x", "fsx"} {
-		if _, err := ParseCheckpointTransport(bad); err == nil {
+	if _, ok := ct.Store.(*serve.DirStore); !ok {
+		t.Fatalf("store:DIR built %T, want DirStore", ct.Store)
+	}
+	ct, err = ParseCheckpointTransport("store:http://localhost:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ct.Store.(*serve.HTTPStore); !ok {
+		t.Fatalf("store:http://… built %T, want HTTPStore", ct.Store)
+	}
+	for _, bad := range []string{"mirror:/tmp/m", "mirror:", "store:", "rsync:/x", "fsx"} {
+		_, err := ParseCheckpointTransport(bad)
+		if err == nil {
 			t.Fatalf("ParseCheckpointTransport(%q) accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "store:DIR") && bad != "store:" {
+			t.Fatalf("ParseCheckpointTransport(%q) error does not name store:DIR: %v", bad, err)
 		}
 	}
 }
@@ -480,7 +534,7 @@ func TestParseStoreInjections(t *testing.T) {
 	if _, ok := st.Store.(*DuplicatePutStore); !ok {
 		t.Fatalf("last directive did not wrap outermost: %T", st.Store)
 	}
-	if err := ApplyStoreInjections(&FSTransport{}, injs); err == nil {
+	if err := ApplyStoreInjections(nil, injs); err == nil {
 		t.Fatal("store injections accepted on the fs transport")
 	}
 }

@@ -52,14 +52,13 @@ type Config struct {
 	// Resume recovers a crashed dispatch session: surviving lane files
 	// are validated against the grid and their cells are not re-run.
 	// Without it, stale lane files are removed first. With a checkpoint
-	// transport configured, lanes surviving only in the replica are
+	// replica configured, lanes surviving only in the replica are
 	// reconstructed locally first — resume works even when Dir is empty.
 	Resume bool
-	// Checkpoints is the lane durability backend (nil = FSTransport:
-	// local files only). Every observed cell record is also published
-	// through it, and lanes reconcile with the replica at resume and
-	// merge time.
-	Checkpoints CheckpointTransport
+	// Checkpoints is the off-machine lane replica (nil = local lane
+	// files only). Every observed cell record is also published to it,
+	// and lanes reconcile with the replica at resume and merge time.
+	Checkpoints *StoreTransport
 	// Heartbeat is the per-attempt liveness timeout: an attempt that
 	// emits no event for this long is presumed hung, killed, and its
 	// shard re-dispatched (default 2m).
@@ -108,7 +107,7 @@ type Report struct {
 	Hedges      int      // straggler hedges launched
 	Quarantined []string // workers benched for repeat failures
 	Files       []string // lane files that contributed cells to the merge
-	Transport   string   // checkpoint transport the lanes replicated through
+	Transport   string   // "store" when lanes replicated through Checkpoints, else "fs"
 }
 
 func (c *Config) withDefaults() Config {
@@ -139,9 +138,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Checkpoints == nil {
-		cfg.Checkpoints = &FSTransport{}
 	}
 	return cfg
 }
@@ -234,8 +230,12 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dispatch: lane dir: %w", err)
 	}
-	if err := cfg.Checkpoints.Bind(spec, grid); err != nil {
-		return nil, err
+	transport := "fs"
+	if cfg.Checkpoints != nil {
+		if err := cfg.Checkpoints.Bind(spec, grid); err != nil {
+			return nil, err
+		}
+		transport = "store"
 	}
 
 	d := &dispatcher{
@@ -291,7 +291,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		Shards: cfg.NumShards, Resumed: resumed, Fetched: d.fetched,
 		Retries: d.retries, Hedges: d.hedges,
 		Quarantined: quarantined, Files: files,
-		Transport: cfg.Checkpoints.String(),
+		Transport: transport,
 	}, nil
 }
 
@@ -308,6 +308,9 @@ func (d *dispatcher) recoverLanes() (int, error) {
 				if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 					return 0, fmt.Errorf("dispatch: clear lane %s: %w", p, err)
 				}
+				if d.cfg.Checkpoints == nil {
+					continue
+				}
 				if err := d.cfg.Checkpoints.Clear(filepath.Base(p)); err != nil {
 					return 0, fmt.Errorf("dispatch: clear replica lane %s: %w", filepath.Base(p), err)
 				}
@@ -315,10 +318,14 @@ func (d *dispatcher) recoverLanes() (int, error) {
 		}
 		return 0, nil
 	}
-	if lanes, err := d.cfg.Checkpoints.List(); err != nil {
-		return 0, fmt.Errorf("dispatch: resume: %w", err)
-	} else if len(lanes) > 0 {
-		d.logf("dispatch: %s replica holds %d lane(s)", d.cfg.Checkpoints, len(lanes))
+	if d.cfg.Checkpoints != nil {
+		lanes, err := d.cfg.Checkpoints.List()
+		if err != nil {
+			return 0, fmt.Errorf("dispatch: resume: %w", err)
+		}
+		if len(lanes) > 0 {
+			d.logf("dispatch: store replica holds %d lane(s)", len(lanes))
+		}
 	}
 	resumed := 0
 	for _, s := range d.shards {
@@ -356,8 +363,8 @@ func (d *dispatcher) recoverLanes() (int, error) {
 		}
 	}
 	if resumed > 0 {
-		d.logf("dispatch: resumed %d cells from %s (%d fetched from the %s replica)",
-			resumed, d.cfg.Dir, d.fetched, d.cfg.Checkpoints)
+		d.logf("dispatch: resumed %d cells from %s (%d fetched from the replica)",
+			resumed, d.cfg.Dir, d.fetched)
 	}
 	return resumed, nil
 }
@@ -652,15 +659,18 @@ func (d *dispatcher) onEvent(a *attempt, ev eval.Event) {
 			lane = a.shard.hedgeLn
 		}
 		d.mu.Unlock()
-		// Replicate outside the lock: the store transport may sleep
-		// through a retry window, and the other workers' events must
-		// keep flowing while it does.
-		if err := d.cfg.Checkpoints.Publish(filepath.Base(lane), d.grid.Record(idx, *ev.Result)); err != nil {
-			d.mu.Lock()
-			if d.fatal == nil {
-				d.fatal = err
+		// Replicate outside the lock: the store may sleep through a
+		// retry window, and the other workers' events must keep flowing
+		// while it does. The record is durable before the event passes
+		// on, so an observer never sees a cell the replica lacks.
+		if d.cfg.Checkpoints != nil {
+			if err := d.cfg.Checkpoints.Publish(filepath.Base(lane), d.grid.Record(idx, *ev.Result)); err != nil {
+				d.mu.Lock()
+				if d.fatal == nil {
+					d.fatal = err
+				}
+				d.mu.Unlock()
 			}
-			d.mu.Unlock()
 		}
 		d.observe(out)
 		return
@@ -775,9 +785,9 @@ func (d *dispatcher) backoff(attempts int) time.Duration {
 
 // merge joins every contributing lane file through the Grid.Merge
 // coverage/seed verification into the final grid. Each lane first
-// reconciles with the checkpoint replica — replica-only records (a
-// worker whose local writes were lost) land in the local file, local-
-// only records publish out, and a final Sync makes the replica durable.
+// reconciles with the replica — replica-only records (a worker whose
+// local writes were lost) land in the local file, and local-only records
+// publish out.
 func (d *dispatcher) merge() (eval.MatrixReport, []string, error) {
 	var files []string
 	for _, s := range d.shards {
@@ -787,9 +797,6 @@ func (d *dispatcher) merge() (eval.MatrixReport, []string, error) {
 				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: merge: %w", err)
 			}
 			d.fetched += fetched
-			if err := d.cfg.Checkpoints.Sync(filepath.Base(p)); err != nil {
-				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: merge: %w", err)
-			}
 			done, _, err := d.grid.Load(p)
 			if err != nil {
 				return eval.MatrixReport{}, nil, fmt.Errorf("dispatch: probe lane: %w", err)

@@ -362,11 +362,49 @@ func TestDispatchDialFailureBackoff(t *testing.T) {
 	}
 }
 
+// strikeSignal refuses every dial and closes struck on the second
+// refusal — the strike that quarantines it.
+type strikeSignal struct {
+	mu     sync.Mutex
+	calls  int
+	struck chan struct{}
+}
+
+func (t *strikeSignal) Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.calls++
+	if t.calls == 2 {
+		close(t.struck)
+	}
+	return errInjected{"dial refused"}
+}
+
+// gatedTransport holds every run until open closes, so the worker cannot
+// finish the grid before the gate's owner has done its part.
+type gatedTransport struct {
+	inner Transport
+	open  <-chan struct{}
+}
+
+func (t *gatedTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observer) error {
+	select {
+	case <-t.open:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return t.inner.Run(ctx, spec, obs)
+}
+
+// TestDispatchQuarantinesRepeatOffender: the good worker's shards wait
+// on the bad worker's second strike, so the quarantine lands whatever
+// the scheduling order.
 func TestDispatchQuarantinesRepeatOffender(t *testing.T) {
 	log := newComputeLog()
+	bad := &strikeSignal{struck: make(chan struct{})}
 	cfg := baseConfig(t,
-		Worker{Name: "bad", Transport: &DialFail{Inner: &fakeTransport{computes: log}, Times: 99}},
-		Worker{Name: "good", Transport: &fakeTransport{computes: log}},
+		Worker{Name: "bad", Transport: bad},
+		Worker{Name: "good", Transport: &gatedTransport{inner: &fakeTransport{computes: log}, open: bad.struck}},
 	)
 	cfg.NumShards = 4
 	cfg.MaxStrikes = 2

@@ -1,15 +1,19 @@
 package dispatch
 
 // StoreTransport: lane durability over a content-addressed object store.
-// Published records buffer into chunked segments and upload under
-// lanes/<grid-hash>/<lane>/seg_N, where <grid-hash> is the canonical
-// spec hash of the dispatched grid (shard selection stripped) — so every
-// lane of one dispatch shares a prefix, a different grid can never
-// collide with it, and a stale replica is structurally invisible before
-// it is even validated. Every store operation runs under capped jittered
-// retry, so a transiently unavailable store (daemon restart, network
-// blip) delays the sweep instead of failing it; a store that stays down
-// past the budget surfaces as an error, never as silent data loss.
+// Every published record is durable when Publish returns: it is appended
+// to the lane's open segment, and the whole segment is re-Put under
+// lanes/<grid-hash>/<lane>/seg_N. A segment that reaches 64 KiB is
+// closed and the next record opens seg_N+1; a process only ever re-Puts
+// a segment it opened itself (a resumed dispatch numbers after the
+// highest existing segment). <grid-hash> is the canonical spec hash of
+// the dispatched grid (shard selection stripped) — so every lane of one
+// dispatch shares a prefix, a different grid can never collide with it,
+// and a stale replica is structurally invisible before it is even
+// validated. Every store operation runs under capped jittered retry, so
+// a transiently unavailable store (daemon restart, network blip) delays
+// the sweep instead of failing it; a store that stays down past the
+// budget surfaces as an error, never as silent data loss.
 //
 // Fetching reassembles segments in order, tolerating the faults an
 // at-least-once uploader produces: a torn segment (partial upload that
@@ -35,15 +39,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// StoreTransport is the object-store CheckpointTransport.
+// StoreTransport is the checkpoint replica of a dispatch: every cell
+// record the dispatcher observes is published through it, and at resume
+// and merge time each local lane reconciles with it (syncLane). It is
+// safe for concurrent use — the dispatcher publishes from several worker
+// goroutines at once.
 type StoreTransport struct {
 	// Store is the blob backend (serve.DirStore, serve.HTTPStore, or a
 	// fault-injection wrapper around either).
 	Store serve.ObjectStore
-	// SegmentBytes is the upload threshold: a lane's buffered records
-	// flush as one segment object once they reach this size (default
-	// 64 KiB). Sync flushes regardless.
-	SegmentBytes int
 	// Retries bounds attempts per store operation (default 4).
 	Retries int
 	// RetryBase/RetryMax shape the capped exponential retry backoff
@@ -55,6 +59,10 @@ type StoreTransport struct {
 	// Logf narrates retries (nil = silent).
 	Logf func(format string, args ...any)
 
+	// segmentBytes is the roll size: a segment this large takes no more
+	// records (default 64 KiB).
+	segmentBytes int
+
 	mu     sync.Mutex
 	grid   eval.Grid
 	prefix string
@@ -64,16 +72,14 @@ type StoreTransport struct {
 
 // storeLane is the upload state of one lane.
 type storeLane struct {
-	buf     bytes.Buffer
-	seen    map[int]bool
-	nextSeg int
+	buf  bytes.Buffer // the open segment's records
+	seen map[int]bool
+	seg  int // the open segment's number
 }
 
-// String implements CheckpointTransport.
-func (t *StoreTransport) String() string { return "store" }
-
-// Bind implements CheckpointTransport: derives the dispatch's
-// content-address prefix from the grid spec.
+// Bind prepares the transport for one dispatch session over the given
+// grid, deriving the content-address prefix from the grid spec. It must
+// be called before any other method.
 func (t *StoreTransport) Bind(spec exp.Spec, grid eval.Grid) error {
 	if t.Store == nil {
 		return fmt.Errorf("dispatch: store transport needs an object store")
@@ -87,8 +93,8 @@ func (t *StoreTransport) Bind(spec exp.Spec, grid eval.Grid) error {
 	t.mu.Lock()
 	t.grid = grid
 	t.prefix = "lanes/" + hash + "/"
-	if t.SegmentBytes <= 0 {
-		t.SegmentBytes = 64 << 10
+	if t.segmentBytes <= 0 {
+		t.segmentBytes = 64 << 10
 	}
 	if t.Retries <= 0 {
 		t.Retries = 4
@@ -231,7 +237,7 @@ func (t *StoreTransport) laneLocked(lane string) (*storeLane, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &storeLane{seen: make(map[int]bool, len(recs)), nextSeg: maxSeg + 1}
+	l := &storeLane{seen: make(map[int]bool, len(recs)), seg: maxSeg + 1}
 	//advlint:ordered-ok map-to-set fold keyed by grid index; order-free
 	for idx := range recs {
 		l.seen[idx] = true
@@ -240,22 +246,11 @@ func (t *StoreTransport) laneLocked(lane string) (*storeLane, error) {
 	return l, nil
 }
 
-// flushLocked uploads a lane's buffered records as the next segment.
-func (t *StoreTransport) flushLocked(lane string, l *storeLane) error {
-	if l.buf.Len() == 0 {
-		return nil
-	}
-	key := t.segKey(lane, l.nextSeg)
-	data := append([]byte(nil), l.buf.Bytes()...)
-	if err := t.withRetryLocked("put "+key, func() error { return t.Store.Put(key, data) }); err != nil {
-		return err
-	}
-	l.nextSeg++
-	l.buf.Reset()
-	return nil
-}
-
-// Publish implements CheckpointTransport.
+// Publish replicates one finished-cell record of the named lane: the
+// record joins the lane's open segment and the whole segment is re-Put,
+// so the record is durable in the store when Publish returns. Records
+// may arrive more than once (hedges, resumes, duplicate delivery); they
+// deduplicate by grid index.
 func (t *StoreTransport) Publish(lane string, rec eval.SweepRecord) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -270,27 +265,25 @@ func (t *StoreTransport) Publish(lane string, rec eval.SweepRecord) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: store lane %s: %w", lane, err)
 	}
+	prev := l.buf.Len()
 	l.buf.Write(line)
 	l.buf.WriteByte('\n')
+	key := t.segKey(lane, l.seg)
+	data := bytes.Clone(l.buf.Bytes()) // the store may keep data; buf is reused
+	if err := t.withRetryLocked("put "+key, func() error { return t.Store.Put(key, data) }); err != nil {
+		l.buf.Truncate(prev)
+		return err
+	}
 	l.seen[rec.Index] = true
-	if l.buf.Len() >= t.SegmentBytes {
-		return t.flushLocked(lane, l)
+	if l.buf.Len() >= t.segmentBytes {
+		l.seg++
+		l.buf.Reset()
 	}
 	return nil
 }
 
-// Sync implements CheckpointTransport.
-func (t *StoreTransport) Sync(lane string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := t.lanes[lane]
-	if !ok {
-		return nil // nothing buffered, nothing to flush
-	}
-	return t.flushLocked(lane, l)
-}
-
-// Clear implements CheckpointTransport.
+// Clear removes the replica of the named lane — the fresh-run path,
+// matching the local lane removal.
 func (t *StoreTransport) Clear(lane string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -313,7 +306,7 @@ func (t *StoreTransport) Clear(lane string) error {
 	return nil
 }
 
-// List implements CheckpointTransport.
+// List enumerates the lanes the replica holds records for.
 func (t *StoreTransport) List() ([]string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -340,9 +333,11 @@ func (t *StoreTransport) List() ([]string, error) {
 	return lanes, nil
 }
 
-// Load implements CheckpointTransport. Only durable (uploaded) records
-// are returned; records still buffered for the next segment are by
-// definition also in the local lane file the caller reconciles against.
+// Load fetches the replica's records for the named lane — every record
+// published so far, by this process or an earlier one — validated
+// against the bound grid. Torn content is tolerated (the damaged tail
+// records are simply absent); records from a different grid or run
+// configuration are an error. A missing replica is an empty map.
 func (t *StoreTransport) Load(lane string) (map[int]eval.MatrixCell, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -197,17 +197,15 @@ func ParseStoreInjections(s string) ([]StoreInjection, error) {
 	return out, nil
 }
 
-// ApplyStoreInjections wraps a store transport's backing ObjectStore
-// with the corresponding fault wrappers, in directive order. Only the
-// store transport has a blob backend to fault; other transports reject
-// the flag.
-func ApplyStoreInjections(ct CheckpointTransport, injs []StoreInjection) error {
+// ApplyStoreInjections wraps the store replica's backing ObjectStore
+// with the corresponding fault wrappers, in directive order. Without a
+// replica (-transport fs) there is no store to fault.
+func ApplyStoreInjections(st *StoreTransport, injs []StoreInjection) error {
 	if len(injs) == 0 {
 		return nil
 	}
-	st, ok := ct.(*StoreTransport)
-	if !ok {
-		return fmt.Errorf("dispatch: -injectstore needs the store transport, not %s", ct)
+	if st == nil {
+		return fmt.Errorf("dispatch: -injectstore needs the store transport, not fs")
 	}
 	for _, inj := range injs {
 		switch inj.Fault {

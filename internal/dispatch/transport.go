@@ -64,10 +64,10 @@ func (t *PoolTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 // process — crash isolation without a daemon. The child writes the lane
 // file; liveness is observed by tailing it: every Poll interval the
 // checkpoint is re-read and newly appeared records are emitted as
-// cell-done events. When a checkpoint transport is configured, the poll
-// reads the union of the local tail and the replica (laneProgress), so a
-// child streaming its results off-machine is not declared hung while it
-// is making progress the local file has not yet caught up with.
+// cell-done events. When a replica is configured, the poll reads the
+// union of the local tail and the replica (laneProgress), so a child
+// streaming its results off-machine is not declared hung while it is
+// making progress the local file has not yet caught up with.
 type ExecTransport struct {
 	// Binary is the advrepro executable (empty = os.Executable()).
 	Binary string
@@ -76,8 +76,8 @@ type ExecTransport struct {
 	// Poll is the lane-tail interval (default 200ms).
 	Poll time.Duration
 	// Checkpoints, when set, widens the liveness poll to include the
-	// replica of the lane (same transport instance the dispatcher binds).
-	Checkpoints CheckpointTransport
+	// replica of the lane (the same instance the dispatcher binds).
+	Checkpoints *StoreTransport
 }
 
 // Run implements Transport.

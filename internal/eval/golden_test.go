@@ -1,7 +1,7 @@
 package eval
 
-// Bit-identity pins: the legacy entrypoints (RunTableI, RunFig2,
-// RunMatrix, RunSweep) are compared byte-for-byte against goldens
+// Bit-identity pins: the engine entrypoints (RunTableI, RunFig2,
+// RunMatrixCtx, RunSweepCtx) are compared byte-for-byte against goldens
 // generated by the pre-redesign runners (cmd/gengolden). Any redesign of
 // the experiment surface — registries, spec routing, observer plumbing —
 // must leave these outputs untouched.
@@ -54,7 +54,7 @@ var (
 func goldenMatrix(t *testing.T) MatrixReport {
 	e := sharedEnv(t)
 	goldenMatrixOnce.Do(func() {
-		goldenMatrixRep = e.RunMatrix(goldenMatrixConfig(t))
+		goldenMatrixRep = runMatrix(t, e, goldenMatrixConfig(t))
 	})
 	return goldenMatrixRep
 }
@@ -85,19 +85,19 @@ func TestGoldenFig2(t *testing.T) {
 func TestGoldenMatrixCSV(t *testing.T) {
 	skipShort(t)
 	if got, want := goldenMatrix(t).CSV(), readGolden(t, "golden_matrix.csv"); got != want {
-		t.Fatalf("RunMatrix diverged from its pre-redesign golden:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("RunMatrixCtx diverged from its pre-redesign golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestGoldenSweepCSV(t *testing.T) {
 	skipShort(t)
 	e := sharedEnv(t)
-	rep, err := e.RunSweep(SweepConfig{Matrix: goldenMatrixConfig(t)})
+	rep, err := e.RunSweepCtx(context.Background(), SweepConfig{Matrix: goldenMatrixConfig(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rep.Matrix().CSV(), readGolden(t, "golden_matrix.csv"); got != want {
-		t.Fatalf("single-shard RunSweep diverged from the pre-redesign matrix golden:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("single-shard RunSweepCtx diverged from the pre-redesign matrix golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestMergeSweepsRoundTrip(t *testing.T) {
 	paths := []string{filepath.Join(dir, "s0.jsonl"), filepath.Join(dir, "s1.jsonl")}
 	for s, p := range paths {
 		cfg := SweepConfig{Matrix: mcfg, Shard: s, NumShards: len(paths), JSONL: p}
-		if _, err := e.RunSweep(cfg); err != nil {
+		if _, err := e.RunSweepCtx(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestMergeSweepsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if testing.Short() {
-		if !reflect.DeepEqual(merged.Cells, e.RunMatrix(mcfg).Cells) {
+		if !reflect.DeepEqual(merged.Cells, runMatrix(t, e, mcfg).Cells) {
 			t.Fatal("merged shards diverge from the unsharded matrix")
 		}
 	} else {
@@ -222,7 +222,7 @@ func TestSweepCancellationLeavesResumableCheckpoint(t *testing.T) {
 	mcfg.Attacks = DefaultMatrixAttacks()[:2]
 	mcfg.Defenses = DefaultMatrixDefenses()[:2]
 
-	full, err := e.RunSweep(SweepConfig{Matrix: mcfg})
+	full, err := e.RunSweepCtx(context.Background(), SweepConfig{Matrix: mcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSweepCancellationLeavesResumableCheckpoint(t *testing.T) {
 	}
 
 	rcfg := SweepConfig{Matrix: mcfg, JSONL: path, Resume: true}
-	resumed, err := e.RunSweep(rcfg)
+	resumed, err := e.RunSweepCtx(context.Background(), rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

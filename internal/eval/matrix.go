@@ -309,25 +309,13 @@ func (e *Env) warmDefenses(specs []cellSpec) {
 	}
 }
 
-// RunMatrix expands the grid and executes every cell on the worker pool,
-// one cloned regressor per worker and a deterministic seed per cell, so
-// the report is bit-identical across runs and across GOMAXPROCS settings.
-func (e *Env) RunMatrix(cfg MatrixConfig) MatrixReport {
-	rep, err := e.RunMatrixCtx(context.Background(), cfg)
-	if err != nil {
-		// Unreachable: the background context never cancels, and
-		// cancellation is RunMatrixCtx's only error.
-		panic(err)
-	}
-	return rep
-}
-
-// RunMatrixCtx is RunMatrix under a cancellation context and the config's
-// Observer: cell start/finish events stream as the grid executes, a
-// cancelled context stops dispatching cells promptly (in-flight cells
-// finish) and returns the context error. On success the report is
-// bit-identical to RunMatrix — the observer and the context plumbing never
-// touch the numbers.
+// RunMatrixCtx expands the grid and executes every cell on the worker
+// pool, one cloned regressor per worker and a deterministic seed per
+// cell, so the report is bit-identical across runs and across GOMAXPROCS
+// settings. Cell start/finish events stream to the config's Observer as
+// the grid executes; a cancelled context stops dispatching cells promptly
+// (in-flight cells finish) and returns the context error, its only error.
+// The observer and the context plumbing never touch the numbers.
 func (e *Env) RunMatrixCtx(ctx context.Context, cfg MatrixConfig) (MatrixReport, error) {
 	specs := e.expandGrid(cfg)
 	obs := cfg.Observer

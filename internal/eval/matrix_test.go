@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -16,6 +17,17 @@ func shortMatrixConfig() MatrixConfig {
 	return MatrixConfig{Duration: 1.2, DT: 0.1}
 }
 
+// runMatrix runs the grid under a background context, which never
+// cancels, so any error is a test failure.
+func runMatrix(t *testing.T, e *Env, cfg MatrixConfig) MatrixReport {
+	t.Helper()
+	rep, err := e.RunMatrixCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 var (
 	matrixOnce sync.Once
 	matrixRep  MatrixReport
@@ -29,7 +41,7 @@ func sharedMatrixReport(t *testing.T) MatrixReport {
 	e := sharedEnv(t)
 	matrixOnce.Do(func() {
 		old := runtime.GOMAXPROCS(4)
-		matrixRep = e.RunMatrix(shortMatrixConfig())
+		matrixRep = runMatrix(t, e, shortMatrixConfig())
 		runtime.GOMAXPROCS(old)
 	})
 	return matrixRep
@@ -93,7 +105,7 @@ func TestRunMatrixDeterministic(t *testing.T) {
 	// per-cell seed derivation against wall-clock or scheduling leakage.
 	a := sharedMatrixReport(t) // computed at GOMAXPROCS=4
 	old := runtime.GOMAXPROCS(1)
-	b := e.RunMatrix(shortMatrixConfig())
+	b := runMatrix(t, e, shortMatrixConfig())
 	runtime.GOMAXPROCS(old)
 
 	if len(a.Cells) < 45 {
@@ -123,7 +135,7 @@ func TestRunMatrixCustomAxes(t *testing.T) {
 		Duration:  1, DT: 0.1,
 		BaseSeed: 999,
 	}
-	rep := e.RunMatrix(cfg)
+	rep := runMatrix(t, e, cfg)
 	if len(rep.Cells) != 4 {
 		t.Fatalf("custom axes gave %d cells, want 4", len(rep.Cells))
 	}
@@ -135,7 +147,7 @@ func TestRunMatrixCustomAxes(t *testing.T) {
 	}
 	// Cheap determinism check that also runs in -short mode; the full-grid
 	// GOMAXPROCS sweep lives in TestRunMatrixDeterministic.
-	if again := e.RunMatrix(cfg); !reflect.DeepEqual(rep.Cells, again.Cells) {
+	if again := runMatrix(t, e, cfg); !reflect.DeepEqual(rep.Cells, again.Cells) {
 		t.Fatal("repeated custom-axis runs must be bit-identical")
 	}
 }
@@ -185,7 +197,7 @@ func TestMatrixWorkerIsolation(t *testing.T) {
 		Scenarios: []pipeline.Scenario{sc},
 		Duration:  0.8, DT: 0.1,
 	}
-	rep := e.RunMatrix(cfg)
+	rep := runMatrix(t, e, cfg)
 	if len(rep.Cells) != len(e.MatrixAttacks())*len(e.MatrixDefenses()) {
 		t.Fatalf("unexpected cell count %d", len(rep.Cells))
 	}

@@ -25,7 +25,7 @@ import (
 //     file merged next to a complete one) carries bit-identical results.
 //
 // The returned report's cells are in global grid order: merging the
-// shards of a sweep reproduces the corresponding RunMatrix report.
+// shards of a sweep reproduces the corresponding RunMatrixCtx report.
 func (g Grid) Merge(paths []string) (MatrixReport, error) {
 	if len(paths) == 0 {
 		return MatrixReport{}, fmt.Errorf("merge: no shard files given")

@@ -3,7 +3,7 @@ package eval
 // This file implements the sharded sweep runtime: the scenario × attack ×
 // defense grid split into deterministic shards, streaming per-cell results
 // as JSONL with checkpoint/resume. A sweep over N shards runs the same
-// grid as one RunMatrix call — cell seeds derive from the global grid
+// grid as one RunMatrixCtx call — cell seeds derive from the global grid
 // index, so the decomposition never changes the numbers — and an
 // interrupted shard restarts by replaying its checkpoint and executing
 // only missing cells. The JSONL writer is an Observer: it subscribes to
@@ -102,21 +102,16 @@ func (j *jsonlWriter) Observe(ev Event) {
 	}
 }
 
-// RunSweep executes this shard of the grid, streaming each finished cell
-// to the JSONL checkpoint and (with Resume) skipping cells the checkpoint
-// already holds. The returned report's cells are ordered by global grid
-// index and are bit-identical to the corresponding RunMatrix cells — an
-// interrupted-and-resumed shard produces exactly the cells of an
-// uninterrupted run.
-func (e *Env) RunSweep(cfg SweepConfig) (SweepReport, error) {
-	return e.RunSweepCtx(context.Background(), cfg)
-}
-
-// RunSweepCtx is RunSweep under a cancellation context and the config's
+// RunSweepCtx executes this shard of the grid, streaming each finished
+// cell to the JSONL checkpoint and (with Resume) skipping cells the
+// checkpoint already holds. The returned report's cells are ordered by
+// global grid index and are bit-identical to the corresponding
+// RunMatrixCtx cells — an interrupted-and-resumed shard produces exactly
+// the cells of an uninterrupted run. Progress streams to the config's
 // Observer (cfg.Matrix.Observer). A cancelled context stops dispatching
-// cells promptly and returns the context error; every cell finished before
-// the cancellation is already flushed to the JSONL checkpoint, so a
-// -resume run completes exactly the missing remainder.
+// cells promptly and returns the context error; every cell finished
+// before the cancellation is already flushed to the JSONL checkpoint, so
+// a -resume run completes exactly the missing remainder.
 func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, error) {
 	numShards := cfg.NumShards
 	if numShards <= 0 {

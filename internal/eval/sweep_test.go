@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -43,11 +44,11 @@ func shortSweepConfig(t *testing.T, jsonl string) SweepConfig {
 func TestSweepMatchesMatrix(t *testing.T) {
 	e := sharedEnv(t)
 	cfg := shortSweepConfig(t, "")
-	rep, err := e.RunSweep(cfg)
+	rep, err := e.RunSweepCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.RunMatrix(cfg.Matrix)
+	want := runMatrix(t, e, cfg.Matrix)
 	if rep.Total != len(want.Cells) || len(rep.Cells) != len(want.Cells) {
 		t.Fatalf("sweep %d/%d cells vs matrix %d", len(rep.Cells), rep.Total, len(want.Cells))
 	}
@@ -64,14 +65,14 @@ func TestSweepMatchesMatrix(t *testing.T) {
 func TestSweepShardsPartitionGrid(t *testing.T) {
 	e := sharedEnv(t)
 	cfg := shortSweepConfig(t, "")
-	want := e.RunMatrix(cfg.Matrix)
+	want := runMatrix(t, e, cfg.Matrix)
 
 	const shards = 3
 	seen := map[int]MatrixCell{}
 	for s := 0; s < shards; s++ {
 		c := cfg
 		c.Shard, c.NumShards = s, shards
-		rep, err := e.RunSweep(c)
+		rep, err := e.RunSweepCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestSweepResume(t *testing.T) {
 	full := filepath.Join(dir, "full.jsonl")
 	cfg := shortSweepConfig(t, full)
 
-	uninterrupted, err := e.RunSweep(cfg)
+	uninterrupted, err := e.RunSweepCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSweepResume(t *testing.T) {
 
 	resumedCfg := cfg
 	resumedCfg.JSONL = part
-	resumed, err := e.RunSweep(resumedCfg)
+	resumed, err := e.RunSweepCtx(context.Background(), resumedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestSweepResume(t *testing.T) {
 	}
 
 	// The checkpoint must now be complete: resuming again runs nothing.
-	again, err := e.RunSweep(resumedCfg)
+	again, err := e.RunSweepCtx(context.Background(), resumedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestSweepChecksStaleCheckpoint(t *testing.T) {
 	path := filepath.Join(dir, "stale.jsonl")
 	cfg := shortSweepConfig(t, path)
 
-	rep, err := e.RunSweep(cfg)
+	rep, err := e.RunSweepCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSweepChecksStaleCheckpoint(t *testing.T) {
 
 	stale := cfg
 	stale.Matrix.BaseSeed = 999999 // different grid seeds
-	if _, err := e.RunSweep(stale); err == nil {
+	if _, err := e.RunSweepCtx(context.Background(), stale); err == nil {
 		t.Fatal("stale checkpoint must be rejected")
 	}
 
@@ -193,7 +194,7 @@ func TestSweepChecksStaleCheckpoint(t *testing.T) {
 	// silently merge incompatible trajectories; it must be rejected too.
 	otherDur := cfg
 	otherDur.Matrix.Duration = 5
-	if _, err := e.RunSweep(otherDur); err == nil {
+	if _, err := e.RunSweepCtx(context.Background(), otherDur); err == nil {
 		t.Fatal("checkpoint from a different duration must be rejected")
 	}
 
@@ -203,7 +204,7 @@ func TestSweepChecksStaleCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunSweep(cfg); err == nil {
+	if _, err := e.RunSweepCtx(context.Background(), cfg); err == nil {
 		t.Fatal("out-of-range cell index must be rejected")
 	}
 }
@@ -213,11 +214,11 @@ func TestSweepShardValidation(t *testing.T) {
 	e := sharedEnv(t)
 	cfg := shortSweepConfig(t, "")
 	cfg.Shard, cfg.NumShards = 3, 3
-	if _, err := e.RunSweep(cfg); err == nil {
+	if _, err := e.RunSweepCtx(context.Background(), cfg); err == nil {
 		t.Fatal("shard index == NumShards must be rejected")
 	}
 	cfg.Shard, cfg.NumShards = -1, 2
-	if _, err := e.RunSweep(cfg); err == nil {
+	if _, err := e.RunSweepCtx(context.Background(), cfg); err == nil {
 		t.Fatal("negative shard must be rejected")
 	}
 }
