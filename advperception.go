@@ -39,10 +39,11 @@
 // sinks receive cell started/finished/progress events; MergeSweeps joins
 // the shards of a distributed sweep back into one verified grid.
 //
-// The legacy table entrypoints (Env.RunTableI … RunFig2) remain, and
-// grids run directly through Env.RunMatrixCtx/RunSweepCtx; all of them
-// route through the same engine, pinned bit-identical to their
-// pre-redesign outputs by golden tests.
+// Run every experiment through a Spec: Experiment.Run here, or
+// `advrepro run -spec FILE` on the command line (specs/ holds the
+// committed quick and paper grids). A matrix Spec is the one-shard case
+// of a sweep Spec, so merging a sweep's shards reproduces the matrix run
+// byte for byte; golden tests pin the tables and the grid outputs.
 //
 // The perception stack is batch-first: Regressor.PredictBatch and
 // Detector.ForwardBatch/DetectBatch run whole frame batches through one
@@ -421,18 +422,10 @@ func DefaultPipelineConfig(reg *Regressor) pipeline.Config {
 	return pipeline.DefaultConfig(reg)
 }
 
-// Scenarios returns the registry of named closed-loop lead maneuvers, the
-// scenario axis of the evaluation matrix (env.RunMatrixCtx) and the
-// sharded sweep runtime (env.RunSweepCtx).
+// Scenarios returns the registry of named closed-loop lead maneuvers: the
+// scenario axis a matrix or sweep Spec draws from (MatrixSpec.Scenarios
+// names them).
 func Scenarios() []Scenario { return pipeline.Scenarios() }
 
 // FindScenario returns the registered scenario with the given name.
 func FindScenario(name string) (Scenario, bool) { return pipeline.FindScenario(name) }
-
-// PaperSweepConfig returns the paper-preset sweep shard: the full grid
-// with a fixed base seed and resume enabled, so shards run on different
-// machines (or re-run after interrupts) assemble into one reproducible
-// grid.
-func PaperSweepConfig(shard, numShards int, jsonl string) SweepConfig {
-	return eval.PaperSweepConfig(shard, numShards, jsonl)
-}

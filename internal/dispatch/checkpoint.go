@@ -17,13 +17,9 @@ package dispatch
 // grid, preset or run configuration) are rejected loudly.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+	"maps"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strings"
 
 	"repro/internal/eval"
@@ -54,12 +50,11 @@ func ParseCheckpointTransport(s string) (*StoreTransport, error) {
 }
 
 // syncLane reconciles one lane between its local file and the replica
-// until both hold the union: replica records the local file lacks are
-// merged in (atomic temp+rename rewrite, which also repairs a torn local
-// tail), local records the replica lacks are published. Returns how many
-// records were recovered FROM the replica — the cells a lost local disk
-// would otherwise have cost. Without a replica there is nothing to
-// reconcile.
+// until both hold the union: local records the replica lacks are
+// published, and replica records the local file lacks are appended to it
+// (the append also repairs a torn local tail). Returns how many records
+// were recovered FROM the replica — the cells a lost local disk would
+// otherwise have cost. Without a replica there is nothing to reconcile.
 func syncLane(ct *StoreTransport, lane, path string, grid eval.Grid) (int, error) {
 	if ct == nil {
 		return 0, nil
@@ -68,66 +63,43 @@ func syncLane(ct *StoreTransport, lane, path string, grid eval.Grid) (int, error
 	if err != nil {
 		return 0, err
 	}
-	local, validLen, err := grid.Load(path)
+	local, _, err := grid.Load(path)
 	if err != nil {
 		return 0, err
 	}
 
 	// Push local-only records out in grid order — publish order shapes
-	// replica segment layout and which divergence reports first — and
-	// verify overlap is bit-identical (a divergence here means
-	// non-deterministic workers or a foreign replica — merging silently
-	// would corrupt the grid).
-	push := make([]int, 0, len(local))
-	for idx := range local {
-		push = append(push, idx)
+	// replica segment layout — after checking the overlap holds the same
+	// records (a divergence here means non-deterministic workers or a
+	// foreign replica; merging silently would corrupt the grid).
+	push, bad := grid.Fold(maps.Clone(remote), local)
+	if bad >= 0 {
+		return 0, fmt.Errorf("dispatch: lane %s cell %d differs between the local file and the store replica — lanes from diverging runs?", lane, bad)
 	}
-	sort.Ints(push)
 	for _, idx := range push {
-		cell := local[idx]
-		if prev, dup := remote[idx]; dup {
-			if !reflect.DeepEqual(prev, cell) {
-				return 0, fmt.Errorf("dispatch: lane %s cell %d differs between the local file and the store replica — lanes from diverging runs?", lane, idx)
-			}
-			continue
-		}
-		if err := ct.Publish(lane, grid.Record(idx, cell)); err != nil {
+		if err := ct.Publish(lane, grid.Record(idx, local[idx])); err != nil {
 			return 0, err
 		}
 	}
 
 	// Pull replica-only records in.
-	var add []int
-	//advlint:ordered-ok key collection with a membership filter; add is sorted below
-	for idx := range remote {
-		if _, dup := local[idx]; !dup {
-			add = append(add, idx)
-		}
-	}
-	if len(add) == 0 {
+	pull, _ := grid.Fold(local, remote)
+	if len(pull) == 0 {
 		return 0, nil
 	}
-	sort.Ints(add)
-	var buf bytes.Buffer
-	if validLen > 0 {
-		prev, err := os.ReadFile(path)
-		if err != nil {
-			return 0, fmt.Errorf("dispatch: sync lane %s: %w", lane, err)
-		}
-		buf.Write(prev[:validLen])
-	}
-	for _, idx := range add {
-		line, err := json.Marshal(grid.Record(idx, remote[idx]))
-		if err != nil {
-			return 0, fmt.Errorf("dispatch: sync lane %s: %w", lane, err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := atomicWriteFile(path, buf.Bytes()); err != nil {
+	w, _, err := grid.OpenLane(path, true)
+	if err != nil {
 		return 0, fmt.Errorf("dispatch: sync lane %s: %w", lane, err)
 	}
-	return len(add), nil
+	for _, idx := range pull {
+		if _, err := w.Append(idx, remote[idx]); err != nil {
+			break // Close reports the write error
+		}
+	}
+	if err := w.Close(); err != nil {
+		return 0, fmt.Errorf("dispatch: sync lane %s: %w", lane, err)
+	}
+	return len(pull), nil
 }
 
 // laneProgress is the union view of a lane's finished cells: the local
@@ -151,27 +123,4 @@ func laneProgress(path string, grid eval.Grid, ct *StoreTransport) map[int]eval.
 		}
 	}
 	return done
-}
-
-// atomicWriteFile publishes data at path via temp+rename in the same
-// directory, so readers see the old content or the new, never a tear.
-func atomicWriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lane_*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close() //advlint:close-ok error-path cleanup; the write failure is returned
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

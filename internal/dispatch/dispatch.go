@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -341,22 +340,11 @@ func (d *dispatcher) recoverLanes() (int, error) {
 			}
 			// Fold in grid order so a divergence between lane files
 			// always reports the same (lowest) cell.
-			idxs := make([]int, 0, len(done))
-			for idx := range done {
-				idxs = append(idxs, idx)
+			added, bad := d.grid.Fold(d.cells, done)
+			if bad >= 0 {
+				return 0, fmt.Errorf("dispatch: resume: cell %d differs between lane files — lanes from diverging runs?", bad)
 			}
-			sort.Ints(idxs)
-			for _, idx := range idxs {
-				cell := done[idx]
-				if prev, dup := d.cells[idx]; dup {
-					if !reflect.DeepEqual(prev, cell) {
-						return 0, fmt.Errorf("dispatch: resume: cell %d differs between lane files — lanes from diverging runs?", idx)
-					}
-					continue
-				}
-				d.cells[idx] = cell
-				resumed++
-			}
+			resumed += len(added)
 		}
 		if d.shardCovered(s) {
 			s.complete = true
@@ -604,8 +592,8 @@ func (d *dispatcher) launchLocked(ctx context.Context, s *shardState, w *workerS
 
 // shardSpec derives the spec one attempt executes: the grid spec with
 // the dispatcher's own shard decomposition and lane file. Resume is
-// always on — a retry must pick up the surviving tail, and openLane /
-// the sweep runtime repair torn tails under Resume.
+// always on — a retry must pick up the surviving tail, and
+// Grid.OpenLane repairs a torn tail under Resume.
 func (d *dispatcher) shardSpec(s *shardState, hedge bool) exp.Spec {
 	spec := d.cfg.Spec
 	lane := s.lane
@@ -639,10 +627,10 @@ func (d *dispatcher) onEvent(a *attempt, ev eval.Event) {
 			return
 		}
 		if prev, dup := d.cells[idx]; dup {
-			// A hedged or resumed cell arriving again must be
-			// bit-identical — anything else is a determinism violation
-			// that would silently corrupt the merged grid.
-			if !reflect.DeepEqual(prev, *ev.Result) {
+			// A hedged or resumed cell arriving again must be the same
+			// record — anything else is a determinism violation that
+			// would silently corrupt the merged grid.
+			if !d.grid.SameCell(prev, *ev.Result) {
 				d.fatal = fmt.Errorf("dispatch: cell %d from %s differs from the first-written result — non-deterministic worker?", idx, a.worker.w.Name)
 			}
 			d.mu.Unlock()

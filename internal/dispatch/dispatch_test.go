@@ -43,17 +43,23 @@ func testSpec() exp.Spec {
 
 // fakeCell derives a deterministic result from a cell identity alone —
 // the pure function a perfectly deterministic worker computes. Index 2
-// carries +Inf TTC so the infinity-safe encoding stays on the path.
+// carries +Inf TTC so the infinity-safe encoding stays on the path, and
+// index 4 a NaN gap error, so every duplicate of it (hedge, replica,
+// redelivery) must compare equal by its record, not by float equality.
 func fakeCell(id eval.CellID) eval.MatrixCell {
 	ttc := 1.5 + float64(id.Index)
 	if id.Index == 2 {
 		ttc = math.Inf(1)
 	}
+	gapErr := 0.125 * float64(id.Index)
+	if id.Index == 4 {
+		gapErr = math.NaN()
+	}
 	return eval.MatrixCell{
 		Scenario: id.Scenario, Attack: id.Attack, Defense: id.Defense, Seed: id.Seed,
 		Collision: id.Index%3 == 0,
 		MinGap:    0.5 + float64(id.Index), MinTTC: ttc,
-		MeanGapErr: 0.125 * float64(id.Index), Steps: 10 + id.Index,
+		MeanGapErr: gapErr, Steps: 10 + id.Index,
 		Result: sim.Result{
 			Times:    []float64{0, 0.1},
 			TrueGaps: []float64{float64(id.Index), float64(id.Index) + 1},
@@ -85,8 +91,8 @@ func (c *computeLog) count(idx int) int {
 }
 
 // fakeTransport is a deterministic worker: it computes fakeCell for its
-// shard's cells, persists them through the real lane writer (resume,
-// dedup, torn-tail repair included), and streams cell-done events.
+// shard's cells, persists them through the eval lane (resume, dedup,
+// torn-tail repair included), and streams cell-done events.
 type fakeTransport struct {
 	computes *computeLog
 	// slow delays each cell of the keyed shards — the straggler dial.
@@ -98,17 +104,17 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 	if err != nil {
 		return err
 	}
-	lane, err := openLane(spec.Sweep.JSONL, grid, spec.Sweep.Resume)
+	lane, done, err := grid.OpenLane(spec.Sweep.JSONL, spec.Sweep.Resume)
 	if err != nil {
 		return err
 	}
-	defer lane.close()
+	defer lane.Close()
 	n := spec.Sweep.NumShards
 	if n <= 0 {
 		n = 1
 	}
 	for _, id := range grid.IDs {
-		if id.Index%n != spec.Sweep.Shard || lane.seen[id.Index] {
+		if _, ok := done[id.Index]; id.Index%n != spec.Sweep.Shard || ok {
 			continue
 		}
 		if d := t.slow[spec.Sweep.Shard]; d > 0 {
@@ -124,11 +130,7 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			t.computes.bump(id.Index)
 		}
 		cell := fakeCell(id)
-		raw, err := json.Marshal(grid.Record(id.Index, cell))
-		if err != nil {
-			return err
-		}
-		fresh, err := lane.append(id.Index, raw)
+		fresh, err := lane.Append(id.Index, cell)
 		if err != nil {
 			return err
 		}
@@ -136,7 +138,7 @@ func (t *fakeTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			emit(obs, cellDone(grid, id.Index, &cell))
 		}
 	}
-	return lane.sync()
+	return lane.Close()
 }
 
 // referenceCSV is the unsharded ground truth every dispatch run must
@@ -442,6 +444,8 @@ func TestDispatchResumeAcrossRestart(t *testing.T) {
 	)
 	cfg.NumShards = 2
 	cfg.Resume = true
+	root := filepath.Join(t.TempDir(), "store")
+	cfg.Checkpoints = dirStoreTransport(root)
 
 	// A previous dispatcher generation completed shard 0 and crashed:
 	// its lane survives in full.
@@ -464,6 +468,23 @@ func TestDispatchResumeAcrossRestart(t *testing.T) {
 	}
 	lane := filepath.Join(cfg.Dir, "shard_0_of_2.jsonl")
 	if err := os.WriteFile(lane, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Its hedge lane and the replica both hold the NaN-gap-error cell 4
+	// too: the same record, so resume folds it without a divergence.
+	nan := grid.Record(4, fakeCell(grid.IDs[4]))
+	raw, err := json.Marshal(nan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Dir, "shard_0_of_2_hedge.jsonl"), append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replica := dirStoreTransport(root)
+	if err := replica.Bind(cfg.Spec, grid); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Publish("shard_0_of_2.jsonl", nan); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,20 +205,8 @@ func (t *StoreTransport) fetchLaneLocked(lane string) (map[int]eval.MatrixCell, 
 		}
 		// Fold in grid order so a divergence between segments always
 		// reports the same (lowest) cell.
-		idxs := make([]int, 0, len(done))
-		for idx := range done {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			cell := done[idx]
-			if prev, dup := recs[idx]; dup {
-				if !reflect.DeepEqual(prev, cell) {
-					return nil, -1, fmt.Errorf("dispatch: store lane %s cell %d differs between segments — replicas from diverging runs?", lane, idx)
-				}
-				continue
-			}
-			recs[idx] = cell
+		if _, bad := t.grid.Fold(recs, done); bad >= 0 {
+			return nil, -1, fmt.Errorf("dispatch: store lane %s cell %d differs between segments — replicas from diverging runs?", lane, bad)
 		}
 		maxSeg = n
 	}

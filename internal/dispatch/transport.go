@@ -212,11 +212,11 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 	if err != nil {
 		return err
 	}
-	lane, err := openLane(spec.Sweep.JSONL, grid, spec.Sweep.Resume)
+	lane, _, err := grid.OpenLane(spec.Sweep.JSONL, spec.Sweep.Resume)
 	if err != nil {
 		return err
 	}
-	defer lane.close()
+	defer lane.Close()
 
 	// The remote runs the same shard decomposition but keeps no local
 	// state of ours; JSONL/Resume are meaningless (and hash-neutral:
@@ -238,7 +238,7 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 		if err := grid.Validate(rec); err != nil {
 			return fmt.Errorf("dispatch: wire record: %w", err)
 		}
-		fresh, err := lane.append(rec.Index, raw)
+		fresh, err := lane.Append(rec.Index, rec.Cell)
 		if err != nil {
 			return err
 		}
@@ -280,82 +280,5 @@ func (t *HTTPTransport) Run(ctx context.Context, spec exp.Spec, obs eval.Observe
 			return err
 		}
 	}
-	if err := lane.sync(); err != nil {
-		return err
-	}
-	return lane.close()
-}
-
-// laneWriter appends validated checkpoint records to a shard lane file,
-// deduplicating by grid index (a resumed or reconnected stream replays
-// records it already delivered). Records are written whole, one Write
-// per line, so a crash tears at most the final line — exactly the state
-// Grid.Load repairs.
-type laneWriter struct {
-	f    *os.File
-	seen map[int]bool
-}
-
-// openLane opens (resuming or truncating) a lane file, pre-validating
-// any surviving records against the grid and repairing a torn tail.
-func openLane(path string, grid eval.Grid, resume bool) (*laneWriter, error) {
-	seen := map[int]bool{}
-	if resume {
-		done, validLen, err := grid.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		if st, serr := os.Stat(path); serr == nil && st.Size() > validLen {
-			if err := os.Truncate(path, validLen); err != nil {
-				return nil, fmt.Errorf("dispatch: repair lane tail: %w", err)
-			}
-		}
-		//advlint:ordered-ok map-to-set fold keyed by grid index; order-free
-		for idx := range done {
-			seen[idx] = true
-		}
-	}
-	mode := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !resume {
-		mode |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, mode, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: open lane: %w", err)
-	}
-	return &laneWriter{f: f, seen: seen}, nil
-}
-
-// append writes one record line unless its index was already persisted,
-// reporting whether the record was fresh.
-func (w *laneWriter) append(index int, raw json.RawMessage) (bool, error) {
-	if w.seen[index] {
-		return false, nil
-	}
-	line := make([]byte, 0, len(raw)+1)
-	line = append(line, raw...)
-	line = append(line, '\n')
-	if _, err := w.f.Write(line); err != nil {
-		return false, fmt.Errorf("dispatch: lane write: %w", err)
-	}
-	w.seen[index] = true
-	return true, nil
-}
-
-func (w *laneWriter) sync() error { return w.f.Sync() }
-
-// close releases the lane file, surfacing the close error once: on
-// buffered filesystems this is where a failed lane write finally
-// reports. Idempotent so success paths can check it while a defer
-// still covers the error paths.
-func (w *laneWriter) close() error {
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	if err != nil {
-		return fmt.Errorf("dispatch: close lane: %w", err)
-	}
-	return nil
+	return lane.Close()
 }

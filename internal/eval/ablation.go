@@ -94,7 +94,7 @@ func (e *Env) DiffPIRStepSweep(steps []int) []float64 {
 		cfg := defense.DefaultDiffPIRConfig()
 		cfg.Steps = s
 		prep := &defense.DiffPIRDefense{Model: e.Diffusion(), Cfg: cfg}
-		out[si] = detScoresFrom(e.Det, e, attacked, clonePrep(prep)).MAP50
+		out[si] = detScoresFrom(e.Det, e, attacked, blockDiffPIR(prep)).MAP50
 	}
 	return out
 }

@@ -2,11 +2,13 @@ package eval
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -272,5 +274,226 @@ func TestMergeSweepsDuplicateHedgedCells(t *testing.T) {
 	if _, err := g.Merge([]string{primary, hedge, other}); err == nil ||
 		!strings.Contains(err.Error(), "differs between") {
 		t.Fatalf("diverging duplicate not rejected: %v", err)
+	}
+}
+
+// appendLane writes cells through a fresh lane at path.
+func appendLane(t *testing.T, g Grid, path string, cells map[int]MatrixCell) {
+	t.Helper()
+	lane, _, err := g.OpenLane(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range g.IDs {
+		if c, ok := cells[id.Index]; ok {
+			if _, err := lane.Append(id.Index, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := lane.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeNaNDuplicateCell: two lanes that both hold the same cell with
+// a NaN gap error carry one record, not a divergence. Cells compare by
+// their record encoding, where NaN equals NaN.
+func TestMergeNaNDuplicateCell(t *testing.T) {
+	g := fabricatedGrid()
+	dir := t.TempDir()
+	nan := fabricatedCell(g.IDs[0])
+	nan.MeanGapErr = math.NaN()
+	a := map[int]MatrixCell{0: nan}
+	b := map[int]MatrixCell{0: nan}
+	for _, id := range g.IDs[1:] {
+		if id.Index < 4 {
+			a[id.Index] = fabricatedCell(id)
+		} else {
+			b[id.Index] = fabricatedCell(id)
+		}
+	}
+	pa, pb := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	appendLane(t, g, pa, a)
+	appendLane(t, g, pb, b)
+
+	rep, err := g.Merge([]string{pa, pb})
+	if err != nil {
+		t.Fatalf("same NaN cell in two lanes rejected: %v", err)
+	}
+	if !math.IsNaN(rep.Cells[0].MeanGapErr) || rep.Cells[1].MinGap != fabricatedCell(g.IDs[1]).MinGap {
+		t.Fatalf("merged cells altered: %+v, %+v", rep.Cells[0], rep.Cells[1])
+	}
+}
+
+func TestSameCell(t *testing.T) {
+	g := fabricatedGrid()
+	base := fabricatedCell(g.IDs[2])
+	nan := base
+	nan.MeanGapErr = math.NaN()
+	if !g.SameCell(base, base) || !g.SameCell(nan, nan) {
+		t.Fatal("a cell differs from itself")
+	}
+	negZero := base
+	negZero.MeanGapErr = math.Copysign(0, -1)
+	zero := base
+	zero.MeanGapErr = 0
+	ulp := base
+	ulp.MinGap = math.Nextafter(base.MinGap, math.Inf(1))
+	traj := base
+	traj.Result.TrueGaps = []float64{base.Result.TrueGaps[0], base.Result.TrueGaps[1] + 1e-12}
+	for name, other := range map[string]MatrixCell{"NaN": nan, "ulp": ulp, "trajectory": traj} {
+		if g.SameCell(base, other) {
+			t.Fatalf("%s: divergent cells compare equal", name)
+		}
+	}
+	if g.SameCell(zero, negZero) {
+		t.Fatal("-0 and +0 compare equal")
+	}
+}
+
+// TestFoldReportsLowestDivergence: Fold adds the cells dst lacks in grid
+// order and stops at the lowest index whose two copies differ.
+func TestFoldReportsLowestDivergence(t *testing.T) {
+	g := fabricatedGrid()
+	dst := map[int]MatrixCell{1: fabricatedCell(g.IDs[1]), 5: fabricatedCell(g.IDs[5])}
+	src := map[int]MatrixCell{}
+	for _, id := range g.IDs {
+		src[id.Index] = fabricatedCell(id)
+	}
+	added, bad := g.Fold(dst, src)
+	if bad != -1 || fmt.Sprint(added) != "[0 2 3 4 6 7]" || len(dst) != 8 {
+		t.Fatalf("Fold = %v, %d; dst holds %d", added, bad, len(dst))
+	}
+	for _, i := range []int{6, 3} {
+		c := src[i]
+		c.Steps++
+		src[i] = c
+	}
+	if _, bad := g.Fold(dst, src); bad != 3 {
+		t.Fatalf("divergence reported at %d, want the lowest (3)", bad)
+	}
+}
+
+// TestLaneResumeRepairsAndDedups: a resumed lane returns the complete
+// records, cuts a torn final line off, skips indices it holds, and
+// leaves exactly one line per record.
+func TestLaneResumeRepairsAndDedups(t *testing.T) {
+	g := fabricatedGrid()
+	path := filepath.Join(t.TempDir(), "lane.jsonl")
+	torn := laneLine(t, g, 2)
+	body := append(append(laneLine(t, g, 0), laneLine(t, g, 1)...), torn[:len(torn)/2]...)
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	lane, done, err := g.OpenLane(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 {
+		t.Fatalf("resumed %d cells, want 2", len(done))
+	}
+	if fresh, err := lane.Append(1, fabricatedCell(g.IDs[1])); err != nil || fresh {
+		t.Fatalf("Append of a held index = %v, %v; want a skip", fresh, err)
+	}
+	if fresh, err := lane.Append(2, fabricatedCell(g.IDs[2])); err != nil || !fresh {
+		t.Fatalf("Append of a new index = %v, %v", fresh, err)
+	}
+	if err := lane.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(laneLine(t, g, 0), laneLine(t, g, 1)...), laneLine(t, g, 2)...)
+	if string(got) != string(want) {
+		t.Fatalf("lane bytes after repair and append:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A fresh open truncates: a new run never mixes with the old one.
+	lane, done, err = g.OpenLane(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 || len(done) != 0 {
+		t.Fatalf("fresh open left %d cells and a %v-byte file (%v)", len(done), st.Size(), err)
+	}
+}
+
+// TestLaneWriteErrorSticks: after a failed write the lane takes no more
+// records — a partial line may end it — and Close reports the failure.
+func TestLaneWriteErrorSticks(t *testing.T) {
+	g := fabricatedGrid()
+	lane, _, err := g.OpenLane(filepath.Join(t.TempDir(), "lane.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.f.Close(); err != nil { // the next write fails
+		t.Fatal(err)
+	}
+	_, first := lane.Append(0, fabricatedCell(g.IDs[0]))
+	if first == nil {
+		t.Fatal("write to a closed file succeeded")
+	}
+	if _, err := lane.Append(1, fabricatedCell(g.IDs[1])); err != first {
+		t.Fatalf("second Append = %v, want the first error %v", err, first)
+	}
+	if err := lane.Close(); err == nil || !strings.Contains(err.Error(), "checkpoint write") {
+		t.Fatalf("Close = %v, want the write error", err)
+	}
+}
+
+// TestLaneConcurrentAppend: workers appending the same cells at once
+// leave each record exactly once, each on a whole line.
+func TestLaneConcurrentAppend(t *testing.T) {
+	g := fabricatedGrid()
+	path := filepath.Join(t.TempDir(), "lane.jsonl")
+	lane, _, err := g.OpenLane(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	fresh := 0
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range g.IDs {
+				ok, err := lane.Append(id.Index, fabricatedCell(id))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					mu.Lock()
+					fresh++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := lane.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _, err := g.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh != len(g.IDs) || len(done) != len(g.IDs) || len(splitLines(buf)) != len(g.IDs) {
+		t.Fatalf("%d fresh appends, %d cells, %d lines; want %d of each", fresh, len(done), len(splitLines(buf)), len(g.IDs))
 	}
 }

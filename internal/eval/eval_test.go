@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +134,27 @@ func TestRunFig2Shape(t *testing.T) {
 	for _, r := range f.Rows {
 		if r.Scores.MAP50 < 0 || r.Scores.MAP50 > 1 {
 			t.Fatalf("mAP out of range: %+v", r)
+		}
+	}
+}
+
+// TestTableIIWorkerInvariant: Table II's rows are the same at one worker
+// and at four. Randomization draws from an RNG, so every worker block
+// gets its own instance; one instance shared across blocks is a data race
+// (-race reports it) and makes the numbers depend on the schedule.
+func TestTableIIWorkerInvariant(t *testing.T) {
+	e := sharedEnv(t)
+	defer func(w int) { e.Workers = w }(e.Workers)
+	e.Workers = 1
+	one := e.RunTableII()
+	e.Workers = 4
+	four := e.RunTableII()
+	if len(one.Rows) != 16 || len(four.Rows) != 16 {
+		t.Fatalf("rows %d and %d, want 16", len(one.Rows), len(four.Rows))
+	}
+	for i := range one.Rows {
+		if a, b := fmt.Sprint(one.Rows[i]), fmt.Sprint(four.Rows[i]); a != b {
+			t.Fatalf("row %d differs between 1 and 4 workers:\n%s\n%s", i, a, b)
 		}
 	}
 }

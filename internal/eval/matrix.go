@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/box"
@@ -114,12 +113,6 @@ func DefaultMatrixAttacks() []AttackSpec {
 	}
 }
 
-// MatrixAttacks returns the default attack axis.
-//
-// Deprecated: use the package-level DefaultMatrixAttacks (the axis never
-// depended on the environment) or the exp attack registry.
-func (e *Env) MatrixAttacks() []AttackSpec { return DefaultMatrixAttacks() }
-
 // NewMedianBlurDefense builds the median-blur defense column entry.
 func NewMedianBlurDefense(e *Env, seed int64) defense.Preprocessor {
 	return defense.NewMedianBlur()
@@ -145,12 +138,6 @@ func DefaultMatrixDefenses() []DefenseSpec {
 		{Name: "DiffPIR", New: NewDiffPIRDefense},
 	}
 }
-
-// MatrixDefenses returns the default defense axis.
-//
-// Deprecated: use the package-level DefaultMatrixDefenses or the exp
-// defense registry.
-func (e *Env) MatrixDefenses() []DefenseSpec { return DefaultMatrixDefenses() }
 
 // MatrixConfig declares a scenario × attack × defense grid. Zero-valued
 // fields select the defaults: the full scenario registry, the default
@@ -310,42 +297,19 @@ func (e *Env) warmDefenses(specs []cellSpec) {
 }
 
 // RunMatrixCtx expands the grid and executes every cell on the worker
-// pool, one cloned regressor per worker and a deterministic seed per
-// cell, so the report is bit-identical across runs and across GOMAXPROCS
-// settings. Cell start/finish events stream to the config's Observer as
-// the grid executes; a cancelled context stops dispatching cells promptly
+// pool — the one-shard, lane-less case of RunSweepCtx — one cloned
+// regressor per worker and a deterministic seed per cell, so the report
+// is bit-identical across runs and across GOMAXPROCS settings. Cell
+// start/finish events stream to the config's Observer as the grid
+// executes; a cancelled context stops dispatching cells promptly
 // (in-flight cells finish) and returns the context error, its only error.
 // The observer and the context plumbing never touch the numbers.
 func (e *Env) RunMatrixCtx(ctx context.Context, cfg MatrixConfig) (MatrixReport, error) {
-	specs := e.expandGrid(cfg)
-	obs := cfg.Observer
-	emit(obs, Event{Kind: EventRunStart, Total: len(specs)})
-	finish := func(err error) error {
-		emit(obs, Event{Kind: EventRunDone, Total: len(specs), Err: err})
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return MatrixReport{}, finish(err)
-	}
-	e.warmDefenses(specs)
-
-	rep := MatrixReport{Preset: e.Preset.Name, Cells: make([]MatrixCell, len(specs))}
-	workers := make([]*regress.Regressor, e.maxWorkers(len(specs)))
-	for i := range workers {
-		workers[i] = e.Reg.Clone()
-	}
-	var done atomic.Int64
-	err := parallelMapCtx(ctx, len(workers), len(specs), func(w, i int) {
-		s := specs[i]
-		emit(obs, Event{Kind: EventCellStart, Total: len(specs), Cell: s.id})
-		rep.Cells[i] = e.runMatrixCell(workers[w], s.scenario, s.attack, s.defense, cfg, s.id.Seed)
-		emit(obs, Event{Kind: EventCellDone, Total: len(specs), Done: int(done.Add(1)), Cell: s.id, Result: &rep.Cells[i]})
-		e.logObs(obs, "matrix: %s / %s / %s done (%d/%d)", s.scenario.Name, s.attack.Name, s.defense.Name, i+1, len(specs))
-	})
+	rep, err := e.RunSweepCtx(ctx, SweepConfig{Matrix: cfg})
 	if err != nil {
-		return MatrixReport{}, finish(err)
+		return MatrixReport{}, err
 	}
-	return rep, finish(nil)
+	return rep.Matrix(), nil
 }
 
 // runMatrixCell executes one grid point on the given worker regressor.

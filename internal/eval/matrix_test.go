@@ -51,10 +51,9 @@ func TestRunMatrixShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is compute-heavy; -short (the -race CI job) covers the runner via TestMatrixWorkerIsolation")
 	}
-	e := sharedEnv(t)
 	rep := sharedMatrixReport(t)
 
-	nS, nA, nD := len(pipeline.Scenarios()), len(e.MatrixAttacks()), len(e.MatrixDefenses())
+	nS, nA, nD := len(pipeline.Scenarios()), len(DefaultMatrixAttacks()), len(DefaultMatrixDefenses())
 	if nS < 5 || nA < 3 || nD < 3 {
 		t.Fatalf("axes too small: %d scenarios, %d attacks, %d defenses", nS, nA, nD)
 	}
@@ -69,8 +68,8 @@ func TestRunMatrixShape(t *testing.T) {
 	// Expansion is scenario-major, then attack, then defense.
 	i := 0
 	for _, sc := range pipeline.Scenarios() {
-		for _, at := range e.MatrixAttacks() {
-			for _, df := range e.MatrixDefenses() {
+		for _, at := range DefaultMatrixAttacks() {
+			for _, df := range DefaultMatrixDefenses() {
 				c := rep.Cells[i]
 				if c.Scenario != sc.Name || c.Attack != at.Name || c.Defense != df.Name {
 					t.Fatalf("cell %d is %s/%s/%s, want %s/%s/%s",
@@ -130,8 +129,8 @@ func TestRunMatrixCustomAxes(t *testing.T) {
 	sc, _ := pipeline.FindScenario("gentle-brake")
 	cfg := MatrixConfig{
 		Scenarios: []pipeline.Scenario{sc},
-		Attacks:   e.MatrixAttacks()[:2],  // None, CAP
-		Defenses:  e.MatrixDefenses()[:2], // None, Median
+		Attacks:   DefaultMatrixAttacks()[:2],  // None, CAP
+		Defenses:  DefaultMatrixDefenses()[:2], // None, Median
 		Duration:  1, DT: 0.1,
 		BaseSeed: 999,
 	}
@@ -198,7 +197,7 @@ func TestMatrixWorkerIsolation(t *testing.T) {
 		Duration:  0.8, DT: 0.1,
 	}
 	rep := runMatrix(t, e, cfg)
-	if len(rep.Cells) != len(e.MatrixAttacks())*len(e.MatrixDefenses()) {
+	if len(rep.Cells) != len(DefaultMatrixAttacks())*len(DefaultMatrixDefenses()) {
 		t.Fatalf("unexpected cell count %d", len(rep.Cells))
 	}
 }

@@ -10,8 +10,6 @@ package eval
 import (
 	"fmt"
 	"os"
-	"reflect"
-	"sort"
 )
 
 // Merge joins shard checkpoint files into the combined grid report. g is
@@ -22,7 +20,7 @@ import (
 //     preset/duration/dt) — the Load validation;
 //   - the files jointly cover every cell of the grid exactly;
 //   - a cell present in more than one file (overlapping shards, a resumed
-//     file merged next to a complete one) carries bit-identical results.
+//     file merged next to a complete one) is the same record (SameCell).
 //
 // The returned report's cells are in global grid order: merging the
 // shards of a sweep reproduces the corresponding RunMatrixCtx report.
@@ -48,23 +46,14 @@ func (g Grid) Merge(paths []string) (MatrixReport, error) {
 		}
 		// Fold in grid order so a divergence between shard files always
 		// reports the same (lowest) cell.
-		idxs := make([]int, 0, len(done))
-		for idx := range done {
-			idxs = append(idxs, idx)
+		added, bad := g.Fold(cells, done)
+		if bad >= 0 {
+			c := done[bad]
+			return MatrixReport{}, fmt.Errorf("merge: cell %d (%s/%s/%s) differs between %s and %s — shards from diverging runs?",
+				bad, c.Scenario, c.Attack, c.Defense, from[bad], path)
 		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			c := done[idx]
-			prev, dup := cells[idx]
-			if !dup {
-				cells[idx] = c
-				from[idx] = path
-				continue
-			}
-			if !reflect.DeepEqual(prev, c) {
-				return MatrixReport{}, fmt.Errorf("merge: cell %d (%s/%s/%s) differs between %s and %s — shards from diverging runs?",
-					idx, c.Scenario, c.Attack, c.Defense, from[idx], path)
-			}
+		for _, idx := range added {
+			from[idx] = path
 		}
 	}
 

@@ -3,10 +3,11 @@ package eval
 // This file defines the Observer sink the grid runners stream progress
 // through. Every cell of a matrix or sweep run emits a started and a
 // finished event; run-level events bracket the grid and carry the
-// terminal error (context cancellation, checkpoint write failure). The
-// JSONL checkpoint writer (sweep.go) and the CLI progress printer
-// (internal/exp) are the two stock observers; anything implementing the
-// one-method interface can subscribe through MatrixConfig.Observer.
+// terminal error (context cancellation, checkpoint write failure). A
+// cell's record is in its lane (sweep.go) before its finished event is
+// emitted. The CLI progress printer (internal/exp) is the stock
+// observer; anything implementing the one-method interface can subscribe
+// through MatrixConfig.Observer.
 
 // EventKind discriminates Observer events.
 type EventKind int
@@ -63,8 +64,8 @@ type Event struct {
 
 // Observer receives run progress events. Observe is called from the
 // worker goroutines of a parallel grid run and must be safe for
-// concurrent use; implementations that buffer (progress printers,
-// checkpoint writers) serialise internally.
+// concurrent use; implementations that buffer (progress printers)
+// serialise internally.
 type Observer interface {
 	Observe(Event)
 }

@@ -3,14 +3,19 @@ package eval
 // The cell-record codec: one finished grid cell as its JSONL checkpoint
 // line, and the grid stamp the line is validated against. Checkpoint
 // lanes, object-store segments, the serving layer's wire events and its
-// cached result payloads all carry exactly these bytes.
+// cached result payloads all carry exactly these bytes. Grid is also the
+// one place lane files are opened and appended to (OpenLane), record sets
+// are folded together (Fold) and two cells are compared (SameCell).
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"sort"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -154,6 +159,138 @@ func (g Grid) load(buf []byte, name string) (map[int]MatrixCell, int64, error) {
 		validLen = int64(start)
 	}
 	return done, validLen, nil
+}
+
+// SameCell reports whether a and b are the same record: equal under the
+// record codec's encoding, so a NaN metric equals NaN while any bit
+// difference in a finite value is a divergence.
+func (Grid) SameCell(a, b MatrixCell) bool {
+	ja, err := json.Marshal(a)
+	if err != nil {
+		return false
+	}
+	jb, err := json.Marshal(b)
+	return err == nil && bytes.Equal(ja, jb)
+}
+
+// Fold adds the cells of src that dst lacks to dst, in grid order, and
+// returns their indices ascending. A cell both maps hold must be the same
+// record (SameCell). Fold stops at the lowest index where the two differ
+// and returns it as diverged, with the cells below it already added;
+// diverged is -1 when no cell differs.
+func (g Grid) Fold(dst, src map[int]MatrixCell) (added []int, diverged int) {
+	idxs := make([]int, 0, len(src))
+	for idx := range src {
+		idxs = append(idxs, idx)
+	}
+	sort.Ints(idxs)
+	for _, idx := range idxs {
+		cell := src[idx]
+		if prev, dup := dst[idx]; dup {
+			if !g.SameCell(prev, cell) {
+				return added, idx
+			}
+			continue
+		}
+		dst[idx] = cell
+		added = append(added, idx)
+	}
+	return added, -1
+}
+
+// Lane is a checkpoint lane file open for appending. A lane is
+// append-only: every record goes out as one whole line in one Write, so
+// a crash tears at most the final line, and the next resume cuts that
+// line off before it appends. Records deduplicate by grid index. Append
+// is safe for concurrent use.
+type Lane struct {
+	grid Grid
+
+	mu   sync.Mutex
+	f    *os.File
+	seen map[int]bool
+	err  error // first write error; the lane takes no record after it
+}
+
+// OpenLane opens the lane file at path for appending records of g. With
+// resume, it returns the cells the file already holds (validated as Load
+// does; a missing file is an empty lane) and cuts off a torn final line.
+// Without resume, the file is truncated, so a fresh run never mixes its
+// records with an earlier run's.
+func (g Grid) OpenLane(path string, resume bool) (*Lane, map[int]MatrixCell, error) {
+	done := map[int]MatrixCell{}
+	mode := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if resume {
+		var validLen int64
+		var err error
+		if done, validLen, err = g.Load(path); err != nil {
+			return nil, nil, err
+		}
+		if st, err := os.Stat(path); err == nil && st.Size() > validLen {
+			if err := os.Truncate(path, validLen); err != nil {
+				return nil, nil, fmt.Errorf("sweep: repair checkpoint tail: %w", err)
+			}
+		}
+	} else {
+		mode |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, mode, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sweep: open checkpoint: %w", err)
+	}
+	seen := make(map[int]bool, len(done))
+	//advlint:ordered-ok map-to-set fold keyed by grid index; order-free
+	for idx := range done {
+		seen[idx] = true
+	}
+	return &Lane{grid: g, f: f, seen: seen}, done, nil
+}
+
+// Append writes the record of the finished cell at grid index idx,
+// unless the lane already holds that index, and reports whether it
+// wrote. After a failed write the lane is broken: a partial line may
+// end it, so every later Append returns the first error.
+func (l *Lane) Append(idx int, cell MatrixCell) (bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return false, l.err
+	}
+	if l.seen[idx] {
+		return false, nil
+	}
+	line, err := json.Marshal(l.grid.Record(idx, cell))
+	if err == nil {
+		_, err = l.f.Write(append(line, '\n'))
+	}
+	if err != nil {
+		l.err = fmt.Errorf("sweep: checkpoint write: %w", err)
+		return false, l.err
+	}
+	l.seen[idx] = true
+	return true, nil
+}
+
+// Close syncs and closes the lane file and returns the first write error,
+// else the sync or close error: on buffered filesystems the close is
+// where a failed write finally reports. Closing a closed lane returns nil,
+// so a deferred Close can cover error paths while the success path
+// checks it.
+func (l *Lane) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
+	}
+	err := l.err
+	if serr := l.f.Sync(); err == nil && serr != nil {
+		err = fmt.Errorf("sweep: sync checkpoint: %w", serr)
+	}
+	if cerr := l.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("sweep: close checkpoint: %w", cerr)
+	}
+	l.f = nil
+	return err
 }
 
 // JFloat is a float64 whose JSON round-trips IEEE infinities and NaN

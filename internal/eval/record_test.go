@@ -54,16 +54,14 @@ func TestRecordNonFiniteTrajectoryRoundTrip(t *testing.T) {
 	cell.Result.EgoSpeeds = []float64{math.Inf(-1), 0}
 	path := filepath.Join(t.TempDir(), "lane.jsonl")
 
-	buf, err := json.Marshal(g.Record(1, cell))
+	lane, _, err := g.OpenLane(path, false)
 	if err != nil {
-		t.Fatalf("non-finite trajectory cannot be encoded: %v", err)
+		t.Fatal(err)
 	}
-	sink := &jsonlWriter{grid: g, enc: json.NewEncoder(&bytes.Buffer{}), flush: func() error { return nil }}
-	sink.Observe(Event{Kind: EventCellDone, Cell: g.IDs[1], Result: &cell})
-	if sink.err != nil {
-		t.Fatalf("checkpoint writer failed on a non-finite trajectory: %v", sink.err)
+	if _, err := lane.Append(1, cell); err != nil {
+		t.Fatalf("checkpoint lane failed on a non-finite trajectory: %v", err)
 	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+	if err := lane.Close(); err != nil {
 		t.Fatal(err)
 	}
 	done, _, err := g.Load(path)

@@ -1,21 +1,16 @@
 package eval
 
-// This file implements the sharded sweep runtime: the scenario × attack ×
-// defense grid split into deterministic shards, streaming per-cell results
-// as JSONL with checkpoint/resume. A sweep over N shards runs the same
-// grid as one RunMatrixCtx call — cell seeds derive from the global grid
-// index, so the decomposition never changes the numbers — and an
-// interrupted shard restarts by replaying its checkpoint and executing
-// only missing cells. The JSONL writer is an Observer: it subscribes to
-// the same cell-finished events any other sink can.
+// This file implements the grid runtime: the scenario × attack × defense
+// grid split into deterministic shards, appending per-cell results to a
+// JSONL lane with checkpoint/resume. RunMatrixCtx is its one-shard,
+// lane-less case. A sweep over N shards runs the same grid as one
+// RunMatrixCtx call — cell seeds derive from the global grid index, so
+// the decomposition never changes the numbers — and an interrupted shard
+// restarts by replaying its lane and executing only missing cells.
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/regress"
@@ -41,20 +36,6 @@ type SweepConfig struct {
 	Resume bool
 }
 
-// PaperSweepConfig returns the paper-preset sweep shard: the full scenario
-// registry against the default attack and defense axes with a fixed base
-// seed, so shards executed on different machines (or re-run after an
-// interrupt) always assemble into the same grid.
-func PaperSweepConfig(shard, numShards int, jsonl string) SweepConfig {
-	return SweepConfig{
-		Matrix:    MatrixConfig{BaseSeed: 424243},
-		Shard:     shard,
-		NumShards: numShards,
-		JSONL:     jsonl,
-		Resume:    true,
-	}
-}
-
 // SweepReport is one shard's slice of the grid, ordered by global index.
 type SweepReport struct {
 	Preset    string
@@ -72,45 +53,15 @@ func (r SweepReport) Matrix() MatrixReport {
 	return MatrixReport{Preset: r.Preset, Cells: r.Cells}
 }
 
-// jsonlWriter streams finished cells to the checkpoint file as an
-// Observer: every EventCellDone appends one validated, flushed JSONL
-// record. Observe is called from multiple workers; the mutex serialises
-// the stream and the first write error is retained for the runner.
-type jsonlWriter struct {
-	grid Grid
-
-	mu    sync.Mutex
-	enc   *json.Encoder
-	flush func() error
-	err   error
-}
-
-// Observe implements Observer.
-func (j *jsonlWriter) Observe(ev Event) {
-	if ev.Kind != EventCellDone || ev.Result == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// Stream in completion order; the report reorders by index.
-	err := j.enc.Encode(j.grid.Record(ev.Cell.Index, *ev.Result))
-	if err == nil {
-		err = j.flush()
-	}
-	if err != nil && j.err == nil {
-		j.err = err
-	}
-}
-
-// RunSweepCtx executes this shard of the grid, streaming each finished
-// cell to the JSONL checkpoint and (with Resume) skipping cells the
-// checkpoint already holds. The returned report's cells are ordered by
+// RunSweepCtx executes this shard of the grid, appending each finished
+// cell to the JSONL lane before its cell-done event and (with Resume)
+// skipping cells the lane already holds. The returned report's cells are ordered by
 // global grid index and are bit-identical to the corresponding
 // RunMatrixCtx cells — an interrupted-and-resumed shard produces exactly
 // the cells of an uninterrupted run. Progress streams to the config's
 // Observer (cfg.Matrix.Observer). A cancelled context stops dispatching
 // cells promptly and returns the context error; every cell finished
-// before the cancellation is already flushed to the JSONL checkpoint, so
+// before the cancellation is already in the lane, so
 // a -resume run completes exactly the missing remainder.
 func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, error) {
 	numShards := cfg.NumShards
@@ -122,7 +73,6 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 	}
 
 	specs := e.expandGrid(cfg.Matrix)
-	grid := NewGrid(cfg.Matrix, e.Preset)
 	rep := SweepReport{
 		Preset: e.Preset.Name, Total: len(specs),
 		Shard: cfg.Shard, NumShards: numShards,
@@ -136,11 +86,11 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 		}
 	}
 
+	var lane *Lane
 	done := map[int]MatrixCell{}
-	validLen := int64(0)
-	if cfg.Resume && cfg.JSONL != "" {
+	if cfg.JSONL != "" {
 		var err error
-		done, validLen, err = grid.Load(cfg.JSONL)
+		lane, done, err = NewGrid(cfg.Matrix, e.Preset).OpenLane(cfg.JSONL, cfg.Resume)
 		if err != nil {
 			return SweepReport{}, err
 		}
@@ -155,16 +105,12 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 
 	obs := cfg.Matrix.Observer
 	emit(obs, Event{Kind: EventRunStart, Total: len(specs)})
-	// finish closes the checkpoint file (set below when a JSONL lane is
-	// open) before emitting run-done: a failed close is a failed write
-	// of the lane's tail, and must fail the run, not vanish.
-	var ckpt *os.File
+	// finish closes the lane before emitting run-done: a failed write or
+	// close of the lane's tail must fail the run, not vanish.
 	finish := func(err error) error {
-		if ckpt != nil {
-			cerr := ckpt.Close()
-			ckpt = nil
-			if cerr != nil && err == nil {
-				err = fmt.Errorf("sweep: close checkpoint: %w", cerr)
+		if lane != nil {
+			if cerr := lane.Close(); err == nil {
+				err = cerr
 			}
 		}
 		emit(obs, Event{Kind: EventRunDone, Total: len(specs), Err: err})
@@ -175,37 +121,6 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 	}
 	e.warmDefenses(todo)
 
-	var sink *jsonlWriter
-	if cfg.JSONL != "" && len(todo) > 0 {
-		if cfg.Resume {
-			// Repair a torn tail (a record cut off by the interrupt this
-			// resume recovers from): drop everything past the last complete
-			// line so appended records start on a fresh line.
-			if st, err := os.Stat(cfg.JSONL); err == nil && st.Size() > validLen {
-				if err := os.Truncate(cfg.JSONL, validLen); err != nil {
-					return SweepReport{}, finish(fmt.Errorf("sweep: repair checkpoint tail: %w", err))
-				}
-			}
-		}
-		mode := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		if !cfg.Resume {
-			mode |= os.O_TRUNC // fresh run: never mix grids in one stream
-		}
-		f, err := os.OpenFile(cfg.JSONL, mode, 0o644)
-		if err != nil {
-			return SweepReport{}, finish(fmt.Errorf("sweep: open checkpoint: %w", err))
-		}
-		ckpt = f // closed by finish on every exit path
-		w := bufio.NewWriter(f)
-		sink = &jsonlWriter{grid: grid, enc: json.NewEncoder(w), flush: w.Flush}
-	}
-	// The checkpoint writer and the caller's observer subscribe to the
-	// same cell event stream.
-	cellObs := obs
-	if sink != nil {
-		cellObs = MultiObserver(sink, obs)
-	}
-
 	fresh := make([]MatrixCell, len(todo))
 	workers := make([]*regress.Regressor, e.maxWorkers(len(todo)))
 	for i := range workers {
@@ -214,20 +129,22 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 	var nDone atomic.Int64
 	runErr := parallelMapCtx(ctx, len(workers), len(todo), func(w, k int) {
 		s := todo[k]
-		emit(cellObs, Event{Kind: EventCellStart, Total: len(specs), Cell: s.id})
-		cell := e.runMatrixCell(workers[w], s.scenario, s.attack, s.defense, cfg.Matrix, s.id.Seed)
-		fresh[k] = cell
-		emit(cellObs, Event{Kind: EventCellDone, Total: len(specs), Done: int(nDone.Add(1)), Cell: s.id, Result: &fresh[k]})
-		e.logObs(obs, "sweep: shard %d/%d cell %d (%s / %s / %s) done",
-			cfg.Shard, numShards, s.id.Index, s.scenario.Name, s.attack.Name, s.defense.Name)
+		emit(obs, Event{Kind: EventCellStart, Total: len(specs), Cell: s.id})
+		fresh[k] = e.runMatrixCell(workers[w], s.scenario, s.attack, s.defense, cfg.Matrix, s.id.Seed)
+		if lane != nil {
+			// A write error sticks to the lane, and finish reports it
+			// from Close.
+			_, _ = lane.Append(s.id.Index, fresh[k])
+		}
+		n := int(nDone.Add(1))
+		emit(obs, Event{Kind: EventCellDone, Total: len(specs), Done: n, Cell: s.id, Result: &fresh[k]})
+		e.logObs(obs, "shard %d/%d: cell %d (%s / %s / %s) done (%d/%d)",
+			cfg.Shard, numShards, s.id.Index, s.scenario.Name, s.attack.Name, s.defense.Name, n, len(todo))
 	})
-	if sink != nil && sink.err != nil {
-		return SweepReport{}, finish(fmt.Errorf("sweep: checkpoint write: %w", sink.err))
-	}
-	if runErr != nil {
-		// Cancelled: cells finished so far are flushed to the checkpoint,
-		// so a Resume run picks up exactly the missing remainder.
-		return SweepReport{}, finish(runErr)
+	if err := finish(runErr); err != nil {
+		// Cancelled: cells finished so far are in the lane, so a Resume
+		// run picks up exactly the missing remainder.
+		return SweepReport{}, err
 	}
 
 	// Assemble the shard slice in global-index order.
@@ -243,5 +160,5 @@ func (e *Env) RunSweepCtx(ctx context.Context, cfg SweepConfig) (SweepReport, er
 		rep.Indices = append(rep.Indices, s.id.Index)
 		rep.Cells = append(rep.Cells, cell)
 	}
-	return rep, finish(nil)
+	return rep, nil
 }

@@ -25,12 +25,11 @@ func shortSweepConfig(t *testing.T, jsonl string) SweepConfig {
 	if !ok {
 		t.Fatal("highway-cruise missing from registry")
 	}
-	e := sharedEnv(t)
 	return SweepConfig{
 		Matrix: MatrixConfig{
 			Scenarios: []pipeline.Scenario{gentle, cruise},
-			Attacks:   e.MatrixAttacks()[:2],  // None, CAP
-			Defenses:  e.MatrixDefenses()[:2], // None, Median
+			Attacks:   DefaultMatrixAttacks()[:2],  // None, CAP
+			Defenses:  DefaultMatrixDefenses()[:2], // None, Median
 			Duration:  0.8, DT: 0.1,
 			BaseSeed: 4242,
 		},
@@ -100,7 +99,7 @@ func TestSweepShardsPartitionGrid(t *testing.T) {
 // "interrupt" it, then resume against the same checkpoint — the resumed
 // run must execute only the missing cells and the assembled report must be
 // bit-identical to an uninterrupted run. Runs at GOMAXPROCS=4 so the
-// runner, the JSONL writer and the per-worker clones genuinely interleave
+// runner, the lane appends and the per-worker clones genuinely interleave
 // (the -race CI job leans on this test).
 func TestSweepResume(t *testing.T) {
 	e := sharedEnv(t)

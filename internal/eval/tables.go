@@ -23,12 +23,18 @@ func blockRange(bi, size, n int) (lo, hi int) {
 	return lo, hi
 }
 
+// blockPrep builds the defense one worker block applies. Each block gets
+// its own instance, so a stateful defense (Randomization's RNG, DiffPIR's
+// UNet scratch) is never shared between workers and its numbers never
+// depend on how blocks are scheduled. A nil blockPrep runs undefended.
+type blockPrep func(block int) defense.Preprocessor
+
 // rangeErrsFrom evaluates attack-induced prediction shift per bucket:
 // pred(processed attacked frame) − pred(clean frame), averaged per range.
 // The set is split into BatchSize blocks that run on the worker pool, and
 // each block's clean and attacked frames go through one batched forward —
 // bit-identical to per-frame prediction, so table numbers are unchanged.
-func rangeErrsFrom(reg *regress.Regressor, env *Env, attacked []*imaging.Image, prep defense.Preprocessor) RangeErrs {
+func rangeErrsFrom(reg *regress.Regressor, env *Env, attacked []*imaging.Image, prep blockPrep) RangeErrs {
 	acc := metrics.NewRangeAccumulator(env.Ranges())
 	n := env.DriveTest.Len()
 	errs := make([]float64, n)
@@ -39,14 +45,18 @@ func rangeErrsFrom(reg *regress.Regressor, env *Env, attacked []*imaging.Image, 
 	}
 	parallelMap(len(workers), blocks, func(w, bi int) {
 		r := workers[w]
+		var p defense.Preprocessor
+		if prep != nil {
+			p = prep(bi)
+		}
 		lo, hi := blockRange(bi, regress.BatchSize, n)
 		clean := make([]*imaging.Image, hi-lo)
 		adv := make([]*imaging.Image, hi-lo)
 		for i := lo; i < hi; i++ {
 			clean[i-lo] = env.DriveTest.Scenes[i].Img
 			img := attacked[i]
-			if prep != nil {
-				img = prep.Process(img)
+			if p != nil {
+				img = p.Process(img)
 			}
 			adv[i-lo] = img
 		}
@@ -67,7 +77,7 @@ func rangeErrsFrom(reg *regress.Regressor, env *Env, attacked []*imaging.Image, 
 // detScoresFrom evaluates detection metrics on (optionally defended)
 // attacked sign images against ground truth, batching each worker block
 // through the detector's batched forward.
-func detScoresFrom(det *detect.Detector, env *Env, attacked []*imaging.Image, prep defense.Preprocessor) metrics.DetectionScores {
+func detScoresFrom(det *detect.Detector, env *Env, attacked []*imaging.Image, prep blockPrep) metrics.DetectionScores {
 	n := env.SignTestSet.Len()
 	evals := make([]metrics.ImageEval, n)
 	blocks := (n + detect.BatchSize - 1) / detect.BatchSize
@@ -77,12 +87,16 @@ func detScoresFrom(det *detect.Detector, env *Env, attacked []*imaging.Image, pr
 	}
 	parallelMap(len(workers), blocks, func(w, bi int) {
 		d := workers[w]
+		var p defense.Preprocessor
+		if prep != nil {
+			p = prep(bi)
+		}
 		lo, hi := blockRange(bi, detect.BatchSize, n)
 		block := make([]*imaging.Image, hi-lo)
 		for i := lo; i < hi; i++ {
 			img := attacked[i]
-			if prep != nil {
-				img = prep.Process(img)
+			if p != nil {
+				img = p.Process(img)
 			}
 			block[i-lo] = img
 		}
@@ -173,13 +187,24 @@ func pairedDetKind(k Kind) Kind {
 	return k
 }
 
-// preprocessors returns the Table II defense column in paper order.
-func (e *Env) preprocessors() []defense.Preprocessor {
-	return []defense.Preprocessor{
-		defense.None{},
-		defense.NewMedianBlur(),
-		defense.NewRandomization(e.Preset.Seed + 5),
-		defense.NewBitDepth(),
+// prepColumn is one Table II defense column: its name and the per-block
+// defense (nil for the undefended column).
+type prepColumn struct {
+	name string
+	prep blockPrep
+}
+
+// preprocessors returns the Table II defense columns in paper order.
+// Randomization draws from an RNG, so every block gets its own instance
+// seeded from the column seed and the block index.
+func (e *Env) preprocessors() []prepColumn {
+	median, bitDepth := defense.NewMedianBlur(), defense.NewBitDepth()
+	seed := e.Preset.Seed + 5
+	return []prepColumn{
+		{name: defense.None{}.Name()},
+		{median.Name(), func(int) defense.Preprocessor { return median }},
+		{"Randomization", func(bi int) defense.Preprocessor { return defense.NewRandomization(seed + int64(bi)) }},
+		{bitDepth.Name(), func(int) defense.Preprocessor { return bitDepth }},
 	}
 }
 
@@ -191,16 +216,12 @@ func (e *Env) RunTableII() TableII {
 		e.logf("table II: attacking with %s", kind)
 		attackedDrive := e.AttackDriveSet(e.Reg, e.DriveTest, kind, e.Preset.Seed+300)
 		attackedSign := e.AttackSignSet(e.Det, e.SignTestSet, pairedDetKind(kind), e.Preset.Seed+301)
-		for _, prep := range e.preprocessors() {
-			var p defense.Preprocessor
-			if _, isNone := prep.(defense.None); !isNone {
-				p = prep
-			}
+		for _, col := range e.preprocessors() {
 			t.Rows = append(t.Rows, TableIIRow{
 				Attack:  kind,
-				Defense: prep.Name(),
-				Errs:    rangeErrsFrom(e.Reg, e, attackedDrive, p),
-				Scores:  detScoresFrom(e.Det, e, attackedSign, p),
+				Defense: col.name,
+				Errs:    rangeErrsFrom(e.Reg, e, attackedDrive, col.prep),
+				Scores:  detScoresFrom(e.Det, e, attackedSign, col.prep),
 			})
 		}
 	}

@@ -250,30 +250,20 @@ func (e *Env) RunTableV() TableV {
 		if kind != KindSimBA {
 			row.HasReg = true
 			attackedDrive := e.AttackDriveSet(e.Reg, e.DriveTest, kind, e.Preset.Seed+700)
-			row.Errs = rangeErrsFrom(e.Reg, e, attackedDrive, clonePrep(prep))
+			row.Errs = rangeErrsFrom(e.Reg, e, attackedDrive, blockDiffPIR(prep))
 		}
 		attackedSign := e.AttackSignSet(e.Det, e.SignTestSet, pairedDetKind(kind), e.Preset.Seed+701)
-		row.Scores = detScoresFrom(e.Det, e, attackedSign, clonePrep(prep))
+		row.Scores = detScoresFrom(e.Det, e, attackedSign, blockDiffPIR(prep))
 		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
 
-// clonePrep wraps a DiffPIR defense with per-call model cloning so the
-// stateful UNet caches are not shared across parallel workers.
-func clonePrep(p *defense.DiffPIRDefense) defense.Preprocessor {
-	return &workerDiffPIR{base: p}
-}
-
-type workerDiffPIR struct {
-	base *defense.DiffPIRDefense
-}
-
-// Name implements defense.Preprocessor.
-func (w *workerDiffPIR) Name() string { return w.base.Name() }
-
-// Process implements defense.Preprocessor. Each call restores through an
-// independent model clone, making the preprocessor safe under parallelMap.
-func (w *workerDiffPIR) Process(img *imaging.Image) *imaging.Image {
-	return w.base.Model.Clone().Restore(img, w.base.Cfg)
+// blockDiffPIR gives every worker block its own clone of the DiffPIR
+// model, so the stateful UNet scratch is never shared across workers.
+// Restoration reseeds per image, so the clone changes no number.
+func blockDiffPIR(p *defense.DiffPIRDefense) blockPrep {
+	return func(int) defense.Preprocessor {
+		return &defense.DiffPIRDefense{Model: p.Model.Clone(), Cfg: p.Cfg}
+	}
 }
