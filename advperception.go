@@ -179,8 +179,6 @@ type (
 	// ResultCache stores serialized result payloads by canonical spec
 	// hash (the serving layer's content-addressed cache).
 	ResultCache = exp.ResultCache
-	// MemoryCache is the stock in-process ResultCache.
-	MemoryCache = exp.MemoryCache
 	// ModelStore caches trained victim weights on disk, keyed by model
 	// kind, architecture version and preset.
 	ModelStore = eval.ModelStore
@@ -276,9 +274,6 @@ func CanonicalSpec(s Spec) ([]byte, error) { return exp.CanonicalSpec(s) }
 // SpecHash returns the content address of a spec's result: the SHA-256
 // of its canonical encoding. Equal hashes denote bit-identical runs.
 func SpecHash(s Spec) (string, error) { return exp.SpecHash(s) }
-
-// NewMemoryCache returns an empty in-process result cache.
-func NewMemoryCache() *MemoryCache { return exp.NewMemoryCache() }
 
 // NewModelStore opens (creating if needed) a trained-model artifact
 // directory for WithArtifacts / ServerConfig.

@@ -10,8 +10,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/serve"
@@ -34,6 +37,14 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
+	if *cacheDir != "" && *storeDir != "" {
+		// A cache inside the store would serve any client's
+		// PUT /store/<hash>.json as a result.
+		rel, err := filepath.Rel(*storeDir, *cacheDir)
+		if err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			return fmt.Errorf("serve: -cachedir %s lies inside -storedir %s", *cacheDir, *storeDir)
+		}
+	}
 	logf := func(format string, a ...any) { log.Printf(format, a...) }
 	cfg := serve.Config{
 		ArtifactDir: *artifacts,
@@ -50,7 +61,7 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		cfg.Cache = dc
 	}
 	if *storeDir != "" {
-		cfg.Store = serve.NewDirStore(*storeDir)
+		cfg.Store = blob.NewDirStore(*storeDir)
 		log.Printf("serve: object store at %s", *storeDir)
 	}
 	srv := serve.New(ctx, cfg)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -118,5 +119,18 @@ func TestNewHTTPServerTimeouts(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("served %q, %v; want \"ok\"", body, err)
+	}
+}
+
+// TestServeRefusesCacheInsideStore: a -cachedir in or under -storedir
+// would serve any client's PUT /store/<hash>.json as a result, so the
+// daemon refuses to start.
+func TestServeRefusesCacheInsideStore(t *testing.T) {
+	store := t.TempDir()
+	for _, cache := range []string{store, filepath.Join(store, "results")} {
+		err := runServe(context.Background(), []string{"-addr", "127.0.0.1:0", "-storedir", store, "-cachedir", cache}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "lies inside -storedir") {
+			t.Fatalf("-cachedir %s: err = %v, want a refusal", cache, err)
+		}
 	}
 }

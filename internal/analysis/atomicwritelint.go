@@ -6,18 +6,20 @@ import (
 )
 
 // durabilityPkgs hold the code that persists checkpoints, result
-// caches, object-store segments and model artifacts.
-var durabilityPkgs = []string{"dispatch", "serve", "eval"}
+// caches, object-store segments and model artifacts. blob holds the one
+// temp+rename helper, blob.DirStore.Put, which serve's result cache and
+// eval's artifact store publish through.
+var durabilityPkgs = []string{"blob", "dispatch", "serve", "eval"}
 
-// Atomicwritelint enforces the durability contract in dispatch, serve
-// and eval: files that other machines (or a resumed run) will read
+// Atomicwritelint enforces the durability contract in blob, dispatch,
+// serve and eval: files that other machines (or a resumed run) will read
 // must appear atomically and their write errors must surface.
 //
 //   - os.WriteFile / os.Create are flagged: a crash mid-write leaves a
 //     torn file under the final name. Durable writes go through the
-//     temp+rename helpers (os.CreateTemp + os.Rename), which these
-//     packages already provide. A deliberate non-atomic write (the
-//     torn-tail fault injector) carries //advlint:atomic-ok.
+//     temp+rename helper (blob.DirStore.Put: os.CreateTemp + os.Rename).
+//     A deliberate non-atomic write (the torn-tail fault injector)
+//     carries //advlint:atomic-ok.
 //   - A discarded (*os.File).Close or Sync error — expression
 //     statement, defer, go, or assignment to blank — is flagged: on
 //     buffered filesystems the close is where a write failure finally

@@ -8,5 +8,7 @@ import (
 )
 
 func TestAtomicwritelint(t *testing.T) {
-	analysistest.Run(t, analysis.Atomicwritelint, "testdata/src/atomic", "repro/internal/serve")
+	for _, pkg := range []string{"repro/internal/blob", "repro/internal/serve"} {
+		analysistest.Run(t, analysis.Atomicwritelint, "testdata/src/atomic", pkg)
+	}
 }

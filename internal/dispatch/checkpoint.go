@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/blob"
 	"repro/internal/eval"
 	"repro/internal/serve"
 )
@@ -43,7 +44,7 @@ func ParseCheckpointTransport(s string) (*StoreTransport, error) {
 		if strings.HasPrefix(v, "http://") || strings.HasPrefix(v, "https://") {
 			return &StoreTransport{Store: &serve.HTTPStore{Base: v}}, nil
 		}
-		return &StoreTransport{Store: serve.NewDirStore(v)}, nil
+		return &StoreTransport{Store: blob.NewDirStore(v)}, nil
 	default:
 		return nil, fmt.Errorf("dispatch: -transport %q: want fs or store:DIR|URL", s)
 	}

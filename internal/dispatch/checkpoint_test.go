@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/eval"
 	"repro/internal/serve"
 )
@@ -36,7 +37,7 @@ func testTransports(t *testing.T) map[string]func() *StoreTransport {
 	return map[string]func() *StoreTransport{
 		"store-dir": func() *StoreTransport {
 			return &StoreTransport{
-				Store:     serve.NewDirStore(storeDir),
+				Store:     blob.NewDirStore(storeDir),
 				RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 			}
 		},
@@ -250,10 +251,10 @@ func TestDispatchCancelledRunResumesFromReplica(t *testing.T) {
 
 // storeConfig builds a dispatch config over a DirStore-backed store
 // transport, returning the store root.
-func storeConfig(t *testing.T, log *computeLog, wrap func(serve.ObjectStore) serve.ObjectStore) (Config, string) {
+func storeConfig(t *testing.T, log *computeLog, wrap func(blob.ObjectStore) blob.ObjectStore) (Config, string) {
 	t.Helper()
 	root := filepath.Join(t.TempDir(), "store")
-	var store serve.ObjectStore = serve.NewDirStore(root)
+	var store blob.ObjectStore = blob.NewDirStore(root)
 	if wrap != nil {
 		store = wrap(store)
 	}
@@ -270,7 +271,7 @@ func storeConfig(t *testing.T, log *computeLog, wrap func(serve.ObjectStore) ser
 // a new dispatcher process with no in-memory state.
 func dirStoreTransport(root string) *StoreTransport {
 	return &StoreTransport{
-		Store:     serve.NewDirStore(root),
+		Store:     blob.NewDirStore(root),
 		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}
 }
@@ -282,7 +283,7 @@ func dirStoreTransport(root string) *StoreTransport {
 // torn segment is closed before a later publish could re-Put it whole.
 func TestStoreTransportTornSegmentRecomputesOnlyDamage(t *testing.T) {
 	log := newComputeLog()
-	cfg, root := storeConfig(t, log, func(s serve.ObjectStore) serve.ObjectStore {
+	cfg, root := storeConfig(t, log, func(s blob.ObjectStore) blob.ObjectStore {
 		return &TornPutStore{Inner: s, N: 1}
 	})
 	cfg.Checkpoints.segmentBytes = 1
@@ -321,7 +322,7 @@ func TestStoreTransportTornSegmentRecomputesOnlyDamage(t *testing.T) {
 // the run converges without surfacing the outage.
 func TestStoreTransportOutageRetries(t *testing.T) {
 	log := newComputeLog()
-	cfg, _ := storeConfig(t, log, func(s serve.ObjectStore) serve.ObjectStore {
+	cfg, _ := storeConfig(t, log, func(s blob.ObjectStore) blob.ObjectStore {
 		return &OutageStore{Inner: s, Times: 3}
 	})
 	mustRun(t, cfg)
@@ -335,7 +336,7 @@ func TestStoreTransportOutageRetries(t *testing.T) {
 // TestStoreTransportOutagePastBudgetFails: a store that stays down past
 // the retry budget is an error, not silent data loss.
 func TestStoreTransportOutagePastBudgetFails(t *testing.T) {
-	cfg, _ := storeConfig(t, newComputeLog(), func(s serve.ObjectStore) serve.ObjectStore {
+	cfg, _ := storeConfig(t, newComputeLog(), func(s blob.ObjectStore) blob.ObjectStore {
 		return &OutageStore{Inner: s, Times: 10_000}
 	})
 	cfg.Checkpoints.Retries = 2
@@ -353,7 +354,7 @@ func TestStoreTransportOutagePastBudgetFails(t *testing.T) {
 // One record per segment, so every lane spans several segments.
 func TestStoreTransportDuplicateSegmentDelivery(t *testing.T) {
 	log := newComputeLog()
-	cfg, root := storeConfig(t, log, func(s serve.ObjectStore) serve.ObjectStore {
+	cfg, root := storeConfig(t, log, func(s blob.ObjectStore) blob.ObjectStore {
 		return &DuplicatePutStore{Inner: s}
 	})
 	cfg.Checkpoints.segmentBytes = 1
@@ -482,7 +483,7 @@ func TestParseCheckpointTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ct.Store.(*serve.DirStore); !ok {
+	if _, ok := ct.Store.(*blob.DirStore); !ok {
 		t.Fatalf("store:DIR built %T, want DirStore", ct.Store)
 	}
 	ct, err = ParseCheckpointTransport("store:http://localhost:1")
@@ -527,7 +528,7 @@ func TestParseStoreInjections(t *testing.T) {
 		}
 	}
 
-	st := &StoreTransport{Store: serve.NewMemStore()}
+	st := &StoreTransport{Store: blob.NewMemStore()}
 	if err := ApplyStoreInjections(st, injs); err != nil {
 		t.Fatal(err)
 	}

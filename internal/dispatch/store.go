@@ -32,9 +32,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/eval"
 	"repro/internal/exp"
-	"repro/internal/serve"
 	"repro/internal/xrand"
 )
 
@@ -44,9 +44,9 @@ import (
 // safe for concurrent use — the dispatcher publishes from several worker
 // goroutines at once.
 type StoreTransport struct {
-	// Store is the blob backend (serve.DirStore, serve.HTTPStore, or a
+	// Store is the blob backend (blob.DirStore, serve.HTTPStore, or a
 	// fault-injection wrapper around either).
-	Store serve.ObjectStore
+	Store blob.ObjectStore
 	// Retries bounds attempts per store operation (default 4).
 	Retries int
 	// RetryBase/RetryMax shape the capped exponential retry backoff

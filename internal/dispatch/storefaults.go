@@ -15,7 +15,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/serve"
+	"repro/internal/blob"
 )
 
 // OutageStore fails the first Times operations (any kind) with a
@@ -23,7 +23,7 @@ import (
 // daemon restart or network partition opens. The store transport's
 // capped jittered retry must ride it out.
 type OutageStore struct {
-	Inner serve.ObjectStore
+	Inner blob.ObjectStore
 	Times int
 
 	mu    sync.Mutex
@@ -40,7 +40,7 @@ func (s *OutageStore) trip() error {
 	return nil
 }
 
-// Put implements serve.ObjectStore.
+// Put implements blob.ObjectStore.
 func (s *OutageStore) Put(key string, data []byte) error {
 	if err := s.trip(); err != nil {
 		return err
@@ -48,7 +48,7 @@ func (s *OutageStore) Put(key string, data []byte) error {
 	return s.Inner.Put(key, data)
 }
 
-// Get implements serve.ObjectStore.
+// Get implements blob.ObjectStore.
 func (s *OutageStore) Get(key string) ([]byte, error) {
 	if err := s.trip(); err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (s *OutageStore) Get(key string) ([]byte, error) {
 	return s.Inner.Get(key)
 }
 
-// List implements serve.ObjectStore.
+// List implements blob.ObjectStore.
 func (s *OutageStore) List(prefix string) ([]string, error) {
 	if err := s.trip(); err != nil {
 		return nil, err
@@ -64,7 +64,7 @@ func (s *OutageStore) List(prefix string) ([]string, error) {
 	return s.Inner.List(prefix)
 }
 
-// Delete implements serve.ObjectStore.
+// Delete implements blob.ObjectStore.
 func (s *OutageStore) Delete(key string) error {
 	if err := s.trip(); err != nil {
 		return err
@@ -77,7 +77,7 @@ func (s *OutageStore) Delete(key string) error {
 // leaves behind. The checkpoint load path must degrade the segment to
 // its valid prefix and recompute only the sheared records.
 type TornPutStore struct {
-	Inner serve.ObjectStore
+	Inner blob.ObjectStore
 	// N is the 1-based Put call to tear (default 1).
 	N int
 
@@ -85,7 +85,7 @@ type TornPutStore struct {
 	calls int
 }
 
-// Put implements serve.ObjectStore.
+// Put implements blob.ObjectStore.
 func (s *TornPutStore) Put(key string, data []byte) error {
 	s.mu.Lock()
 	s.calls++
@@ -101,13 +101,13 @@ func (s *TornPutStore) Put(key string, data []byte) error {
 	return s.Inner.Put(key, data)
 }
 
-// Get implements serve.ObjectStore.
+// Get implements blob.ObjectStore.
 func (s *TornPutStore) Get(key string) ([]byte, error) { return s.Inner.Get(key) }
 
-// List implements serve.ObjectStore.
+// List implements blob.ObjectStore.
 func (s *TornPutStore) List(prefix string) ([]string, error) { return s.Inner.List(prefix) }
 
-// Delete implements serve.ObjectStore.
+// Delete implements blob.ObjectStore.
 func (s *TornPutStore) Delete(key string) error { return s.Inner.Delete(key) }
 
 // DuplicatePutStore delivers every segment twice: once under its own
@@ -115,10 +115,10 @@ func (s *TornPutStore) Delete(key string) error { return s.Inner.Delete(key) }
 // at-least-once re-delivery an ambiguous timeout produces. The load
 // path must dedup the doubled records by grid index.
 type DuplicatePutStore struct {
-	Inner serve.ObjectStore
+	Inner blob.ObjectStore
 }
 
-// Put implements serve.ObjectStore.
+// Put implements blob.ObjectStore.
 func (s *DuplicatePutStore) Put(key string, data []byte) error {
 	if err := s.Inner.Put(key, data); err != nil {
 		return err
@@ -143,13 +143,13 @@ func nextSegKey(key string) (string, bool) {
 	return fmt.Sprintf("%s/seg_%06d", key[:i], n+1), true
 }
 
-// Get implements serve.ObjectStore.
+// Get implements blob.ObjectStore.
 func (s *DuplicatePutStore) Get(key string) ([]byte, error) { return s.Inner.Get(key) }
 
-// List implements serve.ObjectStore.
+// List implements blob.ObjectStore.
 func (s *DuplicatePutStore) List(prefix string) ([]string, error) { return s.Inner.List(prefix) }
 
-// Delete implements serve.ObjectStore.
+// Delete implements blob.ObjectStore.
 func (s *DuplicatePutStore) Delete(key string) error { return s.Inner.Delete(key) }
 
 // StoreInjection is one parsed -injectstore directive.

@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/detect"
 	"repro/internal/nn"
 	"repro/internal/regress"
@@ -29,14 +30,16 @@ import (
 // regress.ArchVersion when an architecture changes, and any preset field
 // change (including the seed) re-keys automatically.
 
-// ModelStore is a directory of serialized victim-model weights. The
-// zero-value (nil) store disables caching. Writes are atomic
-// (temp file + rename), so concurrent writers of the same key are safe
-// and readers never observe a partial artifact. Ensure* additionally
-// serialise the training itself across processes through a lock file, so
-// a fleet of workers sharing one store trains each preset once.
+// ModelStore is a directory of serialized victim-model weights, each the
+// blob <dir>/<key> of a blob.DirStore. The zero-value (nil) store
+// disables caching. Publication is atomic, so concurrent writers of the
+// same key are safe and readers never observe a partial artifact.
+// Ensure* additionally serialise the training itself across processes
+// through a lock file, so a fleet of workers sharing one store trains
+// each preset once.
 type ModelStore struct {
-	dir string
+	dir   string
+	blobs *blob.DirStore
 
 	// lockPoll is the wait-loop interval of Ensure* when another process
 	// holds the training lock (tests shorten it).
@@ -51,7 +54,7 @@ func NewModelStore(dir string) (*ModelStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("eval: artifact store: %w", err)
 	}
-	return &ModelStore{dir: dir, lockPoll: 200 * time.Millisecond}, nil
+	return &ModelStore{dir: dir, blobs: blob.NewDirStore(dir), lockPoll: 200 * time.Millisecond}, nil
 }
 
 // Dir returns the store's directory.
@@ -61,7 +64,9 @@ func (s *ModelStore) Dir() string { return s.dir }
 // architecture version name the network, and the SHA-256 of the preset's
 // JSON encoding captures every training input (seed, dataset sizes,
 // epochs). The readable prefix keeps the directory browsable; the hash
-// carries the identity.
+// carries the identity. So that any preset yields a valid blob key, the
+// name in the prefix keeps only key-alphabet characters (others become
+// '_') and at most 64 of them.
 func artifactKey(kind string, arch int, p Preset) string {
 	buf, err := json.Marshal(p)
 	if err != nil {
@@ -69,7 +74,11 @@ func artifactKey(kind string, arch int, p Preset) string {
 		panic(err)
 	}
 	sum := sha256.Sum256(buf)
-	return fmt.Sprintf("%s_v%d_%s_seed%d_%s.weights", kind, arch, p.Name, p.Seed, hex.EncodeToString(sum[:])[:16])
+	name := blob.KeySafe(p.Name)
+	if len(name) > 64 {
+		name = name[:64]
+	}
+	return fmt.Sprintf("%s_v%d_%s_seed%d_%s.weights", kind, arch, name, p.Seed, hex.EncodeToString(sum[:])[:16])
 }
 
 // DetectorKey names the detector artifact of a preset.
@@ -87,8 +96,8 @@ func (s *ModelStore) RegressorKey(p Preset) string {
 // the key scheme should have prevented it, so failing loudly beats
 // silently retraining over a corrupt store.
 func (s *ModelStore) load(key string, params []*nn.Param) (bool, error) {
-	buf, err := os.ReadFile(filepath.Join(s.dir, key))
-	if errors.Is(err, os.ErrNotExist) {
+	buf, err := s.blobs.Get(key)
+	if errors.Is(err, blob.ErrNoObject) {
 		return false, nil
 	}
 	if err != nil {
@@ -100,30 +109,16 @@ func (s *ModelStore) load(key string, params []*nn.Param) (bool, error) {
 	return true, nil
 }
 
-// save writes params under key atomically: encode, write a temp file in
-// the same directory, rename into place. Concurrent savers of one key
-// race benignly — both write identical bytes (the key pins the training
-// inputs and training is deterministic) and rename is atomic.
+// save publishes params under key. Concurrent savers of one key race
+// benignly — both publish identical bytes (the key pins the training
+// inputs and training is deterministic) and the blob store's publish is
+// atomic.
 func (s *ModelStore) save(key string, params []*nn.Param) error {
 	buf, err := nn.EncodeParams(params)
 	if err != nil {
 		return fmt.Errorf("eval: artifact %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(s.dir, key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("eval: artifact %s: %w", key, err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close() //advlint:close-ok error-path cleanup; the write failure is returned
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eval: artifact %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eval: artifact %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.blobs.Put(key, buf); err != nil {
 		return fmt.Errorf("eval: artifact %s: %w", key, err)
 	}
 	return nil

@@ -3,10 +3,13 @@ package eval
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/blob"
 	"repro/internal/detect"
 	"repro/internal/nn"
 	"repro/internal/regress"
@@ -87,6 +90,62 @@ func TestModelStoreRoundTripBitIdentity(t *testing.T) {
 	}
 	if !strings.Contains(store.DetectorKey(p), fmt.Sprintf("_v%d_", detect.ArchVersion)) {
 		t.Fatalf("detector key %q lacks the architecture version", store.DetectorKey(p))
+	}
+}
+
+// TestArtifactKeysForAnyPresetName: a preset whose name holds a path
+// separator and a space trains once and then warm-starts; an overlong
+// name still yields a valid blob key; the built-in presets keep the keys
+// their existing artifact directories hold.
+func TestArtifactKeysForAnyPresetName(t *testing.T) {
+	var keys *ModelStore
+	for got, want := range map[string]string{
+		keys.DetectorKey(Quick()):  "det_v1_quick_seed7_2775df6b68b99748.weights",
+		keys.RegressorKey(Quick()): "reg_v1_quick_seed7_2775df6b68b99748.weights",
+		keys.DetectorKey(Paper()):  "det_v1_paper_seed7_a342279d04de5449.weights",
+		keys.RegressorKey(Paper()): "reg_v1_paper_seed7_a342279d04de5449.weights",
+	} {
+		if got != want {
+			t.Errorf("key %q, want %q", got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	p := microPreset()
+	p.Name = "a/b c"
+	trains := 0
+	for run := 0; run < 2; run++ {
+		store, err := NewModelStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := detect.New(xrand.New(int64(run)), 64)
+		trained, err := store.EnsureDetector(d, p, func() error {
+			trains++
+			fillParams(d)
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if trained != (run == 0) {
+			t.Fatalf("run %d: trained=%v, want a cold train then a warm start", run, trained)
+		}
+	}
+	if trains != 1 {
+		t.Fatalf("train ran %d times, want 1", trains)
+	}
+	key := keys.DetectorKey(p)
+	if !strings.HasPrefix(key, "det_v1_a_b_c_seed") {
+		t.Fatalf("key %q does not map the name to the key alphabet", key)
+	}
+	if _, err := os.Stat(filepath.Join(dir, key)); err != nil {
+		t.Fatalf("artifact not at <dir>/<key>: %v", err)
+	}
+
+	p.Name = strings.Repeat("n", 600)
+	if key := keys.DetectorKey(p); !blob.ValidStoreKey(key) {
+		t.Fatalf("overlong preset name gives an invalid key %q", key)
 	}
 }
 

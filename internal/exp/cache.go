@@ -1,7 +1,5 @@
 package exp
 
-import "sync"
-
 // ResultCache is the content-addressed result cache of the serving layer:
 // keys are canonical spec hashes (SpecHash), values the serialized result
 // payload of the run the spec addresses. Because equal hashes denote
@@ -17,42 +15,4 @@ type ResultCache interface {
 	// same key can only ever map to the same bytes); a second Put under
 	// an existing key keeps the first value.
 	Put(key string, val []byte)
-}
-
-// MemoryCache is the in-process ResultCache: a mutex-guarded map. It
-// lives as long as the daemon; restart invalidates (the artifact store,
-// not this cache, is the cross-restart warm path).
-type MemoryCache struct {
-	mu sync.RWMutex
-	m  map[string][]byte
-}
-
-// NewMemoryCache returns an empty in-memory result cache.
-func NewMemoryCache() *MemoryCache {
-	return &MemoryCache{m: map[string][]byte{}}
-}
-
-// Get implements ResultCache.
-func (c *MemoryCache) Get(key string) ([]byte, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-// Put implements ResultCache.
-func (c *MemoryCache) Put(key string, val []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.m[key]; dup {
-		return
-	}
-	c.m[key] = append([]byte(nil), val...)
-}
-
-// Len returns the number of cached results.
-func (c *MemoryCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }

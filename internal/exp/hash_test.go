@@ -2,7 +2,6 @@ package exp
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -152,47 +151,4 @@ func jsonNames(names []string) string {
 		quoted[i] = `"` + n + `"`
 	}
 	return "[" + strings.Join(quoted, ",") + "]"
-}
-
-func TestMemoryCacheWriteOnceAndConcurrency(t *testing.T) {
-	c := NewMemoryCache()
-	c.Put("k", []byte("first"))
-	c.Put("k", []byte("second"))
-	if v, ok := c.Get("k"); !ok || string(v) != "first" {
-		t.Fatalf("write-once violated: got %q ok=%v", v, ok)
-	}
-	if _, ok := c.Get("missing"); ok {
-		t.Fatal("missing key reported present")
-	}
-
-	// Put must copy: mutating the caller's buffer after Put must not
-	// change the cached bytes.
-	buf := []byte("payload")
-	c.Put("copy", buf)
-	buf[0] = 'X'
-	if v, _ := c.Get("copy"); string(v) != "payload" {
-		t.Fatalf("cache aliases the caller's buffer: %q", v)
-	}
-
-	// Concurrent writers and readers over a shared key set (-race).
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			keys := []string{"a", "b", "c", "d"}
-			for i := 0; i < 200; i++ {
-				k := keys[(g+i)%len(keys)]
-				c.Put(k, []byte(k))
-				if v, ok := c.Get(k); ok && string(v) != k {
-					t.Errorf("key %s holds %q", k, v)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if c.Len() != 4+2 {
-		t.Fatalf("cache holds %d entries, want 6", c.Len())
-	}
 }

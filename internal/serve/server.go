@@ -2,12 +2,16 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/blob"
 	"repro/internal/exp"
 )
 
@@ -27,7 +31,9 @@ type RunnerFactory func(ctx context.Context, preset string, logf func(format str
 // Config configures a Server.
 type Config struct {
 	// Cache stores serialized result payloads by canonical spec hash.
-	// Nil selects a fresh in-memory cache.
+	// Nil selects a BlobCache over a fresh blob.MemStore — never over
+	// Store, or a client's PUT /store/<hash>.json would be served as a
+	// result.
 	Cache exp.ResultCache
 	// ArtifactDir, when set, backs runner construction with a
 	// trained-model artifact store (warm environment starts).
@@ -41,14 +47,96 @@ type Config struct {
 	MaxRuns int
 	// Store backs the /store object endpoints the fleet dispatcher's
 	// store checkpoint transport streams lane segments into. Nil selects
-	// an in-memory store; point it at a DirStore for durability across
-	// daemon restarts.
-	Store ObjectStore
+	// an in-memory store; point it at a blob.DirStore for durability
+	// across daemon restarts.
+	Store blob.ObjectStore
 	// Logf receives server lifecycle logs (nil = silent).
 	Logf func(format string, args ...any)
 	// NewRunner overrides the runner factory (tests); nil builds real
 	// Experiments via exp.New.
 	NewRunner RunnerFactory
+}
+
+// BlobCache is the daemon's exp.ResultCache over a blob.ObjectStore: the
+// payload of spec hash <key> is the object <key>.json. Over a DirStore
+// (NewDiskCache) a restarted daemon answers repeat queries with the exact
+// bytes the pre-restart compute produced. Entries are write-once:
+// equal hashes denote bit-identical results, so the first published
+// payload is already the only possible value. Keys that are not plain
+// hashes miss, and an I/O error logs and degrades to a miss — never an
+// error on the serving path.
+type BlobCache struct {
+	store blob.ObjectStore
+	logf  func(format string, args ...any)
+}
+
+// NewDiskCache opens (creating if needed) a result cache persisted as
+// <dir>/<key>.json. logf, when non-nil, receives I/O degradation notices.
+func NewDiskCache(dir string, logf func(format string, args ...any)) (*BlobCache, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: cache dir: %w", err)
+	}
+	return &BlobCache{store: blob.NewDirStore(dir), logf: logf}, nil
+}
+
+// object maps a cache key to its blob key; false for keys that are not
+// plausible spec hashes (real keys are hex SHA-256).
+func (c *BlobCache) object(key string) (string, bool) {
+	if len(key) > 128 || strings.Contains(key, "/") || !blob.ValidStoreKey(key) {
+		return "", false
+	}
+	return key + ".json", true
+}
+
+// Get implements exp.ResultCache.
+func (c *BlobCache) Get(key string) ([]byte, bool) {
+	obj, ok := c.object(key)
+	if !ok {
+		return nil, false
+	}
+	data, err := c.store.Get(obj)
+	if err != nil {
+		if !errors.Is(err, blob.ErrNoObject) {
+			c.log("serve: result cache read %s: %v", key, err)
+		}
+		return nil, false
+	}
+	return data, true
+}
+
+// Put implements exp.ResultCache.
+func (c *BlobCache) Put(key string, val []byte) {
+	obj, ok := c.object(key)
+	if !ok {
+		return
+	}
+	if _, err := c.store.Get(obj); err == nil {
+		return // write-once: the entry can only ever hold these bytes
+	}
+	if err := c.store.Put(obj, val); err != nil {
+		c.log("serve: result cache write %s: %v", key, err)
+	}
+}
+
+// Len returns the number of cached results (diagnostics and tests).
+func (c *BlobCache) Len() int {
+	keys, err := c.store.List("")
+	if err != nil {
+		c.log("serve: result cache list: %v", err)
+	}
+	n := 0
+	for _, k := range keys {
+		if strings.HasSuffix(k, ".json") && !strings.Contains(k, "/") {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *BlobCache) log(format string, args ...any) {
+	if c.logf != nil {
+		c.logf(format, args...)
+	}
 }
 
 // Server is the advrepro daemon: it validates posted specs, deduplicates
@@ -59,7 +147,7 @@ type Server struct {
 	ctx   context.Context
 	cfg   Config
 	cache exp.ResultCache
-	store ObjectStore
+	store blob.ObjectStore
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -74,10 +162,10 @@ type Server struct {
 // cancelling it shuts the serving core down.
 func New(ctx context.Context, cfg Config) *Server {
 	if cfg.Cache == nil {
-		cfg.Cache = exp.NewMemoryCache()
+		cfg.Cache = &BlobCache{store: blob.NewMemStore()}
 	}
 	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
+		cfg.Store = blob.NewMemStore()
 	}
 	if cfg.NewRunner == nil {
 		cfg.NewRunner = experimentFactory(cfg)
@@ -371,7 +459,7 @@ func (s *Server) runner(ctx context.Context, preset string, sink func(format str
 // segment streamed off-machine by the dispatcher's store transport.
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !ValidStoreKey(key) {
+	if !blob.ValidStoreKey(key) {
 		http.Error(w, fmt.Sprintf("bad object key %q", key), http.StatusBadRequest)
 		return
 	}
@@ -390,13 +478,13 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // handleStoreGet serves one stored object.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !ValidStoreKey(key) {
+	if !blob.ValidStoreKey(key) {
 		http.Error(w, fmt.Sprintf("bad object key %q", key), http.StatusBadRequest)
 		return
 	}
 	data, err := s.store.Get(key)
 	if err != nil {
-		if err == ErrNoObject {
+		if errors.Is(err, blob.ErrNoObject) {
 			http.Error(w, "no such object", http.StatusNotFound)
 			return
 		}
@@ -410,7 +498,7 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // handleStoreDelete removes one stored object (idempotent).
 func (s *Server) handleStoreDelete(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !ValidStoreKey(key) {
+	if !blob.ValidStoreKey(key) {
 		http.Error(w, fmt.Sprintf("bad object key %q", key), http.StatusBadRequest)
 		return
 	}

@@ -1,233 +1,20 @@
 package serve
 
-// The object store is the serving layer's blob facility: a flat keyed
-// byte store the fleet dispatcher's store checkpoint transport streams
-// lane segments into, so shard results survive the machine that computed
-// them. Keys are slash-separated paths (lanes/<grid-hash>/<lane>/seg_N);
-// values are opaque. Three implementations cover the deployment ladder:
-// MemStore (in-process, tests and default daemon state), DirStore (a
-// directory tree with atomic temp+rename publication — an object is
-// either absent or complete, never torn by the writer), and HTTPStore (a
-// client for the daemon's /store endpoints, the off-machine path).
-
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/blob"
 )
 
-// ErrNoObject marks a Get against a key the store holds no object for.
-var ErrNoObject = errors.New("serve: no such object")
-
-// ObjectStore is the minimal blob API behind the store checkpoint
-// transport. Put overwrites (re-delivery of a segment is idempotent when
-// the bytes match and self-healing when a retry replaces a torn upload);
-// Get returns ErrNoObject for absent keys; List enumerates keys under a
-// prefix in lexical order; Delete is idempotent (absent keys succeed).
-// Implementations must be safe for concurrent use.
-type ObjectStore interface {
-	Put(key string, data []byte) error
-	Get(key string) ([]byte, error)
-	List(prefix string) ([]string, error)
-	Delete(key string) error
-}
-
-// ValidStoreKey reports whether key is an acceptable object key: one or
-// more non-empty slash-separated segments, none of them path-traversal
-// tokens, drawn from a filesystem- and URL-safe alphabet. Both the
-// DirStore (which maps keys to paths) and the daemon endpoints enforce
-// this before touching storage.
-func ValidStoreKey(key string) bool {
-	if key == "" || len(key) > 512 {
-		return false
-	}
-	for _, seg := range strings.Split(key, "/") {
-		if seg == "" || seg == "." || seg == ".." {
-			return false
-		}
-		for _, r := range seg {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			case r == '.' || r == '_' || r == '-':
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// MemStore is the in-process ObjectStore: a mutex-guarded map. It backs
-// the daemon when no -storedir is configured and the unit tests.
-type MemStore struct {
-	mu sync.RWMutex
-	m  map[string][]byte
-}
-
-// NewMemStore returns an empty in-memory object store.
-func NewMemStore() *MemStore { return &MemStore{m: map[string][]byte{}} }
-
-// Put implements ObjectStore.
-func (s *MemStore) Put(key string, data []byte) error {
-	if !ValidStoreKey(key) {
-		return fmt.Errorf("serve: bad object key %q", key)
-	}
-	s.mu.Lock()
-	s.m[key] = append([]byte(nil), data...)
-	s.mu.Unlock()
-	return nil
-}
-
-// Get implements ObjectStore.
-func (s *MemStore) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.m[key]
-	if !ok {
-		return nil, ErrNoObject
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// List implements ObjectStore.
-func (s *MemStore) List(prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var keys []string
-	for k := range s.m {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Delete implements ObjectStore.
-func (s *MemStore) Delete(key string) error {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-	return nil
-}
-
-// DirStore is a directory-tree ObjectStore: each key maps to a file under
-// the root, published atomically (temp file + rename), so a reader never
-// observes a half-written object from this writer — the only torn
-// segments are ones a faulty uploader stored torn, which the checkpoint
-// load path tolerates. The root is created lazily on first Put.
-type DirStore struct {
-	root string
-}
-
-// NewDirStore returns a DirStore rooted at dir.
-func NewDirStore(dir string) *DirStore { return &DirStore{root: dir} }
-
-func (s *DirStore) path(key string) (string, error) {
-	if !ValidStoreKey(key) {
-		return "", fmt.Errorf("serve: bad object key %q", key)
-	}
-	return filepath.Join(s.root, filepath.FromSlash(key)), nil
-}
-
-// Put implements ObjectStore.
-func (s *DirStore) Put(key string, data []byte) error {
-	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("serve: store put: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".obj_*")
-	if err != nil {
-		return fmt.Errorf("serve: store put: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close() //advlint:close-ok error-path cleanup; the write failure is returned
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store put: %w", err)
-	}
-	return nil
-}
-
-// Get implements ObjectStore.
-func (s *DirStore) Get(key string) ([]byte, error) {
-	p, err := s.path(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(p)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNoObject
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: store get: %w", err)
-	}
-	return data, nil
-}
-
-// List implements ObjectStore.
-func (s *DirStore) List(prefix string) ([]string, error) {
-	var keys []string
-	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil // empty store
-			}
-			return err
-		}
-		if d.IsDir() || strings.HasPrefix(d.Name(), ".obj_") {
-			return nil
-		}
-		rel, err := filepath.Rel(s.root, p)
-		if err != nil {
-			return err
-		}
-		if key := filepath.ToSlash(rel); strings.HasPrefix(key, prefix) {
-			keys = append(keys, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: store list: %w", err)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Delete implements ObjectStore.
-func (s *DirStore) Delete(key string) error {
-	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("serve: store delete: %w", err)
-	}
-	return nil
-}
-
-// HTTPStore is the ObjectStore client for a daemon's /store endpoints:
-// the off-machine leg of the store checkpoint transport. It is a thin
-// wire adapter — retry/backoff policy belongs to the caller (the store
+// HTTPStore is the blob.ObjectStore client for a daemon's /store
+// endpoints (the handlers are in server.go): the off-machine leg of the
+// store checkpoint transport. It is a thin wire adapter — retry/backoff policy belongs to the caller (the store
 // transport wraps every operation in capped jittered retries).
 type HTTPStore struct {
 	// Base is the daemon's base URL (http://host:port).
@@ -251,9 +38,9 @@ func (s *HTTPStore) do(method, key string, body io.Reader) (*http.Response, erro
 	return s.client().Do(req)
 }
 
-// Put implements ObjectStore.
+// Put implements blob.ObjectStore.
 func (s *HTTPStore) Put(key string, data []byte) error {
-	resp, err := s.do(http.MethodPut, key, strings.NewReader(string(data)))
+	resp, err := s.do(http.MethodPut, key, bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -264,7 +51,7 @@ func (s *HTTPStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get implements ObjectStore.
+// Get implements blob.ObjectStore.
 func (s *HTTPStore) Get(key string) ([]byte, error) {
 	resp, err := s.do(http.MethodGet, key, nil)
 	if err != nil {
@@ -272,7 +59,7 @@ func (s *HTTPStore) Get(key string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, ErrNoObject
+		return nil, blob.ErrNoObject
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: store get %s: %s", key, httpErrorBody(resp))
@@ -280,7 +67,7 @@ func (s *HTTPStore) Get(key string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// List implements ObjectStore.
+// List implements blob.ObjectStore.
 func (s *HTTPStore) List(prefix string) ([]string, error) {
 	resp, err := s.client().Get(s.Base + "/storelist?prefix=" + url.QueryEscape(prefix))
 	if err != nil {
@@ -297,7 +84,7 @@ func (s *HTTPStore) List(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Delete implements ObjectStore.
+// Delete implements blob.ObjectStore.
 func (s *HTTPStore) Delete(key string) error {
 	resp, err := s.do(http.MethodDelete, key, nil)
 	if err != nil {

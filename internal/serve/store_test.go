@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/blob"
+	"repro/internal/exp"
 )
 
 // TestObjectStoreConformance drives the shared ObjectStore contract
@@ -23,14 +28,14 @@ func TestObjectStoreConformance(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	stores := map[string]ObjectStore{
-		"mem":  NewMemStore(),
-		"dir":  NewDirStore(filepath.Join(t.TempDir(), "objects")),
+	stores := map[string]blob.ObjectStore{
+		"mem":  blob.NewMemStore(),
+		"dir":  blob.NewDirStore(filepath.Join(t.TempDir(), "objects")),
 		"http": &HTTPStore{Base: hs.URL},
 	}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			if _, err := s.Get("lanes/none/seg_000000"); !errors.Is(err, ErrNoObject) {
+			if _, err := s.Get("lanes/none/seg_000000"); !errors.Is(err, blob.ErrNoObject) {
 				t.Fatalf("absent key: err = %v, want ErrNoObject", err)
 			}
 			if err := s.Put("lanes/h1/a/seg_000000", []byte("one")); err != nil {
@@ -79,21 +84,6 @@ func TestObjectStoreConformance(t *testing.T) {
 	}
 }
 
-// TestValidStoreKey pins the key alphabet down.
-func TestValidStoreKey(t *testing.T) {
-	for _, ok := range []string{"a", "lanes/abc123/shard_0_of_2.jsonl/seg_000000", "A-b_c.d"} {
-		if !ValidStoreKey(ok) {
-			t.Fatalf("ValidStoreKey(%q) = false", ok)
-		}
-	}
-	long := strings.Repeat("a", 513)
-	for _, bad := range []string{"", ".", "..", "a/..", "/a", "a/", "a b", "a\x00b", long} {
-		if ValidStoreKey(bad) {
-			t.Fatalf("ValidStoreKey(%q) = true", bad)
-		}
-	}
-}
-
 // TestStoreEndpointsRejectBadKeys: the daemon refuses malformed keys at
 // the edge, before touching its backend.
 func TestStoreEndpointsRejectBadKeys(t *testing.T) {
@@ -112,73 +102,6 @@ func TestStoreEndpointsRejectBadKeys(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("traversal key: %s, want 400", resp.Status)
-	}
-}
-
-// TestDirStoreTempFilesInvisible: a concurrent writer's temp files never
-// appear in listings — an object is absent or complete.
-func TestDirStoreTempFilesInvisible(t *testing.T) {
-	root := t.TempDir()
-	s := NewDirStore(root)
-	if err := s.Put("lanes/h/a/seg_000000", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate an in-flight atomic write.
-	if err := os.WriteFile(filepath.Join(root, "lanes", "h", "a", ".obj_inflight"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := s.List("lanes/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys[0] != "lanes/h/a/seg_000000" {
-		t.Fatalf("list leaked temp files: %v", keys)
-	}
-}
-
-// TestDiskCacheRestartRoundTrip: entries written by one DiskCache
-// instance are served byte-identically by a fresh instance over the same
-// directory — the restart survival contract — and entries are
-// write-once.
-func TestDiskCacheRestartRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := NewDiskCache(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := strings.Repeat("ab", 32) // hash-shaped
-	payload := []byte(`{"text":"result payload"}`)
-	c1.Put(key, payload)
-	if got, ok := c1.Get(key); !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("same-instance get = %q, %v", got, ok)
-	}
-
-	c2, err := NewDiskCache(dir, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c2.Get(key)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("post-restart get = %q, %v; want the exact pre-restart bytes", got, ok)
-	}
-	if c2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c2.Len())
-	}
-
-	// Write-once: equal hashes denote identical payloads, so the first
-	// write is final.
-	c2.Put(key, []byte("imposter"))
-	if got, _ := c2.Get(key); !bytes.Equal(got, payload) {
-		t.Fatalf("write-once violated: %q", got)
-	}
-
-	// Hostile keys never touch the filesystem.
-	c2.Put("../escape", payload)
-	if _, ok := c2.Get("../escape"); ok {
-		t.Fatal("path-traversal key round-tripped")
-	}
-	if c2.Len() != 1 {
-		t.Fatalf("hostile key persisted: Len = %d", c2.Len())
 	}
 }
 
@@ -220,5 +143,147 @@ func TestServeDiskCacheSurvivesRestart(t *testing.T) {
 	last1, last2 := lines1[len(lines1)-1], lines2[len(lines2)-1]
 	if !bytes.Equal(last1, last2) {
 		t.Fatalf("result diverged across restart:\ngen1: %s\ngen2: %s", last1, last2)
+	}
+}
+
+// TestResultCache drives the BlobCache contract over both backings: a
+// miss then a hit with the exact bytes, Put copying its buffer,
+// write-once, hostile keys missing without writing anything, a restart
+// round-trip, and concurrent use. On disk an entry is the file
+// <dir>/<key>.json.
+func TestResultCache(t *testing.T) {
+	mem := blob.NewMemStore()
+	dir := t.TempDir()
+	backings := []struct {
+		name string
+		open func(t *testing.T) *BlobCache // a fresh handle on the same backing
+	}{
+		{"mem", func(*testing.T) *BlobCache { return &BlobCache{store: mem} }},
+		{"dir", func(t *testing.T) *BlobCache {
+			c, err := NewDiskCache(dir, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, b := range backings {
+		t.Run(b.name, func(t *testing.T) {
+			c := b.open(t)
+			key := strings.Repeat("ab", 32) // hash-shaped
+			payload := []byte(`{"text":"result payload"}`)
+			if _, ok := c.Get(key); ok {
+				t.Fatal("empty cache hit")
+			}
+			buf := append([]byte(nil), payload...)
+			c.Put(key, buf)
+			buf[0] = 'X' // Put must copy the caller's buffer
+			if got, ok := c.Get(key); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("get = %q, %v; want the exact put bytes", got, ok)
+			}
+			c.Put(key, []byte("imposter"))
+			if got, _ := c.Get(key); !bytes.Equal(got, payload) {
+				t.Fatalf("write-once violated: %q", got)
+			}
+
+			for _, bad := range []string{"a/b", "..", strings.Repeat("a", 129)} {
+				c.Put(bad, payload)
+				if _, ok := c.Get(bad); ok {
+					t.Fatalf("key %q hit", bad)
+				}
+			}
+			if n := c.Len(); n != 1 {
+				t.Fatalf("Len = %d after hostile puts, want 1", n)
+			}
+
+			restarted := b.open(t)
+			if got, ok := restarted.Get(key); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("after restart get = %q, %v; want the exact pre-restart bytes", got, ok)
+			}
+
+			if b.name == "dir" {
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				if want := []string{key + ".json"}; !reflect.DeepEqual(names, want) {
+					t.Fatalf("cache dir holds %v, want %v", names, want)
+				}
+			}
+
+			// Concurrent writers and readers over a shared key set (-race).
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					keys := []string{"a", "b", "c", "d"}
+					for i := 0; i < 50; i++ {
+						k := keys[(g+i)%len(keys)]
+						restarted.Put(k, []byte(k))
+						if v, ok := restarted.Get(k); ok && string(v) != k {
+							t.Errorf("key %s holds %q", k, v)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if n := restarted.Len(); n != 1+4 {
+				t.Fatalf("cache holds %d entries, want 5", n)
+			}
+		})
+	}
+}
+
+// TestResultCacheApartFromStore: the default result cache never shares
+// the /store backing, so bytes a client PUTs under <hash>.json are not a
+// cached result.
+func TestResultCacheApartFromStore(t *testing.T) {
+	fake := &fakeRunner{}
+	_, hs := newFakeServer(t, fake)
+	spec, err := exp.ParseSpec([]byte(testSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := exp.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &HTTPStore{Base: hs.URL}
+	if err := store.Put(key+".json", []byte(`{"text":"forged"}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(hs.URL+"/validate", "application/json", strings.NewReader(testSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		Key    string `json:"key"`
+		Cached bool   `json:"cached"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Key != key || v.Cached {
+		t.Fatalf("validate after a /store PUT: %+v, want key %s uncached", v, key)
+	}
+	resp, err = http.Get(hs.URL + "/results/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /results after a /store PUT: %s, want 404", resp.Status)
+	}
+	if keys, _ := store.List(""); len(keys) != 1 {
+		t.Fatalf("store holds %v, want only the PUT object", keys)
 	}
 }
