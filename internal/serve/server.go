@@ -76,7 +76,13 @@ func NewDiskCache(dir string, logf func(format string, args ...any)) (*BlobCache
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
 	}
-	return &BlobCache{store: blob.NewDirStore(dir), logf: logf}, nil
+	return NewBlobCache(blob.NewDirStore(dir), logf), nil
+}
+
+// NewBlobCache returns a result cache over store. It must not be the
+// daemon's /store backing, or client uploads would be served as results.
+func NewBlobCache(store blob.ObjectStore, logf func(format string, args ...any)) *BlobCache {
+	return &BlobCache{store: store, logf: logf}
 }
 
 // object maps a cache key to its blob key; false for keys that are not
@@ -162,7 +168,7 @@ type Server struct {
 // cancelling it shuts the serving core down.
 func New(ctx context.Context, cfg Config) *Server {
 	if cfg.Cache == nil {
-		cfg.Cache = &BlobCache{store: blob.NewMemStore()}
+		cfg.Cache = NewBlobCache(blob.NewMemStore(), nil)
 	}
 	if cfg.Store == nil {
 		cfg.Store = blob.NewMemStore()

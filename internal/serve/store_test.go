@@ -146,6 +146,51 @@ func TestServeDiskCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDiskCacheRestartRoundTrip: a result cache reopened over the same
+// directory (a daemon restart) returns the exact pre-restart bytes, stays
+// write-once, and never persists a hostile key.
+func TestDiskCacheRestartRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := NewDiskCache(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("ab", 32) // hash-shaped
+	payload := []byte(`{"text":"result payload"}`)
+	c1.Put(key, payload)
+	if got, ok := c1.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("same-instance get = %q, %v", got, ok)
+	}
+
+	c2, err := NewDiskCache(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c2.Get(key)
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("post-restart get = %q, %v; want the exact pre-restart bytes", got, ok)
+	}
+	if c2.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c2.Len())
+	}
+
+	// Write-once: equal hashes denote identical payloads, so the first
+	// write is final.
+	c2.Put(key, []byte("imposter"))
+	if got, _ := c2.Get(key); !bytes.Equal(got, payload) {
+		t.Fatalf("write-once violated: %q", got)
+	}
+
+	// Hostile keys never touch the filesystem.
+	c2.Put("../escape", payload)
+	if _, ok := c2.Get("../escape"); ok {
+		t.Fatal("path-traversal key round-tripped")
+	}
+	if c2.Len() != 1 {
+		t.Fatalf("hostile key persisted: Len = %d", c2.Len())
+	}
+}
+
 // TestResultCache drives the BlobCache contract over both backings: a
 // miss then a hit with the exact bytes, Put copying its buffer,
 // write-once, hostile keys missing without writing anything, a restart
@@ -158,7 +203,7 @@ func TestResultCache(t *testing.T) {
 		name string
 		open func(t *testing.T) *BlobCache // a fresh handle on the same backing
 	}{
-		{"mem", func(*testing.T) *BlobCache { return &BlobCache{store: mem} }},
+		{"mem", func(*testing.T) *BlobCache { return NewBlobCache(mem, nil) }},
 		{"dir", func(t *testing.T) *BlobCache {
 			c, err := NewDiskCache(dir, t.Logf)
 			if err != nil {
