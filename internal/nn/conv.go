@@ -15,17 +15,22 @@ import (
 // so the single-frame forward enjoys the same SIMD throughput as batched
 // inference. Every output element is an ascending-k float32 dot product
 // plus one bias rounding — the order of a direct per-tap convolution, which
-// the tests pin the forward and backward against bit for bit.
+// the tests pin the forward and backward against bit for bit. The input
+// gradient runs tap-major: cols = Wᵀ·G straight from the incoming
+// gradient, folded back per input channel (tensor.MatMulCol2ImInto).
 //
 // Weights are stored as an (outC)×(inC·K·K) matrix; bias is per output
-// channel. All per-call tensors (patches, outputs, gradient scratch) live
-// in the model workspace and are reused across calls.
+// channel. The transposed (inC·K·K)×(outC) matrix both GEMMs read is
+// cached across calls until the weights change. All per-call tensors
+// (patches, outputs, gradient scratch) live in the model workspace and
+// are reused across calls.
 type Conv2D struct {
 	InC, OutC   int
 	K           int
 	Stride, Pad int
 
 	w, b *Param
+	wT   transposeCache // Wᵀ for the forward and input-gradient GEMMs
 
 	scratch
 
@@ -47,12 +52,12 @@ type Conv2D struct {
 // reallocating on every switch. The transposed weight matrix is absent:
 // its shape is batch-independent, so both paths share one "wT" key.
 type convScratchNames struct {
-	patches, pm, gm, dW, dP, dX string
+	patches, pm, gm, dW, cols, dX string
 }
 
 var (
-	convSingleKeys = convScratchNames{"patchesS", "pmS", "gmS", "dWS", "dPS", "dXS"}
-	convBatchKeys  = convScratchNames{"patchesB", "pmB", "gmB", "dWB", "dPB", "dXB"}
+	convSingleKeys = convScratchNames{"patchesS", "pmS", "gmS", "dWS", "colsS", "dXS"}
+	convBatchKeys  = convScratchNames{"patchesB", "pmB", "gmB", "dWB", "colsB", "dXB"}
 )
 
 var _ Layer = (*Conv2D)(nil)
@@ -104,11 +109,9 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 	p := g.OutH() * g.OutW()
 	l := c.InC * c.K * c.K
 
-	// The weight matrix is transposed per call (tiny, and weights may have
-	// changed since the last call) so each lane accumulates one output
-	// element in ascending k.
-	wT := ws.Tensor2(c, "wT", l, c.OutC)
-	tensor.Transpose2DInto(wT, c.w.Value)
+	// The transposed weights make each lane accumulate one output element
+	// in ascending k.
+	wT := c.wT.of(ws, c, c.w)
 	patches := ws.Tensor2(c, nm.patches, n*p, l)
 	pm := ws.Tensor2(c, nm.pm, n*p, c.OutC)
 	tensor.Im2RowMatMulInto(pm, patches, x, wT, g)
@@ -139,16 +142,14 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 // sequential single-sample backwards by floating-point rounding only.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	nm := c.scratchKeys()
-	gm := c.permuteGrad(grad, nm, true)
-	c.accumWeightGrad(gm, nm)
-	return c.inputGrad(gm, nm)
+	c.accumWeightGrad(c.permuteGrad(grad, nm), nm)
+	return c.inputGrad(grad, nm)
 }
 
 // BackwardInput implements inputGradLayer: the same input gradient as
 // Backward, with the dW/db accumulation skipped entirely.
 func (c *Conv2D) BackwardInput(grad *tensor.Tensor) *tensor.Tensor {
-	nm := c.scratchKeys()
-	return c.inputGrad(c.permuteGrad(grad, nm, false), nm)
+	return c.inputGrad(grad, c.scratchKeys())
 }
 
 func (c *Conv2D) scratchKeys() *convScratchNames {
@@ -159,17 +160,14 @@ func (c *Conv2D) scratchKeys() *convScratchNames {
 }
 
 // permuteGrad reverse-permutes the incoming [N,OutC,P] gradient into the
-// patch-major (N·P)×OutC layout the gradient GEMMs consume, optionally
-// folding db's column sums into the same pass.
-func (c *Conv2D) permuteGrad(grad *tensor.Tensor, nm *convScratchNames, withBias bool) *tensor.Tensor {
+// patch-major (N·P)×OutC layout the weight-gradient pass consumes, folding
+// db's column sums into the same pass.
+func (c *Conv2D) permuteGrad(grad *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
 	n, p := c.lastBatch, c.lastOutHW
 	gm := c.workspace().Tensor2(c, nm.gm, n*p, c.OutC)
 	gmd := gm.Data()
 	gd := grad.Data()
-	var bg []float32
-	if withBias {
-		bg = c.b.Grad.Data()
-	}
+	bg := c.b.Grad.Data()
 	for s := 0; s < n; s++ {
 		src := gd[s*c.OutC*p:]
 		dst := gmd[s*p*c.OutC:]
@@ -180,9 +178,7 @@ func (c *Conv2D) permuteGrad(grad *tensor.Tensor, nm *convScratchNames, withBias
 				dst[pi*c.OutC+oc] = v
 				sum += v
 			}
-			if withBias {
-				bg[oc] += sum
-			}
+			bg[oc] += sum
 		}
 	}
 	return gm
@@ -217,23 +213,22 @@ func (c *Conv2D) accumWeightGrad(gm *tensor.Tensor, nm *convScratchNames) {
 	c.w.Grad.AddInPlace(dW)
 }
 
-// inputGrad computes dX = row2im(G · W): the weight matrix is already
-// k-major for this product (the contraction runs over OutC), so the SIMD
-// kernel consumes it directly with no transpose.
-func (c *Conv2D) inputGrad(gm *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
+// inputGrad computes dX = col2im(Wᵀ · G) in one tensor.MatMulCol2ImInto
+// call. The incoming [N,OutC,P] gradient is already k-major for this
+// product (the contraction runs over OutC), so the SIMD kernel reads it in
+// place, and the transposed weights are the forward's cached Wᵀ.
+func (c *Conv2D) inputGrad(grad *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
 	ws := c.workspace()
 	g := c.lastGeom
 	n, p := c.lastBatch, c.lastOutHW
-	l := c.InC * c.K * c.K
-	dP := ws.Tensor2(c, nm.dP, n*p, l)
-	tensor.MatMulKMajorInto(dP, gm, c.w.Value)
+	cols := ws.Tensor2(c, nm.cols, n*c.InC*c.K*c.K, p)
 	var dX *tensor.Tensor
 	if c.lastRank4 {
 		dX = ws.Tensor4(c, nm.dX, n, g.InC, g.InH, g.InW)
 	} else {
 		dX = ws.Tensor3(c, nm.dX, g.InC, g.InH, g.InW)
 	}
-	tensor.Row2ImInto(dX, dP, g)
+	tensor.MatMulCol2ImInto(dX, cols, c.wT.of(ws, c, c.w), grad, g)
 	return dX
 }
 

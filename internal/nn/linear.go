@@ -24,8 +24,7 @@ type Linear struct {
 	lastBatch int            // N of the last forward (1 for a flat vector)
 	lastFlat  bool           // input was a flat vector: outputs keep rank 1
 
-	wT        *tensor.Tensor // cached Wᵀ, rebuilt only when w's version moves
-	wTVersion uint64         // w.Version() the cache was built from
+	wT transposeCache // Wᵀ for the forward GEMM
 
 	outView viewCache // rank-1 view over the [1,Out] output
 	gmView  viewCache // rank-2 view over the incoming gradient
@@ -88,24 +87,16 @@ func (l *Linear) scratchKeys() *linearScratchNames {
 // needs it), and that stable copy is the GEMM operand, so no per-call
 // tensor view of the caller's storage is ever built.
 //
-// The transposed weight matrix is folded behind the parameter's version
-// counter: inference and attack loops, whose weights never move, transpose
-// once and reuse — the m=1 dense-head gemv stops paying an In×Out
-// transpose it never amortises. Any weight mutation (optimizer step,
-// param copy/load, finite-difference probe) bumps the version and the
-// next forward rebuilds the cache, bit-identically.
+// The transposed weight matrix comes from the layer's transposeCache, so
+// the m=1 dense-head gemv stops paying an In×Out transpose it never
+// amortises.
 func (l *Linear) runForward(xd []float32, n int) *tensor.Tensor {
 	ws := l.workspace()
 	lastIn := ws.Tensor2(l, l.scratchKeys().lastIn, n, l.In)
 	copy(lastIn.Data(), xd)
 	l.lastIn = lastIn
 	l.lastBatch = n
-	wT := ws.Tensor2(l, "wT", l.In, l.Out)
-	if wT != l.wT || l.wTVersion != l.w.Version() {
-		tensor.Transpose2DInto(wT, l.w.Value)
-		l.wT = wT
-		l.wTVersion = l.w.Version()
-	}
+	wT := l.wT.of(ws, l, l.w)
 	out := ws.Tensor2(l, l.scratchKeys().out, n, l.Out)
 	tensor.MatMulKMajorInto(out, lastIn, wT)
 	od := out.Data()

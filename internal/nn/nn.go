@@ -36,10 +36,11 @@ import "repro/internal/tensor"
 // Param is a trainable tensor together with its gradient accumulator.
 //
 // Param carries a version counter that layers use to cache expensive
-// weight-derived scratch (Linear's transposed weight matrix) across calls:
-// every code path that mutates Value — optimizer steps, CopyParamsFrom,
-// LoadParams, finite-difference probes — must call MarkMutated afterwards,
-// or a stale cache silently corrupts later forwards.
+// weight-derived scratch (the transposed weight matrix of Linear and
+// Conv2D, a transposeCache) across calls: every code path that mutates
+// Value — optimizer steps, CopyParamsFrom, LoadParams, finite-difference
+// probes — must call MarkMutated afterwards, or a stale cache silently
+// corrupts later forwards.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor

@@ -120,6 +120,29 @@ func (s *scratch) workspace() *Workspace {
 	return s.ws
 }
 
+// transposeCache holds a layer's transposed weight matrix Wᵀ in the model
+// workspace, keyed on the weight parameter's version: inference and attack
+// loops, whose weights never move, transpose once and reuse it. Any weight
+// mutation (optimizer step, param copy/load, finite-difference probe)
+// bumps the version, and the next call rebuilds the matrix bit-identically.
+// The zero value is an empty cache, which is what Clone gives a new layer.
+type transposeCache struct {
+	wT      *tensor.Tensor
+	version uint64 // w.Version() the cache was built from
+}
+
+// of returns w.Value transposed, held in ws under (owner, "wT"); it
+// transposes again only when w's version moved or the workspace handed
+// out a different buffer (a new workspace or a reshaped weight).
+func (tc *transposeCache) of(ws *Workspace, owner any, w *Param) *tensor.Tensor {
+	wT := ws.Tensor2(owner, "wT", w.Value.Dim(1), w.Value.Dim(0))
+	if wT != tc.wT || tc.version != w.Version() {
+		tensor.Transpose2DInto(wT, w.Value)
+		tc.wT, tc.version = wT, w.Version()
+	}
+	return wT
+}
+
 // viewCache memoises a reshaped view of a tensor between calls: steady-
 // state Forward/Backward passes see the same backing buffer with the same
 // shape every time, so the view is built once and reused instead of

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/testenv"
@@ -21,8 +22,10 @@ func TestTranspose2DIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestIm2ColCol2ImIntoAllocs guards the conv lowering pair, Im2RowInto and
-// its adjoint Row2ImInto.
+// TestIm2ColCol2ImIntoAllocs guards the conv lowering, Im2RowInto, and
+// its adjoint, MatMulCol2ImInto — below the work gate (serial on the
+// caller) and above it at GOMAXPROCS=2 (shards travel by value through
+// the pool).
 func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -34,9 +37,26 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { Im2RowInto(rows, x, g) }); avg != 0 {
 		t.Fatalf("Im2RowInto allocates %.2f/op, want 0", avg)
 	}
-	dx := New(3, 16, 16)
-	if avg := testing.AllocsPerRun(100, func() { Row2ImInto(dx, rows, g) }); avg != 0 {
-		t.Fatalf("Row2ImInto allocates %.2f/op, want 0", avg)
+	col2imAllocs := func(g ConvGeom) float64 {
+		const oc = 10
+		l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
+		wT, grad := New(l, oc), New(oc, g.OutH(), g.OutW())
+		fillSeq(wT)
+		fillSeq(grad)
+		cols, dx := New(l, p), New(g.InC, g.InH, g.InW)
+		MatMulCol2ImInto(dx, cols, wT, grad, g) // warm the pool
+		return testing.AllocsPerRun(100, func() { MatMulCol2ImInto(dx, cols, wT, grad, g) })
+	}
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	if avg := col2imAllocs(g); avg != 0 {
+		t.Fatalf("serial MatMulCol2ImInto allocates %.2f/op, want 0", avg)
+	}
+	// A sharded call may refill the WaitGroup pool after a GC emptied it,
+	// so like the other sharded budgets this one allows a fraction.
+	sharded := ConvGeom{InC: 5, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}
+	if avg := col2imAllocs(sharded); avg >= 1 {
+		t.Fatalf("sharded MatMulCol2ImInto allocates %.2f/op in steady state, want 0", avg)
 	}
 }
 
@@ -76,10 +96,15 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	Im2RowInto(rows, x, g)
 	same("Im2RowInto", rows, wantRows)
 
+	wT, grad := New(2*3*3, 4), New(4, g.OutH(), g.OutW())
+	fillSeq(wT)
+	fillSeq(grad)
+	cols := New(2*3*3, g.OutH()*g.OutW())
 	wantIm := New(2, 9, 7)
-	Row2ImInto(wantIm, rows, g)
+	MatMulCol2ImInto(wantIm, cols, wT, grad, g)
+	cols.Fill(99)
 	im := New(2, 9, 7)
 	im.Fill(99)
-	Row2ImInto(im, rows, g)
-	same("Row2ImInto", im, wantIm)
+	MatMulCol2ImInto(im, cols, wT, grad, g)
+	same("MatMulCol2ImInto", im, wantIm)
 }

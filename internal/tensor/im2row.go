@@ -2,17 +2,22 @@ package tensor
 
 import "fmt"
 
-// Patch-major convolution lowering. Im2RowInto lowers an [N,C,H,W] tensor
-// (or one CHW sample) into an (N·OutH·OutW) × (InC·K·K) patch matrix, so
-// one MatMulKMajorInto against the (InC·K·K) × (OutC) transposed weight
+// Convolution lowering. Im2RowInto lowers an [N,C,H,W] tensor (or one CHW
+// sample) into an (N·OutH·OutW) × (InC·K·K) patch matrix, so one
+// MatMulKMajorInto against the (InC·K·K) × (OutC) transposed weight
 // matrix serves the whole batch while the small weight operand stays
 // cache-resident and the patches stream through exactly once. Each output
 // element remains an ascending-k dot product, so batched convolution is
 // bit-identical per frame to a single-sample call.
+//
+// The backward runs the other way round, tap-major: MatMulCol2ImInto
+// forms cols = Wᵀ·G, one row of output positions per (channel, ky, kx)
+// tap, and col2imPlane folds each channel's K·K rows into its input plane
+// reading every row contiguously.
 
 // ConvGeom describes the geometry of a 2-D convolution over a CHW tensor.
 // It is shared by the forward Im2RowInto lowering and the backward
-// Row2ImInto scatter so the two always agree.
+// MatMulCol2ImInto fold so the two always agree.
 type ConvGeom struct {
 	InC, InH, InW int // input channels, height, width
 	K             int // square kernel size
@@ -158,54 +163,55 @@ func im2rowSample(pd, xd []float32, g ConvGeom, oy0, oy1, outW, l int) {
 	}
 }
 
-// Row2ImInto scatters a patch-major gradient matrix (the gradient of an
-// Im2RowInto output, shape (N·OutH·OutW) × (InC·K·K)) back into the batched
-// input gradient dst ([N,C,H,W], or a single [C,H,W] sample treated as
-// N=1), accumulating where windows overlap. It is the exact adjoint of
-// Im2RowInto, which is what backpropagation requires.
-//
-//advlint:noalloc
-func Row2ImInto(dst, rows *Tensor, g ConvGeom) {
-	n := batchGeomCheck(dst, g, "Row2ImInto")
+// col2imPlane folds one channel's tap-major gradient rows back into its
+// input plane: rows holds K·K rows of OutH·OutW elements, row ky·K+kx
+// being the gradient of the pixels tap (ky,kx) read. The plane is cleared
+// first, then the taps run (ky,kx) outer and the output positions inner,
+// so every pixel sums its overlapping-window contributions in ascending
+// tap order from +0 — the order the per-tap references in the tensor and
+// nn tests pin. Each tap's valid output range is found once, so the inner
+// loops read a row contiguously with no per-element padding tests.
+func col2imPlane(plane, rows []float32, g ConvGeom) {
+	k, s := g.K, g.Stride
 	outH, outW := g.OutH(), g.OutW()
-	p := outH * outW
-	l := g.InC * g.K * g.K
-	if rows.Rank() != 2 || rows.shape[0] != n*p || rows.shape[1] != l {
-		panic(fmt.Sprintf("tensor: Row2ImInto rows %v, want [%d %d]", rows.shape, n*p, l))
-	}
-	dst.Zero()
-	sampleLen := g.InC * g.InH * g.InW
-	for s := 0; s < n; s++ {
-		row2imSample(dst.data[s*sampleLen:(s+1)*sampleLen], rows.data[s*p*l:(s+1)*p*l], g, outH, outW, l)
-	}
-}
-
-// row2imSample accumulates one sample's patch rows back into CHW storage.
-// The loop nest runs (c,ky,kx) outer and (oy,ox) inner, so every input
-// pixel receives its overlapping-window contributions in ascending tap
-// order — the order the direct per-tap reference in the nn tests pins.
-func row2imSample(xd, pd []float32, g ConvGeom, outH, outW, l int) {
-	k := g.K
-	for c := 0; c < g.InC; c++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				off := (c*k+ky)*k + kx
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*g.Stride - g.Pad + ky
-					if iy < 0 || iy >= g.InH {
-						continue
+	clear(plane)
+	for ky := 0; ky < k; ky++ {
+		oy0, oy1 := tapRange(ky, g.Pad, s, g.InH, outH)
+		for kx := 0; kx < k; kx++ {
+			ox0, ox1 := tapRange(kx, g.Pad, s, g.InW, outW)
+			if ox0 >= ox1 {
+				continue
+			}
+			row := rows[(ky*k+kx)*outH*outW:]
+			for oy := oy0; oy < oy1; oy++ {
+				dst := plane[(oy*s-g.Pad+ky)*g.InW:]
+				src := row[oy*outW+ox0 : oy*outW+ox1]
+				ix := ox0*s - g.Pad + kx
+				if s == 1 {
+					dst = dst[ix : ix+len(src)]
+					for i, v := range src {
+						dst[i] += v
 					}
-					srcRow := oy * outW
-					dstRow := (c*g.InH + iy) * g.InW
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*g.Stride - g.Pad + kx
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						xd[dstRow+ix] += pd[(srcRow+ox)*l+off]
-					}
+					continue
+				}
+				for _, v := range src {
+					dst[ix] += v
+					ix += s
 				}
 			}
 		}
 	}
+}
+
+// tapRange returns the output positions [o0, o1) whose tap at offset t
+// (of a stride-s window starting at o·s − pad) lands inside [0, in).
+func tapRange(t, pad, s, in, out int) (o0, o1 int) {
+	last := in - 1 + pad - t // the largest o·s whose tap lands inside
+	if last < 0 {
+		return 0, 0
+	}
+	if d := pad - t; d > 0 {
+		o0 = (d + s - 1) / s
+	}
+	return o0, max(o0, min(out, last/s+1))
 }

@@ -33,3 +33,52 @@ func Im2RowMatMulInto(dst, patches, x, wT *Tensor, g ConvGeom) {
 	t := poolTask{c: dst.data, a: patches.data, bk: wT.data, k: l, n: oc, x: x.data, g: g}
 	t.shard(n*outH, outW, shardWorkers(m, l, oc))
 }
+
+// MatMulCol2ImInto is the convolution's input gradient in one call: it
+// computes the tap-major product cols = Wᵀ·G of each sample and folds it
+// back into dst, the adjoint of Im2RowInto followed by the forward GEMM.
+// wT is the forward's (InC·K·K) × OutC transposed weight matrix, grad the
+// incoming [N,OutC,OutH,OutW] output gradient read in place (N·OutC·OutH·OutW
+// elements, a single sample treated as N=1), cols (N·InC·K·K) ×
+// (OutH·OutW) scratch, and dst the [N,C,H,W] — or single [C,H,W] — input
+// gradient. dst and cols are fully overwritten.
+//
+// The work splits into (sample, input channel) units: a unit computes the
+// K·K rows of cols its channel's taps own — an ascending-OutC dot per
+// element, exactly as MatMulKMajorInto — and folds them into its own
+// channel plane, each pixel summing its taps in ascending (ky,kx) order
+// from +0 (col2imPlane). Past the GEMM's parallelMinWork gate the units
+// are sharded over the persistent pool; units write disjoint rows and
+// planes, so the result is bit-identical at any GOMAXPROCS.
+//
+//advlint:noalloc
+func MatMulCol2ImInto(dst, cols, wT, grad *Tensor, g ConvGeom) {
+	n := batchGeomCheck(dst, g, "MatMulCol2ImInto")
+	p := g.OutH() * g.OutW()
+	l := g.InC * g.K * g.K
+	if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
+		panic(fmt.Sprintf("tensor: MatMulCol2ImInto cols %v, want [%d %d]", cols.shape, n*l, p))
+	}
+	if wT.Rank() != 2 || wT.shape[0] != l || grad.Len() != n*wT.shape[1]*p {
+		panic(fmt.Sprintf("tensor: MatMulCol2ImInto wT %v and grad %v, want [%d OutC] and [%d OutC %d %d]", wT.shape, grad.shape, l, n, g.OutH(), g.OutW()))
+	}
+	oc := wT.shape[1]
+	t := poolTask{c: cols.data, a: wT.data, bk: grad.data, k: oc, n: p, dx: dst.data, g: g}
+	t.shard(n*g.InC, 1, shardWorkers(n*l, oc, p))
+}
+
+// col2imUnits runs units [u0, u1) of a MatMulCol2ImInto call: unit u is
+// input channel u mod InC of sample u div InC. It multiplies the channel's
+// K·K rows of wT by the sample's OutC × P gradient into its rows of cols,
+// then folds those rows into the channel's plane of dx.
+func col2imUnits(dx, cols, wT, grad []float32, g ConvGeom, oc, u0, u1 int) {
+	kk := g.K * g.K
+	p := g.OutH() * g.OutW()
+	plane := g.InH * g.InW
+	for u := u0; u < u1; u++ {
+		s, ch := u/g.InC, u%g.InC
+		rows := cols[u*kk*p : (u+1)*kk*p]
+		matMulKMajorSerial(rows, wT[ch*kk*oc:], grad[s*oc*p:], kk, oc, p)
+		col2imPlane(dx[u*plane:(u+1)*plane], rows, g)
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -105,6 +106,83 @@ func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 		Im2RowMatMulInto(got, patches, x, wT, g) // warm the pool
 		if avg := testing.AllocsPerRun(100, func() { Im2RowMatMulInto(got, patches, x, wT, g) }); avg >= 1 {
 			t.Fatalf("Im2RowMatMulInto %+v allocates %.2f/op in steady state, want 0", g, avg)
+		}
+	}
+}
+
+// col2imReference is the two-call input gradient MatMulCol2ImInto
+// replaces: the patch-major product G·W by the naive ascending-dot GEMM
+// (G permuted to (N·P)×OutC, W = wTᵀ), then each sample's patch rows
+// transposed to tap-major columns and scattered by naiveCol2Im.
+func col2imReference(grad, wT *Tensor, n int, g ConvGeom) *Tensor {
+	p, l, oc := g.OutH()*g.OutW(), wT.Dim(0), wT.Dim(1)
+	gm := New(n*p, oc)
+	for s := 0; s < n; s++ {
+		for c := 0; c < oc; c++ {
+			for pi := 0; pi < p; pi++ {
+				gm.Set(grad.Data()[(s*oc+c)*p+pi], s*p+pi, c)
+			}
+		}
+	}
+	dP := naiveKMajor(gm, transpose(wT))
+	want := New(n, g.InC, g.InH, g.InW)
+	sampleLen := g.InC * g.InH * g.InW
+	for s := 0; s < n; s++ {
+		cols := New(l, p)
+		for pi := 0; pi < p; pi++ {
+			for li := 0; li < l; li++ {
+				cols.Set(dP.At(s*p+pi, li), li, pi)
+			}
+		}
+		copy(want.Data()[s*sampleLen:], naiveCol2Im(cols, g).Data())
+	}
+	return want
+}
+
+// col2imOperands builds a random [N,OutC,OutH,OutW] gradient holding a +0,
+// a −0 and a NaN, and a random transposed weight matrix.
+func col2imOperands(rng *xrand.RNG, n int, g ConvGeom, oc int) (grad, wT *Tensor) {
+	grad = New(n, oc, g.OutH(), g.OutW())
+	rng.FillUniform(grad.Data(), -1, 1)
+	gd := grad.Data()
+	gd[rng.Intn(len(gd))] = 0
+	gd[rng.Intn(len(gd))] = float32(math.Copysign(0, -1))
+	gd[rng.Intn(len(gd))] = float32(math.NaN())
+	wT = New(g.InC*g.K*g.K, oc)
+	rng.FillUniform(wT.Data(), -1, 1)
+	return grad, wT
+}
+
+// TestMatMulCol2ImMatchesTwoCall pins the fused input gradient to the
+// naive G·W product followed by the naive per-tap scatter, byte for byte,
+// at GOMAXPROCS ∈ {1,2,4,16} over batch sizes, channel counts, strides,
+// kernel sizes and paddings. The largest geometries are past
+// parallelMinWork, so the (sample, channel) sharding runs under -race.
+func TestMatMulCol2ImMatchesTwoCall(t *testing.T) {
+	rng := xrand.New(144)
+	const oc = 10
+	for _, n := range []int{1, 3} {
+		for _, inC := range []int{1, 3, 12} {
+			for _, stride := range []int{1, 2, 3} {
+				for _, k := range []int{1, 3, 5} {
+					for _, pad := range []int{0, 1, 2} {
+						g := ConvGeom{InC: inC, InH: 11, InW: 9, K: k, Stride: stride, Pad: pad}
+						grad, wT := col2imOperands(rng, n, g, oc)
+						want := col2imReference(grad, wT, n, g)
+						what := "N=" + itoa(n) + " InC=" + itoa(inC) + " stride=" + itoa(stride) + " K=" + itoa(k) + " pad=" + itoa(pad)
+						for _, procs := range []int{1, 2, 4, 16} {
+							old := runtime.GOMAXPROCS(procs)
+							cols := New(n*g.InC*k*k, g.OutH()*g.OutW())
+							cols.Fill(99)
+							got := New(want.Shape()...)
+							got.Fill(99) // stale garbage must be fully overwritten
+							MatMulCol2ImInto(got, cols, wT, grad, g)
+							runtime.GOMAXPROCS(old)
+							sameBits(t, what+" GOMAXPROCS="+itoa(procs), got.Data(), want.Data())
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -97,9 +97,38 @@ func TestIm2RowMatchesIm2Col(t *testing.T) {
 	}
 }
 
-// TestRow2ImIsAdjoint verifies <Im2Row(x), R> == <x, Row2Im(R)> — the
-// defining property of the backward scatter — and that Row2Im matches the
-// naive per-tap scatter on transposed operands bit for bit.
+// col2im folds a tap-major gradient — [N, InC·K·K, OutH·OutW], a single
+// sample treated as N=1 — back into dst with MatMulCol2ImInto against an
+// identity weight matrix, which makes cols an exact copy of grad (each
+// element is its one unit product plus exact zeros), so the call reduces
+// to its fold.
+func col2im(dst, grad *Tensor, g ConvGeom) {
+	l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
+	eye := New(l, l)
+	for i := 0; i < l; i++ {
+		eye.Set(1, i, i)
+	}
+	MatMulCol2ImInto(dst, New(grad.Len()/p, p), eye, grad, g)
+}
+
+// tapMajor transposes the patch-major rows (N·P)×L into the tap-major
+// [N, L, P] layout MatMulCol2ImInto folds.
+func tapMajor(rows *Tensor, n int) *Tensor {
+	p, l := rows.Dim(0)/n, rows.Dim(1)
+	out := New(n, l, p)
+	for s := 0; s < n; s++ {
+		for pi := 0; pi < p; pi++ {
+			for li := 0; li < l; li++ {
+				out.Set(rows.At(s*p+pi, li), s, li, pi)
+			}
+		}
+	}
+	return out
+}
+
+// TestRow2ImIsAdjoint verifies <Im2Row(x), R> == <x, Col2Im(R)> — the
+// defining property of the backward fold — and that the fold matches the
+// naive per-tap scatter bit for bit.
 func TestRow2ImIsAdjoint(t *testing.T) {
 	rng := xrand.New(42)
 	g := ConvGeom{InC: 2, InH: 8, InW: 6, K: 3, Stride: 2, Pad: 1}
@@ -112,10 +141,11 @@ func TestRow2ImIsAdjoint(t *testing.T) {
 	Im2RowInto(rows, batch, g)
 	r := New(n*p, l)
 	rng.FillUniform(r.Data(), -1, 1)
+	grad := tapMajor(r, n)
 
 	back := New(n, g.InC, g.InH, g.InW)
-	back.Fill(99) // Row2ImInto must zero before it accumulates
-	Row2ImInto(back, r, g)
+	back.Fill(99) // the fold must clear before it accumulates
+	col2im(back, grad, g)
 
 	lhs := rows.Dot(r)
 	var rhs float64
@@ -126,21 +156,15 @@ func TestRow2ImIsAdjoint(t *testing.T) {
 		t.Fatalf("adjoint mismatch: <Ax,y>=%v <x,Aty>=%v", lhs, rhs)
 	}
 
-	// Per-sample agreement with the naive scatter: transpose sample s's
-	// patch rows into column layout and scatter both ways.
+	// Per-sample agreement with the naive scatter over the same tap-major
+	// columns.
 	sampleLen := g.InC * g.InH * g.InW
 	for s := 0; s < n; s++ {
-		colsGrad := New(l, p)
-		for pi := 0; pi < p; pi++ {
-			for li := 0; li < l; li++ {
-				colsGrad.Set(r.At(s*p+pi, li), li, pi)
-			}
-		}
-		want := naiveCol2Im(colsGrad, g)
+		want := naiveCol2Im(FromSlice(grad.Data()[s*l*p:(s+1)*l*p], l, p), g)
 		got := back.Data()[s*sampleLen : (s+1)*sampleLen]
 		for i := range got {
 			if got[i] != want.Data()[i] {
-				t.Fatalf("sample %d: Row2Im diverges from the naive scatter at %d: %v vs %v", s, i, got[i], want.Data()[i])
+				t.Fatalf("sample %d: the fold diverges from the naive scatter at %d: %v vs %v", s, i, got[i], want.Data()[i])
 			}
 		}
 	}

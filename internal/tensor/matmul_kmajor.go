@@ -19,21 +19,21 @@ import "fmt"
 // This is the unified GEMM of the perception stack: the batched AND
 // single-frame Conv2D/Linear forwards lower onto it (tall-skinny patch
 // products, and m=1 gemv shapes that the single-row assembly tail keeps on
-// SIMD), and the batched backward drives it for the input-gradient
-// products. Lane width is dispatched once at init — AVX-512 16-wide or
-// AVX2 8-wide where the CPU supports them, SSE2 4-wide on baseline amd64,
-// NEON 4-wide on arm64, a pure-Go lane kernel elsewhere or under the
-// noasm build tag (see sgemm_amd64.go / sgemm_arm64.go). Column counts
-// that are not a lane multiple stay on SIMD too: the leftover columns are
-// one overlapping lane block, and only products narrower than 4 columns
-// run scalar.
+// SIMD), and the backward drives it for the input-gradient products.
+// Lane width is dispatched once at init — AVX-512 16-wide or AVX2 8-wide
+// where the CPU supports them, SSE2 4-wide on baseline amd64, NEON 4-wide
+// on arm64, a pure-Go lane kernel elsewhere or under the noasm build tag
+// (see sgemm_amd64.go / sgemm_arm64.go). Column counts that are not a
+// lane multiple stay on SIMD too: the leftover columns are one overlapping
+// lane block, and only products narrower than 4 columns run scalar.
 //
 // Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
 // contiguous row range with this same serial driver, so parallelism is
 // pure dispatch and the bits never depend on GOMAXPROCS. The conv forward
 // enters through Im2RowMatMulInto, whose shards also lower their own
-// patch rows.
+// patch rows, and the conv input gradient through MatMulCol2ImInto, whose
+// shards multiply and fold back whole input channels.
 
 // laneKernel is the signature of the assembly column-lane kernels:
 // c[i][0:w] = Σ_l a[i][l]·bk[l][0:w] for i in [0,m), with bk and c

@@ -7,10 +7,12 @@ import (
 
 // This file is the package's single source of parallelism: the work
 // threshold the k-major GEMM gates on, the persistent worker pool it
-// dispatches over, and the row-shard split itself. The split serves both
-// the plain GEMM and the conv forward (Im2RowMatMulInto), whose shards
-// lower their own patch rows before multiplying them. Every parallel call
-// amortises goroutine startup over the same long-lived workers.
+// dispatches over, and the shard split itself. The split serves the plain
+// GEMM, the conv forward (Im2RowMatMulInto), whose shards lower their own
+// patch rows before multiplying them, and the conv input gradient
+// (MatMulCol2ImInto), whose shards multiply and fold back whole input
+// channels. Every parallel call amortises goroutine startup over the same
+// long-lived workers.
 //
 // Parallelism here is strictly a dispatch concern, never a numeric one:
 // workers own disjoint contiguous row ranges of the output and every
@@ -38,26 +40,33 @@ func shardWorkers(m, k, n int) int {
 	return 1
 }
 
-// poolTask is one row shard for the persistent pool: rows [lo, hi) of
-// c = a·bk (a is m×k, bk is k×n). A conv shard also carries its input x and
-// geometry g, and first lowers the output rows it owns into a's patch rows
-// (im2rowRows) before multiplying them, so lowering runs on every core
-// instead of serially ahead of the GEMM. A plain GEMM shard is the same
-// task with x nil: nothing to lower. The struct travels by value through
-// the channel so steady-state dispatch allocates nothing.
+// poolTask is one shard for the persistent pool: rows [lo, hi) of
+// c = a·bk (a is m×k, bk is k×n). A conv forward shard also carries its
+// input x and geometry g, and first lowers the output rows it owns into
+// a's patch rows (im2rowRows) before multiplying them, so lowering runs on
+// every core instead of serially ahead of the GEMM. A conv input-gradient
+// shard carries the gradient dx it folds into instead, and [lo, hi) counts
+// (sample, input channel) units (col2imUnits). A plain GEMM shard is the
+// same task with x and dx nil. The struct travels by value through the
+// channel so steady-state dispatch allocates nothing.
 type poolTask struct {
 	c, a, bk []float32
 	lo, hi   int
 	k, n     int
-	x        []float32
+	x, dx    []float32
 	g        ConvGeom
 	wg       *sync.WaitGroup
 }
 
-// compute runs the shard on the calling goroutine: the lowering of its
-// rows (conv shards only), then the serial GEMM driver on row-offset views
-// of a and c.
+// compute runs the shard on the calling goroutine: an input-gradient
+// shard multiplies and folds its units; otherwise the lowering of its
+// rows (conv forward shards only), then the serial GEMM driver on
+// row-offset views of a and c.
 func (t *poolTask) compute() {
+	if t.dx != nil {
+		col2imUnits(t.dx, t.c, t.a, t.bk, t.g, t.k, t.lo, t.hi)
+		return
+	}
 	if t.x != nil {
 		outW := t.g.OutW()
 		im2rowRows(t.a, t.x, t.g, t.lo/outW, t.hi/outW)
@@ -109,8 +118,10 @@ func matMulKMajorParallel(c, a, bk []float32, m, k, n, workers int) {
 }
 
 // shard splits the task's units [0, units) — unitRows output rows each:
-// 1 for a GEMM, OutW for a conv, whose unit is one (sample, oy) output row
-// — into at most workers contiguous ranges and runs each as a poolTask.
+// 1 for a GEMM, OutW for a conv forward, whose unit is one (sample, oy)
+// output row, and 1 for a conv input gradient, whose unit is one (sample,
+// input channel) — into at most workers contiguous ranges and runs each
+// as a poolTask.
 // Every lane still accumulates strictly ascending k with per-step
 // rounding, so the split is invisible in the bits. The caller runs the
 // last shard inline (it would otherwise idle in Wait), and pool workers

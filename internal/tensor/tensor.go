@@ -233,17 +233,20 @@ func (t *Tensor) ClampInPlace(lo, hi float32) *Tensor {
 	return t
 }
 
-// SignInPlace replaces each element with its sign (-1, 0, +1).
+// SignInPlace replaces each element with its sign: +1 for positive values
+// and +Inf, −1 for negative values and −Inf, +0 for ±0 and NaN. It works on
+// the bit pattern without branches, because a compare-and-branch
+// mispredicts on about half the elements of a random-sign gradient (FGSM's
+// input).
 func (t *Tensor) SignInPlace() *Tensor {
+	const sign, one, inf = 1 << 31, 0x3f800000, 0x7f800000
 	for i, v := range t.data {
-		switch {
-		case v > 0:
-			t.data[i] = 1
-		case v < 0:
-			t.data[i] = -1
-		default:
-			t.data[i] = 0
-		}
+		b := math.Float32bits(v)
+		mag := b &^ sign
+		// Bit 31 of mag+(sign−1) is set iff mag ≠ 0; bit 31 of inf−mag is
+		// set iff mag > inf (NaN). keep is all ones iff both say "a sign".
+		keep := -(((mag + sign - 1) &^ (inf - mag)) >> 31)
+		t.data[i] = math.Float32frombits((b&sign | one) & keep)
 	}
 	return t
 }

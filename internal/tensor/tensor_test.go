@@ -312,8 +312,8 @@ func im2row(x *Tensor, g ConvGeom) *Tensor {
 }
 
 // The TestIm2Col… known-value and adjoint tests below exercise Im2RowInto
-// and Row2ImInto, the package's only convolution lowering; they keep the
-// textbook name of the transform.
+// and the MatMulCol2ImInto fold, the package's only convolution lowering
+// and its adjoint; they keep the textbook name of the transform.
 
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with stride 1 and no padding must reproduce the input.
@@ -373,8 +373,8 @@ func TestIm2ColPadding(t *testing.T) {
 	}
 }
 
-// Property: Row2ImInto is the exact adjoint of Im2RowInto:
-// <Im2Row(x), y> == <x, Row2Im(y)> for all x, y.
+// Property: the MatMulCol2ImInto fold is the exact adjoint of Im2RowInto:
+// <Im2Row(x), y> == <x, Col2Im(y)> for all x, y.
 func TestIm2ColAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := xrand.New(seed)
@@ -389,7 +389,7 @@ func TestIm2ColAdjointProperty(t *testing.T) {
 		rows := im2row(x, g)
 		y := randTensor(r, rows.Dim(0), rows.Dim(1))
 		back := New(g.InC, g.InH, g.InW)
-		Row2ImInto(back, y, g)
+		col2im(back, tapMajor(y, 1), g)
 		lhs := rows.Dot(y)
 		rhs := x.Dot(back)
 		return almostEq(lhs, rhs, 1e-2*(1+math.Abs(lhs)))
@@ -418,5 +418,42 @@ func TestConvGeomValidate(t *testing.T) {
 				t.Fatalf("Validate() err=%v, wantErr=%v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestSignInPlaceMatchesSwitch pins the branch-free SignInPlace to the
+// compare-and-branch definition it replaced, bit for bit, over the IEEE
+// edge cases: NaN of either sign → +0, ±0 → +0, ±Inf → ±1, and subnormal,
+// tiny, unit and ±MaxFloat32 values keep their sign.
+func TestSignInPlaceMatchesSwitch(t *testing.T) {
+	nan := float32(math.NaN())
+	negNaN := math.Float32frombits(math.Float32bits(nan) | 1<<31)
+	in := []float32{
+		nan, negNaN, math.Float32frombits(0x7f800001), math.Float32frombits(0xffffffff),
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), // largest subnormals
+		math.Float32frombits(0x00800000), math.Float32frombits(0x80800000), // smallest normals
+		1, -1, 0.5, -2.5,
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	want := make([]float32, len(in))
+	for i, v := range in {
+		switch {
+		case v > 0:
+			want[i] = 1
+		case v < 0:
+			want[i] = -1
+		default:
+			want[i] = 0
+		}
+	}
+	got := FromSlice(append([]float32(nil), in...), len(in)).SignInPlace().Data()
+	for i := range in {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Errorf("Sign(%v = %#x) = %v (%#x), want %v (%#x)", in[i], math.Float32bits(in[i]),
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
 	}
 }
