@@ -47,7 +47,7 @@
 //
 // The perception stack is batch-first: Regressor.PredictBatch and
 // Detector.ForwardBatch/DetectBatch run whole frame batches through one
-// im2row lowering and one k-major GEMM per layer, bit-identical
+// tap-major lowering and k-major GEMM call per layer, bit-identical
 // frame-for-frame to the per-frame calls.
 //
 // The serving layer (NewServer; `advrepro serve`) exposes the same core

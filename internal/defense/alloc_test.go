@@ -6,6 +6,7 @@ import (
 	"repro/internal/testenv"
 
 	"repro/internal/imaging"
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -106,5 +107,32 @@ func TestProcessIntoMatchesProcess(t *testing.T) {
 				t.Fatalf("%s: ProcessInto diverges from Process at %d", tc.name, i)
 			}
 		}
+	}
+}
+
+// TestUNetTrainStepSteadyStateAllocs extends the budgets to the diffusion
+// trainer's inner step: once the workspaces and the skip buffers (the
+// forward concatenations and Backward's split gradients) are sized, a
+// UNet forward plus backward must not allocate. The larger convs shard
+// over the pool, which may refill its WaitGroup pool after a GC, so like
+// the other sharded budgets this one allows a fraction of an alloc.
+func TestUNetTrainStepSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	rng := xrand.New(17)
+	u := NewUNet(rng, 5)
+	x := tensor.New(5, 16, 16)
+	rng.FillNormal(x.Data(), 0, 1)
+	grad := tensor.New(3, 16, 16)
+	rng.FillNormal(grad.Data(), 0, 0.1)
+	step := func() {
+		u.ZeroGrad()
+		u.Forward(x, true)
+		u.Backward(grad)
+	}
+	step() // size the workspaces and skip buffers
+	if avg := testing.AllocsPerRun(20, step); avg >= 1 {
+		t.Fatalf("UNet forward+backward allocates %.2f/op in steady state, want 0", avg)
 	}
 }

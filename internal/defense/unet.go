@@ -31,8 +31,11 @@ type UNet struct {
 	// forward caches
 	e1, e2 *tensor.Tensor
 
-	// reusable skip-concat buffers (sized lazily; a Clone gets fresh ones)
+	// reusable skip-concat buffers and their gradient halves (sized
+	// lazily; a Clone gets fresh ones)
 	cat2buf, cat1buf *tensor.Tensor
+	gup2buf, ge2buf  *tensor.Tensor
+	gup1buf, ge1buf  *tensor.Tensor
 
 	params []*nn.Param // lazy cache for the per-step grad reset
 }
@@ -115,10 +118,10 @@ func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (u *UNet) Backward(grad *tensor.Tensor) {
 	gd1 := u.out.Backward(grad)
 	gcat1 := u.dec1.Backward(gd1)
-	gup1, ge1skip := splitC(gcat1, unetC2, unetC1)
+	gup1, ge1skip := splitCInto(&u.gup1buf, &u.ge1buf, gcat1, unetC2, unetC1)
 	gd2 := u.up1.Backward(gup1)
 	gcat2 := u.dec2.Backward(gd2)
-	gup2, ge2skip := splitC(gcat2, unetC3, unetC2)
+	gup2, ge2skip := splitCInto(&u.gup2buf, &u.ge2buf, gcat2, unetC3, unetC2)
 	gm := u.up2.Backward(gup2)
 	ge3 := u.mid.Backward(gm)
 	ge2 := u.enc3.Backward(ge3)
@@ -138,30 +141,34 @@ func (u *UNet) Clone() *UNet {
 }
 
 // concatCInto concatenates two CHW tensors along the channel axis into a
-// caller-held buffer, (re)allocated only when the shape changes, so
-// steady-state UNet forwards don't allocate for the skip connections.
+// caller-held buffer, so steady-state UNet forwards don't allocate for the
+// skip connections.
 func concatCInto(buf **tensor.Tensor, a, b *tensor.Tensor) *tensor.Tensor {
 	if a.Dim(1) != b.Dim(1) || a.Dim(2) != b.Dim(2) {
 		panic(fmt.Sprintf("defense: concat spatial mismatch %v vs %v", a.Shape(), b.Shape()))
 	}
 	ca, cb := a.Dim(0), b.Dim(0)
 	h, w := a.Dim(1), a.Dim(2)
-	if *buf == nil || !(*buf).ShapeEq(ca+cb, h, w) {
-		*buf = tensor.New(ca+cb, h, w)
-	}
-	out := *buf
+	out := sizedCHW(buf, ca+cb, h, w)
 	copy(out.Data()[:ca*h*w], a.Data())
 	copy(out.Data()[ca*h*w:], b.Data())
 	return out
 }
 
-// splitC splits a gradient of a channel concatenation back into the two
-// operands' gradients.
-func splitC(g *tensor.Tensor, ca, cb int) (*tensor.Tensor, *tensor.Tensor) {
+// splitCInto splits a gradient of a channel concatenation back into the
+// two operands' gradients, held in caller-held buffers like concatCInto's.
+func splitCInto(bufA, bufB **tensor.Tensor, g *tensor.Tensor, ca, cb int) (*tensor.Tensor, *tensor.Tensor) {
 	h, w := g.Dim(1), g.Dim(2)
-	ga := tensor.New(ca, h, w)
-	gb := tensor.New(cb, h, w)
+	ga, gb := sizedCHW(bufA, ca, h, w), sizedCHW(bufB, cb, h, w)
 	copy(ga.Data(), g.Data()[:ca*h*w])
 	copy(gb.Data(), g.Data()[ca*h*w:])
 	return ga, gb
+}
+
+// sizedCHW returns *buf, (re)allocated only when it is not c×h×w.
+func sizedCHW(buf **tensor.Tensor, c, h, w int) *tensor.Tensor {
+	if *buf == nil || !(*buf).ShapeEq(c, h, w) {
+		*buf = tensor.New(c, h, w)
+	}
+	return *buf
 }

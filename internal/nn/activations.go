@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -56,48 +57,63 @@ func (r *ReLU) Clone() Layer { return &ReLU{} }
 
 // LeakyReLU is max(x, alpha*x); a small negative slope keeps gradients
 // flowing through inactive units, which stabilises the tiny detectors here.
+// Backward reads the sign of the layer's own forward output instead of a
+// copy of its input: for a finite alpha > 0, out ≤ 0 exactly when x ≤ 0
+// (±0 pass through, NaN stays NaN, alpha·x rounding to −0 is still ≤ 0,
+// and −Inf stays −Inf, where a zero slope would make it NaN). Both
+// directions pick between v and alpha·v on the bit pattern, without a
+// branch: activation signs are close to random, so a branch mispredicts
+// on about half the elements.
 type LeakyReLU struct {
 	Alpha float32
 
 	scratch
-	lastIn *tensor.Tensor
+	lastOut *tensor.Tensor
 }
 
 var _ Layer = (*LeakyReLU)(nil)
 
-// NewLeakyReLU returns a LeakyReLU with the given negative slope.
-func NewLeakyReLU(alpha float32) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
-
-// Forward implements Layer.
-func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	ws := r.workspace()
-	lastIn := ws.TensorLike(r, "lastIn", x)
-	copy(lastIn.Data(), x.Data())
-	r.lastIn = lastIn
-	out := ws.TensorLike(r, "out", x)
-	d := out.Data()
-	for i, v := range x.Data() {
-		if v < 0 {
-			v = r.Alpha * v
-		}
-		d[i] = v
+// NewLeakyReLU returns a LeakyReLU with the given negative slope, which
+// must be finite and > 0 for Backward's sign test to hold.
+func NewLeakyReLU(alpha float32) *LeakyReLU {
+	if !(alpha > 0 && alpha <= math.MaxFloat32) {
+		panic(fmt.Sprintf("nn: LeakyReLU slope %v, want finite and > 0", alpha))
 	}
+	return &LeakyReLU{Alpha: alpha}
+}
+
+// Forward implements Layer: out = alpha·x where x < 0, else x.
+func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	out := r.workspace().TensorLike(r, "out", x)
+	d := out.Data()
+	a := r.Alpha
+	for i, v := range x.Data() {
+		b := math.Float32bits(v)
+		// All ones where v < 0: sign set and not NaN (−0·alpha is −0).
+		m := uint32(int32(b)>>31) &^ nanMask(b)
+		d[i] = math.Float32frombits(b ^ (b^math.Float32bits(a*v))&m)
+	}
+	r.lastOut = out
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = alpha·g where out ≤ 0, else g.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := r.workspace().TensorLike(r, "dx", grad)
 	od := out.Data()
-	xd := r.lastIn.Data()
+	yd := r.lastOut.Data()[:len(od)]
+	a := r.Alpha
 	for i, g := range grad.Data() {
-		if xd[i] <= 0 {
-			g *= r.Alpha
-		}
-		od[i] = g
+		y, b := math.Float32bits(yd[i]), math.Float32bits(g)
+		// All ones where out ≤ 0: sign set or +0, and not NaN.
+		m := (uint32(int32(y)>>31) | ^uint32(int32(y|-y)>>31)) &^ nanMask(y)
+		od[i] = math.Float32frombits(b ^ (b^math.Float32bits(a*g))&m)
 	}
 	return out
 }
+
+// nanMask returns all ones when the float32 bit pattern b is a NaN, else 0.
+func nanMask(b uint32) uint32 { return uint32(int32(0x7f800000-b&0x7fffffff) >> 31) }
 
 // Params implements Layer.
 func (r *LeakyReLU) Params() []*Param { return nil }

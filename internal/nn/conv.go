@@ -7,43 +7,48 @@ import (
 	"repro/internal/xrand"
 )
 
-// Conv2D is a 2-D convolution implemented with an im2row lowering so the
-// inner loop is a single k-major SIMD matrix multiply. Single CHW samples
-// and [N,C,H,W] batches run the same unified kernel path — one patch-major
-// lowering and k-major GEMM (tensor.Im2RowMatMulInto, row-sharded across
-// cores together on large inputs), one fused permute+bias pass —
-// so the single-frame forward enjoys the same SIMD throughput as batched
-// inference. Every output element is an ascending-k float32 dot product
-// plus one bias rounding — the order of a direct per-tap convolution, which
-// the tests pin the forward and backward against bit for bit. The input
-// gradient runs tap-major: cols = Wᵀ·G straight from the incoming
-// gradient, folded back per input channel (tensor.MatMulCol2ImInto).
+// Conv2D is a 2-D convolution lowered tap-major so its inner loop is a
+// single k-major SIMD matrix multiply. Single CHW samples and [N,C,H,W]
+// batches run the same unified kernel path: per sample the product
+// W · cols, cols the (InC·K·K) × (OutH·OutW) tap-major lowering, lands in
+// (N)CHW with the output positions on the SIMD lanes
+// (tensor.Im2ColMatMulInto, which lowers, multiplies and adds the bias
+// band by band, sharded across cores on large inputs). Every output
+// element is an ascending-(c,ky,kx) float32 dot product plus one bias
+// rounding — the order of a direct per-tap convolution, which the tests
+// pin the forward and backward against bit for bit. The input gradient
+// runs tap-major too: cols = Wᵀ·G straight from the incoming gradient,
+// folded back per input channel (tensor.MatMulCol2ImInto), and dW reads
+// the incoming gradient and the forward's lowering row by row.
 //
-// Weights are stored as an (outC)×(inC·K·K) matrix; bias is per output
-// channel. The transposed (inC·K·K)×(outC) matrix both GEMMs read is
-// cached across calls until the weights change. All per-call tensors
-// (patches, outputs, gradient scratch) live in the model workspace and
-// are reused across calls.
+// Weights are stored as an (outC)×(inC·K·K) matrix, which the forward
+// reads directly; bias is per output channel. The transposed
+// (inC·K·K)×(outC) matrix the input gradient reads is cached across calls
+// until the weights change. All per-call tensors (lowering, outputs,
+// gradient scratch) live in the model workspace and are reused across
+// calls.
 type Conv2D struct {
 	InC, OutC   int
 	K           int
 	Stride, Pad int
 
 	w, b *Param
-	wT   transposeCache // Wᵀ for the forward and input-gradient GEMMs
+	wT   transposeCache // Wᵀ for the input-gradient GEMM
 
 	scratch
 
-	// Activation caches for Backward: the patch-major lowering of the last
-	// forward and the geometry it was built with, so Backward never
-	// re-derives shapes. lastBatch is the sample count (1 for a CHW
-	// input); lastRank4 records whether the input carried a leading batch
-	// dimension, so Backward returns a gradient of matching rank.
-	lastPatches *tensor.Tensor // (N·OutH·OutW) × (InC·K·K)
-	lastGeom    tensor.ConvGeom
-	lastOutHW   int
-	lastBatch   int
-	lastRank4   bool
+	// Activation caches for Backward: the tap-major lowering of the last
+	// forward — the input itself for a Pointwise geometry, which Backward
+	// therefore reads in place — and the geometry it was built with, so
+	// Backward never re-derives shapes. lastBatch is the sample count (1
+	// for a CHW input); lastRank4 records whether the input carried a
+	// leading batch dimension, so Backward returns a gradient of matching
+	// rank.
+	lastCols  []float32 // [N, InC·K·K, OutH·OutW]
+	lastGeom  tensor.ConvGeom
+	lastOutHW int
+	lastBatch int
+	lastRank4 bool
 }
 
 // convScratchNames keys the workspace buffers of one conv path. The single
@@ -52,12 +57,12 @@ type Conv2D struct {
 // reallocating on every switch. The transposed weight matrix is absent:
 // its shape is batch-independent, so both paths share one "wT" key.
 type convScratchNames struct {
-	patches, pm, gm, dW, cols, dX string
+	im2col, col2im, dX string
 }
 
 var (
-	convSingleKeys = convScratchNames{"patchesS", "pmS", "gmS", "dWS", "colsS", "dXS"}
-	convBatchKeys  = convScratchNames{"patchesB", "pmB", "gmB", "dWB", "colsB", "dXB"}
+	convSingleKeys = convScratchNames{"im2colS", "col2imS", "dXS"}
+	convBatchKeys  = convScratchNames{"im2colB", "col2imB", "dXB"}
 )
 
 var _ Layer = (*Conv2D)(nil)
@@ -96,40 +101,20 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 }
 
-// runForward lowers the input (batched or single) into patch-major rows and
-// runs one SIMD k-major GEMM, both in one tensor.Im2RowMatMulInto call: a
-// large product row-shards across cores with each shard lowering its own
-// rows. The orientation keeps the small weight matrix cache-resident —
-// patches · Wᵀ — while the samples stream through once; the output is then
-// permuted into (N)CHW with the bias fused into the pass. v
-// stored-then-added and v+bias round identically, so the fused bias
-// matches a separate broadcast pass bit for bit.
+// runForward lowers the input (batched or single) tap-major and runs one
+// SIMD k-major GEMM per sample plus the bias, all in one
+// tensor.Im2ColMatMulInto call that writes out in (N)CHW directly: a large
+// product shards across cores by output rows, each shard lowering its own
+// column band.
 func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm *convScratchNames) {
-	ws := c.workspace()
 	p := g.OutH() * g.OutW()
-	l := c.InC * c.K * c.K
-
-	// The transposed weights make each lane accumulate one output element
-	// in ascending k.
-	wT := c.wT.of(ws, c, c.w)
-	patches := ws.Tensor2(c, nm.patches, n*p, l)
-	pm := ws.Tensor2(c, nm.pm, n*p, c.OutC)
-	tensor.Im2RowMatMulInto(pm, patches, x, wT, g)
-
-	od := out.Data()
-	pd := pm.Data()
-	bd := c.b.Value.Data()
-	for s := 0; s < n; s++ {
-		src := pd[s*p*c.OutC:]
-		dst := od[s*c.OutC*p:]
-		for pi := 0; pi < p; pi++ {
-			row := src[pi*c.OutC : pi*c.OutC+c.OutC]
-			for oc, v := range row {
-				dst[oc*p+pi] = v + bd[oc]
-			}
-		}
+	var cols *tensor.Tensor
+	c.lastCols = x.Data()
+	if !g.Pointwise() {
+		cols = c.workspace().Tensor2(c, nm.im2col, n*c.InC*c.K*c.K, p)
+		c.lastCols = cols.Data()
 	}
-	c.lastPatches = patches
+	tensor.Im2ColMatMulInto(out, cols, x, c.w.Value, c.b.Value, g)
 	c.lastGeom = g
 	c.lastOutHW = p
 	c.lastBatch = n
@@ -141,9 +126,8 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 // batch in one pass, so for N>1 their summation order differs from N
 // sequential single-sample backwards by floating-point rounding only.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	nm := c.scratchKeys()
-	c.accumWeightGrad(c.permuteGrad(grad, nm), nm)
-	return c.inputGrad(grad, nm)
+	c.accumParamGrads(grad)
+	return c.inputGrad(grad, c.scratchKeys())
 }
 
 // BackwardInput implements inputGradLayer: the same input gradient as
@@ -159,69 +143,66 @@ func (c *Conv2D) scratchKeys() *convScratchNames {
 	return &convSingleKeys
 }
 
-// permuteGrad reverse-permutes the incoming [N,OutC,P] gradient into the
-// patch-major (N·P)×OutC layout the weight-gradient pass consumes, folding
-// db's column sums into the same pass.
-func (c *Conv2D) permuteGrad(grad *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
+// accumParamGrads adds the batch's parameter gradients to the layer's:
+// db[oc] += Σ_p G[s][oc][p] per sample, and
+// dW[oc][l] += Σ_r G[oc][r] · cols[l][r] over r = s·P + p ascending, both
+// operands read as contiguous rows of the [N,OutC,P] gradient and the
+// forward's [N,L,P] lowering. An exact-zero gradient adds nothing, and
+// each product is rounded before it is added (float32(g * v)), so arm64,
+// where Go would otherwise fuse the update into one FMA, computes the same
+// bits as amd64. Four taps share each gradient load; past the last tap
+// the block re-reads it and drops those sums.
+func (c *Conv2D) accumParamGrads(grad *tensor.Tensor) {
 	n, p := c.lastBatch, c.lastOutHW
-	gm := c.workspace().Tensor2(c, nm.gm, n*p, c.OutC)
-	gmd := gm.Data()
-	gd := grad.Data()
+	l := c.InC * c.K * c.K
+	gd, cd := grad.Data(), c.lastCols
 	bg := c.b.Grad.Data()
 	for s := 0; s < n; s++ {
-		src := gd[s*c.OutC*p:]
-		dst := gmd[s*p*c.OutC:]
-		for oc := 0; oc < c.OutC; oc++ {
-			row := src[oc*p : oc*p+p]
+		for oc := range bg {
 			var sum float32
-			for pi, v := range row {
-				dst[pi*c.OutC+oc] = v
+			for _, v := range gd[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
 				sum += v
 			}
 			bg[oc] += sum
 		}
 	}
-	return gm
-}
-
-// accumWeightGrad adds dW[oc] += Σ over patch rows gm[r][oc] · patches[r]:
-// rank-1 updates streaming the patches once while dW stays cache-resident.
-// Each product is rounded before it is added (float32(g * p)), so arm64,
-// where Go would otherwise fuse the update into one FMA, computes the
-// same bits as amd64.
-func (c *Conv2D) accumWeightGrad(gm *tensor.Tensor, nm *convScratchNames) {
-	n, p := c.lastBatch, c.lastOutHW
-	l := c.InC * c.K * c.K
-	dW := c.workspace().TensorLike(c, nm.dW, c.w.Value)
-	dW.Zero()
-	dwd := dW.Data()
-	gmd := gm.Data()
-	ptd := c.lastPatches.Data()
-	for r := 0; r < n*p; r++ {
-		grow := gmd[r*c.OutC : r*c.OutC+c.OutC]
-		prow := ptd[r*l : r*l+l]
-		for oc, gv := range grow {
-			if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
-				continue
+	wg := c.w.Grad.Data()
+	for oc := 0; oc < c.OutC; oc++ {
+		for li := 0; li < l; li += 4 {
+			t1, t2, t3 := min(li+1, l-1), min(li+2, l-1), min(li+3, l-1)
+			var a0, a1, a2, a3 float32
+			for s := 0; s < n; s++ {
+				grow := gd[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p]
+				sc := cd[s*l*p : (s+1)*l*p]
+				c0, c1 := sc[li*p:][:len(grow)], sc[t1*p:][:len(grow)]
+				c2, c3 := sc[t2*p:][:len(grow)], sc[t3*p:][:len(grow)]
+				for i, gv := range grow {
+					if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
+						continue
+					}
+					a0 += float32(gv * c0[i])
+					a1 += float32(gv * c1[i])
+					a2 += float32(gv * c2[i])
+					a3 += float32(gv * c3[i])
+				}
 			}
-			wrow := dwd[oc*l : oc*l+l]
-			for i, pv := range prow {
-				wrow[i] += float32(gv * pv)
+			sums := [4]float32{a0, a1, a2, a3}
+			for t, v := range sums[:min(4, l-li)] {
+				wg[oc*l+li+t] += v
 			}
 		}
 	}
-	c.w.Grad.AddInPlace(dW)
 }
 
 // inputGrad computes dX = col2im(Wᵀ · G) in one tensor.MatMulCol2ImInto
 // call. The incoming [N,OutC,P] gradient is already k-major for this
 // product (the contraction runs over OutC), so the SIMD kernel reads it in
-// place, and the transposed weights are the forward's cached Wᵀ.
+// place, and the transposed weights come from the layer's cached Wᵀ.
 func (c *Conv2D) inputGrad(grad *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
 	ws := c.workspace()
 	g := c.lastGeom
 	n, p := c.lastBatch, c.lastOutHW
-	cols := ws.Tensor2(c, nm.cols, n*c.InC*c.K*c.K, p)
+	cols := ws.Tensor2(c, nm.col2im, n*c.InC*c.K*c.K, p)
 	var dX *tensor.Tensor
 	if c.lastRank4 {
 		dX = ws.Tensor4(c, nm.dX, n, g.InC, g.InH, g.InW)

@@ -73,8 +73,8 @@ func TestLinearTransposeCacheTracksMutations(t *testing.T) {
 }
 
 // TestConv2DTransposeCacheTracksMutations is the conv twin of the Linear
-// test above: the forward and the input gradient both read the cached Wᵀ,
-// repeated calls reuse it, and every mutation path — optimizer steps,
+// test above: the input gradient reads the cached Wᵀ (the forward reads W
+// itself), repeated calls reuse it, and every mutation path — optimizer steps,
 // CopyParamsFrom, LoadParams, a finite-difference probe, direct write +
 // MarkMutated — rebuilds it, so outputs always match a cache-free layer
 // with identical weights. A clone starts with an empty cache.

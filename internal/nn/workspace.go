@@ -3,8 +3,8 @@ package nn
 import "repro/internal/tensor"
 
 // Workspace owns the reusable scratch tensors of one model instance:
-// im2row patch matrices, GEMM outputs, transposes, activation caches and
-// gradient buffers. Layers request buffers keyed by (layer, name); a buffer
+// tap-major conv lowerings, GEMM outputs, transposes, activation caches
+// and gradient buffers. Layers request buffers keyed by (layer, name); a buffer
 // is allocated on the first Forward/Backward that needs it and reused on
 // every later call with the same shape, which makes steady-state inference,
 // training and attack gradient loops allocation-free.

@@ -22,8 +22,8 @@ func TestTranspose2DIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestIm2ColCol2ImIntoAllocs guards the conv lowering, Im2RowInto, and
-// its adjoint, MatMulCol2ImInto — below the work gate (serial on the
+// TestIm2ColCol2ImIntoAllocs guards the conv lowering, Im2ColMatMulInto,
+// and its adjoint, MatMulCol2ImInto — below the work gate (serial on the
 // caller) and above it at GOMAXPROCS=2 (shards travel by value through
 // the pool).
 func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
@@ -33,9 +33,11 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1}
 	x := New(3, 16, 16)
 	fillSeq(x)
-	rows := New(g.OutH()*g.OutW(), 3*3*3)
-	if avg := testing.AllocsPerRun(100, func() { Im2RowInto(rows, x, g) }); avg != 0 {
-		t.Fatalf("Im2RowInto allocates %.2f/op, want 0", avg)
+	w, bias := New(10, 3*3*3), New(10)
+	fillSeq(w)
+	cols, out := New(3*3*3, g.OutH()*g.OutW()), New(10, g.OutH(), g.OutW())
+	if avg := testing.AllocsPerRun(100, func() { Im2ColMatMulInto(out, cols, x, w, bias, g) }); avg != 0 {
+		t.Fatalf("serial Im2ColMatMulInto allocates %.2f/op, want 0", avg)
 	}
 	col2imAllocs := func(g ConvGeom) float64 {
 		const oc = 10
@@ -89,17 +91,22 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 9, InW: 7, K: 3, Stride: 2, Pad: 1}
 	x := New(2, 9, 7)
 	fillSeq(x)
-	wantRows := New(g.OutH()*g.OutW(), 2*3*3)
-	Im2RowInto(wantRows, x, g)
-	rows := New(g.OutH()*g.OutW(), 2*3*3)
-	rows.Fill(99)
-	Im2RowInto(rows, x, g)
-	same("Im2RowInto", rows, wantRows)
+	w, bias := New(4, 2*3*3), New(4)
+	fillSeq(w)
+	fillSeq(bias)
+	wantCols, wantOut := New(2*3*3, g.OutH()*g.OutW()), New(4, g.OutH(), g.OutW())
+	Im2ColMatMulInto(wantOut, wantCols, x, w, bias, g)
+	cols := New(2*3*3, g.OutH()*g.OutW())
+	cols.Fill(99)
+	out := New(4, g.OutH(), g.OutW())
+	out.Fill(99)
+	Im2ColMatMulInto(out, cols, x, w, bias, g)
+	same("Im2ColMatMulInto cols", cols, wantCols)
+	same("Im2ColMatMulInto", out, wantOut)
 
 	wT, grad := New(2*3*3, 4), New(4, g.OutH(), g.OutW())
 	fillSeq(wT)
 	fillSeq(grad)
-	cols := New(2*3*3, g.OutH()*g.OutW())
 	wantIm := New(2, 9, 7)
 	MatMulCol2ImInto(wantIm, cols, wT, grad, g)
 	cols.Fill(99)

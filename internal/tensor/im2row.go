@@ -2,21 +2,26 @@ package tensor
 
 import "fmt"
 
-// Convolution lowering. Im2RowInto lowers an [N,C,H,W] tensor (or one CHW
-// sample) into an (N·OutH·OutW) × (InC·K·K) patch matrix, so one
-// MatMulKMajorInto against the (InC·K·K) × (OutC) transposed weight
-// matrix serves the whole batch while the small weight operand stays
-// cache-resident and the patches stream through exactly once. Each output
-// element remains an ascending-k dot product, so batched convolution is
-// bit-identical per frame to a single-sample call.
+// Convolution lowering, one layout for both directions: tap-major. The
+// lowering of a CHW sample is the (InC·K·K) × (OutH·OutW) matrix cols
+// whose row (c,ky,kx) holds the pixel that tap reads at every output
+// position (0 in the padding).
 //
-// The backward runs the other way round, tap-major: MatMulCol2ImInto
-// forms cols = Wᵀ·G, one row of output positions per (channel, ky, kx)
-// tap, and col2imPlane folds each channel's K·K rows into its input plane
-// reading every row contiguously.
+// The forward (Im2ColMatMulInto) computes out = W·cols per sample: an
+// OutC × (OutH·OutW) product that lands in CHW with the output positions
+// on the SIMD lanes. im2colRows writes the lowering row by row — one copy
+// per tap and output row at stride 1 — and a Pointwise 1×1 conv
+// multiplies the input itself. Each output element remains an ascending-(c,ky,kx) dot,
+// so batched convolution is bit-identical per frame to a single-sample
+// call.
+//
+// The input gradient runs the other way round: MatMulCol2ImInto forms
+// cols = Wᵀ·G and col2imPlane, the exact adjoint of im2colRows, folds
+// each channel's K·K rows into its input plane reading every row
+// contiguously.
 
 // ConvGeom describes the geometry of a 2-D convolution over a CHW tensor.
-// It is shared by the forward Im2RowInto lowering and the backward
+// It is shared by the forward Im2ColMatMulInto lowering and the backward
 // MatMulCol2ImInto fold so the two always agree.
 type ConvGeom struct {
 	InC, InH, InW int // input channels, height, width
@@ -58,109 +63,105 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 	return x.shape[0]
 }
 
-// Im2RowInto unrolls the batched input x ([N,C,H,W], or a single [C,H,W]
-// sample treated as N=1) into dst, which must have shape
-// (N·OutH·OutW) × (InC·K·K): row n·OutH·OutW + oy·OutW + ox holds the
-// receptive-field window of output position (oy,ox) of sample n. Every
-// destination element is written (padding taps as 0), so dst's previous
-// contents don't matter.
-//
-//advlint:noalloc
-func Im2RowInto(dst, x *Tensor, g ConvGeom) {
-	n := batchGeomCheck(x, g, "Im2RowInto")
-	outH, outW := g.OutH(), g.OutW()
-	p := outH * outW
-	l := g.InC * g.K * g.K
-	if dst.Rank() != 2 || dst.shape[0] != n*p || dst.shape[1] != l {
-		panic(fmt.Sprintf("tensor: Im2RowInto dst %v, want [%d %d]", dst.shape, n*p, l))
-	}
-	im2rowRows(dst.data, x.data, g, 0, n*outH)
-}
+// Pointwise reports whether the geometry is a 1×1, stride-1, unpadded
+// convolution. Its tap-major lowering is the CHW sample itself (row c of
+// the InC × (H·W) lowering is channel plane c), so Im2ColMatMulInto
+// multiplies x in place and never writes the cols scratch.
+func (g ConvGeom) Pointwise() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }
 
-// im2rowRows lowers output rows [u0, u1) of a batch into the patch matrix
-// pd, counting one unit per (sample, oy) pair: unit u is output row
-// u mod OutH of sample u div OutH, and fills patch rows
-// [u·OutW, (u+1)·OutW). Disjoint unit ranges write disjoint patch rows,
-// which is what lets a row shard lower its own patches (Im2RowMatMulInto).
-func im2rowRows(pd, xd []float32, g ConvGeom, u0, u1 int) {
-	outH, outW := g.OutH(), g.OutW()
-	p := outH * outW
-	l := g.InC * g.K * g.K
-	sampleLen := g.InC * g.InH * g.InW
-	for u := u0; u < u1; {
-		s, oy0 := u/outH, u%outH
-		oy1 := min(outH, oy0+u1-u)
-		im2rowSample(pd[s*p*l:(s+1)*p*l], xd[s*sampleLen:(s+1)*sampleLen], g, oy0, oy1, outW, l)
-		u += oy1 - oy0
-	}
-}
-
-// im2rowSample lowers output rows [oy0, oy1) of one CHW sample into its
-// patch-major rows. The inner copy is split into left-border / interior /
-// right-border segments so the common case (window fully inside the
-// image) runs without per-tap bounds tests, and the K==3 interior is
-// unrolled (most convs in this repository are 3×3).
-func im2rowSample(pd, xd []float32, g ConvGeom, oy0, oy1, outW, l int) {
-	k := g.K
-	for oy := oy0; oy < oy1; oy++ {
-		iy0 := oy*g.Stride - g.Pad
-		rowBase := oy * outW * l
-		for c := 0; c < g.InC; c++ {
-			for ky := 0; ky < k; ky++ {
-				iy := iy0 + ky
-				off := (c*k + ky) * k
+// im2colRows lowers output rows [oy0, oy1) of one CHW sample into its
+// tap-major lowering cols, (InC·K·K) × (OutH·OutW): row (c,ky,kx) holds, at
+// columns [oy0·OutW, oy1·OutW), the pixel tap (ky,kx) reads at each of
+// those output positions, 0 in the padding — the exact adjoint of
+// col2imPlane. Each input row a (c,ky) tap row reads is lowered by one
+// im2colRow call. Disjoint row ranges write disjoint column bands, which
+// is what lets a forward shard lower its own band (im2colUnits).
+func im2colRows(cols, xd []float32, g ConvGeom, oy0, oy1 int) {
+	k, outW := g.K, g.OutW()
+	p := g.OutH() * outW
+	// Output columns [in0, in1) read every tap of their window inside the
+	// input row; only the columns outside it test each tap.
+	in0, _ := tapRange(0, g.Pad, g.Stride, g.InW, outW)
+	_, in1 := tapRange(k-1, g.Pad, g.Stride, g.InW, outW)
+	in0 = min(in0, outW)
+	in1 = max(in1, in0)
+	plane := g.InH * g.InW
+	for ch := 0; ch < g.InC; ch++ {
+		for ky := 0; ky < k; ky++ {
+			taps := cols[(ch*k+ky)*k*p : (ch*k+ky+1)*k*p]
+			for oy := oy0; oy < oy1; oy++ {
+				iy := oy*g.Stride - g.Pad + ky
 				if iy < 0 || iy >= g.InH {
-					for ox := 0; ox < outW; ox++ {
-						clear(pd[rowBase+ox*l+off : rowBase+ox*l+off+k])
+					for kx := 0; kx < k; kx++ {
+						clear(taps[kx*p+oy*outW : kx*p+(oy+1)*outW])
 					}
 					continue
 				}
-				src := xd[(c*g.InH+iy)*g.InW : (c*g.InH+iy+1)*g.InW]
-				ox := 0
-				// Left border: the window starts before the image edge.
-				for ; ox < outW; ox++ {
-					ix := ox*g.Stride - g.Pad
-					if ix >= 0 {
-						break
-					}
-					dst := pd[rowBase+ox*l+off : rowBase+ox*l+off+k]
-					for kx := range dst {
-						if ix+kx < 0 || ix+kx >= g.InW {
-							dst[kx] = 0
-						} else {
-							dst[kx] = src[ix+kx]
-						}
-					}
-				}
-				// Interior: the window is fully inside the row.
-				if k == 3 {
-					for ; ox < outW && ox*g.Stride-g.Pad+3 <= g.InW; ox++ {
-						ix := ox*g.Stride - g.Pad
-						dst := pd[rowBase+ox*l+off : rowBase+ox*l+off+3]
-						s := src[ix : ix+3]
-						dst[0], dst[1], dst[2] = s[0], s[1], s[2]
-					}
-				} else {
-					for ; ox < outW && ox*g.Stride-g.Pad+k <= g.InW; ox++ {
-						ix := ox*g.Stride - g.Pad
-						copy(pd[rowBase+ox*l+off:rowBase+ox*l+off+k], src[ix:ix+k])
-					}
-				}
-				// Right border: the window runs past the image edge.
-				for ; ox < outW; ox++ {
-					ix := ox*g.Stride - g.Pad
-					dst := pd[rowBase+ox*l+off : rowBase+ox*l+off+k]
-					for kx := range dst {
-						if ix+kx >= g.InW {
-							dst[kx] = 0
-						} else {
-							dst[kx] = src[ix+kx]
-						}
-					}
-				}
+				src := xd[ch*plane+iy*g.InW : ch*plane+(iy+1)*g.InW]
+				im2colRow(taps[oy*outW:], src, g, p, outW, in0, in1)
 			}
 		}
 	}
+}
+
+// im2colRow writes the K taps (ky fixed, kx = 0…K−1) of one output row
+// from the input row src they read: tap kx's OutW values go to
+// dst[kx·p : kx·p+OutW]. Border columns test each tap; the interior
+// [in0, in1) is one copy per tap at stride 1, and at larger strides one
+// pass over the windows that scatters each window's K values to the K tap
+// rows.
+func im2colRow(dst, src []float32, g ConvGeom, p, outW, in0, in1 int) {
+	k, s, pad := g.K, g.Stride, g.Pad
+	for ox := 0; ox < in0; ox++ {
+		for kx := 0; kx < k; kx++ {
+			dst[kx*p+ox] = tapAt(src, ox*s-pad+kx)
+		}
+	}
+	for ox := in1; ox < outW; ox++ {
+		for kx := 0; kx < k; kx++ {
+			dst[kx*p+ox] = tapAt(src, ox*s-pad+kx)
+		}
+	}
+	if in0 == in1 {
+		return
+	}
+	ix := in0*s - pad
+	switch {
+	case s == 1:
+		for kx := 0; kx < k; kx++ {
+			copy(dst[kx*p+in0:kx*p+in1], src[ix+kx:])
+		}
+	case k == 3 && s == 2:
+		// Neighbouring windows share a pixel, so each step reads the five
+		// pixels of two windows.
+		d0 := dst[in0:in1]
+		d1 := dst[p+in0 : p+in1][:len(d0)]
+		d2 := dst[2*p+in0 : 2*p+in1][:len(d0)]
+		i := 0
+		for ; i+1 < len(d0); i, ix = i+2, ix+4 {
+			w := src[ix : ix+5]
+			d0[i], d1[i], d2[i] = w[0], w[1], w[2]
+			d0[i+1], d1[i+1], d2[i+1] = w[2], w[3], w[4]
+		}
+		if i < len(d0) {
+			w := src[ix : ix+3]
+			d0[i], d1[i], d2[i] = w[0], w[1], w[2]
+		}
+	default:
+		for ox := in0; ox < in1; ox, ix = ox+1, ix+s {
+			for kx, v := range src[ix : ix+k] {
+				dst[kx*p+ox] = v
+			}
+		}
+	}
+}
+
+// tapAt is src[ix], or 0 where ix falls in the padding.
+func tapAt(src []float32, ix int) float32 {
+	if ix < 0 || ix >= len(src) {
+		return 0
+	}
+	return src[ix]
 }
 
 // col2imPlane folds one channel's tap-major gradient rows back into its

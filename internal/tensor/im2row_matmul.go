@@ -2,42 +2,77 @@ package tensor
 
 import "fmt"
 
-// Im2RowMatMulInto is the convolution forward's lowering and GEMM in one
-// call: it lowers x into patches exactly as Im2RowInto does and computes
-// dst = patches·wT exactly as MatMulKMajorInto does. wT is the
-// (InC·K·K) × OutC transposed weight matrix, patches must be
-// (N·OutH·OutW) × (InC·K·K) and dst (N·OutH·OutW) × OutC. The whole patch
-// matrix is still written, so a backward pass can read it afterwards.
+// Im2ColMatMulInto is the convolution forward in one call: per sample it
+// lowers x tap-major into cols (im2colRows) and computes
+// out = w·cols + bias, an OutC × (OutH·OutW) product that lands in CHW
+// with the output positions on the SIMD lanes. w is the OutC × (InC·K·K)
+// weight matrix, bias holds OutC values, x is the [N,C,H,W] — or single
+// [C,H,W] — input, cols (N·InC·K·K) × (OutH·OutW) scratch and dst holds
+// N·OutC·OutH·OutW elements. Each output element is the ascending-(c,ky,kx)
+// dot of its window with its filter plus one bias rounding. The whole
+// lowering is written, so a backward pass can read it; a Pointwise
+// geometry multiplies x in place and leaves cols (then possibly nil) alone.
 //
-// Past the GEMM's parallelMinWork gate the product is row-sharded over the
-// persistent pool in whole output rows — one (sample, oy) pair per unit —
-// and each shard lowers its own rows before multiplying them, so the
-// lowering runs on every core instead of serially ahead of the GEMM.
-// Below the gate it lowers the whole batch, then multiplies, on the
-// calling goroutine. Either way every output element is the same
-// ascending-k dot, so the result is bit-identical to the two-call form at
-// any GOMAXPROCS.
+// Past the GEMM's shardWorkers gate the work is sharded by (sample, output
+// row): a shard lowers, multiplies and biases its own column bands, and
+// the serial driver's tail block stays inside its band, so no two shards
+// write one column and the bits are the same at any GOMAXPROCS.
 //
 //advlint:noalloc
-func Im2RowMatMulInto(dst, patches, x, wT *Tensor, g ConvGeom) {
-	n := batchGeomCheck(x, g, "Im2RowMatMulInto")
+func Im2ColMatMulInto(dst, cols, x, w, bias *Tensor, g ConvGeom) {
+	n := batchGeomCheck(x, g, "Im2ColMatMulInto")
+	p := g.OutH() * g.OutW()
+	l := g.InC * g.K * g.K
+	if w.Rank() != 2 || w.shape[1] != l || bias.Len() != w.shape[0] || dst.Len() != n*w.shape[0]*p {
+		panic(fmt.Sprintf("tensor: Im2ColMatMulInto w %v, bias %v and dst %v, want [OutC %d], [OutC] and [%d OutC %d %d]", w.shape, bias.shape, dst.shape, l, n, g.OutH(), g.OutW()))
+	}
+	var cd []float32
+	if !g.Pointwise() {
+		if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
+			panic(fmt.Sprintf("tensor: Im2ColMatMulInto cols %v, want [%d %d]", cols.shape, n*l, p))
+		}
+		cd = cols.data
+	}
+	oc := w.shape[0]
+	t := poolTask{c: dst.data, a: w.data, bk: cd, k: l, n: oc, x: x.data, b: bias.data, g: g}
+	t.shard(n*g.OutH(), shardWorkers(n*p, l, oc))
+}
+
+// im2colUnits runs units [u0, u1) of an Im2ColMatMulInto call: unit u is
+// output row u mod OutH of sample u div OutH, and owns the column band
+// [oy·OutW, (oy+1)·OutW) of that sample's lowering and output. Consecutive
+// units of one sample run as one band: lowered (unless the geometry is
+// Pointwise), multiplied by w, and biased.
+func im2colUnits(dst, cols, w, bias, x []float32, g ConvGeom, oc, u0, u1 int) {
 	outH, outW := g.OutH(), g.OutW()
-	m, l := n*outH*outW, g.InC*g.K*g.K
-	if patches.Rank() != 2 || patches.shape[0] != m || patches.shape[1] != l {
-		panic(fmt.Sprintf("tensor: Im2RowMatMulInto patches %v, want [%d %d]", patches.shape, m, l))
+	p, l := outH*outW, g.InC*g.K*g.K
+	sampleLen := g.InC * g.InH * g.InW
+	for u := u0; u < u1; {
+		s, oy0 := u/outH, u%outH
+		oy1 := min(outH, oy0+u1-u)
+		cs := x[s*sampleLen : (s+1)*sampleLen]
+		if !g.Pointwise() {
+			xs := cs
+			cs = cols[s*l*p : (s+1)*l*p]
+			im2colRows(cs, xs, g, oy0, oy1)
+		}
+		out := dst[s*oc*p : (s+1)*oc*p]
+		j0, j1 := oy0*outW, oy1*outW
+		matMulKMajorCols(out, w, cs, oc, l, p, j0, j1)
+		for o, b := range bias[:oc] {
+			band := out[o*p+j0 : o*p+j1]
+			for i := range band {
+				band[i] += b
+			}
+		}
+		u += oy1 - oy0
 	}
-	if wT.Rank() != 2 || wT.shape[0] != l || dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != wT.shape[1] {
-		panic(fmt.Sprintf("tensor: Im2RowMatMulInto shapes %v = [%d %d] x %v", dst.shape, m, l, wT.shape))
-	}
-	oc := wT.shape[1]
-	t := poolTask{c: dst.data, a: patches.data, bk: wT.data, k: l, n: oc, x: x.data, g: g}
-	t.shard(n*outH, outW, shardWorkers(m, l, oc))
 }
 
 // MatMulCol2ImInto is the convolution's input gradient in one call: it
 // computes the tap-major product cols = Wᵀ·G of each sample and folds it
-// back into dst, the adjoint of Im2RowInto followed by the forward GEMM.
-// wT is the forward's (InC·K·K) × OutC transposed weight matrix, grad the
+// back into dst, the adjoint of Im2ColMatMulInto's product.
+// wT is the (InC·K·K) × OutC transposed weight matrix, grad the
 // incoming [N,OutC,OutH,OutW] output gradient read in place (N·OutC·OutH·OutW
 // elements, a single sample treated as N=1), cols (N·InC·K·K) ×
 // (OutH·OutW) scratch, and dst the [N,C,H,W] — or single [C,H,W] — input
@@ -64,7 +99,7 @@ func MatMulCol2ImInto(dst, cols, wT, grad *Tensor, g ConvGeom) {
 	}
 	oc := wT.shape[1]
 	t := poolTask{c: cols.data, a: wT.data, bk: grad.data, k: oc, n: p, dx: dst.data, g: g}
-	t.shard(n*g.InC, 1, shardWorkers(n*l, oc, p))
+	t.shard(n*g.InC, shardWorkers(n*l, oc, p))
 }
 
 // col2imUnits runs units [u0, u1) of a MatMulCol2ImInto call: unit u is

@@ -9,55 +9,88 @@ import (
 	"repro/internal/xrand"
 )
 
-// im2rowMatMulCases are the fused conv forward's edge cases: batched N=3
-// inputs whose row shards split a sample mid-image at 2 and 4 workers,
-// stride 2, a 1×1 kernel (all lowering, no window overlap), and output
-// widths from a pure sub-lane product (3) through an overlapping-tail
-// width (10, 17) to an exact lane multiple plus 4-block (12). Most are
-// past parallelMinWork at every OutC so the sharded path runs; the
-// stride-2 case at OutC=3 stays below it and pins the serial path.
-var im2rowMatMulCases = []ConvGeom{
+// im2colMatMulCases are the fused conv forward's edge cases: inputs whose
+// (sample, output row) shards split a sample mid-image at 2 and 4 workers,
+// stride 2, a Pointwise 1×1 kernel (x multiplied in place), K=5 at stride
+// 3, and output channel counts from a pure sub-lane product (3) through an
+// overlapping-tail width (10, 17) to an exact lane multiple plus 4-block
+// (12). Most are past parallelMinWork at N=3 so the sharded path runs;
+// N=1 and the stride-3 case stay below it and pin the serial path.
+var im2colMatMulCases = []ConvGeom{
 	{InC: 5, InH: 19, InW: 21, K: 3, Stride: 1, Pad: 1},
 	{InC: 4, InH: 33, InW: 30, K: 3, Stride: 2, Pad: 1},
 	{InC: 10, InH: 40, InW: 40, K: 1, Stride: 1, Pad: 0},
+	{InC: 3, InH: 17, InW: 16, K: 5, Stride: 3, Pad: 2},
 }
 
-var im2rowMatMulOutC = []int{3, 10, 12, 17}
+var im2colMatMulOutC = []int{3, 10, 12, 17}
 
-// fusedOperands builds an N=3 batch, a random transposed weight matrix and
-// the two-call reference: Im2RowInto's patches and the naive ascending-dot
-// product of them with wT.
-func fusedOperands(rng *xrand.RNG, g ConvGeom, oc int) (x, wT, wantP, want *Tensor) {
-	const n = 3
+// fusedOperands builds an n-sample batch holding a +0, a −0 and a NaN, a
+// random OutC × (InC·K·K) weight matrix and bias, and the two-call
+// reference of twoCallForward.
+func fusedOperands(rng *xrand.RNG, n int, g ConvGeom, oc int) (x, w, bias, wantCols, want *Tensor) {
 	x, _ = batchOf(rng, n, g)
-	l := g.InC * g.K * g.K
-	wT = New(l, oc)
-	rng.FillUniform(wT.Data(), -1, 1)
-	wantP = New(n*g.OutH()*g.OutW(), l)
-	Im2RowInto(wantP, x, g)
-	return x, wT, wantP, naiveKMajor(wantP, wT)
+	xd := x.Data()
+	xd[rng.Intn(len(xd))] = 0
+	xd[rng.Intn(len(xd))] = float32(math.Copysign(0, -1))
+	xd[rng.Intn(len(xd))] = float32(math.NaN())
+	w, bias = New(oc, g.InC*g.K*g.K), New(oc)
+	rng.FillUniform(w.Data(), -1, 1)
+	rng.FillUniform(bias.Data(), -1, 1)
+	wantCols, want = twoCallForward(x, w, bias, n, g)
+	return x, w, bias, wantCols, want
 }
 
-// TestIm2RowMatMulMatchesTwoCall pins the fused lowering+GEMM to
-// Im2RowInto followed by the naive GEMM reference, byte for byte — both
-// the product and the patch matrix Backward reads — at GOMAXPROCS ∈
-// {1,2,4,16}, so sharding by (sample, oy) rows is dispatch only.
+// twoCallForward is the conv forward Im2ColMatMulInto replaces: each
+// sample's naiveIm2Col lowering, then the naive ascending-dot product of
+// w with it, plus the bias.
+func twoCallForward(x, w, bias *Tensor, n int, g ConvGeom) (cols, out *Tensor) {
+	l, p, oc := g.InC*g.K*g.K, g.OutH()*g.OutW(), w.Dim(0)
+	sampleLen := g.InC * g.InH * g.InW
+	cols, out = New(n*l, p), New(n, oc, g.OutH(), g.OutW())
+	for s := 0; s < n; s++ {
+		cs := naiveIm2Col(FromSlice(x.Data()[s*sampleLen:(s+1)*sampleLen], g.InC, g.InH, g.InW), g)
+		copy(cols.Data()[s*l*p:], cs.Data())
+		prod := naiveKMajor(w, cs).Data()
+		for i, v := range prod {
+			prod[i] = v + bias.Data()[i/p]
+		}
+		copy(out.Data()[s*oc*p:], prod)
+	}
+	return cols, out
+}
+
+// TestIm2RowMatMulMatchesTwoCall pins the fused lowering+GEMM+bias,
+// Im2ColMatMulInto, to the naive tap-major lowering followed by the naive
+// GEMM reference, byte for byte — both the product and the lowering
+// Backward reads — at GOMAXPROCS ∈ {1,2,4,16} and N ∈ {1,3}, so sharding
+// by (sample, output row) bands is dispatch only.
 func TestIm2RowMatMulMatchesTwoCall(t *testing.T) {
 	rng := xrand.New(141)
-	for _, g := range im2rowMatMulCases {
-		for _, oc := range im2rowMatMulOutC {
-			x, wT, wantP, want := fusedOperands(rng, g, oc)
-			for _, procs := range []int{1, 2, 4, 16} {
-				old := runtime.GOMAXPROCS(procs)
-				patches := New(wantP.Shape()...)
-				patches.Fill(99) // stale garbage must be fully overwritten
-				got := New(want.Shape()...)
-				got.Fill(99)
-				Im2RowMatMulInto(got, patches, x, wT, g)
-				runtime.GOMAXPROCS(old)
-				what := "GOMAXPROCS=" + itoa(procs) + " K=" + itoa(g.K) + " stride=" + itoa(g.Stride) + " OutC=" + itoa(oc)
-				sameBits(t, what+" patches", patches.Data(), wantP.Data())
-				sameBits(t, what+" product", got.Data(), want.Data())
+	for _, g := range im2colMatMulCases {
+		for _, oc := range im2colMatMulOutC {
+			for _, n := range []int{1, 3} {
+				x, w, bias, wantCols, want := fusedOperands(rng, n, g, oc)
+				for _, procs := range []int{1, 2, 4, 16} {
+					old := runtime.GOMAXPROCS(procs)
+					cols := New(wantCols.Shape()...)
+					cols.Fill(99) // stale garbage must be fully overwritten
+					got := New(want.Shape()...)
+					got.Fill(99)
+					Im2ColMatMulInto(got, cols, x, w, bias, g)
+					runtime.GOMAXPROCS(old)
+					what := "GOMAXPROCS=" + itoa(procs) + " N=" + itoa(n) + " K=" + itoa(g.K) + " stride=" + itoa(g.Stride) + " OutC=" + itoa(oc)
+					if g.Pointwise() {
+						for i, v := range cols.Data() {
+							if v != 99 {
+								t.Fatalf("%s: Pointwise call wrote cols[%d] = %v", what, i, v)
+							}
+						}
+					} else {
+						sameBits(t, what+" cols", cols.Data(), wantCols.Data())
+					}
+					sameBits(t, what+" product", got.Data(), want.Data())
+				}
 			}
 		}
 	}
@@ -65,31 +98,38 @@ func TestIm2RowMatMulMatchesTwoCall(t *testing.T) {
 
 // TestIm2RowMatMulExplicitWorkers drives the conv shard split directly at
 // worker counts the GOMAXPROCS gate would never pick — odd counts, more
-// workers than output rows — so unit ranges that split a sample at any
-// oy, and single-row shards, are pinned independently of the gate.
+// workers than output rows — so bands that split a sample at any output
+// row, bands narrower than one 16-column block (OutW 6) and bands below
+// one 4-column lane block (OutW 3, the scalar path) are pinned
+// independently of the gate.
 func TestIm2RowMatMulExplicitWorkers(t *testing.T) {
 	rng := xrand.New(142)
-	g := ConvGeom{InC: 2, InH: 7, InW: 6, K: 3, Stride: 1, Pad: 1}
-	for _, oc := range im2rowMatMulOutC {
-		x, wT, wantP, want := fusedOperands(rng, g, oc)
-		units := 3 * g.OutH()
-		for _, workers := range []int{1, 2, 3, 5, 16, units, units + 5} {
-			patches := New(wantP.Shape()...)
-			patches.Fill(99)
-			got := New(want.Shape()...)
-			got.Fill(99)
-			task := poolTask{c: got.Data(), a: patches.Data(), bk: wT.Data(), k: wT.Dim(0), n: oc, x: x.Data(), g: g}
-			task.shard(units, g.OutW(), workers)
-			what := "workers=" + itoa(workers) + " OutC=" + itoa(oc)
-			sameBits(t, what+" patches", patches.Data(), wantP.Data())
-			sameBits(t, what+" product", got.Data(), want.Data())
+	for _, g := range []ConvGeom{
+		{InC: 2, InH: 7, InW: 6, K: 3, Stride: 1, Pad: 1},
+		{InC: 3, InH: 9, InW: 5, K: 3, Stride: 2, Pad: 1},
+	} {
+		for _, oc := range im2colMatMulOutC {
+			x, w, bias, wantCols, want := fusedOperands(rng, 3, g, oc)
+			units := 3 * g.OutH()
+			for _, workers := range []int{1, 2, 3, 5, 16, units, units + 5} {
+				cols := New(wantCols.Shape()...)
+				cols.Fill(99)
+				got := New(want.Shape()...)
+				got.Fill(99)
+				task := poolTask{c: got.Data(), a: w.Data(), bk: cols.Data(), k: w.Dim(1), n: oc, x: x.Data(), b: bias.Data(), g: g}
+				task.shard(units, workers)
+				what := "OutW=" + itoa(g.OutW()) + " workers=" + itoa(workers) + " OutC=" + itoa(oc)
+				sameBits(t, what+" cols", cols.Data(), wantCols.Data())
+				sameBits(t, what+" product", got.Data(), want.Data())
+			}
 		}
 	}
 }
 
-// TestIm2RowMatMulSteadyStateAllocs keeps the fused entry allocation-free
-// both below the work gate (serial on the caller) and above it at
-// GOMAXPROCS=2 (conv shards travel by value through the pool).
+// TestIm2RowMatMulSteadyStateAllocs keeps the fused entry allocation-free:
+// exactly 0 allocs/op below the work gate (serial on the caller), and
+// below 1 above it at GOMAXPROCS=2 (conv shards travel by value through
+// the pool, which may refill its WaitGroup pool after a GC).
 func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -97,15 +137,20 @@ func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
 	rng := xrand.New(143)
-	for _, g := range []ConvGeom{
-		{InC: 3, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1}, // serial
-		{InC: 5, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}, // sharded
+	for _, tc := range []struct {
+		g       ConvGeom
+		sharded bool
+	}{
+		{ConvGeom{InC: 3, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1}, false},
+		{ConvGeom{InC: 10, InH: 16, InW: 16, K: 1, Stride: 1, Pad: 0}, false}, // Pointwise
+		{ConvGeom{InC: 5, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}, true},
 	} {
-		x, wT, wantP, want := fusedOperands(rng, g, 10)
-		patches, got := New(wantP.Shape()...), New(want.Shape()...)
-		Im2RowMatMulInto(got, patches, x, wT, g) // warm the pool
-		if avg := testing.AllocsPerRun(100, func() { Im2RowMatMulInto(got, patches, x, wT, g) }); avg >= 1 {
-			t.Fatalf("Im2RowMatMulInto %+v allocates %.2f/op in steady state, want 0", g, avg)
+		x, w, bias, wantCols, want := fusedOperands(rng, 1, tc.g, 10)
+		cols, got := New(wantCols.Shape()...), New(want.Shape()...)
+		Im2ColMatMulInto(got, cols, x, w, bias, tc.g) // warm the pool
+		avg := testing.AllocsPerRun(100, func() { Im2ColMatMulInto(got, cols, x, w, bias, tc.g) })
+		if (tc.sharded && avg >= 1) || (!tc.sharded && avg != 0) {
+			t.Fatalf("Im2ColMatMulInto %+v (sharded %v) allocates %.2f/op in steady state", tc.g, tc.sharded, avg)
 		}
 	}
 }

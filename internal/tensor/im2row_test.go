@@ -64,9 +64,26 @@ func naiveCol2Im(cols *Tensor, g ConvGeom) *Tensor {
 	return x
 }
 
-// TestIm2RowMatchesIm2Col checks the patch-major batched lowering against
-// the naive column-major one: row (n·P + p) of Im2Row must equal column p
-// of sample n's naiveIm2Col.
+// im2col returns the tap-major lowering the conv forward multiplies for x
+// ([N,C,H,W], or a single [C,H,W] sample treated as N=1): the
+// (N·InC·K·K) × (OutH·OutW) cols Im2ColMatMulInto writes, every element
+// pre-filled with garbage that must be overwritten — or, for a Pointwise
+// geometry, x itself, which the forward multiplies in place.
+func im2col(x *Tensor, g ConvGeom) *Tensor {
+	n := batchGeomCheck(x, g, "im2col")
+	l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
+	if g.Pointwise() {
+		return FromSlice(x.Data(), n*l, p)
+	}
+	cols := New(n*l, p)
+	cols.Fill(99)
+	Im2ColMatMulInto(New(n*p), cols, x, New(1, l), New(1), g)
+	return cols
+}
+
+// TestIm2RowMatchesIm2Col checks the batched tap-major lowering the conv
+// forward writes against the naive per-sample one: rows [s·L, (s+1)·L)
+// must equal sample s's naiveIm2Col, element for element.
 func TestIm2RowMatchesIm2Col(t *testing.T) {
 	rng := xrand.New(41)
 	for _, g := range []ConvGeom{
@@ -74,25 +91,16 @@ func TestIm2RowMatchesIm2Col(t *testing.T) {
 		{InC: 2, InH: 7, InW: 5, K: 3, Stride: 1, Pad: 1},
 		{InC: 1, InH: 6, InW: 6, K: 2, Stride: 2, Pad: 0},
 		{InC: 2, InH: 9, InW: 9, K: 5, Stride: 2, Pad: 2},
+		{InC: 2, InH: 11, InW: 10, K: 3, Stride: 3, Pad: 2},
 	} {
 		const n = 3
 		batch, per := batchOf(rng, n, g)
-		p := g.OutH() * g.OutW()
 		l := g.InC * g.K * g.K
-		rows := New(n*p, l)
-		rows.Fill(99) // every element must be overwritten
-		Im2RowInto(rows, batch, g)
+		cols := im2col(batch, g)
 		for s := 0; s < n; s++ {
-			cols := naiveIm2Col(per[s], g)
-			for pi := 0; pi < p; pi++ {
-				for li := 0; li < l; li++ {
-					got := rows.At(s*p+pi, li)
-					want := cols.At(li, pi)
-					if got != want {
-						t.Fatalf("geom %+v sample %d patch %d elem %d: im2row %v vs naive %v", g, s, pi, li, got, want)
-					}
-				}
-			}
+			want := naiveIm2Col(per[s], g)
+			sameBits(t, "geom "+itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW)+" K="+itoa(g.K)+" stride="+itoa(g.Stride)+" sample "+itoa(s),
+				cols.Data()[s*l*want.Dim(1):(s+1)*l*want.Dim(1)], want.Data())
 		}
 	}
 }
@@ -111,24 +119,9 @@ func col2im(dst, grad *Tensor, g ConvGeom) {
 	MatMulCol2ImInto(dst, New(grad.Len()/p, p), eye, grad, g)
 }
 
-// tapMajor transposes the patch-major rows (N·P)×L into the tap-major
-// [N, L, P] layout MatMulCol2ImInto folds.
-func tapMajor(rows *Tensor, n int) *Tensor {
-	p, l := rows.Dim(0)/n, rows.Dim(1)
-	out := New(n, l, p)
-	for s := 0; s < n; s++ {
-		for pi := 0; pi < p; pi++ {
-			for li := 0; li < l; li++ {
-				out.Set(rows.At(s*p+pi, li), s, li, pi)
-			}
-		}
-	}
-	return out
-}
-
-// TestRow2ImIsAdjoint verifies <Im2Row(x), R> == <x, Col2Im(R)> — the
-// defining property of the backward fold — and that the fold matches the
-// naive per-tap scatter bit for bit.
+// TestRow2ImIsAdjoint verifies <Im2Col(x), R> == <x, Col2Im(R)> — the
+// defining property of the backward fold over the forward's lowering —
+// and that the fold matches the naive per-tap scatter bit for bit.
 func TestRow2ImIsAdjoint(t *testing.T) {
 	rng := xrand.New(42)
 	g := ConvGeom{InC: 2, InH: 8, InW: 6, K: 3, Stride: 2, Pad: 1}
@@ -137,17 +130,15 @@ func TestRow2ImIsAdjoint(t *testing.T) {
 	p := g.OutH() * g.OutW()
 	l := g.InC * g.K * g.K
 
-	rows := New(n*p, l)
-	Im2RowInto(rows, batch, g)
-	r := New(n*p, l)
-	rng.FillUniform(r.Data(), -1, 1)
-	grad := tapMajor(r, n)
+	cols := im2col(batch, g)
+	grad := New(n, l, p)
+	rng.FillUniform(grad.Data(), -1, 1)
 
 	back := New(n, g.InC, g.InH, g.InW)
 	back.Fill(99) // the fold must clear before it accumulates
 	col2im(back, grad, g)
 
-	lhs := rows.Dot(r)
+	lhs := cols.Dot(grad.Reshape(n*l, p))
 	var rhs float64
 	for i, v := range back.Data() {
 		rhs += float64(v) * float64(batch.Data()[i])

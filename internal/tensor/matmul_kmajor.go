@@ -17,9 +17,10 @@ import "fmt"
 // column tail keep the two roundings every assembly rung performs.
 //
 // This is the unified GEMM of the perception stack: the batched AND
-// single-frame Conv2D/Linear forwards lower onto it (tall-skinny patch
-// products, and m=1 gemv shapes that the single-row assembly tail keeps on
-// SIMD), and the backward drives it for the input-gradient products.
+// single-frame Conv2D/Linear forwards lower onto it (short-wide W·cols
+// conv products with the output positions on the lanes, and m=1 gemv
+// shapes that the single-row assembly tail keeps on SIMD), and the
+// backward drives it for the input-gradient products.
 // Lane width is dispatched once at init — AVX-512 16-wide or AVX2 8-wide
 // where the CPU supports them, SSE2 4-wide on baseline amd64, NEON 4-wide
 // on arm64, a pure-Go lane kernel elsewhere or under the noasm build tag
@@ -31,9 +32,10 @@ import "fmt"
 // across the persistent worker pool (parallel.go): each worker computes a
 // contiguous row range with this same serial driver, so parallelism is
 // pure dispatch and the bits never depend on GOMAXPROCS. The conv forward
-// enters through Im2RowMatMulInto, whose shards also lower their own
-// patch rows, and the conv input gradient through MatMulCol2ImInto, whose
-// shards multiply and fold back whole input channels.
+// enters through Im2ColMatMulInto, whose shards lower and multiply their
+// own column bands (matMulKMajorCols), and the conv input gradient through
+// MatMulCol2ImInto, whose shards multiply and fold back whole input
+// channels.
 
 // laneKernel is the signature of the assembly column-lane kernels:
 // c[i][0:w] = Σ_l a[i][l]·bk[l][0:w] for i in [0,m), with bk and c
@@ -89,50 +91,61 @@ func matMulKMajor(c, a, bk []float32, m, k, n int) {
 	matMulKMajorParallel(c, a, bk, m, k, n, shardWorkers(m, k, n))
 }
 
-// matMulKMajorSerial tiles the product into the widest column blocks the
-// selected ladder rung supports — 16 on AVX-512, 8 on AVX2/SSE2 and the
-// generic kernel, 4 on NEON. Columns left over after the full blocks are
-// finished by one more lane-kernel call on the overlapping block [n−w, n),
-// w the widest rung with w ≤ n: it recomputes a few columns already
-// written, but every lane is an independent ascending-k dot with per-step
-// rounding, so the rewrite stores the same bits, from the same goroutine.
-// Only products narrower than 4 columns take the scalar kmajorScalar loop.
-// All paths agree bit for bit, so the tiling is invisible in the results.
+// matMulKMajorSerial computes the whole m×n product on the calling
+// goroutine: the column band [0, n) of matMulKMajorCols.
 func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
+	matMulKMajorCols(c, a, bk, m, k, n, 0, n)
+}
+
+// matMulKMajorCols computes columns [j0, j1) of the product (row stride n)
+// and writes no other column. It tiles the band into the widest column
+// blocks the selected ladder rung supports — 16 on AVX-512, 8 on
+// AVX2/SSE2 and the generic kernel, 4 on NEON. Columns left over after the
+// full blocks are finished by one more lane-kernel call on the overlapping
+// block [j1−w, j1), w the widest rung with w ≤ j1−j0: it recomputes a few
+// columns already written, but every lane is an independent ascending-k
+// dot with per-step rounding, so the rewrite stores the same bits, from
+// the same goroutine, inside the band. Only bands narrower than 4 columns
+// take the scalar kmajorScalar loop. All paths agree bit for bit, so the
+// tiling is invisible in the results.
+func matMulKMajorCols(c, a, bk []float32, m, k, n, j0, j1 int) {
+	w := j1 - j0
 	switch {
-	case m == 0:
+	case m == 0 || w <= 0:
 		return
 	case k == 0:
-		clear(c[:m*n])
+		for i := 0; i < m; i++ {
+			clear(c[i*n+j0 : i*n+j1])
+		}
 		return
-	case n < 4:
-		kmajorScalar(c, a, bk, 0, m, 0, n, k, n)
+	case w < 4:
+		kmajorScalar(c, a, bk, 0, m, j0, j1, k, n)
 		return
 	}
-	j := 0
+	j := j0
 	if lanes16 != nil {
-		for ; j+16 <= n; j += 16 {
+		for ; j+16 <= j1; j += 16 {
 			lanes16(&a[0], &bk[j], &c[j], m, k, n)
 		}
 	}
 	if lanes8 != nil || lanes4 == nil {
-		for ; j+8 <= n; j += 8 {
+		for ; j+8 <= j1; j += 8 {
 			sgemmLanes(c, a, bk, m, j, 8, k, n)
 		}
 	}
-	for ; j+4 <= n; j += 4 {
+	for ; j+4 <= j1; j += 4 {
 		sgemmLanes(c, a, bk, m, j, 4, k, n)
 	}
-	if j == n {
+	if j == j1 {
 		return
 	}
 	switch {
-	case lanes16 != nil && n >= 16:
-		lanes16(&a[0], &bk[n-16], &c[n-16], m, k, n)
-	case (lanes8 != nil || lanes4 == nil) && n >= 8:
-		sgemmLanes(c, a, bk, m, n-8, 8, k, n)
+	case lanes16 != nil && w >= 16:
+		lanes16(&a[0], &bk[j1-16], &c[j1-16], m, k, n)
+	case (lanes8 != nil || lanes4 == nil) && w >= 8:
+		sgemmLanes(c, a, bk, m, j1-8, 8, k, n)
 	default:
-		sgemmLanes(c, a, bk, m, n-4, 4, k, n)
+		sgemmLanes(c, a, bk, m, j1-4, 4, k, n)
 	}
 }
 

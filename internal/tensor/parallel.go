@@ -8,24 +8,24 @@ import (
 // This file is the package's single source of parallelism: the work
 // threshold the k-major GEMM gates on, the persistent worker pool it
 // dispatches over, and the shard split itself. The split serves the plain
-// GEMM, the conv forward (Im2RowMatMulInto), whose shards lower their own
-// patch rows before multiplying them, and the conv input gradient
-// (MatMulCol2ImInto), whose shards multiply and fold back whole input
-// channels. Every parallel call amortises goroutine startup over the same
-// long-lived workers.
+// GEMM, the conv forward (Im2ColMatMulInto), whose shards lower and
+// multiply their own column bands of output rows, and the conv input
+// gradient (MatMulCol2ImInto), whose shards multiply and fold back whole
+// input channels. Every parallel call amortises goroutine startup over the
+// same long-lived workers.
 //
 // Parallelism here is strictly a dispatch concern, never a numeric one:
-// workers own disjoint contiguous row ranges of the output and every
-// output element is still one ascending-k accumulation with per-step
-// float32 rounding, so results are bit-identical at any GOMAXPROCS and any
-// shard count. Tests sweep GOMAXPROCS ∈ {1,2,4,16} over the split
+// workers own disjoint row ranges (column bands, for the conv forward) of
+// the output and every output element is still one ascending-k
+// accumulation with per-step float32 rounding, so results are
+// bit-identical at any GOMAXPROCS and any shard count. Tests sweep GOMAXPROCS ∈ {1,2,4,16} over the split
 // boundaries to pin this.
 
 // parallelMinWork is the m·k·n product below which the k-major GEMM stays
 // serial: small and gemv-shaped products (the single-frame dense heads)
-// never pay dispatch overhead, while the batched conv patch products (m in
-// the thousands) shard across cores. Changing this value changes dispatch
-// only, never bits.
+// never pay dispatch overhead, while the conv products (thousands of
+// output positions) shard across cores. Changing this value changes
+// dispatch only, never bits.
 const parallelMinWork = 1 << 17
 
 // shardWorkers is the dispatch gate of every k-major product, plain or
@@ -42,36 +42,36 @@ func shardWorkers(m, k, n int) int {
 
 // poolTask is one shard for the persistent pool: rows [lo, hi) of
 // c = a·bk (a is m×k, bk is k×n). A conv forward shard also carries its
-// input x and geometry g, and first lowers the output rows it owns into
-// a's patch rows (im2rowRows) before multiplying them, so lowering runs on
-// every core instead of serially ahead of the GEMM. A conv input-gradient
-// shard carries the gradient dx it folds into instead, and [lo, hi) counts
-// (sample, input channel) units (col2imUnits). A plain GEMM shard is the
-// same task with x and dx nil. The struct travels by value through the
-// channel so steady-state dispatch allocates nothing.
+// input x, bias b and geometry g; [lo, hi) then counts (sample, output
+// row) units, and the shard lowers, multiplies and biases each unit's
+// column band (im2colUnits) with a the weights, bk the lowering and n the
+// output channel count. A conv input-gradient shard carries the gradient
+// dx it folds into instead, and [lo, hi) counts (sample, input channel)
+// units (col2imUnits). A plain GEMM shard is the same task with x and dx
+// nil. The struct travels by value through the channel so steady-state
+// dispatch allocates nothing.
 type poolTask struct {
 	c, a, bk []float32
 	lo, hi   int
 	k, n     int
-	x, dx    []float32
+	x, b, dx []float32
 	g        ConvGeom
 	wg       *sync.WaitGroup
 }
 
-// compute runs the shard on the calling goroutine: an input-gradient
-// shard multiplies and folds its units; otherwise the lowering of its
-// rows (conv forward shards only), then the serial GEMM driver on
-// row-offset views of a and c.
+// compute runs the shard on the calling goroutine: a conv forward shard
+// lowers, multiplies and biases its units, an input-gradient shard
+// multiplies and folds its units, and a plain GEMM shard runs the serial
+// driver on row-offset views of a and c.
 func (t *poolTask) compute() {
-	if t.dx != nil {
+	switch {
+	case t.x != nil:
+		im2colUnits(t.c, t.bk, t.a, t.b, t.x, t.g, t.n, t.lo, t.hi)
+	case t.dx != nil:
 		col2imUnits(t.dx, t.c, t.a, t.bk, t.g, t.k, t.lo, t.hi)
-		return
+	default:
+		matMulKMajorSerial(t.c[t.lo*t.n:], t.a[t.lo*t.k:], t.bk, t.hi-t.lo, t.k, t.n)
 	}
-	if t.x != nil {
-		outW := t.g.OutW()
-		im2rowRows(t.a, t.x, t.g, t.lo/outW, t.hi/outW)
-	}
-	matMulKMajorSerial(t.c[t.lo*t.n:], t.a[t.lo*t.k:], t.bk, t.hi-t.lo, t.k, t.n)
 }
 
 func (t poolTask) run() {
@@ -114,22 +114,21 @@ func startPool() {
 // matMulKMajorParallel row-shards dst = A·B_k across the pool (see
 // shard); a thin entry for the plain GEMM, whose units are single rows.
 func matMulKMajorParallel(c, a, bk []float32, m, k, n, workers int) {
-	poolTask{c: c, a: a, bk: bk, k: k, n: n}.shard(m, 1, workers)
+	poolTask{c: c, a: a, bk: bk, k: k, n: n}.shard(m, workers)
 }
 
-// shard splits the task's units [0, units) — unitRows output rows each:
-// 1 for a GEMM, OutW for a conv forward, whose unit is one (sample, oy)
-// output row, and 1 for a conv input gradient, whose unit is one (sample,
-// input channel) — into at most workers contiguous ranges and runs each
-// as a poolTask.
+// shard splits the task's units [0, units) — output rows of a GEMM,
+// (sample, output row) column bands of a conv forward, (sample, input
+// channel) planes of a conv input gradient — into at most workers
+// contiguous ranges and runs each as a poolTask.
 // Every lane still accumulates strictly ascending k with per-step
 // rounding, so the split is invisible in the bits. The caller runs the
 // last shard inline (it would otherwise idle in Wait), and pool workers
 // never re-submit work, so nested dispatch cannot deadlock. It allocates
 // nothing once the pool is warm.
-func (t poolTask) shard(units, unitRows, workers int) {
+func (t poolTask) shard(units, workers int) {
 	if workers = min(workers, units); workers <= 1 {
-		t.lo, t.hi = 0, units*unitRows
+		t.lo, t.hi = 0, units
 		t.compute()
 		return
 	}
@@ -140,10 +139,10 @@ func (t poolTask) shard(units, unitRows, workers int) {
 	for ; lo+per < units; lo += per {
 		t.wg.Add(1)
 		s := t
-		s.lo, s.hi = lo*unitRows, (lo+per)*unitRows
+		s.lo, s.hi = lo, lo+per
 		poolCh <- s
 	}
-	t.lo, t.hi = lo*unitRows, units*unitRows
+	t.lo, t.hi = lo, units
 	t.compute()
 	t.wg.Wait()
 	wgPool.Put(t.wg)

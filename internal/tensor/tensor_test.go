@@ -303,55 +303,61 @@ func TestDotNormProperty(t *testing.T) {
 	}
 }
 
-// im2row lowers one CHW sample with Im2RowInto into a fresh patch matrix.
-func im2row(x *Tensor, g ConvGeom) *Tensor {
-	rows := New(g.OutH()*g.OutW(), g.InC*g.K*g.K)
-	rows.Fill(99) // every element must be overwritten
-	Im2RowInto(rows, x, g)
-	return rows
-}
-
-// The TestIm2Col… known-value and adjoint tests below exercise Im2RowInto
-// and the MatMulCol2ImInto fold, the package's only convolution lowering
-// and its adjoint; they keep the textbook name of the transform.
+// The TestIm2Col… known-value and adjoint tests below exercise the conv
+// forward's tap-major lowering (through Im2ColMatMulInto, see im2col) and
+// the MatMulCol2ImInto fold, the package's only convolution lowering and
+// its adjoint; they keep the textbook name of the transform.
 
 func TestIm2ColIdentityKernel(t *testing.T) {
-	// A 1x1 kernel with stride 1 and no padding must reproduce the input.
+	// A 1x1 kernel with stride 1 and no padding is Pointwise: the lowering
+	// is the input itself, so a unit filter reproduces the input and the
+	// cols scratch is never touched.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, K: 1, Stride: 1, Pad: 0}
-	rows := im2row(x, g)
-	if rows.Dim(0) != 4 || rows.Dim(1) != 1 {
-		t.Fatalf("rows shape %v", rows.Shape())
+	if !g.Pointwise() {
+		t.Fatal("1x1 stride-1 unpadded geometry not Pointwise")
 	}
-	for i, v := range rows.Data() {
+	out := New(1, 2, 2)
+	out.Fill(99)
+	Im2ColMatMulInto(out, nil, x, FromSlice([]float32{1}, 1, 1), New(1), g)
+	for i, v := range out.Data() {
 		if v != x.Data()[i] {
-			t.Fatalf("identity im2row mismatch at %d", i)
+			t.Fatalf("identity im2col mismatch at %d", i)
 		}
 	}
 }
 
 func TestIm2ColKnownWindow(t *testing.T) {
-	// 3x3 input, 2x2 kernel, stride 1: output is 2x2 = 4 patch rows.
+	// 3x3 input, 2x2 kernel, stride 1: output is 2x2 = 4 positions, and
+	// the lowering has one row per tap and one column per position.
 	x := FromSlice([]float32{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, K: 2, Stride: 1, Pad: 0}
-	rows := im2row(x, g)
-	// Row 0 holds the top-left window: 1,2,4,5.
+	cols := im2col(x, g)
+	if cols.Dim(0) != 4 || cols.Dim(1) != 4 {
+		t.Fatalf("cols shape %v", cols.Shape())
+	}
+	// Column 0 holds the top-left window: 1,2,4,5.
 	want := []float32{1, 2, 4, 5}
-	for i, v := range rows.Data()[:4] {
-		if v != want[i] {
-			t.Fatalf("rows row0[%d] = %v, want %v", i, v, want[i])
+	for tap, v := range want {
+		if got := cols.At(tap, 0); got != v {
+			t.Fatalf("cols[%d][0] = %v, want %v", tap, got, v)
 		}
 	}
-	// The last row holds the bottom-right window: 5,6,8,9.
-	last := rows.Data()[3*4:]
+	// The last column holds the bottom-right window: 5,6,8,9.
 	wantLast := []float32{5, 6, 8, 9}
-	for i, v := range last {
-		if v != wantLast[i] {
-			t.Fatalf("rows row3[%d] = %v, want %v", i, v, wantLast[i])
+	for tap, v := range wantLast {
+		if got := cols.At(tap, 3); got != v {
+			t.Fatalf("cols[%d][3] = %v, want %v", tap, got, v)
+		}
+	}
+	// Row 0 (tap (0,0)) holds what that tap reads at every position.
+	for p, v := range []float32{1, 2, 4, 5} {
+		if got := cols.At(0, p); got != v {
+			t.Fatalf("cols[0][%d] = %v, want %v", p, got, v)
 		}
 	}
 }
@@ -362,35 +368,35 @@ func TestIm2ColPadding(t *testing.T) {
 	if g.OutH() != 2 || g.OutW() != 2 {
 		t.Fatalf("geom out %dx%d", g.OutH(), g.OutW())
 	}
-	rows := im2row(x, g)
+	cols := im2col(x, g)
 	// Top-left kernel tap of the first window reads padding => 0.
-	if rows.At(0, 0) != 0 {
-		t.Fatalf("padded tap should be 0, got %v", rows.At(0, 0))
+	if cols.At(0, 0) != 0 {
+		t.Fatalf("padded tap should be 0, got %v", cols.At(0, 0))
 	}
-	// Center tap (ky=1,kx=1 => column 4) of the first window is x[0,0]=1.
-	if rows.At(0, 4) != 1 {
-		t.Fatalf("center tap = %v, want 1", rows.At(0, 4))
+	// Center tap (ky=1,kx=1 => row 4) of the first window is x[0,0]=1.
+	if cols.At(4, 0) != 1 {
+		t.Fatalf("center tap = %v, want 1", cols.At(4, 0))
 	}
 }
 
-// Property: the MatMulCol2ImInto fold is the exact adjoint of Im2RowInto:
-// <Im2Row(x), y> == <x, Col2Im(y)> for all x, y.
+// Property: the MatMulCol2ImInto fold is the exact adjoint of the forward's
+// tap-major lowering: <Im2Col(x), y> == <x, Col2Im(y)> for all x, y.
 func TestIm2ColAdjointProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := xrand.New(seed)
 		g := ConvGeom{
 			InC: 1 + r.Intn(3), InH: 4 + r.Intn(5), InW: 4 + r.Intn(5),
-			K: 1 + r.Intn(3), Stride: 1 + r.Intn(2), Pad: r.Intn(2),
+			K: 1 + r.Intn(3), Stride: 1 + r.Intn(3), Pad: r.Intn(2),
 		}
 		if g.Validate() != nil {
 			return true // skip degenerate geometry
 		}
 		x := randTensor(r, g.InC, g.InH, g.InW)
-		rows := im2row(x, g)
-		y := randTensor(r, rows.Dim(0), rows.Dim(1))
+		cols := im2col(x, g)
+		y := randTensor(r, cols.Dim(0), cols.Dim(1))
 		back := New(g.InC, g.InH, g.InW)
-		col2im(back, tapMajor(y, 1), g)
-		lhs := rows.Dot(y)
+		col2im(back, y, g)
+		lhs := cols.Dot(y)
 		rhs := x.Dot(back)
 		return almostEq(lhs, rhs, 1e-2*(1+math.Abs(lhs)))
 	}
