@@ -38,12 +38,11 @@ type Conv2D struct {
 	scratch
 
 	// Activation caches for Backward: the tap-major lowering of the last
-	// forward — the input itself for a Pointwise geometry, which Backward
-	// therefore reads in place — and the geometry it was built with, so
-	// Backward never re-derives shapes. lastBatch is the sample count (1
-	// for a CHW input); lastRank4 records whether the input carried a
-	// leading batch dimension, so Backward returns a gradient of matching
-	// rank.
+	// forward, a private copy of what the input held, and the geometry it
+	// was built with, so Backward never re-derives shapes. lastBatch is the
+	// sample count (1 for a CHW input); lastRank4 records whether the input
+	// carried a leading batch dimension, so Backward returns a gradient of
+	// matching rank.
 	lastCols  []float32 // [N, InC·K·K, OutH·OutW]
 	lastGeom  tensor.ConvGeom
 	lastOutHW int
@@ -108,13 +107,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // column band.
 func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm *convScratchNames) {
 	p := g.OutH() * g.OutW()
-	var cols *tensor.Tensor
-	c.lastCols = x.Data()
-	if !g.Pointwise() {
-		cols = c.workspace().Tensor2(c, nm.im2col, n*c.InC*c.K*c.K, p)
-		c.lastCols = cols.Data()
-	}
+	cols := c.workspace().Tensor2(c, nm.im2col, n*c.InC*c.K*c.K, p)
 	tensor.Im2ColMatMulInto(out, cols, x, c.w.Value, c.b.Value, g)
+	c.lastCols = cols.Data()
 	c.lastGeom = g
 	c.lastOutHW = p
 	c.lastBatch = n

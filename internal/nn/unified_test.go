@@ -118,7 +118,7 @@ func TestConv2DUnifiedMatchesScalarReference(t *testing.T) {
 		{12, 24, 3, 2, 1, 16, 16},
 		{8, 5, 3, 1, 1, 9, 7}, // odd spatial size, stride 1
 		{4, 8, 3, 2, 1, 10, 14},
-		{6, 7, 1, 1, 0, 9, 11},    // Pointwise: the input is the lowering
+		{6, 7, 1, 1, 0, 9, 11},    // 1×1, pad 0: the lowering copies the input
 		{3, 6, 5, 1, 2, 12, 10},   // K=5
 		{5, 9, 3, 3, 1, 13, 11},   // stride 3
 		{26, 10, 3, 1, 1, 64, 64}, // UNet dec1

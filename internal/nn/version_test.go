@@ -153,6 +153,39 @@ func TestConv2DTransposeCacheTracksMutations(t *testing.T) {
 	}
 }
 
+// TestConv2DBackwardIgnoresInputMutation pins that dW reads the layer's
+// own lowering, not the caller's input: an attack loop perturbs its frame
+// in place between Forward and Backward. The 1×1 unpadded head, whose
+// lowering equals its input, is the case an in-place shortcut would break.
+func TestConv2DBackwardIgnoresInputMutation(t *testing.T) {
+	for _, ge := range []struct{ inC, outC, k, stride, pad int }{
+		{10, 3, 1, 1, 0},
+		{3, 8, 3, 2, 1},
+	} {
+		rng := xrand.New(11)
+		c := NewConv2D(rng, ge.inC, ge.outC, ge.k, ge.stride, ge.pad)
+		ref := c.Clone().(*Conv2D)
+		x := tensor.New(2, ge.inC, 8, 8)
+		rng.FillNormal(x.Data(), 0, 1)
+		xRef := x.Clone()
+		out := c.Forward(x, true)
+		ref.Forward(xRef, true)
+		grad := tensor.New(out.Shape()...)
+		rng.FillNormal(grad.Data(), 0, 1)
+		x.Fill(7) // the caller reuses its input buffer before Backward
+		c.Backward(grad)
+		ref.Backward(grad)
+		for i, p := range c.Params() {
+			got, want := p.Grad.Data(), ref.Params()[i].Grad.Data()
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("K=%d %s grad[%d] = %v after the input changed, want %v", ge.k, p.Name, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 func TestParamVersionSemantics(t *testing.T) {
 	p := newParam("w", tensor.New(4, 4))
 	if p.Version() == 0 {

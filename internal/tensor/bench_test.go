@@ -69,3 +69,24 @@ func BenchmarkTranspose2DInto(b *testing.B) {
 		Transpose2DInto(dst, a)
 	}
 }
+
+// BenchmarkIm2ColStride2 is the tap-major lowering alone at the stride-2
+// shapes of the models: DistNet's conv4 (24×16×16 → 8×8), where per-row
+// setup dominates, and the UNet's second encoder stage (10×64×64 →
+// 32×32). Every strided conv in the repository is K=3 stride 2, which
+// im2colRow lowers two windows per step.
+func BenchmarkIm2ColStride2(b *testing.B) {
+	for _, g := range []ConvGeom{
+		{InC: 24, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1},
+		{InC: 10, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1},
+	} {
+		b.Run(itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW), func(b *testing.B) {
+			x := New(g.InC, g.InH, g.InW)
+			fillSeq(x)
+			cols := make([]float32, g.InC*g.K*g.K*g.OutH()*g.OutW())
+			for i := 0; i < b.N; i++ {
+				im2colRows(cols, x.data, g, 0, g.OutH())
+			}
+		})
+	}
+}

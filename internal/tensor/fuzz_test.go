@@ -240,16 +240,16 @@ func FuzzCol2Im(f *testing.F) {
 // lowering, the column-band GEMM and the bias, sharded by (sample, output
 // row) over an arbitrary worker count — against the naive lowering
 // followed by the naive GEMM (fusedOperands), over random geometries
-// including Pointwise 1×1 kernels, strides past the kernel size, padding
+// including 1×1 unpadded kernels, strides past the kernel size, padding
 // wider than the image and bands narrower than one lane block. The input
 // holds ±0 and, on odd seeds, a NaN; the product and the lowering must
 // agree in their bits.
 func FuzzIm2Col(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(6), uint8(1), uint8(1), uint8(1), uint8(4), uint8(1), uint8(2), int64(1))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))  // 1×1 image, Pointwise
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))  // 1×1 image, 1×1 kernel
 	f.Add(uint8(2), uint8(10), uint8(9), uint8(2), uint8(2), uint8(2), uint8(9), uint8(2), uint8(4), int64(3)) // K=5, stride 3, pad 2
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint8(0), uint8(15), int64(4)) // pad past a 2×2 image
-	f.Add(uint8(9), uint8(5), uint8(11), uint8(0), uint8(0), uint8(0), uint8(2), uint8(1), uint8(3), int64(5)) // Pointwise, OutC 3
+	f.Add(uint8(9), uint8(5), uint8(11), uint8(0), uint8(0), uint8(0), uint8(2), uint8(1), uint8(3), int64(5)) // 1×1 kernel, OutC 3
 	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(7), int64(6))  // stride 4 > K = 3
 	f.Fuzz(func(t *testing.T, cr, hr, wr, kr, sr, pr, ocr, nr, workr uint8, seed int64) {
 		g := ConvGeom{
@@ -278,9 +278,7 @@ func FuzzIm2Col(f *testing.F) {
 		task := poolTask{c: got.Data(), a: w.Data(), bk: cols.Data(), k: w.Dim(1), n: oc, x: x.Data(), b: bias.Data(), g: g}
 		task.shard(n*g.OutH(), workers)
 		what := "fuzz " + itoa(g.InC) + "x" + itoa(g.InH) + "x" + itoa(g.InW) + " K=" + itoa(g.K) + " stride=" + itoa(g.Stride) + " pad=" + itoa(g.Pad)
-		if !g.Pointwise() {
-			sameBits(t, what+" cols", cols.Data(), wantCols.Data())
-		}
+		sameBits(t, what+" cols", cols.Data(), wantCols.Data())
 		sameBits(t, what, got.Data(), want.Data())
 	})
 }

@@ -10,10 +10,9 @@ import "fmt"
 // The forward (Im2ColMatMulInto) computes out = W·cols per sample: an
 // OutC × (OutH·OutW) product that lands in CHW with the output positions
 // on the SIMD lanes. im2colRows writes the lowering row by row — one copy
-// per tap and output row at stride 1 — and a Pointwise 1×1 conv
-// multiplies the input itself. Each output element remains an ascending-(c,ky,kx) dot,
-// so batched convolution is bit-identical per frame to a single-sample
-// call.
+// per tap and output row at stride 1. Each output element remains an
+// ascending-(c,ky,kx) dot, so batched convolution is bit-identical per
+// frame to a single-sample call.
 //
 // The input gradient runs the other way round: MatMulCol2ImInto forms
 // cols = Wᵀ·G and col2imPlane, the exact adjoint of im2colRows, folds
@@ -62,12 +61,6 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 	}
 	return x.shape[0]
 }
-
-// Pointwise reports whether the geometry is a 1×1, stride-1, unpadded
-// convolution. Its tap-major lowering is the CHW sample itself (row c of
-// the InC × (H·W) lowering is channel plane c), so Im2ColMatMulInto
-// multiplies x in place and never writes the cols scratch.
-func (g ConvGeom) Pointwise() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }
 
 // im2colRows lowers output rows [oy0, oy1) of one CHW sample into its
 // tap-major lowering cols, (InC·K·K) × (OutH·OutW): row (c,ky,kx) holds, at
@@ -133,7 +126,9 @@ func im2colRow(dst, src []float32, g ConvGeom, p, outW, in0, in1 int) {
 		}
 	case k == 3 && s == 2:
 		// Neighbouring windows share a pixel, so each step reads the five
-		// pixels of two windows.
+		// pixels of two windows: every strided conv in the models is K=3
+		// stride 2, and this halves their lowering against the general
+		// loop below (BenchmarkIm2ColStride2).
 		d0 := dst[in0:in1]
 		d1 := dst[p+in0 : p+in1][:len(d0)]
 		d2 := dst[2*p+in0 : 2*p+in1][:len(d0)]

@@ -10,8 +10,7 @@ import "fmt"
 // [C,H,W] — input, cols (N·InC·K·K) × (OutH·OutW) scratch and dst holds
 // N·OutC·OutH·OutW elements. Each output element is the ascending-(c,ky,kx)
 // dot of its window with its filter plus one bias rounding. The whole
-// lowering is written, so a backward pass can read it; a Pointwise
-// geometry multiplies x in place and leaves cols (then possibly nil) alone.
+// lowering is written, so a backward pass can read it.
 //
 // Past the GEMM's shardWorkers gate the work is sharded by (sample, output
 // row): a shard lowers, multiplies and biases its own column bands, and
@@ -23,26 +22,22 @@ func Im2ColMatMulInto(dst, cols, x, w, bias *Tensor, g ConvGeom) {
 	n := batchGeomCheck(x, g, "Im2ColMatMulInto")
 	p := g.OutH() * g.OutW()
 	l := g.InC * g.K * g.K
+	if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
+		panic(fmt.Sprintf("tensor: Im2ColMatMulInto cols %v, want [%d %d]", cols.shape, n*l, p))
+	}
 	if w.Rank() != 2 || w.shape[1] != l || bias.Len() != w.shape[0] || dst.Len() != n*w.shape[0]*p {
 		panic(fmt.Sprintf("tensor: Im2ColMatMulInto w %v, bias %v and dst %v, want [OutC %d], [OutC] and [%d OutC %d %d]", w.shape, bias.shape, dst.shape, l, n, g.OutH(), g.OutW()))
 	}
-	var cd []float32
-	if !g.Pointwise() {
-		if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
-			panic(fmt.Sprintf("tensor: Im2ColMatMulInto cols %v, want [%d %d]", cols.shape, n*l, p))
-		}
-		cd = cols.data
-	}
 	oc := w.shape[0]
-	t := poolTask{c: dst.data, a: w.data, bk: cd, k: l, n: oc, x: x.data, b: bias.data, g: g}
+	t := poolTask{c: dst.data, a: w.data, bk: cols.data, k: l, n: oc, x: x.data, b: bias.data, g: g}
 	t.shard(n*g.OutH(), shardWorkers(n*p, l, oc))
 }
 
 // im2colUnits runs units [u0, u1) of an Im2ColMatMulInto call: unit u is
 // output row u mod OutH of sample u div OutH, and owns the column band
 // [oy·OutW, (oy+1)·OutW) of that sample's lowering and output. Consecutive
-// units of one sample run as one band: lowered (unless the geometry is
-// Pointwise), multiplied by w, and biased.
+// units of one sample run as one band: lowered, multiplied by w, and
+// biased.
 func im2colUnits(dst, cols, w, bias, x []float32, g ConvGeom, oc, u0, u1 int) {
 	outH, outW := g.OutH(), g.OutW()
 	p, l := outH*outW, g.InC*g.K*g.K
@@ -50,12 +45,8 @@ func im2colUnits(dst, cols, w, bias, x []float32, g ConvGeom, oc, u0, u1 int) {
 	for u := u0; u < u1; {
 		s, oy0 := u/outH, u%outH
 		oy1 := min(outH, oy0+u1-u)
-		cs := x[s*sampleLen : (s+1)*sampleLen]
-		if !g.Pointwise() {
-			xs := cs
-			cs = cols[s*l*p : (s+1)*l*p]
-			im2colRows(cs, xs, g, oy0, oy1)
-		}
+		cs := cols[s*l*p : (s+1)*l*p]
+		im2colRows(cs, x[s*sampleLen:(s+1)*sampleLen], g, oy0, oy1)
 		out := dst[s*oc*p : (s+1)*oc*p]
 		j0, j1 := oy0*outW, oy1*outW
 		matMulKMajorCols(out, w, cs, oc, l, p, j0, j1)

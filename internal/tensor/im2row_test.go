@@ -67,14 +67,10 @@ func naiveCol2Im(cols *Tensor, g ConvGeom) *Tensor {
 // im2col returns the tap-major lowering the conv forward multiplies for x
 // ([N,C,H,W], or a single [C,H,W] sample treated as N=1): the
 // (N·InC·K·K) × (OutH·OutW) cols Im2ColMatMulInto writes, every element
-// pre-filled with garbage that must be overwritten — or, for a Pointwise
-// geometry, x itself, which the forward multiplies in place.
+// pre-filled with garbage that must be overwritten.
 func im2col(x *Tensor, g ConvGeom) *Tensor {
 	n := batchGeomCheck(x, g, "im2col")
 	l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
-	if g.Pointwise() {
-		return FromSlice(x.Data(), n*l, p)
-	}
 	cols := New(n*l, p)
 	cols.Fill(99)
 	Im2ColMatMulInto(New(n*p), cols, x, New(1, l), New(1), g)

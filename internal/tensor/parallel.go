@@ -18,8 +18,8 @@ import (
 // workers own disjoint row ranges (column bands, for the conv forward) of
 // the output and every output element is still one ascending-k
 // accumulation with per-step float32 rounding, so results are
-// bit-identical at any GOMAXPROCS and any shard count. Tests sweep GOMAXPROCS ∈ {1,2,4,16} over the split
-// boundaries to pin this.
+// bit-identical at any GOMAXPROCS and any shard count. Tests sweep
+// GOMAXPROCS ∈ {1,2,4,16} over the split boundaries to pin this.
 
 // parallelMinWork is the m·k·n product below which the k-major GEMM stays
 // serial: small and gemv-shaped products (the single-frame dense heads)

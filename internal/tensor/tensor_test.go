@@ -309,19 +309,16 @@ func TestDotNormProperty(t *testing.T) {
 // its adjoint; they keep the textbook name of the transform.
 
 func TestIm2ColIdentityKernel(t *testing.T) {
-	// A 1x1 kernel with stride 1 and no padding is Pointwise: the lowering
-	// is the input itself, so a unit filter reproduces the input and the
-	// cols scratch is never touched.
+	// A 1x1 kernel with stride 1 and no padding lowers to the input
+	// itself, so a unit filter reproduces the input.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, K: 1, Stride: 1, Pad: 0}
-	if !g.Pointwise() {
-		t.Fatal("1x1 stride-1 unpadded geometry not Pointwise")
-	}
+	cols := im2col(x, g)
 	out := New(1, 2, 2)
 	out.Fill(99)
-	Im2ColMatMulInto(out, nil, x, FromSlice([]float32{1}, 1, 1), New(1), g)
+	Im2ColMatMulInto(out, cols, x, FromSlice([]float32{1}, 1, 1), New(1), g)
 	for i, v := range out.Data() {
-		if v != x.Data()[i] {
+		if v != x.Data()[i] || cols.Data()[i] != x.Data()[i] {
 			t.Fatalf("identity im2col mismatch at %d", i)
 		}
 	}
