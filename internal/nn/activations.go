@@ -152,7 +152,9 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	od := out.Data()
 	yd := t.lastOut.Data()
 	for i, g := range grad.Data() {
-		od[i] = g * (1 - yd[i]*yd[i])
+		// float32(y*y) rounds the square on its own, so arm64 cannot fuse
+		// 1 − y·y into one FMSUB: every platform computes the amd64 bits.
+		od[i] = g * (1 - float32(yd[i]*yd[i]))
 	}
 	return out
 }

@@ -56,8 +56,9 @@ func BenchmarkSequentialForwardBatch8(b *testing.B) {
 	}
 }
 
-// BenchmarkSequentialForwardBackward times the attack primitive: one
-// forward plus one input-gradient backward pass.
+// BenchmarkSequentialForwardBackward times one forward plus one full
+// Backward: the input gradient and the parameter gradients (dW, db) of
+// every layer.
 func BenchmarkSequentialForwardBackward(b *testing.B) {
 	net, x := benchNet()
 	seed := tensor.New(1)

@@ -2,31 +2,35 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
-// Conv2D is a 2-D convolution lowered tap-major so its inner loop is a
-// single k-major SIMD matrix multiply. Single CHW samples and [N,C,H,W]
-// batches run the same unified kernel path: per sample the product
-// W · cols, cols the (InC·K·K) × (OutH·OutW) tap-major lowering, lands in
-// (N)CHW with the output positions on the SIMD lanes
-// (tensor.Im2ColMatMulInto, which lowers, multiplies and adds the bias
-// band by band, sharded across cores on large inputs). Every output
-// element is an ascending-(c,ky,kx) float32 dot product plus one bias
-// rounding — the order of a direct per-tap convolution, which the tests
-// pin the forward and backward against bit for bit. The input gradient
-// runs tap-major too: cols = Wᵀ·G straight from the incoming gradient,
-// folded back per input channel (tensor.MatMulCol2ImInto), and dW reads
-// the incoming gradient and the forward's lowering row by row.
+// Conv2D is a 2-D convolution whose forward is an indirect k-major SIMD
+// matrix multiply: it never lowers its input. Single CHW samples and
+// [N,C,H,W] batches run the same unified kernel path
+// (tensor.IndirectConvInto): per sample the input is copied once into a
+// zero-padded buffer the layer keeps, and the lane kernels read every tap
+// (c,ky,kx) straight from that copy through the geometry's offset table
+// (tensor.ConvTaps), computing W · cols — cols the (InC·K·K) × (OutH·OutW)
+// tap-major lowering, never written — into (N)CHW with the output
+// positions on the SIMD lanes, sharded across cores on large inputs.
+// Every output element is an ascending-(c,ky,kx) float32 dot product plus
+// one bias rounding — the order of a direct per-tap convolution, which the
+// tests pin the forward and backward against bit for bit. The input
+// gradient runs tap-major: cols = Wᵀ·G straight from the incoming
+// gradient, folded back per input channel (tensor.MatMulCol2ImInto), and
+// dW reads the incoming gradient and the forward's padded copy through the
+// same table, one contiguous run per sample.
 //
 // Weights are stored as an (outC)×(inC·K·K) matrix, which the forward
 // reads directly; bias is per output channel. The transposed
 // (inC·K·K)×(outC) matrix the input gradient reads is cached across calls
-// until the weights change. All per-call tensors (lowering, outputs,
-// gradient scratch) live in the model workspace and are reused across
-// calls.
+// until the weights change, and so is the tap table until the input size
+// changes. All per-call tensors (padded copy, outputs, gradient scratch)
+// live in the model workspace and are reused across calls.
 type Conv2D struct {
 	InC, OutC   int
 	K           int
@@ -37,13 +41,17 @@ type Conv2D struct {
 
 	scratch
 
-	// Activation caches for Backward: the tap-major lowering of the last
-	// forward, a private copy of what the input held, and the geometry it
-	// was built with, so Backward never re-derives shapes. lastBatch is the
-	// sample count (1 for a CHW input); lastRank4 records whether the input
-	// carried a leading batch dimension, so Backward returns a gradient of
-	// matching rank.
-	lastCols  []float32 // [N, InC·K·K, OutH·OutW]
+	// taps is the padded layout and tap table of the last forward's
+	// geometry, rebuilt only when the input size changes.
+	taps *tensor.ConvTaps
+
+	// Activation caches for Backward: the padded copy of what the input
+	// held at the last forward (private, so a caller may change its input
+	// before Backward), and the geometry it was built with, so Backward
+	// never re-derives shapes. lastBatch is the sample count (1 for a CHW
+	// input); lastRank4 records whether the input carried a leading batch
+	// dimension, so Backward returns a gradient of matching rank.
+	lastXP    []float32 // [N, taps.PaddedLen()]
 	lastGeom  tensor.ConvGeom
 	lastOutHW int
 	lastBatch int
@@ -56,12 +64,12 @@ type Conv2D struct {
 // reallocating on every switch. The transposed weight matrix is absent:
 // its shape is batch-independent, so both paths share one "wT" key.
 type convScratchNames struct {
-	im2col, col2im, dX string
+	pad, dWGrad, col2im, dX string
 }
 
 var (
-	convSingleKeys = convScratchNames{"im2colS", "col2imS", "dXS"}
-	convBatchKeys  = convScratchNames{"im2colB", "col2imB", "dXB"}
+	convSingleKeys = convScratchNames{"padS", "dWGradS", "col2imS", "dXS"}
+	convBatchKeys  = convScratchNames{"padB", "dWGradB", "col2imB", "dXB"}
 )
 
 var _ Layer = (*Conv2D)(nil)
@@ -100,18 +108,20 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 }
 
-// runForward lowers the input (batched or single) tap-major and runs one
-// SIMD k-major GEMM per sample plus the bias, all in one
-// tensor.Im2ColMatMulInto call that writes out in (N)CHW directly: a large
-// product shards across cores by output rows, each shard lowering its own
-// column band.
+// runForward copies the input (batched or single) into the layer's padded
+// buffer and runs the indirect SIMD k-major GEMM plus the bias, all in one
+// tensor.IndirectConvInto call that writes out in (N)CHW directly: a large
+// input shards across cores, the copy by channel and the product by output
+// rows.
 func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm *convScratchNames) {
-	p := g.OutH() * g.OutW()
-	cols := c.workspace().Tensor2(c, nm.im2col, n*c.InC*c.K*c.K, p)
-	tensor.Im2ColMatMulInto(out, cols, x, c.w.Value, c.b.Value, g)
-	c.lastCols = cols.Data()
+	if c.taps == nil || c.taps.Geom() != g {
+		c.taps = tensor.NewConvTaps(g)
+	}
+	xp := c.workspace().Tensor2(c, nm.pad, n, c.taps.PaddedLen())
+	tensor.IndirectConvInto(out, xp, x, c.w.Value, c.b.Value, c.taps)
+	c.lastXP = xp.Data()
 	c.lastGeom = g
-	c.lastOutHW = p
+	c.lastOutHW = g.OutH() * g.OutW()
 	c.lastBatch = n
 }
 
@@ -121,8 +131,9 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 // batch in one pass, so for N>1 their summation order differs from N
 // sequential single-sample backwards by floating-point rounding only.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	c.accumParamGrads(grad)
-	return c.inputGrad(grad, c.scratchKeys())
+	nm := c.scratchKeys()
+	c.accumParamGrads(grad, nm)
+	return c.inputGrad(grad, nm)
 }
 
 // BackwardInput implements inputGradLayer: the same input gradient as
@@ -140,17 +151,26 @@ func (c *Conv2D) scratchKeys() *convScratchNames {
 
 // accumParamGrads adds the batch's parameter gradients to the layer's:
 // db[oc] += Σ_p G[s][oc][p] per sample, and
-// dW[oc][l] += Σ_r G[oc][r] · cols[l][r] over r = s·P + p ascending, both
-// operands read as contiguous rows of the [N,OutC,P] gradient and the
-// forward's [N,L,P] lowering. An exact-zero gradient adds nothing, and
-// each product is rounded before it is added (float32(g * v)), so arm64,
-// where Go would otherwise fuse the update into one FMA, computes the same
-// bits as amd64. Four taps share each gradient load; past the last tap
-// the block re-reads it and drops those sums.
-func (c *Conv2D) accumParamGrads(grad *tensor.Tensor) {
+// dW[oc][l] += Σ_r G[oc][r] · cols[l][r] over r = s·P + p ascending, where
+// cols[l][p] = xp[s][oy·RowStep + ox + off[l]] is tap l of output position
+// p = (oy,ox), read from the forward's padded copy through the tap table.
+// The gradient is first laid out at the copy's row stride (gradAtRowStep),
+// so each (output channel, tap) sum walks a sample as one contiguous run
+// of the gradient against one contiguous run of the copy; the slots
+// between output rows hold 0. Each product is rounded before it is added
+// (float32(g * v)), so arm64, where Go would otherwise fuse the update
+// into one FMA, computes the same bits as amd64. Four taps share each
+// gradient load; past the last tap the block re-reads it and drops those
+// sums.
+//
+// An exact-zero gradient adds nothing. When the copy holds no Inf or NaN
+// that needs no test: the product is then ±0, and a sum that starts at +0
+// never becomes −0, so adding ±0 leaves it unchanged. Only a copy holding
+// a non-finite value, whose product with 0 is NaN, takes the skip.
+func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
 	n, p := c.lastBatch, c.lastOutHW
 	l := c.InC * c.K * c.K
-	gd, cd := grad.Data(), c.lastCols
+	gd, xp := grad.Data(), c.lastXP
 	bg := c.b.Grad.Data()
 	for s := 0; s < n; s++ {
 		for oc := range bg {
@@ -161,32 +181,80 @@ func (c *Conv2D) accumParamGrads(grad *tensor.Tensor) {
 			bg[oc] += sum
 		}
 	}
+	gq, q := c.gradAtRowStep(gd, nm)
+	skipZeros := !allFinite(xp)
+	off, sampleLen := c.taps.Offsets(), c.taps.PaddedLen()
 	wg := c.w.Grad.Data()
 	for oc := 0; oc < c.OutC; oc++ {
 		for li := 0; li < l; li += 4 {
-			t1, t2, t3 := min(li+1, l-1), min(li+2, l-1), min(li+3, l-1)
-			var a0, a1, a2, a3 float32
-			for s := 0; s < n; s++ {
-				grow := gd[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p]
-				sc := cd[s*l*p : (s+1)*l*p]
-				c0, c1 := sc[li*p:][:len(grow)], sc[t1*p:][:len(grow)]
-				c2, c3 := sc[t2*p:][:len(grow)], sc[t3*p:][:len(grow)]
-				for i, gv := range grow {
-					if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
-						continue
-					}
-					a0 += float32(gv * c0[i])
-					a1 += float32(gv * c1[i])
-					a2 += float32(gv * c2[i])
-					a3 += float32(gv * c3[i])
-				}
-			}
-			sums := [4]float32{a0, a1, a2, a3}
+			taps := [4]int{int(off[li]), int(off[min(li+1, l-1)]), int(off[min(li+2, l-1)]), int(off[min(li+3, l-1)])}
+			sums := accum4(gq[oc*q:], c.OutC*q, q, xp, sampleLen, &taps, n, skipZeros)
 			for t, v := range sums[:min(4, l-li)] {
 				wg[oc*l+li+t] += v
 			}
 		}
 	}
+}
+
+// accum4 returns, for the four taps at offsets taps[0…3] of each padded
+// sample, Σ g·x over n samples in order, each sample pairing its q
+// gradient floats (g[s·gStride:]) with the q floats of its padded copy
+// from the tap on (xp[s·sampleLen + tap:]), in ascending position. Each
+// product is rounded before it is added; with skipZeros an exact-zero
+// gradient is passed over. A leaf of its own, so the loop keeps its sums
+// and index in registers.
+func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]int, n int, skipZeros bool) [4]float32 {
+	var a0, a1, a2, a3 float32
+	for s := 0; s < n; s++ {
+		gs, xs := g[s*gStride:][:q], xp[s*sampleLen:]
+		c0, c1, c2, c3 := xs[taps[0]:][:q], xs[taps[1]:][:q], xs[taps[2]:][:q], xs[taps[3]:][:q]
+		for i, gv := range gs {
+			if skipZeros && gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
+				continue
+			}
+			a0 += float32(gv * c0[i])
+			a1 += float32(gv * c1[i])
+			a2 += float32(gv * c2[i])
+			a3 += float32(gv * c3[i])
+		}
+	}
+	return [4]float32{a0, a1, a2, a3}
+}
+
+// allFinite reports whether x holds no Inf or NaN (no all-ones exponent).
+func allFinite(x []float32) bool {
+	for _, v := range x {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
+// gradAtRowStep returns the [N,OutC,OutH,OutW] gradient gd laid out at the
+// padded copy's row stride: q = (OutH−1)·RowStep + OutW floats per
+// (sample, channel), output (oy,ox) at oy·RowStep + ox and +0 in the
+// slots between rows. Where the row stride is OutW (a 1×1 unpadded
+// stride-1 conv) that is gd itself.
+func (c *Conv2D) gradAtRowStep(gd []float32, nm *convScratchNames) (gq []float32, q int) {
+	outW, step := c.lastGeom.OutW(), c.taps.RowStep()
+	p := c.lastOutHW
+	if step == outW {
+		return gd, p
+	}
+	outH := p / outW
+	q = (outH-1)*step + outW
+	gq = c.workspace().Tensor2(c, nm.dWGrad, c.lastBatch*c.OutC, q).Data()
+	for r := 0; r < c.lastBatch*c.OutC; r++ {
+		src, dst := gd[r*p:(r+1)*p], gq[r*q:(r+1)*q]
+		for oy := 0; oy < outH; oy++ {
+			copy(dst[oy*step:], src[oy*outW:(oy+1)*outW])
+			if oy+1 < outH {
+				clear(dst[oy*step+outW : (oy+1)*step])
+			}
+		}
+	}
+	return gq, q
 }
 
 // inputGrad computes dX = col2im(Wᵀ · G) in one tensor.MatMulCol2ImInto

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -168,6 +169,53 @@ func TestConv2DUnifiedMatchesScalarReference(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(old)
+	}
+}
+
+// TestConv2DWeightGradSkipsZeroGradients pins the one case where dW's
+// exact-zero skip shows in the bits: an input holding +Inf, whose product
+// with a zero gradient would be NaN. Every tap reads the Inf pixel at
+// one output position, and a third of the gradient is exactly zero, so
+// a term multiplied instead of skipped turns a finite dW entry into NaN.
+// Stride 2 adds the slots between output rows of the padded grid. (Only
+// +Inf enters, so every NaN a sum meets is the one Inf − Inf generates.)
+func TestConv2DWeightGradSkipsZeroGradients(t *testing.T) {
+	for _, stride := range []int{1, 2} {
+		rng := xrand.New(int64(40 + stride))
+		c := NewConv2D(rng, 3, 5, 3, stride, 1)
+		x := tensor.New(3, 9, 8)
+		rng.FillUniform(x.Data(), -1, 1)
+		x.Data()[10] = float32(math.Inf(1))
+		x.Data()[100] = float32(math.Inf(1))
+		out := c.Forward(x, true)
+		grad := tensor.New(out.Shape()...)
+		rng.FillUniform(grad.Data(), -1, 1)
+		for i := range grad.Data() {
+			if i%3 == 0 {
+				grad.Data()[i] = 0
+			}
+		}
+		c.Backward(grad)
+		dW := c.Params()[0].Grad.Data()
+		oh, ow := out.Dim(1), out.Dim(2)
+		for oc := 0; oc < c.OutC; oc++ {
+			for tap := 0; tap < c.InC*9; tap++ {
+				ch, ky, kx := tap/9, tap/3%3, tap%3
+				var s float32
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						g := grad.At(oc, oy, ox)
+						if g == 0 {
+							continue
+						}
+						s += float32(g * convTap(x, ch, oy*stride-1+ky, ox*stride-1+kx))
+					}
+				}
+				if got := dW[oc*c.InC*9+tap]; math.Float32bits(got) != math.Float32bits(s) {
+					t.Fatalf("stride %d: dW[%d][%d] = %v, want %v", stride, oc, tap, got, s)
+				}
+			}
+		}
 	}
 }
 

@@ -165,7 +165,16 @@ func Run(cfg Config) sim.Result {
 		egoAccel := acc.Accel(filtered, world.State.EgoSpeed, relSpeed)
 		world.Step(egoAccel, cfg.LeadAccel(t))
 
-		// Telemetry.
+		// Telemetry. The five series are sized for the whole run at the
+		// first frame, so the loop never regrows them; a run that ends
+		// before its first frame leaves them nil.
+		if i == 0 {
+			res.Times = make([]float64, 0, steps)
+			res.TrueGaps = make([]float64, 0, steps)
+			res.PerceivedGaps = make([]float64, 0, steps)
+			res.EgoSpeeds = make([]float64, 0, steps)
+			res.LeadSpeeds = make([]float64, 0, steps)
+		}
 		res.Times = append(res.Times, t)
 		res.TrueGaps = append(res.TrueGaps, trueGap)
 		res.PerceivedGaps = append(res.PerceivedGaps, perceived)

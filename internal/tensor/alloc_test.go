@@ -22,7 +22,7 @@ func TestTranspose2DIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestIm2ColCol2ImIntoAllocs guards the conv lowering, Im2ColMatMulInto,
+// TestIm2ColCol2ImIntoAllocs guards the conv forward, IndirectConvInto,
 // and its adjoint, MatMulCol2ImInto — below the work gate (serial on the
 // caller) and above it at GOMAXPROCS=2 (shards travel by value through
 // the pool).
@@ -35,9 +35,10 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	fillSeq(x)
 	w, bias := New(10, 3*3*3), New(10)
 	fillSeq(w)
-	cols, out := New(3*3*3, g.OutH()*g.OutW()), New(10, g.OutH(), g.OutW())
-	if avg := testing.AllocsPerRun(100, func() { Im2ColMatMulInto(out, cols, x, w, bias, g) }); avg != 0 {
-		t.Fatalf("serial Im2ColMatMulInto allocates %.2f/op, want 0", avg)
+	taps := NewConvTaps(g)
+	xp, out := New(taps.PaddedLen()), New(10, g.OutH(), g.OutW())
+	if avg := testing.AllocsPerRun(100, func() { IndirectConvInto(out, xp, x, w, bias, taps) }); avg != 0 {
+		t.Fatalf("serial IndirectConvInto allocates %.2f/op, want 0", avg)
 	}
 	col2imAllocs := func(g ConvGeom) float64 {
 		const oc = 10
@@ -94,15 +95,16 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	w, bias := New(4, 2*3*3), New(4)
 	fillSeq(w)
 	fillSeq(bias)
-	wantCols, wantOut := New(2*3*3, g.OutH()*g.OutW()), New(4, g.OutH(), g.OutW())
-	Im2ColMatMulInto(wantOut, wantCols, x, w, bias, g)
-	cols := New(2*3*3, g.OutH()*g.OutW())
-	cols.Fill(99)
+	taps := NewConvTaps(g)
+	wantXP, wantOut := New(taps.PaddedLen()), New(4, g.OutH(), g.OutW())
+	IndirectConvInto(wantOut, wantXP, x, w, bias, taps)
+	xp := stalePadded(taps, 1)
 	out := New(4, g.OutH(), g.OutW())
 	out.Fill(99)
-	Im2ColMatMulInto(out, cols, x, w, bias, g)
-	same("Im2ColMatMulInto cols", cols, wantCols)
-	same("Im2ColMatMulInto", out, wantOut)
+	IndirectConvInto(out, xp, x, w, bias, taps)
+	same("IndirectConvInto padded copy", xp, wantXP)
+	same("IndirectConvInto", out, wantOut)
+	cols := tapCols(xp.Data(), taps, 1)
 
 	wT, grad := New(2*3*3, 4), New(4, g.OutH(), g.OutW())
 	fillSeq(wT)

@@ -70,11 +70,12 @@ func BenchmarkTranspose2DInto(b *testing.B) {
 	}
 }
 
-// BenchmarkIm2ColStride2 is the tap-major lowering alone at the stride-2
-// shapes of the models: DistNet's conv4 (24×16×16 → 8×8), where per-row
-// setup dominates, and the UNet's second encoder stage (10×64×64 →
-// 32×32). Every strided conv in the repository is K=3 stride 2, which
-// im2colRow lowers two windows per step.
+// BenchmarkIm2ColStride2 is the conv forward's input copy alone — the
+// zero-padded, polyphase-split copy the indirect forward reads its taps
+// from — at the stride-2 shapes of the models: DistNet's conv4 (24×16×16 →
+// 8×8) and the UNet's second encoder stage (10×64×64 → 32×32). It keeps
+// the name of the tap-major lowering it replaced, which wrote K·K floats
+// per output position where the copy writes about one per input pixel.
 func BenchmarkIm2ColStride2(b *testing.B) {
 	for _, g := range []ConvGeom{
 		{InC: 24, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1},
@@ -83,9 +84,42 @@ func BenchmarkIm2ColStride2(b *testing.B) {
 		b.Run(itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW), func(b *testing.B) {
 			x := New(g.InC, g.InH, g.InW)
 			fillSeq(x)
-			cols := make([]float32, g.InC*g.K*g.K*g.OutH()*g.OutW())
+			taps := NewConvTaps(g)
+			xp := make([]float32, taps.PaddedLen())
 			for i := 0; i < b.N; i++ {
-				im2colRows(cols, x.data, g, 0, g.OutH())
+				taps.padUnits(xp, x.data, 0, g.InC)
+			}
+		})
+	}
+}
+
+// BenchmarkConvForward is one whole conv forward (IndirectConvInto: the
+// padded copy, the indirect GEMM and the bias) of a single sample at the
+// layer shapes that dominate a frame: the UNet's dec1 (26→10 channels at
+// 64×64) and dec2 (40→16 at 32×32), its stride-2 enc2 (10→16, 64×64 →
+// 32×32), and DistNet's first conv (3→12, stride 2, 64×64 → 32×32).
+func BenchmarkConvForward(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    ConvGeom
+		oc   int
+	}{
+		{"dec1", ConvGeom{InC: 26, InH: 64, InW: 64, K: 3, Stride: 1, Pad: 1}, 10},
+		{"dec2", ConvGeom{InC: 40, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}, 16},
+		{"enc2", ConvGeom{InC: 10, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}, 16},
+		{"conv0", ConvGeom{InC: 3, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}, 12},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.g
+			x := New(g.InC, g.InH, g.InW)
+			fillSeq(x)
+			w, bias := New(tc.oc, g.InC*g.K*g.K), New(tc.oc)
+			fillSeq(w)
+			taps := NewConvTaps(g)
+			xp, out := New(taps.PaddedLen()), New(tc.oc, g.OutH(), g.OutW())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				IndirectConvInto(out, xp, x, w, bias, taps)
 			}
 		})
 	}

@@ -230,20 +230,21 @@ func FuzzCol2Im(f *testing.F) {
 		got := New(want.Shape()...)
 		got.Fill(99) // stale garbage must be fully overwritten
 		p := g.OutH() * g.OutW()
-		task := poolTask{c: make([]float32, n*g.InC*g.K*g.K*p), a: wT.Data(), bk: grad.Data(), k: oc, n: p, dx: got.Data(), g: g}
+		task := poolTask{op: opCol2Im, c: make([]float32, n*g.InC*g.K*g.K*p), a: wT.Data(), bk: grad.Data(), k: oc, n: p, dx: got.Data(), g: g}
 		task.shard(n*g.InC, workers)
 		sameBits(t, "fuzz "+itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW)+" K="+itoa(g.K)+" stride="+itoa(g.Stride)+" pad="+itoa(g.Pad), got.Data(), want.Data())
 	})
 }
 
-// FuzzIm2Col differentially fuzzes the conv forward — the tap-major
-// lowering, the column-band GEMM and the bias, sharded by (sample, output
-// row) over an arbitrary worker count — against the naive lowering
-// followed by the naive GEMM (fusedOperands), over random geometries
-// including 1×1 unpadded kernels, strides past the kernel size, padding
-// wider than the image and bands narrower than one lane block. The input
-// holds ±0 and, on odd seeds, a NaN; the product and the lowering must
-// agree in their bits.
+// FuzzIm2Col differentially fuzzes the conv forward — the padded copy
+// sharded by (sample, channel), then the indirect GEMM and the bias
+// sharded by (sample, output row), over an arbitrary worker count —
+// against the naive lowering followed by the naive GEMM (fusedOperands),
+// over random geometries including 1×1 unpadded kernels, strides past the
+// kernel size, padding wider than the image and rows narrower than one
+// lane block. The input holds ±0 and, on odd seeds, a NaN; the product and
+// the lowering materialised from the padded copy (tapCols) must agree in
+// their bits.
 func FuzzIm2Col(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(6), uint8(1), uint8(1), uint8(1), uint8(4), uint8(1), uint8(2), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))  // 1×1 image, 1×1 kernel
@@ -271,14 +272,13 @@ func FuzzIm2Col(f *testing.F) {
 			wantCols, want = twoCallForward(x, w, bias, n, g)
 		}
 
-		cols := New(wantCols.Shape()...)
-		cols.Fill(99) // stale garbage must be fully overwritten
+		taps := NewConvTaps(g)
+		xp := stalePadded(taps, n) // stale garbage must be fully overwritten
 		got := New(want.Shape()...)
 		got.Fill(99)
-		task := poolTask{c: got.Data(), a: w.Data(), bk: cols.Data(), k: w.Dim(1), n: oc, x: x.Data(), b: bias.Data(), g: g}
-		task.shard(n*g.OutH(), workers)
+		indirectConv(got.Data(), xp.Data(), x.Data(), w.Data(), bias.Data(), taps, n, oc, workers)
 		what := "fuzz " + itoa(g.InC) + "x" + itoa(g.InH) + "x" + itoa(g.InW) + " K=" + itoa(g.K) + " stride=" + itoa(g.Stride) + " pad=" + itoa(g.Pad)
-		sameBits(t, what+" cols", cols.Data(), wantCols.Data())
+		sameBits(t, what+" cols", tapCols(xp.Data(), taps, n).Data(), wantCols.Data())
 		sameBits(t, what, got.Data(), want.Data())
 	})
 }

@@ -2,25 +2,27 @@ package tensor
 
 import "fmt"
 
-// Convolution lowering, one layout for both directions: tap-major. The
-// lowering of a CHW sample is the (InC·K·K) × (OutH·OutW) matrix cols
-// whose row (c,ky,kx) holds the pixel that tap reads at every output
-// position (0 in the padding).
+// Convolution geometry and data layout, one tap order for both
+// directions: tap l = (c,ky,kx), ascending.
 //
-// The forward (Im2ColMatMulInto) computes out = W·cols per sample: an
-// OutC × (OutH·OutW) product that lands in CHW with the output positions
-// on the SIMD lanes. im2colRows writes the lowering row by row — one copy
-// per tap and output row at stride 1. Each output element remains an
-// ascending-(c,ky,kx) dot, so batched convolution is bit-identical per
-// frame to a single-sample call.
+// The forward is indirect (IndirectConvInto): it never lowers. Each sample
+// is copied once into a zero-padded, polyphase-split buffer (ConvTaps,
+// padChannel), and the lane kernels read each tap's row of B straight from
+// that copy through a per-geometry table of offsets, computing
+// out = W·cols per sample as if cols — the (InC·K·K) × (OutH·OutW)
+// tap-major lowering, cols[l][p] = xp[base(p) + off[l]] — had been
+// written. The product lands in CHW with the output positions on the SIMD
+// lanes. Each output element remains an ascending-(c,ky,kx) dot whose
+// padding taps multiply +0, so batched convolution is bit-identical per
+// frame to a single-sample call and to the lowering it replaces.
 //
-// The input gradient runs the other way round: MatMulCol2ImInto forms
-// cols = Wᵀ·G and col2imPlane, the exact adjoint of im2colRows, folds
-// each channel's K·K rows into its input plane reading every row
-// contiguously.
+// The input gradient runs the other way round: MatMulCol2ImInto forms the
+// tap-major cols = Wᵀ·G and col2imPlane, the exact adjoint of the
+// forward's taps, folds each channel's K·K rows into its input plane
+// reading every row contiguously.
 
 // ConvGeom describes the geometry of a 2-D convolution over a CHW tensor.
-// It is shared by the forward Im2ColMatMulInto lowering and the backward
+// It is shared by the forward's tap table (ConvTaps) and the backward
 // MatMulCol2ImInto fold so the two always agree.
 type ConvGeom struct {
 	InC, InH, InW int // input channels, height, width
@@ -62,101 +64,136 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 	return x.shape[0]
 }
 
-// im2colRows lowers output rows [oy0, oy1) of one CHW sample into its
-// tap-major lowering cols, (InC·K·K) × (OutH·OutW): row (c,ky,kx) holds, at
-// columns [oy0·OutW, oy1·OutW), the pixel tap (ky,kx) reads at each of
-// those output positions, 0 in the padding — the exact adjoint of
-// col2imPlane. Each input row a (c,ky) tap row reads is lowered by one
-// im2colRow call. Disjoint row ranges write disjoint column bands, which
-// is what lets a forward shard lower its own band (im2colUnits).
-func im2colRows(cols, xd []float32, g ConvGeom, oy0, oy1 int) {
-	k, outW := g.K, g.OutW()
-	p := g.OutH() * outW
-	// Output columns [in0, in1) read every tap of their window inside the
-	// input row; only the columns outside it test each tap.
-	in0, _ := tapRange(0, g.Pad, g.Stride, g.InW, outW)
-	_, in1 := tapRange(k-1, g.Pad, g.Stride, g.InW, outW)
-	in0 = min(in0, outW)
-	in1 = max(in1, in0)
-	plane := g.InH * g.InW
-	for ch := 0; ch < g.InC; ch++ {
+// ConvTaps is the indirect-convolution plan of one geometry: the layout of
+// the zero-padded copy the forward reads its taps from, and a table of
+// where each tap starts in it. It depends only on the geometry, so a layer
+// builds it once and reuses it on every call.
+//
+// The padded copy of a CHW sample is split, per channel, into Stride²
+// polyphase sub-images, one per (row phase, column phase): padded pixel
+// (y, x) — the input pixel (y − Pad, x − Pad), or +0 in the padding —
+// lives in sub-image (y mod s, x mod s) at row y div s, column x div s.
+// Each sub-image is Hq × Wq floats, just enough for the rows and columns
+// the windows reach. At stride 1 there is one sub-image, the plain padded
+// plane. Tap l = (c,ky,kx) of output position (oy,ox) then reads
+//
+//	xp[oy·Wq + ox + off[l]],  off[l] = ((c·s + ky mod s)·s + kx mod s)·Hq·Wq + (ky div s)·Wq + kx div s,
+//
+// so for a fixed tap, consecutive output columns read consecutive floats
+// and consecutive output rows lie RowStep() = Wq floats apart, at every
+// stride: every lane block of the forward reads each of its B rows in
+// place, with no lowering, and a weight gradient can walk all of a
+// sample's positions in one pass (see RowStep).
+type ConvTaps struct {
+	g         ConvGeom
+	off       []int32    // start of tap (c,ky,kx) in a padded sample
+	phases    []colPhase // how each column phase gathers an input row
+	hq, wq    int        // rows and columns of one polyphase sub-image
+	sampleLen int        // floats per padded sample
+}
+
+// colPhase is one column phase's share of an input row: n input columns
+// from ix0 on, every Stride-th, land at columns [j0, j0+n) of its
+// sub-image row, which starts dst floats into the row phase's sub-images.
+type colPhase struct{ ix0, j0, n, dst int }
+
+// NewConvTaps builds the padded layout and offset table of a geometry. It
+// panics on an invalid geometry, or one whose padded sample would not fit
+// an int32 offset.
+func NewConvTaps(g ConvGeom) *ConvTaps {
+	if err := g.Validate(); err != nil {
+		panic("tensor: NewConvTaps: " + err.Error())
+	}
+	k, s := g.K, g.Stride
+	// The windows reach (Out−1)·s + K padded rows and columns.
+	hq := ((g.OutH()-1)*s + k + s - 1) / s
+	wq := ((g.OutW()-1)*s + k + s - 1) / s
+	t := &ConvTaps{g: g, hq: hq, wq: wq, sampleLen: g.InC * s * s * hq * wq}
+	if t.sampleLen > 1<<31-1 {
+		panic(fmt.Sprintf("tensor: NewConvTaps: padded sample of %+v exceeds int32 offsets", g))
+	}
+	// Padded column x = ix + pad is column x div s of phase x mod s, so
+	// phase ph holds the input columns ix ≡ ph − pad (mod s) of the ix1
+	// that the grid reaches.
+	ix1 := min(g.InW, s*wq-g.Pad)
+	for ph := 0; ph < s; ph++ {
+		ix0 := (ph - g.Pad%s + s) % s
+		if ix0 < ix1 {
+			t.phases = append(t.phases, colPhase{ix0: ix0, j0: (ix0 + g.Pad) / s, n: (ix1 - ix0 + s - 1) / s, dst: ph * hq * wq})
+		}
+	}
+	t.off = make([]int32, 0, g.InC*k*k)
+	for c := 0; c < g.InC; c++ {
 		for ky := 0; ky < k; ky++ {
-			taps := cols[(ch*k+ky)*k*p : (ch*k+ky+1)*k*p]
-			for oy := oy0; oy < oy1; oy++ {
-				iy := oy*g.Stride - g.Pad + ky
-				if iy < 0 || iy >= g.InH {
-					for kx := 0; kx < k; kx++ {
-						clear(taps[kx*p+oy*outW : kx*p+(oy+1)*outW])
-					}
-					continue
-				}
-				src := xd[ch*plane+iy*g.InW : ch*plane+(iy+1)*g.InW]
-				im2colRow(taps[oy*outW:], src, g, p, outW, in0, in1)
+			for kx := 0; kx < k; kx++ {
+				sub := (c*s+ky%s)*s + kx%s
+				t.off = append(t.off, int32(sub*hq*wq+ky/s*wq+kx/s))
 			}
+		}
+	}
+	return t
+}
+
+// Geom returns the geometry the plan was built for.
+func (t *ConvTaps) Geom() ConvGeom { return t.g }
+
+// PaddedLen returns the number of floats in one padded sample.
+func (t *ConvTaps) PaddedLen() int { return t.sampleLen }
+
+// Offsets returns the tap table: entry l = (c·K + ky)·K + kx is where tap
+// l of output position (0,0) sits in a padded sample. The slice is shared;
+// callers must not modify it.
+func (t *ConvTaps) Offsets() []int32 { return t.off }
+
+// RowStep returns Wq, the distance in a padded sample between the taps of
+// two consecutive output rows. Output position (oy,ox) reads its taps at
+// oy·RowStep() + ox + off[l]; positions q = oy·RowStep() + ox with
+// ox ≥ OutW fall between two output rows and belong to no output, so a
+// loop over q in ascending order that skips them visits the outputs in
+// ascending (oy,ox) order.
+func (t *ConvTaps) RowStep() int { return t.wq }
+
+// padChannel writes one channel of the padded copy: dst holds its Stride²
+// sub-images, src the channel's InH × InW input plane. dst is cleared
+// first — +0 in the padding and in the slots past the last padded row or
+// column, so a reused buffer carries nothing stale — and then each input
+// row the grid reaches is written to its polyphase position: a plain copy
+// at stride 1, one strided gather per column phase otherwise.
+func (t *ConvTaps) padChannel(dst, src []float32) {
+	g := t.g
+	s, sub := g.Stride, t.hq*t.wq
+	clear(dst)
+	// Padded row y = iy + pad is row yq of the sub-images of row phase yp.
+	yp, yq := g.Pad%s, g.Pad/s
+	for iy := 0; iy < min(g.InH, s*t.hq-g.Pad); iy++ {
+		rows := dst[yp*s*sub+yq*t.wq:]
+		in := src[iy*g.InW : (iy+1)*g.InW]
+		for _, cp := range t.phases {
+			d := rows[cp.dst+cp.j0:][:cp.n]
+			if s == 1 {
+				copy(d, in)
+				continue
+			}
+			for j, ix := 0, cp.ix0; j < len(d); j, ix = j+1, ix+s {
+				d[j] = in[ix]
+			}
+		}
+		if yp++; yp == s {
+			yp, yq = 0, yq+1
 		}
 	}
 }
 
-// im2colRow writes the K taps (ky fixed, kx = 0…K−1) of one output row
-// from the input row src they read: tap kx's OutW values go to
-// dst[kx·p : kx·p+OutW]. Border columns test each tap; the interior
-// [in0, in1) is one copy per tap at stride 1, and at larger strides one
-// pass over the windows that scatters each window's K values to the K tap
-// rows.
-func im2colRow(dst, src []float32, g ConvGeom, p, outW, in0, in1 int) {
-	k, s, pad := g.K, g.Stride, g.Pad
-	for ox := 0; ox < in0; ox++ {
-		for kx := 0; kx < k; kx++ {
-			dst[kx*p+ox] = tapAt(src, ox*s-pad+kx)
-		}
+// padUnits writes units [u0, u1) of the padded copy xp of the batch x:
+// unit u is channel u mod InC of sample u div InC. Units write disjoint
+// channels, so any split of them is race-free.
+func (t *ConvTaps) padUnits(xp, x []float32, u0, u1 int) {
+	g := t.g
+	plane, chanLen := g.InH*g.InW, t.sampleLen/g.InC
+	for u := u0; u < u1; u++ {
+		s, c := u/g.InC, u%g.InC
+		t.padChannel(xp[s*t.sampleLen+c*chanLen:][:chanLen], x[u*plane:(u+1)*plane])
 	}
-	for ox := in1; ox < outW; ox++ {
-		for kx := 0; kx < k; kx++ {
-			dst[kx*p+ox] = tapAt(src, ox*s-pad+kx)
-		}
-	}
-	if in0 == in1 {
-		return
-	}
-	ix := in0*s - pad
-	switch {
-	case s == 1:
-		for kx := 0; kx < k; kx++ {
-			copy(dst[kx*p+in0:kx*p+in1], src[ix+kx:])
-		}
-	case k == 3 && s == 2:
-		// Neighbouring windows share a pixel, so each step reads the five
-		// pixels of two windows: every strided conv in the models is K=3
-		// stride 2, and this halves their lowering against the general
-		// loop below (BenchmarkIm2ColStride2).
-		d0 := dst[in0:in1]
-		d1 := dst[p+in0 : p+in1][:len(d0)]
-		d2 := dst[2*p+in0 : 2*p+in1][:len(d0)]
-		i := 0
-		for ; i+1 < len(d0); i, ix = i+2, ix+4 {
-			w := src[ix : ix+5]
-			d0[i], d1[i], d2[i] = w[0], w[1], w[2]
-			d0[i+1], d1[i+1], d2[i+1] = w[2], w[3], w[4]
-		}
-		if i < len(d0) {
-			w := src[ix : ix+3]
-			d0[i], d1[i], d2[i] = w[0], w[1], w[2]
-		}
-	default:
-		for ox := in0; ox < in1; ox, ix = ox+1, ix+s {
-			for kx, v := range src[ix : ix+k] {
-				dst[kx*p+ox] = v
-			}
-		}
-	}
-}
-
-// tapAt is src[ix], or 0 where ix falls in the padding.
-func tapAt(src []float32, ix int) float32 {
-	if ix < 0 || ix >= len(src) {
-		return 0
-	}
-	return src[ix]
 }
 
 // col2imPlane folds one channel's tap-major gradient rows back into its

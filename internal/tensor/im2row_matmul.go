@@ -2,67 +2,117 @@ package tensor
 
 import "fmt"
 
-// Im2ColMatMulInto is the convolution forward in one call: per sample it
-// lowers x tap-major into cols (im2colRows) and computes
-// out = w·cols + bias, an OutC × (OutH·OutW) product that lands in CHW
-// with the output positions on the SIMD lanes. w is the OutC × (InC·K·K)
-// weight matrix, bias holds OutC values, x is the [N,C,H,W] — or single
-// [C,H,W] — input, cols (N·InC·K·K) × (OutH·OutW) scratch and dst holds
-// N·OutC·OutH·OutW elements. Each output element is the ascending-(c,ky,kx)
-// dot of its window with its filter plus one bias rounding. The whole
-// lowering is written, so a backward pass can read it.
+// IndirectConvInto is the convolution forward in one call, with no
+// lowering: it copies each sample of x once into its zero-padded,
+// polyphase-split form xp (t's layout, padChannel), then computes
+// out = w·cols + bias per sample, reading every tap's row of cols in
+// place from xp through t's offset table. The OutC × (OutH·OutW) product
+// lands in CHW with the output positions on the SIMD lanes. w is the
+// OutC × (InC·K·K) weight matrix, bias holds OutC values, x is the
+// [N,C,H,W] — or single [C,H,W] — input, xp holds N·t.PaddedLen() floats
+// and dst N·OutC·OutH·OutW. Each output element is the ascending-(c,ky,kx)
+// dot of its window with its filter — padding taps multiply +0 — plus one
+// bias rounding: the bits of the tap-major lowering followed by the
+// k-major GEMM. xp is fully written, so a backward pass can read it.
 //
-// Past the GEMM's shardWorkers gate the work is sharded by (sample, output
-// row): a shard lowers, multiplies and biases its own column bands, and
-// the serial driver's tail block stays inside its band, so no two shards
-// write one column and the bits are the same at any GOMAXPROCS.
+// Past the GEMM's shardWorkers gate both steps are sharded: the copy by
+// (sample, input channel), then the product by (sample, output row). A
+// product shard multiplies and biases its own output rows through its own
+// stack buffer, so no two shards write one element and the bits are the
+// same at any GOMAXPROCS.
 //
 //advlint:noalloc
-func Im2ColMatMulInto(dst, cols, x, w, bias *Tensor, g ConvGeom) {
-	n := batchGeomCheck(x, g, "Im2ColMatMulInto")
+func IndirectConvInto(dst, xp, x, w, bias *Tensor, t *ConvTaps) {
+	g := t.g
+	n := batchGeomCheck(x, g, "IndirectConvInto")
 	p := g.OutH() * g.OutW()
-	l := g.InC * g.K * g.K
-	if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
-		panic(fmt.Sprintf("tensor: Im2ColMatMulInto cols %v, want [%d %d]", cols.shape, n*l, p))
+	l := len(t.off)
+	if xp.Len() != n*t.sampleLen {
+		panic(fmt.Sprintf("tensor: IndirectConvInto padded copy %v, want %d floats", xp.shape, n*t.sampleLen))
 	}
 	if w.Rank() != 2 || w.shape[1] != l || bias.Len() != w.shape[0] || dst.Len() != n*w.shape[0]*p {
-		panic(fmt.Sprintf("tensor: Im2ColMatMulInto w %v, bias %v and dst %v, want [OutC %d], [OutC] and [%d OutC %d %d]", w.shape, bias.shape, dst.shape, l, n, g.OutH(), g.OutW()))
+		panic(fmt.Sprintf("tensor: IndirectConvInto w %v, bias %v and dst %v, want [OutC %d], [OutC] and [%d OutC %d %d]", w.shape, bias.shape, dst.shape, l, n, g.OutH(), g.OutW()))
 	}
 	oc := w.shape[0]
-	t := poolTask{c: dst.data, a: w.data, bk: cols.data, k: l, n: oc, x: x.data, b: bias.data, g: g}
-	t.shard(n*g.OutH(), shardWorkers(n*p, l, oc))
+	indirectConv(dst.data, xp.data, x.data, w.data, bias.data, t, n, oc, shardWorkers(n*p, l, oc))
 }
 
-// im2colUnits runs units [u0, u1) of an Im2ColMatMulInto call: unit u is
-// output row u mod OutH of sample u div OutH, and owns the column band
-// [oy·OutW, (oy+1)·OutW) of that sample's lowering and output. Consecutive
-// units of one sample run as one band: lowered, multiplied by w, and
-// biased.
-func im2colUnits(dst, cols, w, bias, x []float32, g ConvGeom, oc, u0, u1 int) {
-	outH, outW := g.OutH(), g.OutW()
-	p, l := outH*outW, g.InC*g.K*g.K
-	sampleLen := g.InC * g.InH * g.InW
+// indirectConv runs IndirectConvInto's two dispatches — the padded copy,
+// then the product — over at most workers shards each.
+func indirectConv(dst, xp, x, w, bias []float32, t *ConvTaps, n, oc, workers int) {
+	poolTask{op: opPad, c: xp, bk: x, taps: t}.shard(n*t.g.InC, workers)
+	poolTask{op: opConv, c: dst, a: w, bk: xp, b: bias, n: oc, taps: t}.shard(n*t.g.OutH(), workers)
+}
+
+// gridChunk is the size, in floats, of the stack buffer a conv forward
+// shard computes its product into before biasing it into the output.
+const gridChunk = 4096
+
+// indirectUnits runs units [u0, u1) of the product: unit u is output row
+// u mod OutH of sample u div OutH, and owns the columns
+// [oy·OutW, (oy+1)·OutW) of that sample's output.
+//
+// Output (oy,ox) reads its taps at q + off[l] in the padded copy, with
+// q = oy·Wq + ox its position on the copy's grid (RowStep). So the lane
+// kernels run along the grid, not along output rows: consecutive units of
+// one sample cover the grid columns [oy0·Wq, (oy1−1)·Wq + OutW), which
+// laneBlocks tiles into full-width blocks that run across row ends. The
+// Wq − OutW columns between two rows belong to no output; they are
+// computed and dropped. The product goes into a stack buffer of at most
+// gridChunk floats, chunk by chunk, and each chunk's real columns are
+// biased into the output. Every output element is still one
+// ascending-(c,ky,kx) dot plus one bias rounding.
+func indirectUnits(dst, xp, w, bias []float32, t *ConvTaps, oc, u0, u1 int) {
+	var acc [gridChunk]float32
+	outH, outW, wq := t.g.OutH(), t.g.OutW(), t.wq
+	p, l := outH*outW, len(t.off)
+	og := min(oc, gridChunk/16) // output channels per pass
 	for u := u0; u < u1; {
 		s, oy0 := u/outH, u%outH
 		oy1 := min(outH, oy0+u1-u)
-		cs := cols[s*l*p : (s+1)*l*p]
-		im2colRows(cs, x[s*sampleLen:(s+1)*sampleLen], g, oy0, oy1)
 		out := dst[s*oc*p : (s+1)*oc*p]
-		j0, j1 := oy0*outW, oy1*outW
-		matMulKMajorCols(out, w, cs, oc, l, p, j0, j1)
-		for o, b := range bias[:oc] {
-			band := out[o*p+j0 : o*p+j1]
-			for i := range band {
-				band[i] += b
+		xs := xp[s*t.sampleLen : (s+1)*t.sampleLen]
+		q0, q1 := oy0*wq, (oy1-1)*wq+outW
+		for o0 := 0; o0 < oc; o0 += og {
+			m := min(og, oc-o0)
+			// Split the grid columns into equal chunks that fit the buffer,
+			// rounded up to whole 16-column blocks.
+			chunks := (q1 - q0 + gridChunk/m - 1) / (gridChunk / m)
+			cw := min(gridChunk/m, ((q1-q0+chunks-1)/chunks+15)&^15)
+			for qa := q0; qa < q1; qa += cw {
+				qb := min(q1, qa+cw)
+				laneBlocks(acc[:], w[o0*l:], xs[qa:], t.off, m, l, cw, qb-qa)
+				for o := range m {
+					biasGridRows(out[(o0+o)*p:(o0+o+1)*p], acc[o*cw:o*cw+qb-qa], bias[o0+o], qa/wq, qa%wq, outW, wq)
+				}
 			}
 		}
 		u += oy1 - oy0
 	}
 }
 
+// biasGridRows writes the real columns of one output channel's grid
+// columns into its CHW plane out, each plus b. grid starts at grid column
+// oy·wq + ox; grid column oy·wq + x is output (oy,x) when x < outW, and
+// is dropped otherwise.
+func biasGridRows(out, grid []float32, b float32, oy, ox, outW, wq int) {
+	for len(grid) > 0 {
+		n := min(len(grid), wq-ox)
+		if ox < outW {
+			src := grid[:min(n, outW-ox)]
+			o := out[oy*outW+ox:][:len(src)]
+			for i, v := range src {
+				o[i] = v + b
+			}
+		}
+		grid = grid[n:]
+		oy, ox = oy+1, 0
+	}
+}
+
 // MatMulCol2ImInto is the convolution's input gradient in one call: it
 // computes the tap-major product cols = Wᵀ·G of each sample and folds it
-// back into dst, the adjoint of Im2ColMatMulInto's product.
+// back into dst, the adjoint of IndirectConvInto's product.
 // wT is the (InC·K·K) × OutC transposed weight matrix, grad the
 // incoming [N,OutC,OutH,OutW] output gradient read in place (N·OutC·OutH·OutW
 // elements, a single sample treated as N=1), cols (N·InC·K·K) ×
@@ -89,7 +139,7 @@ func MatMulCol2ImInto(dst, cols, wT, grad *Tensor, g ConvGeom) {
 		panic(fmt.Sprintf("tensor: MatMulCol2ImInto wT %v and grad %v, want [%d OutC] and [%d OutC %d %d]", wT.shape, grad.shape, l, n, g.OutH(), g.OutW()))
 	}
 	oc := wT.shape[1]
-	t := poolTask{c: cols.data, a: wT.data, bk: grad.data, k: oc, n: p, dx: dst.data, g: g}
+	t := poolTask{op: opCol2Im, c: cols.data, a: wT.data, bk: grad.data, k: oc, n: p, dx: dst.data, g: g}
 	t.shard(n*g.InC, shardWorkers(n*l, oc, p))
 }
 

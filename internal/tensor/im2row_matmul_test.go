@@ -9,13 +9,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// im2colMatMulCases are the fused conv forward's edge cases: inputs whose
+// im2colMatMulCases are the conv forward's edge cases: inputs whose
 // (sample, output row) shards split a sample mid-image at 2 and 4 workers,
-// stride 2, a 1×1 unpadded kernel (one row copy per tap), K=5 at stride
-// 3, and output channel counts from a pure sub-lane product (3) through an
-// overlapping-tail width (10, 17) to an exact lane multiple plus 4-block
-// (12). Most are past parallelMinWork at N=3 so the sharded path runs;
-// N=1 and the stride-3 case stay below it and pin the serial path.
+// stride 2, a 1×1 unpadded kernel, K=5 at stride 3, and output channel
+// counts from a pure sub-lane product (3) through an overlapping-tail
+// width (10, 17) to an exact lane multiple plus 4-block (12). Most are past
+// parallelMinWork at N=3 so the sharded path runs; N=1 and the stride-3
+// case stay below it and pin the serial path.
 var im2colMatMulCases = []ConvGeom{
 	{InC: 5, InH: 19, InW: 21, K: 3, Stride: 1, Pad: 1},
 	{InC: 4, InH: 33, InW: 30, K: 3, Stride: 2, Pad: 1},
@@ -41,7 +41,7 @@ func fusedOperands(rng *xrand.RNG, n int, g ConvGeom, oc int) (x, w, bias, wantC
 	return x, w, bias, wantCols, want
 }
 
-// twoCallForward is the conv forward Im2ColMatMulInto replaces: each
+// twoCallForward is the conv forward IndirectConvInto replaces: each
 // sample's naiveIm2Col lowering, then the naive ascending-dot product of
 // w with it, plus the bias.
 func twoCallForward(x, w, bias *Tensor, n int, g ConvGeom) (cols, out *Tensor) {
@@ -60,27 +60,36 @@ func twoCallForward(x, w, bias *Tensor, n int, g ConvGeom) (cols, out *Tensor) {
 	return cols, out
 }
 
-// TestIm2RowMatMulMatchesTwoCall pins the fused lowering+GEMM+bias,
-// Im2ColMatMulInto, to the naive tap-major lowering followed by the naive
+// stalePadded returns a padded copy for n samples of t's geometry full of
+// garbage the forward must overwrite.
+func stalePadded(t *ConvTaps, n int) *Tensor {
+	xp := New(n * t.PaddedLen())
+	xp.Fill(99)
+	return xp
+}
+
+// TestIm2RowMatMulMatchesTwoCall pins the indirect forward,
+// IndirectConvInto, to the naive tap-major lowering followed by the naive
 // GEMM reference, byte for byte — both the product and the lowering
-// Backward reads — at GOMAXPROCS ∈ {1,2,4,16} and N ∈ {1,3}, so sharding
-// by (sample, output row) bands is dispatch only.
+// Backward reads from the padded copy — at GOMAXPROCS ∈ {1,2,4,16} and
+// N ∈ {1,3}, so sharding by (sample, channel) copies and (sample, output
+// row) bands is dispatch only.
 func TestIm2RowMatMulMatchesTwoCall(t *testing.T) {
 	rng := xrand.New(141)
 	for _, g := range im2colMatMulCases {
+		taps := NewConvTaps(g)
 		for _, oc := range im2colMatMulOutC {
 			for _, n := range []int{1, 3} {
 				x, w, bias, wantCols, want := fusedOperands(rng, n, g, oc)
 				for _, procs := range []int{1, 2, 4, 16} {
 					old := runtime.GOMAXPROCS(procs)
-					cols := New(wantCols.Shape()...)
-					cols.Fill(99) // stale garbage must be fully overwritten
+					xp := stalePadded(taps, n)
 					got := New(want.Shape()...)
 					got.Fill(99)
-					Im2ColMatMulInto(got, cols, x, w, bias, g)
+					IndirectConvInto(got, xp, x, w, bias, taps)
 					runtime.GOMAXPROCS(old)
 					what := "GOMAXPROCS=" + itoa(procs) + " N=" + itoa(n) + " K=" + itoa(g.K) + " stride=" + itoa(g.Stride) + " OutC=" + itoa(oc)
-					sameBits(t, what+" cols", cols.Data(), wantCols.Data())
+					sameBits(t, what+" cols", tapCols(xp.Data(), taps, n).Data(), wantCols.Data())
 					sameBits(t, what+" product", got.Data(), want.Data())
 				}
 			}
@@ -88,40 +97,105 @@ func TestIm2RowMatMulMatchesTwoCall(t *testing.T) {
 	}
 }
 
+// TestIndirectConvMatchesLowering sweeps the indirect forward against the
+// naive tap-major lowering plus the naive GEMM plus the bias, bit for bit,
+// over GOMAXPROCS ∈ {1,2,4,16} × N ∈ {1,3} × stride ∈ {1,2,3} ×
+// K ∈ {1,3,5} × pad ∈ {0,1,2} × OutW ∈ {3,6,8,17,64}: output rows that
+// take the scalar path, a 4-block with an overlapping tail, one 8-block,
+// a 16-block with an overlapping tail and four 16-blocks. (Where K=1 and
+// a wide pad make a narrow output impossible, the narrowest one is used.)
+// The inputs hold ±0, NaN and ±Inf, and one weight is +Inf: a padding tap
+// must be multiplied, not skipped, because Inf·0 is NaN.
+//
+// The input NaN is the one the CPU itself generates for Inf·0
+// (generatedNaN). When a sum meets two NaNs, the one that survives
+// depends on the add's operand order: the lane kernels add the product to
+// the accumulator, while the compiled reference may add the accumulator
+// to the product. With a single NaN bit pattern in play that choice
+// cannot show, and every other bit is still compared.
+func TestIndirectConvMatchesLowering(t *testing.T) {
+	nan := generatedNaN()
+	rng := xrand.New(145)
+	const inC, oc = 3, 6
+	for _, stride := range []int{1, 2, 3} {
+		for _, k := range []int{1, 3, 5} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, outW := range []int{3, 6, 8, 17, 64} {
+					inW := max(1, (outW-1)*stride+k-2*pad)
+					g := ConvGeom{InC: inC, InH: max(1, 3*stride+k-2*pad), InW: inW, K: k, Stride: stride, Pad: pad}
+					if g.Validate() != nil {
+						t.Fatalf("invalid sweep geometry %+v", g)
+					}
+					taps := NewConvTaps(g)
+					for _, n := range []int{1, 3} {
+						x, w, bias, _, _ := fusedOperands(rng, n, g, oc)
+						xd := x.Data()
+						for i, v := range xd {
+							if math.IsNaN(float64(v)) {
+								xd[i] = nan
+							}
+						}
+						xd[rng.Intn(len(xd))] = float32(math.Inf(1))
+						xd[rng.Intn(len(xd))] = float32(math.Inf(-1))
+						xd[rng.Intn(len(xd))] = float32(math.Copysign(0, -1))
+						w.Data()[rng.Intn(w.Len())] = float32(math.Inf(1))
+						_, want := twoCallForward(x, w, bias, n, g)
+						for _, procs := range []int{1, 2, 4, 16} {
+							old := runtime.GOMAXPROCS(procs)
+							got := New(want.Shape()...)
+							got.Fill(99)
+							IndirectConvInto(got, stalePadded(taps, n), x, w, bias, taps)
+							runtime.GOMAXPROCS(old)
+							sameBits(t, "GOMAXPROCS="+itoa(procs)+" N="+itoa(n)+" stride="+itoa(stride)+" K="+itoa(k)+" pad="+itoa(pad)+" OutW="+itoa(g.OutW()), got.Data(), want.Data())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// infTimesZero holds the operands of generatedNaN in package variables,
+// so the compiler cannot fold the product.
+var infTimesZero = [2]float32{float32(math.Inf(1)), 0}
+
+// generatedNaN returns the NaN this CPU's float32 multiply produces for
+// Inf·0: 0xffc00000 on amd64, 0x7fc00000 on arm64.
+func generatedNaN() float32 { return infTimesZero[0] * infTimesZero[1] }
+
 // TestIm2RowMatMulExplicitWorkers drives the conv shard split directly at
 // worker counts the GOMAXPROCS gate would never pick — odd counts, more
 // workers than output rows — so bands that split a sample at any output
-// row, bands narrower than one 16-column block (OutW 6) and bands below
-// one 4-column lane block (OutW 3, the scalar path) are pinned
-// independently of the gate.
+// row, rows narrower than one 16-column block (OutW 6) and rows below one
+// 4-column lane block (OutW 3, the scalar path) are pinned independently
+// of the gate.
 func TestIm2RowMatMulExplicitWorkers(t *testing.T) {
 	rng := xrand.New(142)
 	for _, g := range []ConvGeom{
 		{InC: 2, InH: 7, InW: 6, K: 3, Stride: 1, Pad: 1},
 		{InC: 3, InH: 9, InW: 5, K: 3, Stride: 2, Pad: 1},
 	} {
+		taps := NewConvTaps(g)
 		for _, oc := range im2colMatMulOutC {
 			x, w, bias, wantCols, want := fusedOperands(rng, 3, g, oc)
 			units := 3 * g.OutH()
 			for _, workers := range []int{1, 2, 3, 5, 16, units, units + 5} {
-				cols := New(wantCols.Shape()...)
-				cols.Fill(99)
+				xp := stalePadded(taps, 3)
 				got := New(want.Shape()...)
 				got.Fill(99)
-				task := poolTask{c: got.Data(), a: w.Data(), bk: cols.Data(), k: w.Dim(1), n: oc, x: x.Data(), b: bias.Data(), g: g}
-				task.shard(units, workers)
+				indirectConv(got.Data(), xp.Data(), x.Data(), w.Data(), bias.Data(), taps, 3, oc, workers)
 				what := "OutW=" + itoa(g.OutW()) + " workers=" + itoa(workers) + " OutC=" + itoa(oc)
-				sameBits(t, what+" cols", cols.Data(), wantCols.Data())
+				sameBits(t, what+" cols", tapCols(xp.Data(), taps, 3).Data(), wantCols.Data())
 				sameBits(t, what+" product", got.Data(), want.Data())
 			}
 		}
 	}
 }
 
-// TestIm2RowMatMulSteadyStateAllocs keeps the fused entry allocation-free:
-// exactly 0 allocs/op below the work gate (serial on the caller), and
-// below 1 above it at GOMAXPROCS=2 (conv shards travel by value through
-// the pool, which may refill its WaitGroup pool after a GC).
+// TestIm2RowMatMulSteadyStateAllocs keeps the forward entry
+// allocation-free: exactly 0 allocs/op below the work gate (serial on the
+// caller), and below 1 above it at GOMAXPROCS=2 (conv shards travel by
+// value through the pool, which may refill its WaitGroup pool after a GC).
 func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -137,12 +211,13 @@ func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 		{ConvGeom{InC: 10, InH: 16, InW: 16, K: 1, Stride: 1, Pad: 0}, false}, // 1×1 head
 		{ConvGeom{InC: 5, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}, true},
 	} {
-		x, w, bias, wantCols, want := fusedOperands(rng, 1, tc.g, 10)
-		cols, got := New(wantCols.Shape()...), New(want.Shape()...)
-		Im2ColMatMulInto(got, cols, x, w, bias, tc.g) // warm the pool
-		avg := testing.AllocsPerRun(100, func() { Im2ColMatMulInto(got, cols, x, w, bias, tc.g) })
+		x, w, bias, _, want := fusedOperands(rng, 1, tc.g, 10)
+		taps := NewConvTaps(tc.g)
+		xp, got := New(taps.PaddedLen()), New(want.Shape()...)
+		IndirectConvInto(got, xp, x, w, bias, taps) // warm the pool
+		avg := testing.AllocsPerRun(100, func() { IndirectConvInto(got, xp, x, w, bias, taps) })
 		if (tc.sharded && avg >= 1) || (!tc.sharded && avg != 0) {
-			t.Fatalf("Im2ColMatMulInto %+v (sharded %v) allocates %.2f/op in steady state", tc.g, tc.sharded, avg)
+			t.Fatalf("IndirectConvInto %+v (sharded %v) allocates %.2f/op in steady state", tc.g, tc.sharded, avg)
 		}
 	}
 }

@@ -64,21 +64,42 @@ func naiveCol2Im(cols *Tensor, g ConvGeom) *Tensor {
 	return x
 }
 
-// im2col returns the tap-major lowering the conv forward multiplies for x
-// ([N,C,H,W], or a single [C,H,W] sample treated as N=1): the
-// (N·InC·K·K) × (OutH·OutW) cols Im2ColMatMulInto writes, every element
-// pre-filled with garbage that must be overwritten.
-func im2col(x *Tensor, g ConvGeom) *Tensor {
-	n := batchGeomCheck(x, g, "im2col")
-	l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
+// tapCols materialises the tap-major lowering an indirect conv forward
+// reads in place: for the n padded samples in xp, row s·L + l of the
+// (N·InC·K·K) × (OutH·OutW) result holds, at column p = oy·OutW + ox,
+// cols[l][p] = xp[s·PaddedLen + base(p) + off[l]] with
+// base(p) = oy·RowStep() + ox.
+func tapCols(xp []float32, t *ConvTaps, n int) *Tensor {
+	g, off := t.Geom(), t.Offsets()
+	l, outW := len(off), g.OutW()
+	p := g.OutH() * outW
 	cols := New(n*l, p)
-	cols.Fill(99)
-	Im2ColMatMulInto(New(n*p), cols, x, New(1, l), New(1), g)
+	for s := 0; s < n; s++ {
+		for li, o := range off {
+			for pi := 0; pi < p; pi++ {
+				base := s*t.PaddedLen() + pi/outW*t.RowStep() + pi%outW
+				cols.Set(xp[base+int(o)], s*l+li, pi)
+			}
+		}
+	}
 	return cols
 }
 
+// im2col returns the tap-major lowering the conv forward reads for x
+// ([N,C,H,W], or a single [C,H,W] sample treated as N=1): x is copied
+// into a padded buffer pre-filled with garbage by IndirectConvInto, and
+// tapCols materialises the (N·InC·K·K) × (OutH·OutW) lowering from it.
+func im2col(x *Tensor, g ConvGeom) *Tensor {
+	n := batchGeomCheck(x, g, "im2col")
+	t := NewConvTaps(g)
+	xp := New(n * t.PaddedLen())
+	xp.Fill(99)
+	IndirectConvInto(New(n*g.OutH()*g.OutW()), xp, x, New(1, g.InC*g.K*g.K), New(1), t)
+	return tapCols(xp.Data(), t, n)
+}
+
 // TestIm2RowMatchesIm2Col checks the batched tap-major lowering the conv
-// forward writes against the naive per-sample one: rows [s·L, (s+1)·L)
+// forward reads from its padded copy against the naive per-sample one: rows [s·L, (s+1)·L)
 // must equal sample s's naiveIm2Col, element for element.
 func TestIm2RowMatchesIm2Col(t *testing.T) {
 	rng := xrand.New(41)

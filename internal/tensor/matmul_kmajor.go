@@ -17,42 +17,38 @@ import "fmt"
 // column tail keep the two roundings every assembly rung performs.
 //
 // This is the unified GEMM of the perception stack: the batched AND
-// single-frame Conv2D/Linear forwards lower onto it (short-wide W·cols
-// conv products with the output positions on the lanes, and m=1 gemv
-// shapes that the single-row assembly tail keeps on SIMD), and the
-// backward drives it for the input-gradient products.
+// single-frame Conv2D/Linear forwards run on it (short-wide W·cols conv
+// products with the output positions on the lanes, cols read in place
+// from a padded input copy, and m=1 gemv shapes that the single-row
+// assembly tail keeps on SIMD), and the backward drives it for the
+// input-gradient products.
+//
 // Lane width is dispatched once at init — AVX-512 16-wide or AVX2 8-wide
-// where the CPU supports them, SSE2 4-wide on baseline amd64, NEON 4-wide
-// on arm64, a pure-Go lane kernel elsewhere or under the noasm build tag
-// (see sgemm_amd64.go / sgemm_arm64.go). Column counts that are not a
-// lane multiple stay on SIMD too: the leftover columns are one overlapping
-// lane block, and only products narrower than 4 columns run scalar.
+// where the CPU supports them, SSE2 8- and 4-wide on baseline amd64, NEON
+// 4-wide on arm64, a pure-Go lane kernel elsewhere or under the noasm
+// build tag (see sgemm_amd64.go / sgemm_arm64.go / sgemm_noasm.go). Each
+// rung comes in two forms: strided, where B row l starts l·n floats on,
+// and tap-table, where it starts off[l] floats on — the indirect conv
+// forward's in-place taps; the pure-Go kernel serves both. Column counts
+// that are not a lane multiple stay on SIMD too: the leftover columns are
+// one overlapping lane block, and only products narrower than 4 columns
+// run scalar.
 //
 // Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
 // contiguous row range with this same serial driver, so parallelism is
 // pure dispatch and the bits never depend on GOMAXPROCS. The conv forward
-// enters through Im2ColMatMulInto, whose shards lower and multiply their
-// own column bands (matMulKMajorCols), and the conv input gradient through
-// MatMulCol2ImInto, whose shards multiply and fold back whole input
-// channels.
+// enters through IndirectConvInto, whose shards multiply their own output
+// rows through the tap table (laneBlocks), and the conv input gradient
+// through MatMulCol2ImInto, whose shards multiply and fold back whole
+// input channels.
 
-// laneKernel is the signature of the assembly column-lane kernels:
-// c[i][0:w] = Σ_l a[i][l]·bk[l][0:w] for i in [0,m), with bk and c
-// pre-offset to the column block and a row stride of n floats.
-type laneKernel func(a, bk, c *float32, m, k, n int)
-
-// lanes16, lanes8 and lanes4 are the kernels the driver dispatches to for
-// 16-, 8- and 4-column blocks. They stay nil (pure-Go fallback) under the
-// noasm tag and on platforms without a matching rung; package init assigns
-// them once from CPU features (amd64: SSE2 baseline, AVX2/AVX-512 probed;
-// arm64: NEON 4-wide). They never change after init, so kernel choice is
+// widest is the widest lane block the selected ladder rung computes: 16
+// on AVX-512, 8 on AVX2, SSE2 and the pure-Go kernel, 4 on NEON. Package
+// init assigns it once from CPU features, together with the rung asmLanes
+// dispatches to; it never changes after init, so kernel choice is
 // CPU-gated only and can never vary with parallelism.
-var (
-	lanes16 laneKernel
-	lanes8  laneKernel
-	lanes4  laneKernel
-)
+var widest = 8
 
 // kmajorKernelName names the selected widest lane kernel for diagnostics.
 var kmajorKernelName = "generic"
@@ -92,92 +88,92 @@ func matMulKMajor(c, a, bk []float32, m, k, n int) {
 }
 
 // matMulKMajorSerial computes the whole m×n product on the calling
-// goroutine: the column band [0, n) of matMulKMajorCols.
+// goroutine: laneBlocks over all n strided columns.
 func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
-	matMulKMajorCols(c, a, bk, m, k, n, 0, n)
+	laneBlocks(c, a, bk, nil, m, k, n, n)
 }
 
-// matMulKMajorCols computes columns [j0, j1) of the product (row stride n)
-// and writes no other column. It tiles the band into the widest column
-// blocks the selected ladder rung supports — 16 on AVX-512, 8 on
-// AVX2/SSE2 and the generic kernel, 4 on NEON. Columns left over after the
-// full blocks are finished by one more lane-kernel call on the overlapping
-// block [j1−w, j1), w the widest rung with w ≤ j1−j0: it recomputes a few
-// columns already written, but every lane is an independent ascending-k
-// dot with per-step rounding, so the rewrite stores the same bits, from
-// the same goroutine, inside the band. Only bands narrower than 4 columns
-// take the scalar kmajorScalar loop. All paths agree bit for bit, so the
-// tiling is invisible in the results.
-func matMulKMajorCols(c, a, bk []float32, m, k, n, j0, j1 int) {
-	w := j1 - j0
+// laneBlocks computes columns [0, w) of c = a·B (c has row stride n) and
+// writes no other column. Row l of B's block at column j starts at
+// b[j + l·n], or at b[j + off[l]] when a tap table is given (the indirect
+// conv forward, whose b starts where its band of grid positions reads the
+// padded input). It tiles the band into blocks of the widest lane width
+// bw the selected ladder rung supports and the band holds — 16 on
+// AVX-512, 8 on AVX2/SSE2 and the generic kernel, 4 on NEON. Columns left
+// over after the full blocks are finished by one more bw-column block on
+// the overlapping block [w−bw, w): a narrower kernel would cost nearly as
+// much as a full one, since every block streams the whole k-deep operand.
+// The overlap recomputes a few columns already written, but every lane is
+// an independent ascending-k dot with per-step rounding, so the rewrite
+// stores the same bits, from the same goroutine, inside the band. Only
+// bands narrower than 4 columns take the scalar kmajorScalar loop. All
+// paths agree bit for bit, so the tiling is invisible in the results.
+func laneBlocks(c, a, b []float32, off []int32, m, k, n, w int) {
 	switch {
 	case m == 0 || w <= 0:
 		return
 	case k == 0:
 		for i := 0; i < m; i++ {
-			clear(c[i*n+j0 : i*n+j1])
+			clear(c[i*n : i*n+w])
 		}
 		return
 	case w < 4:
-		kmajorScalar(c, a, bk, 0, m, j0, j1, k, n)
+		kmajorScalar(c, a, b, off, m, w, k, n)
 		return
 	}
-	j := j0
-	if lanes16 != nil {
-		for ; j+16 <= j1; j += 16 {
-			lanes16(&a[0], &bk[j], &c[j], m, k, n)
-		}
+	bw := widest
+	for bw > w {
+		bw /= 2
 	}
-	if lanes8 != nil || lanes4 == nil {
-		for ; j+8 <= j1; j += 8 {
-			sgemmLanes(c, a, bk, m, j, 8, k, n)
-		}
+	j := 0
+	for ; j+bw <= w; j += bw {
+		sgemmLanes(c[j:], a, b[j:], off, m, bw, k, n)
 	}
-	for ; j+4 <= j1; j += 4 {
-		sgemmLanes(c, a, bk, m, j, 4, k, n)
-	}
-	if j == j1 {
-		return
-	}
-	switch {
-	case lanes16 != nil && w >= 16:
-		lanes16(&a[0], &bk[j1-16], &c[j1-16], m, k, n)
-	case (lanes8 != nil || lanes4 == nil) && w >= 8:
-		sgemmLanes(c, a, bk, m, j1-8, 8, k, n)
-	default:
-		sgemmLanes(c, a, bk, m, j1-4, 4, k, n)
+	if j < w {
+		sgemmLanes(c[w-bw:], a, b[w-bw:], off, m, bw, k, n)
 	}
 }
 
 // sgemmLanes is the single dispatch point for the lane kernels: it computes
-// the w-column block starting at j0 for every row of the product, using the
-// assembly kernel selected at init when one is available and the pure-Go
-// lane kernel otherwise. w must be 4 or 8 and k > 0.
-func sgemmLanes(c, a, bk []float32, m, j0, w, k, n int) {
-	switch {
-	case w == 8 && lanes8 != nil:
-		lanes8(&a[0], &bk[j0], &c[j0], m, k, n)
-	case w == 4 && lanes4 != nil:
-		lanes4(&a[0], &bk[j0], &c[j0], m, k, n)
-	default:
-		kmajorColsGeneric(c, a, bk, 0, m, j0, w, k, n)
+// the w-column block at the start of c and b for every row of the product,
+// through the strided or (off non-nil) table assembly kernel of the rung
+// selected at init (asmLanes) when one exists for w, and the pure-Go lane
+// kernel otherwise. w must be 16 (only when widest is 16), 8 or 4, and
+// k > 0.
+func sgemmLanes(c, a, b []float32, off []int32, m, w, k, n int) {
+	var o *int32
+	if off != nil {
+		o = &off[0]
+	}
+	if !asmLanes(w, &a[0], &b[0], &c[0], m, k, n, o) {
+		kmajorColsGeneric(c, a, b, off, m, w, k, n)
 	}
 }
 
-// kmajorColsGeneric is the pure-Go mirror of the assembly kernels: rows
-// [i0,i1) in blocks of 4 plus a single-row tail, a fixed block of w
-// columns starting at j0. Each accumulator sums ascending l with per-step
-// rounding — the lane semantics of the SIMD kernels, expressed scalar — so
-// generic and assembly builds produce identical bits.
-func kmajorColsGeneric(c, a, bk []float32, i0, i1, j0, w, k, n int) {
+// bRow is where row l of a lane block's B operand starts: l·n floats on
+// for a strided operand, off[l] for a tap table.
+func bRow(off []int32, l, n int) int {
+	if off != nil {
+		return int(off[l])
+	}
+	return l * n
+}
+
+// kmajorColsGeneric is the pure-Go mirror of the assembly kernels, strided
+// and table forms in one: all m rows in blocks of 4 plus a single-row
+// tail, the w-column block at the start of c and b. Each accumulator sums
+// ascending l with per-step rounding — the lane semantics of the SIMD
+// kernels, expressed scalar — so generic and assembly builds produce
+// identical bits.
+func kmajorColsGeneric(c, a, b []float32, off []int32, m, w, k, n int) {
 	var acc [4 * 8]float32
-	i := i0
-	for ; i+3 < i1; i += 4 {
+	i := 0
+	for ; i+3 < m; i += 4 {
 		for z := range acc[:4*w] {
 			acc[z] = 0
 		}
 		for l := 0; l < k; l++ {
-			brow := bk[l*n+j0 : l*n+j0+w]
+			brow := b[bRow(off, l, n):][:w]
 			a0 := a[(i+0)*k+l]
 			a1 := a[(i+1)*k+l]
 			a2 := a[(i+2)*k+l]
@@ -190,48 +186,47 @@ func kmajorColsGeneric(c, a, bk []float32, i0, i1, j0, w, k, n int) {
 			}
 		}
 		for r := 0; r < 4; r++ {
-			copy(c[(i+r)*n+j0:(i+r)*n+j0+w], acc[r*w:(r+1)*w])
+			copy(c[(i+r)*n:(i+r)*n+w], acc[r*w:(r+1)*w])
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < m; i++ {
 		for z := range acc[:w] {
 			acc[z] = 0
 		}
 		for l := 0; l < k; l++ {
-			brow := bk[l*n+j0 : l*n+j0+w]
+			brow := b[bRow(off, l, n):][:w]
 			a0 := a[i*k+l]
 			for z, bv := range brow {
 				acc[z] += float32(a0 * bv)
 			}
 		}
-		copy(c[i*n+j0:i*n+j0+w], acc[:w])
+		copy(c[i*n:i*n+w], acc[:w])
 	}
 }
 
-// kmajorScalar computes rows [i0,i1) × columns [j0,j1) for products
-// narrower than one 4-column lane block (j1−j0 ≤ 3; bk is read
-// column-strided). A row's columns are independent accumulators in the
-// same ascending-l loop, so their add chains overlap instead of running
-// one after another; each still sums its own products in ascending l with
-// per-step rounding, exactly like the lane kernels.
-func kmajorScalar(c, a, bk []float32, i0, i1, j0, j1, k, n int) {
-	w := j1 - j0
+// kmajorScalar computes all m rows of the w ≤ 3 columns at the start of c
+// and b, for bands narrower than one 4-column lane block (B row l starts
+// as in kmajorColsGeneric). A row's columns are independent accumulators
+// in the same ascending-l loop, so their add chains overlap instead of
+// running one after another; each still sums its own products in
+// ascending l with per-step rounding, exactly like the lane kernels.
+func kmajorScalar(c, a, b []float32, off []int32, m, w, k, n int) {
 	if w <= 0 {
 		return
 	}
-	for i := i0; i < i1; i++ {
+	for i := 0; i < m; i++ {
 		var s0, s1, s2 float32
 		for l, av := range a[i*k : i*k+k] {
-			b := bk[l*n+j0 : l*n+j1]
-			s0 += float32(av * b[0])
+			br := b[bRow(off, l, n):][:w]
+			s0 += float32(av * br[0])
 			if w > 1 {
-				s1 += float32(av * b[1])
+				s1 += float32(av * br[1])
 			}
 			if w > 2 {
-				s2 += float32(av * b[2])
+				s2 += float32(av * br[2])
 			}
 		}
-		ci := c[i*n+j0 : i*n+j1]
+		ci := c[i*n : i*n+w]
 		ci[0] = s0
 		if w > 1 {
 			ci[1] = s1

@@ -93,13 +93,13 @@ func TestMatMulKMajorBitIdentical(t *testing.T) {
 		gen := New(m, n)
 		j := 0
 		for ; j+8 <= n; j += 8 {
-			kmajorColsGeneric(gen.Data(), a.Data(), bk.Data(), 0, m, j, 8, k, n)
+			kmajorColsGeneric(gen.Data()[j:], a.Data(), bk.Data()[j:], nil, m, 8, k, n)
 		}
 		for ; j+4 <= n; j += 4 {
-			kmajorColsGeneric(gen.Data(), a.Data(), bk.Data(), 0, m, j, 4, k, n)
+			kmajorColsGeneric(gen.Data()[j:], a.Data(), bk.Data()[j:], nil, m, 4, k, n)
 		}
 		if j < n {
-			kmajorScalar(gen.Data(), a.Data(), bk.Data(), 0, m, j, n, k, n)
+			kmajorScalar(gen.Data()[j:], a.Data(), bk.Data()[j:], nil, m, n-j, k, n)
 		}
 		for i := range want.Data() {
 			if gen.Data()[i] != want.Data()[i] {

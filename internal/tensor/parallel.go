@@ -8,18 +8,20 @@ import (
 // This file is the package's single source of parallelism: the work
 // threshold the k-major GEMM gates on, the persistent worker pool it
 // dispatches over, and the shard split itself. The split serves the plain
-// GEMM, the conv forward (Im2ColMatMulInto), whose shards lower and
-// multiply their own column bands of output rows, and the conv input
+// GEMM; the conv forward (IndirectConvInto), which first shards the padded
+// copy of its input by (sample, channel), then the product by (sample,
+// output row), each shard reading its taps in place; and the conv input
 // gradient (MatMulCol2ImInto), whose shards multiply and fold back whole
 // input channels. Every parallel call amortises goroutine startup over the
 // same long-lived workers.
 //
 // Parallelism here is strictly a dispatch concern, never a numeric one:
-// workers own disjoint row ranges (column bands, for the conv forward) of
-// the output and every output element is still one ascending-k
-// accumulation with per-step float32 rounding, so results are
-// bit-identical at any GOMAXPROCS and any shard count. Tests sweep
-// GOMAXPROCS ∈ {1,2,4,16} over the split boundaries to pin this.
+// workers own disjoint row ranges (column bands, for the conv forward;
+// channel planes, for its padded copy) of the output and every output
+// element is still one ascending-k accumulation with per-step float32
+// rounding, so results are bit-identical at any GOMAXPROCS and any shard
+// count. Tests sweep GOMAXPROCS ∈ {1,2,4,16} over the split boundaries to
+// pin this.
 
 // parallelMinWork is the m·k·n product below which the k-major GEMM stays
 // serial: small and gemv-shaped products (the single-frame dense heads)
@@ -29,7 +31,7 @@ import (
 const parallelMinWork = 1 << 17
 
 // shardWorkers is the dispatch gate of every k-major product, plain or
-// fused with its conv lowering: the number of row shards for an m×k·k×n
+// an indirect conv's: the number of row shards for an m×k·k×n
 // product — GOMAXPROCS past parallelMinWork, 1 (serial on the caller)
 // below it, for a single row, or at GOMAXPROCS=1. It depends only on the
 // operand shape and the worker count, never on values.
@@ -40,34 +42,49 @@ func shardWorkers(m, k, n int) int {
 	return 1
 }
 
-// poolTask is one shard for the persistent pool: rows [lo, hi) of
-// c = a·bk (a is m×k, bk is k×n). A conv forward shard also carries its
-// input x, bias b and geometry g; [lo, hi) then counts (sample, output
-// row) units, and the shard lowers, multiplies and biases each unit's
-// column band (im2colUnits) with a the weights, bk the lowering and n the
-// output channel count. A conv input-gradient shard carries the gradient
-// dx it folds into instead, and [lo, hi) counts (sample, input channel)
-// units (col2imUnits). A plain GEMM shard is the same task with x and dx
-// nil. The struct travels by value through the channel so steady-state
+// taskOp selects what a poolTask's units are.
+type taskOp uint8
+
+const (
+	opGEMM   taskOp = iota // output rows of c = a·bk (a is m×k, bk is k×n)
+	opPad                  // (sample, input channel) planes of a conv's padded copy
+	opConv                 // (sample, output row) bands of an indirect conv forward
+	opCol2Im               // (sample, input channel) planes of a conv input gradient
+)
+
+// poolTask is one shard for the persistent pool: units [lo, hi) of its op.
+//   - opGEMM: rows of c = a·bk (a is m×k, bk is k×n), run by the serial
+//     driver on row-offset views of a and c.
+//   - opPad: c is the padded copy the planes of the input bk are written
+//     into, in the layout of taps (padUnits).
+//   - opConv: c is the output, a the weights, bk the padded copy, b the
+//     bias and n the output channel count; each unit is multiplied
+//     through taps' offset table and biased (indirectUnits).
+//   - opCol2Im: c is the tap-major scratch, a the transposed weights, bk
+//     the output gradient, k the output channel count and dx the input
+//     gradient each unit folds into (col2imUnits).
+//
+// The struct travels by value through the channel so steady-state
 // dispatch allocates nothing.
 type poolTask struct {
+	op       taskOp
 	c, a, bk []float32
 	lo, hi   int
 	k, n     int
-	x, b, dx []float32
+	b, dx    []float32
+	taps     *ConvTaps
 	g        ConvGeom
 	wg       *sync.WaitGroup
 }
 
-// compute runs the shard on the calling goroutine: a conv forward shard
-// lowers, multiplies and biases its units, an input-gradient shard
-// multiplies and folds its units, and a plain GEMM shard runs the serial
-// driver on row-offset views of a and c.
+// compute runs the shard on the calling goroutine.
 func (t *poolTask) compute() {
-	switch {
-	case t.x != nil:
-		im2colUnits(t.c, t.bk, t.a, t.b, t.x, t.g, t.n, t.lo, t.hi)
-	case t.dx != nil:
+	switch t.op {
+	case opPad:
+		t.taps.padUnits(t.c, t.bk, t.lo, t.hi)
+	case opConv:
+		indirectUnits(t.c, t.bk, t.a, t.b, t.taps, t.n, t.lo, t.hi)
+	case opCol2Im:
 		col2imUnits(t.dx, t.c, t.a, t.bk, t.g, t.k, t.lo, t.hi)
 	default:
 		matMulKMajorSerial(t.c[t.lo*t.n:], t.a[t.lo*t.k:], t.bk, t.hi-t.lo, t.k, t.n)
@@ -114,13 +131,14 @@ func startPool() {
 // matMulKMajorParallel row-shards dst = A·B_k across the pool (see
 // shard); a thin entry for the plain GEMM, whose units are single rows.
 func matMulKMajorParallel(c, a, bk []float32, m, k, n, workers int) {
-	poolTask{c: c, a: a, bk: bk, k: k, n: n}.shard(m, workers)
+	poolTask{op: opGEMM, c: c, a: a, bk: bk, k: k, n: n}.shard(m, workers)
 }
 
 // shard splits the task's units [0, units) — output rows of a GEMM,
-// (sample, output row) column bands of a conv forward, (sample, input
-// channel) planes of a conv input gradient — into at most workers
-// contiguous ranges and runs each as a poolTask.
+// (sample, channel) planes of a padded copy, (sample, output row) column
+// bands of a conv forward, (sample, input channel) planes of a conv input
+// gradient — into at most workers contiguous ranges and runs each as a
+// poolTask.
 // Every lane still accumulates strictly ascending k with per-step
 // rounding, so the split is invisible in the bits. The caller runs the
 // last shard inline (it would otherwise idle in Wait), and pool workers

@@ -78,11 +78,13 @@ func hasAVX512() bool {
 }
 
 // The lane kernels, implemented in sgemm_amd64.s. Each computes
-// c[i][0:w] = Σ_l a[i][l]·bk[l][0:w] for i in [0,m) — any m, rows in
+// c[i][0:w] = Σ_l a[i][l]·B[l][0:w] for i in [0,m) — any m, rows in
 // blocks of 4 plus a single-row tail — with bk and c pre-offset to the
-// column block and using row stride n floats. Accumulation is strictly
-// ascending l with separate mul/add roundings per step: bit-identical to
-// the scalar kernels.
+// column block and c using row stride n floats. B row l is bk + l·n in
+// the strided kernels and bk + off[l] in the *Taps kernels, which share
+// each rung's loop body. Accumulation is strictly ascending l with
+// separate mul/add roundings per step: bit-identical to the scalar
+// kernels.
 
 //go:noescape
 func sgemm8cols(a, bk, c *float32, m, k, n int)
@@ -96,18 +98,64 @@ func sgemm8colsAVX2(a, bk, c *float32, m, k, n int)
 //go:noescape
 func sgemm16colsAVX512(a, bk, c *float32, m, k, n int)
 
+//go:noescape
+func sgemm8colsTaps(a, bk, c *float32, m, k, n int, off *int32)
+
+//go:noescape
+func sgemm4colsTaps(a, bk, c *float32, m, k, n int, off *int32)
+
+//go:noescape
+func sgemm8colsAVX2Taps(a, bk, c *float32, m, k, n int, off *int32)
+
+//go:noescape
+func sgemm16colsAVX512Taps(a, bk, c *float32, m, k, n int, off *int32)
+
+// The amd64 rungs, in ascending width: which one init selected.
+const (
+	rungSSE2 = iota
+	rungAVX2
+	rungAVX512
+)
+
+var rung = rungSSE2
+
 func init() {
-	lanes4 = sgemm4cols
 	switch {
 	case hasAVX512() && hasAVX2():
-		lanes16 = sgemm16colsAVX512
-		lanes8 = sgemm8colsAVX2
-		kmajorKernelName = "avx512"
+		rung, widest, kmajorKernelName = rungAVX512, 16, "avx512"
 	case hasAVX2():
-		lanes8 = sgemm8colsAVX2
-		kmajorKernelName = "avx2"
+		rung, kmajorKernelName = rungAVX2, "avx2"
 	default:
-		lanes8 = sgemm8cols
 		kmajorKernelName = "sse2"
 	}
+}
+
+// asmLanes runs the w-column lane kernel of the selected rung, in its
+// strided form (off nil) or its table form, and reports whether one ran.
+// The kernels are called directly rather than through function values, so
+// escape analysis sees their go:noescape operands: a caller's stack buffer
+// stays on the stack. Every amd64 rung has 8- and 4-column kernels (AVX2
+// and AVX-512 use the AVX2 one for 8); only AVX-512 has 16.
+func asmLanes(w int, a, b, c *float32, m, k, n int, off *int32) bool {
+	switch {
+	case w == 16 && off == nil:
+		sgemm16colsAVX512(a, b, c, m, k, n)
+	case w == 16:
+		sgemm16colsAVX512Taps(a, b, c, m, k, n, off)
+	case w == 8 && rung >= rungAVX2 && off == nil:
+		sgemm8colsAVX2(a, b, c, m, k, n)
+	case w == 8 && rung >= rungAVX2:
+		sgemm8colsAVX2Taps(a, b, c, m, k, n, off)
+	case w == 8 && off == nil:
+		sgemm8cols(a, b, c, m, k, n)
+	case w == 8:
+		sgemm8colsTaps(a, b, c, m, k, n, off)
+	case w == 4 && off == nil:
+		sgemm4cols(a, b, c, m, k, n)
+	case w == 4:
+		sgemm4colsTaps(a, b, c, m, k, n, off)
+	default:
+		return false
+	}
+	return true
 }

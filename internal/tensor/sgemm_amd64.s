@@ -2,461 +2,484 @@
 
 #include "textflag.h"
 
-// SSE2 lane kernels for the k-major SGEMM. Each SIMD lane owns one output
-// element and accumulates a[i][l]·bk[l][j] in strictly ascending l with a
-// separate MULPS/ADDPS rounding per step, so results are bit-identical to
-// the scalar kernels. Rows run in blocks of 4 with a single-row tail, so
-// any m ≥ 1 is handled entirely in assembly (m = 1 is the gemv shape of
-// the single-frame Linear forward and the batched input-gradient head).
+// Lane kernels for the k-major SGEMM. Each SIMD lane owns one output
+// element and accumulates a[i][l]·B[l][j] in strictly ascending l with a
+// separate multiply and add rounding per step, so results are
+// bit-identical to the scalar kernels. Rows run in blocks of 4 with a
+// single-row tail, so any m ≥ 1 is handled entirely in assembly (m = 1 is
+// the gemv shape of the single-frame Linear forward and the batched
+// input-gradient head).
+//
+// Every rung comes in two forms that differ only in where row l of B
+// starts:
+//   - strided (sgemm*cols): B row l is bk + l·n, reached by adding the
+//     row stride once per step;
+//   - table (sgemm*colsTaps): B row l is b + off[l], one int32 load per
+//     step from the offset table. The indirect conv forward reads every
+//     tap of a padded input in place this way.
+// Each rung's loop is written once, as a body macro, and instantiated for
+// both forms; the body calls four hooks that the two forms define:
+//   BSET      per row block: point the strided cursor R15 at bk row 0
+//   BOFF      per step, before the loads: fetch off[l] into R15
+//   BROW(d)   the address of B row l plus d bytes
+//   BADV      per step, after the loads: advance the strided cursor
+//
+// Register layout (all rungs):
+//   SI  a row-block base          DX  B base           DI  c row-block base
+//   R8  remaining rows            R9  k
+//   R11 a row stride (k*4 bytes)  R12 c (and strided B) row stride (n*4 bytes)
+//   AX,BX,R13,R14  the four current a row pointers
+//   R15 B row cursor (strided) or off[l] (table)
+//   R10 one past the table's end (table form)
+//   CX  l − k, counting up to 0, so off[l] is (R10)(CX*4)
+
+// The SSE2 8-column body: two accumulators per row (X{2r} columns 0-3,
+// X{2r+1} columns 4-7), X8/X9 the B row halves, X10 the broadcast a,
+// X11 product scratch.
+#define SSE8BODY \
+	TESTQ R9, R9; \
+	JZ   done8; \
+rows8: \
+	CMPQ R8, $4; \
+	JL   tail8; \
+	XORPS X0, X0; \
+	XORPS X1, X1; \
+	XORPS X2, X2; \
+	XORPS X3, X3; \
+	XORPS X4, X4; \
+	XORPS X5, X5; \
+	XORPS X6, X6; \
+	XORPS X7, X7; \
+	MOVQ SI, AX; \
+	LEAQ (SI)(R11*1), BX; \
+	LEAQ (SI)(R11*2), R13; \
+	LEAQ (BX)(R11*2), R14; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+l8: \
+	BOFF; \
+	MOVUPS BROW(0), X8; \
+	MOVUPS BROW(16), X9; \
+	MOVSS (AX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MOVAPS X8, X11; \
+	MULPS X10, X11; \
+	ADDPS X11, X0; \
+	MULPS X9, X10; \
+	ADDPS X10, X1; \
+	MOVSS (BX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MOVAPS X8, X11; \
+	MULPS X10, X11; \
+	ADDPS X11, X2; \
+	MULPS X9, X10; \
+	ADDPS X10, X3; \
+	MOVSS (R13), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MOVAPS X8, X11; \
+	MULPS X10, X11; \
+	ADDPS X11, X4; \
+	MULPS X9, X10; \
+	ADDPS X10, X5; \
+	MOVSS (R14), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MOVAPS X8, X11; \
+	MULPS X10, X11; \
+	ADDPS X11, X6; \
+	MULPS X9, X10; \
+	ADDPS X10, X7; \
+	ADDQ $4, AX; \
+	ADDQ $4, BX; \
+	ADDQ $4, R13; \
+	ADDQ $4, R14; \
+	BADV; \
+	INCQ CX; \
+	JNZ  l8; \
+	MOVQ DI, AX; \
+	MOVUPS X0, (AX); \
+	MOVUPS X1, 16(AX); \
+	ADDQ R12, AX; \
+	MOVUPS X2, (AX); \
+	MOVUPS X3, 16(AX); \
+	ADDQ R12, AX; \
+	MOVUPS X4, (AX); \
+	MOVUPS X5, 16(AX); \
+	ADDQ R12, AX; \
+	MOVUPS X6, (AX); \
+	MOVUPS X7, 16(AX); \
+	LEAQ (SI)(R11*4), SI; \
+	LEAQ (DI)(R12*4), DI; \
+	SUBQ $4, R8; \
+	JMP  rows8; \
+tail8: \
+	TESTQ R8, R8; \
+	JZ   done8; \
+	XORPS X0, X0; \
+	XORPS X1, X1; \
+	MOVQ SI, AX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+t8l: \
+	BOFF; \
+	MOVUPS BROW(0), X8; \
+	MOVUPS BROW(16), X9; \
+	MOVSS (AX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MOVAPS X8, X11; \
+	MULPS X10, X11; \
+	ADDPS X11, X0; \
+	MULPS X9, X10; \
+	ADDPS X10, X1; \
+	ADDQ $4, AX; \
+	BADV; \
+	INCQ CX; \
+	JNZ  t8l; \
+	MOVUPS X0, (DI); \
+	MOVUPS X1, 16(DI); \
+	ADDQ R11, SI; \
+	ADDQ R12, DI; \
+	DECQ R8; \
+	JMP  tail8; \
+done8:
+
+// The SSE2 4-column body: one accumulator register per row.
+#define SSE4BODY \
+	TESTQ R9, R9; \
+	JZ   done4; \
+rows4: \
+	CMPQ R8, $4; \
+	JL   tail4; \
+	XORPS X0, X0; \
+	XORPS X1, X1; \
+	XORPS X2, X2; \
+	XORPS X3, X3; \
+	MOVQ SI, AX; \
+	LEAQ (SI)(R11*1), BX; \
+	LEAQ (SI)(R11*2), R13; \
+	LEAQ (BX)(R11*2), R14; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+l4: \
+	BOFF; \
+	MOVUPS BROW(0), X8; \
+	MOVSS (AX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MULPS X8, X10; \
+	ADDPS X10, X0; \
+	MOVSS (BX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MULPS X8, X10; \
+	ADDPS X10, X1; \
+	MOVSS (R13), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MULPS X8, X10; \
+	ADDPS X10, X2; \
+	MOVSS (R14), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MULPS X8, X10; \
+	ADDPS X10, X3; \
+	ADDQ $4, AX; \
+	ADDQ $4, BX; \
+	ADDQ $4, R13; \
+	ADDQ $4, R14; \
+	BADV; \
+	INCQ CX; \
+	JNZ  l4; \
+	MOVQ DI, AX; \
+	MOVUPS X0, (AX); \
+	ADDQ R12, AX; \
+	MOVUPS X1, (AX); \
+	ADDQ R12, AX; \
+	MOVUPS X2, (AX); \
+	ADDQ R12, AX; \
+	MOVUPS X3, (AX); \
+	LEAQ (SI)(R11*4), SI; \
+	LEAQ (DI)(R12*4), DI; \
+	SUBQ $4, R8; \
+	JMP  rows4; \
+tail4: \
+	TESTQ R8, R8; \
+	JZ   done4; \
+	XORPS X0, X0; \
+	MOVQ SI, AX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+t4l: \
+	BOFF; \
+	MOVUPS BROW(0), X8; \
+	MOVSS (AX), X10; \
+	SHUFPS $0x00, X10, X10; \
+	MULPS X8, X10; \
+	ADDPS X10, X0; \
+	ADDQ $4, AX; \
+	BADV; \
+	INCQ CX; \
+	JNZ  t4l; \
+	MOVUPS X0, (DI); \
+	ADDQ R11, SI; \
+	ADDQ R12, DI; \
+	DECQ R8; \
+	JMP  tail4; \
+done4:
+
+// The AVX2 8-column body: one YMM accumulator per row covers the whole
+// block. VMULPS and VADDPS stay separate (no FMA), so every lane performs
+// the same two float32 roundings per step as the SSE2 and scalar kernels.
+#define AVX2BODY \
+	TESTQ R9, R9; \
+	JZ   vdone8; \
+vrows8: \
+	CMPQ R8, $4; \
+	JL   vtail8; \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	MOVQ SI, AX; \
+	LEAQ (SI)(R11*1), BX; \
+	LEAQ (SI)(R11*2), R13; \
+	LEAQ (BX)(R11*2), R14; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+vl8: \
+	BOFF; \
+	VMOVUPS BROW(0), Y8; \
+	VBROADCASTSS (AX), Y10; \
+	VMULPS Y8, Y10, Y10; \
+	VADDPS Y10, Y0, Y0; \
+	VBROADCASTSS (BX), Y10; \
+	VMULPS Y8, Y10, Y10; \
+	VADDPS Y10, Y1, Y1; \
+	VBROADCASTSS (R13), Y10; \
+	VMULPS Y8, Y10, Y10; \
+	VADDPS Y10, Y2, Y2; \
+	VBROADCASTSS (R14), Y10; \
+	VMULPS Y8, Y10, Y10; \
+	VADDPS Y10, Y3, Y3; \
+	ADDQ $4, AX; \
+	ADDQ $4, BX; \
+	ADDQ $4, R13; \
+	ADDQ $4, R14; \
+	BADV; \
+	INCQ CX; \
+	JNZ  vl8; \
+	MOVQ DI, AX; \
+	VMOVUPS Y0, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Y1, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Y2, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Y3, (AX); \
+	LEAQ (SI)(R11*4), SI; \
+	LEAQ (DI)(R12*4), DI; \
+	SUBQ $4, R8; \
+	JMP  vrows8; \
+vtail8: \
+	TESTQ R8, R8; \
+	JZ   vdone8; \
+	VXORPS Y0, Y0, Y0; \
+	MOVQ SI, AX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+vt8l: \
+	BOFF; \
+	VMOVUPS BROW(0), Y8; \
+	VBROADCASTSS (AX), Y10; \
+	VMULPS Y8, Y10, Y10; \
+	VADDPS Y10, Y0, Y0; \
+	ADDQ $4, AX; \
+	BADV; \
+	INCQ CX; \
+	JNZ  vt8l; \
+	VMOVUPS Y0, (DI); \
+	ADDQ R11, SI; \
+	ADDQ R12, DI; \
+	DECQ R8; \
+	JMP  vtail8; \
+vdone8: \
+	VZEROUPPER
+
+// The AVX-512 16-column body: one ZMM accumulator per row covers a whole
+// 16-column block. VMULPS and VADDPS stay separate (no FMA). Accumulators
+// are zeroed with VPXORQ (AVX512F) rather than VXORPS on ZMM (which would
+// need AVX512DQ).
+#define AVX512BODY \
+	TESTQ R9, R9; \
+	JZ   zdone16; \
+zrows16: \
+	CMPQ R8, $4; \
+	JL   ztail16; \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z3, Z3, Z3; \
+	MOVQ SI, AX; \
+	LEAQ (SI)(R11*1), BX; \
+	LEAQ (SI)(R11*2), R13; \
+	LEAQ (BX)(R11*2), R14; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+zl16: \
+	BOFF; \
+	VMOVUPS BROW(0), Z8; \
+	VBROADCASTSS (AX), Z10; \
+	VMULPS Z8, Z10, Z10; \
+	VADDPS Z10, Z0, Z0; \
+	VBROADCASTSS (BX), Z10; \
+	VMULPS Z8, Z10, Z10; \
+	VADDPS Z10, Z1, Z1; \
+	VBROADCASTSS (R13), Z10; \
+	VMULPS Z8, Z10, Z10; \
+	VADDPS Z10, Z2, Z2; \
+	VBROADCASTSS (R14), Z10; \
+	VMULPS Z8, Z10, Z10; \
+	VADDPS Z10, Z3, Z3; \
+	ADDQ $4, AX; \
+	ADDQ $4, BX; \
+	ADDQ $4, R13; \
+	ADDQ $4, R14; \
+	BADV; \
+	INCQ CX; \
+	JNZ  zl16; \
+	MOVQ DI, AX; \
+	VMOVUPS Z0, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z1, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z2, (AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z3, (AX); \
+	LEAQ (SI)(R11*4), SI; \
+	LEAQ (DI)(R12*4), DI; \
+	SUBQ $4, R8; \
+	JMP  zrows16; \
+ztail16: \
+	TESTQ R8, R8; \
+	JZ   zdone16; \
+	VPXORQ Z0, Z0, Z0; \
+	MOVQ SI, AX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+zt16l: \
+	BOFF; \
+	VMOVUPS BROW(0), Z8; \
+	VBROADCASTSS (AX), Z10; \
+	VMULPS Z8, Z10, Z10; \
+	VADDPS Z10, Z0, Z0; \
+	ADDQ $4, AX; \
+	BADV; \
+	INCQ CX; \
+	JNZ  zt16l; \
+	VMOVUPS Z0, (DI); \
+	ADDQ R11, SI; \
+	ADDQ R12, DI; \
+	DECQ R8; \
+	JMP  ztail16; \
+zdone16: \
+	VZEROUPPER
+
+// ARGS loads the six operands every kernel shares and derives the byte
+// strides.
+#define ARGS \
+	MOVQ a+0(FP), SI; \
+	MOVQ bk+8(FP), DX; \
+	MOVQ c+16(FP), DI; \
+	MOVQ m+24(FP), R8; \
+	MOVQ k+32(FP), R9; \
+	MOVQ n+40(FP), R12; \
+	SHLQ $2, R12; \
+	MOVQ R9, R11; \
+	SHLQ $2, R11
+
+// TABLE loads the offset table and points R10 one past its end.
+#define TABLE \
+	MOVQ off+48(FP), R10; \
+	LEAQ (R10)(R11*1), R10
+
+// The strided form: B row l is bk + l·n.
+#define BSET MOVQ DX, R15
+#define BOFF
+#define BROW(d) d(R15)
+#define BADV ADDQ R12, R15
 
 // func sgemm8cols(a, bk, c *float32, m, k, n int)
 //
-// c[i][0:8] = sum over l of a[i][l] * bk[l][0:8] for i in [0,m).
-//
-// Register layout:
-//   SI  a row-block base          DX  bk base        DI  c row-block base
-//   R8  remaining rows            R9  k
-//   R11 a row stride (k*4 bytes)  R12 b/c row stride (n*4 bytes)
-//   AX,BX,R13,R14  the four current a row pointers
-//   R15 current bk row pointer    CX  l countdown
-//   X0..X7 accumulators (row r cols j in X{2r} j<4, X{2r+1} j>=4)
-//   X8,X9 bk row halves           X10 broadcast a   X11 product scratch
+// c[i][0:8] = Σ_l a[i][l]·bk[l][0:8] for i in [0,m), SSE2.
 TEXT ·sgemm8cols(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bk+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R12
-	SHLQ $2, R12           // n*4: bk and c row stride in bytes
-	MOVQ R9, R11
-	SHLQ $2, R11           // k*4: a row stride in bytes
-	TESTQ R9, R9
-	JZ   done8
-
-rows8:
-	CMPQ R8, $4
-	JL   tail8
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	MOVQ SI, AX            // a row 0
-	LEAQ (SI)(R11*1), BX   // a row 1
-	LEAQ (SI)(R11*2), R13  // a row 2
-	LEAQ (BX)(R11*2), R14  // a row 3
-	MOVQ DX, R15           // bk row 0
-	MOVQ R9, CX
-
-l8:
-	MOVUPS (R15), X8       // bk[l][0:4]
-	MOVUPS 16(R15), X9     // bk[l][4:8]
-
-	MOVSS (AX), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X8, X11
-	MULPS X10, X11
-	ADDPS X11, X0
-	MULPS X9, X10
-	ADDPS X10, X1
-
-	MOVSS (BX), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X8, X11
-	MULPS X10, X11
-	ADDPS X11, X2
-	MULPS X9, X10
-	ADDPS X10, X3
-
-	MOVSS (R13), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X8, X11
-	MULPS X10, X11
-	ADDPS X11, X4
-	MULPS X9, X10
-	ADDPS X10, X5
-
-	MOVSS (R14), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X8, X11
-	MULPS X10, X11
-	ADDPS X11, X6
-	MULPS X9, X10
-	ADDPS X10, X7
-
-	ADDQ $4, AX
-	ADDQ $4, BX
-	ADDQ $4, R13
-	ADDQ $4, R14
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  l8
-
-	MOVQ DI, AX
-	MOVUPS X0, (AX)
-	MOVUPS X1, 16(AX)
-	ADDQ R12, AX
-	MOVUPS X2, (AX)
-	MOVUPS X3, 16(AX)
-	ADDQ R12, AX
-	MOVUPS X4, (AX)
-	MOVUPS X5, 16(AX)
-	ADDQ R12, AX
-	MOVUPS X6, (AX)
-	MOVUPS X7, 16(AX)
-
-	LEAQ (SI)(R11*4), SI
-	LEAQ (DI)(R12*4), DI
-	SUBQ $4, R8
-	JMP  rows8
-
-tail8:
-	TESTQ R8, R8
-	JZ   done8
-	XORPS X0, X0
-	XORPS X1, X1
-	MOVQ SI, AX
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-t8l:
-	MOVUPS (R15), X8
-	MOVUPS 16(R15), X9
-	MOVSS (AX), X10
-	SHUFPS $0x00, X10, X10
-	MOVAPS X8, X11
-	MULPS X10, X11
-	ADDPS X11, X0
-	MULPS X9, X10
-	ADDPS X10, X1
-	ADDQ $4, AX
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  t8l
-
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	ADDQ R11, SI
-	ADDQ R12, DI
-	DECQ R8
-	JMP  tail8
-
-done8:
+	ARGS
+	SSE8BODY
 	RET
 
 // func sgemm4cols(a, bk, c *float32, m, k, n int)
-//
-// The 4-column variant: one accumulator register per row.
 TEXT ·sgemm4cols(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bk+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R12
-	SHLQ $2, R12
-	MOVQ R9, R11
-	SHLQ $2, R11
-	TESTQ R9, R9
-	JZ   done4
-
-rows4:
-	CMPQ R8, $4
-	JL   tail4
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	MOVQ SI, AX
-	LEAQ (SI)(R11*1), BX
-	LEAQ (SI)(R11*2), R13
-	LEAQ (BX)(R11*2), R14
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-l4:
-	MOVUPS (R15), X8
-
-	MOVSS (AX), X10
-	SHUFPS $0x00, X10, X10
-	MULPS X8, X10
-	ADDPS X10, X0
-
-	MOVSS (BX), X10
-	SHUFPS $0x00, X10, X10
-	MULPS X8, X10
-	ADDPS X10, X1
-
-	MOVSS (R13), X10
-	SHUFPS $0x00, X10, X10
-	MULPS X8, X10
-	ADDPS X10, X2
-
-	MOVSS (R14), X10
-	SHUFPS $0x00, X10, X10
-	MULPS X8, X10
-	ADDPS X10, X3
-
-	ADDQ $4, AX
-	ADDQ $4, BX
-	ADDQ $4, R13
-	ADDQ $4, R14
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  l4
-
-	MOVQ DI, AX
-	MOVUPS X0, (AX)
-	ADDQ R12, AX
-	MOVUPS X1, (AX)
-	ADDQ R12, AX
-	MOVUPS X2, (AX)
-	ADDQ R12, AX
-	MOVUPS X3, (AX)
-
-	LEAQ (SI)(R11*4), SI
-	LEAQ (DI)(R12*4), DI
-	SUBQ $4, R8
-	JMP  rows4
-
-tail4:
-	TESTQ R8, R8
-	JZ   done4
-	XORPS X0, X0
-	MOVQ SI, AX
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-t4l:
-	MOVUPS (R15), X8
-	MOVSS (AX), X10
-	SHUFPS $0x00, X10, X10
-	MULPS X8, X10
-	ADDPS X10, X0
-	ADDQ $4, AX
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  t4l
-
-	MOVUPS X0, (DI)
-	ADDQ R11, SI
-	ADDQ R12, DI
-	DECQ R8
-	JMP  tail4
-
-done4:
+	ARGS
+	SSE4BODY
 	RET
 
 // func sgemm8colsAVX2(a, bk, c *float32, m, k, n int)
 //
-// The AVX2 8-wide variant of sgemm8cols: one YMM accumulator per row covers
-// the whole 8-column block, halving the per-l instruction count. VMULPS and
-// VADDPS stay separate (no FMA) so every lane performs the same two float32
-// roundings per step as the SSE2 and scalar kernels — bit-identical output.
 // Only reachable after the CPUID gate in sgemm_amd64.go confirms AVX2+OS
 // support.
 TEXT ·sgemm8colsAVX2(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bk+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R12
-	SHLQ $2, R12
-	MOVQ R9, R11
-	SHLQ $2, R11
-	TESTQ R9, R9
-	JZ   vdone8
-
-vrows8:
-	CMPQ R8, $4
-	JL   vtail8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ SI, AX
-	LEAQ (SI)(R11*1), BX
-	LEAQ (SI)(R11*2), R13
-	LEAQ (BX)(R11*2), R14
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-vl8:
-	VMOVUPS (R15), Y8      // bk[l][0:8]
-
-	VBROADCASTSS (AX), Y10
-	VMULPS Y8, Y10, Y10
-	VADDPS Y10, Y0, Y0
-
-	VBROADCASTSS (BX), Y10
-	VMULPS Y8, Y10, Y10
-	VADDPS Y10, Y1, Y1
-
-	VBROADCASTSS (R13), Y10
-	VMULPS Y8, Y10, Y10
-	VADDPS Y10, Y2, Y2
-
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y10
-	VADDPS Y10, Y3, Y3
-
-	ADDQ $4, AX
-	ADDQ $4, BX
-	ADDQ $4, R13
-	ADDQ $4, R14
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  vl8
-
-	MOVQ DI, AX
-	VMOVUPS Y0, (AX)
-	ADDQ R12, AX
-	VMOVUPS Y1, (AX)
-	ADDQ R12, AX
-	VMOVUPS Y2, (AX)
-	ADDQ R12, AX
-	VMOVUPS Y3, (AX)
-
-	LEAQ (SI)(R11*4), SI
-	LEAQ (DI)(R12*4), DI
-	SUBQ $4, R8
-	JMP  vrows8
-
-vtail8:
-	TESTQ R8, R8
-	JZ   vdone8
-	VXORPS Y0, Y0, Y0
-	MOVQ SI, AX
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-vt8l:
-	VMOVUPS (R15), Y8
-	VBROADCASTSS (AX), Y10
-	VMULPS Y8, Y10, Y10
-	VADDPS Y10, Y0, Y0
-	ADDQ $4, AX
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  vt8l
-
-	VMOVUPS Y0, (DI)
-	ADDQ R11, SI
-	ADDQ R12, DI
-	DECQ R8
-	JMP  vtail8
-
-vdone8:
-	VZEROUPPER
+	ARGS
+	AVX2BODY
 	RET
 
 // func sgemm16colsAVX512(a, bk, c *float32, m, k, n int)
 //
-// The AVX-512 16-wide variant: one ZMM accumulator per row covers a whole
-// 16-column block, halving the per-l instruction count again over AVX2.
-// VMULPS and VADDPS stay separate (no FMA) so every lane performs the same
-// two float32 roundings per step as every other rung — bit-identical
-// output. Accumulators are zeroed with VPXORQ (AVX512F) rather than
-// VXORPS on ZMM (which would need only AVX512DQ, but F suffices here).
 // Only reachable after the hasAVX512 gate in sgemm_amd64.go confirms the
 // v4 feature set and OS ZMM state support.
 TEXT ·sgemm16colsAVX512(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bk+8(FP), DX
-	MOVQ c+16(FP), DI
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R12
-	SHLQ $2, R12           // n*4: bk and c row stride in bytes
-	MOVQ R9, R11
-	SHLQ $2, R11           // k*4: a row stride in bytes
-	TESTQ R9, R9
-	JZ   zdone16
+	ARGS
+	AVX512BODY
+	RET
 
-zrows16:
-	CMPQ R8, $4
-	JL   ztail16
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	MOVQ SI, AX            // a row 0
-	LEAQ (SI)(R11*1), BX   // a row 1
-	LEAQ (SI)(R11*2), R13  // a row 2
-	LEAQ (BX)(R11*2), R14  // a row 3
-	MOVQ DX, R15           // bk row 0
-	MOVQ R9, CX
+#undef BSET
+#undef BOFF
+#undef BROW
+#undef BADV
 
-zl16:
-	VMOVUPS (R15), Z8      // bk[l][0:16]
+// The table form: B row l is bk + off[l].
+#define BSET
+#define BOFF MOVLQSX (R10)(CX*4), R15
+#define BROW(d) d(DX)(R15*4)
+#define BADV
 
-	VBROADCASTSS (AX), Z10
-	VMULPS Z8, Z10, Z10
-	VADDPS Z10, Z0, Z0
+// func sgemm8colsTaps(a, bk, c *float32, m, k, n int, off *int32)
+//
+// c[i][0:8] = Σ_l a[i][l]·bk[off[l]:][0:8] for i in [0,m), SSE2.
+TEXT ·sgemm8colsTaps(SB), NOSPLIT, $0-56
+	ARGS
+	TABLE
+	SSE8BODY
+	RET
 
-	VBROADCASTSS (BX), Z10
-	VMULPS Z8, Z10, Z10
-	VADDPS Z10, Z1, Z1
+// func sgemm4colsTaps(a, bk, c *float32, m, k, n int, off *int32)
+TEXT ·sgemm4colsTaps(SB), NOSPLIT, $0-56
+	ARGS
+	TABLE
+	SSE4BODY
+	RET
 
-	VBROADCASTSS (R13), Z10
-	VMULPS Z8, Z10, Z10
-	VADDPS Z10, Z2, Z2
+// func sgemm8colsAVX2Taps(a, bk, c *float32, m, k, n int, off *int32)
+TEXT ·sgemm8colsAVX2Taps(SB), NOSPLIT, $0-56
+	ARGS
+	TABLE
+	AVX2BODY
+	RET
 
-	VBROADCASTSS (R14), Z10
-	VMULPS Z8, Z10, Z10
-	VADDPS Z10, Z3, Z3
-
-	ADDQ $4, AX
-	ADDQ $4, BX
-	ADDQ $4, R13
-	ADDQ $4, R14
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  zl16
-
-	MOVQ DI, AX
-	VMOVUPS Z0, (AX)
-	ADDQ R12, AX
-	VMOVUPS Z1, (AX)
-	ADDQ R12, AX
-	VMOVUPS Z2, (AX)
-	ADDQ R12, AX
-	VMOVUPS Z3, (AX)
-
-	LEAQ (SI)(R11*4), SI
-	LEAQ (DI)(R12*4), DI
-	SUBQ $4, R8
-	JMP  zrows16
-
-ztail16:
-	TESTQ R8, R8
-	JZ   zdone16
-	VPXORQ Z0, Z0, Z0
-	MOVQ SI, AX
-	MOVQ DX, R15
-	MOVQ R9, CX
-
-zt16l:
-	VMOVUPS (R15), Z8
-	VBROADCASTSS (AX), Z10
-	VMULPS Z8, Z10, Z10
-	VADDPS Z10, Z0, Z0
-	ADDQ $4, AX
-	ADDQ R12, R15
-	DECQ CX
-	JNZ  zt16l
-
-	VMOVUPS Z0, (DI)
-	ADDQ R11, SI
-	ADDQ R12, DI
-	DECQ R8
-	JMP  ztail16
-
-zdone16:
-	VZEROUPPER
+// func sgemm16colsAVX512Taps(a, bk, c *float32, m, k, n int, off *int32)
+TEXT ·sgemm16colsAVX512Taps(SB), NOSPLIT, $0-56
+	ARGS
+	TABLE
+	AVX512BODY
 	RET

@@ -29,7 +29,7 @@ func TestSGEMMKernelsAgree(t *testing.T) {
 		rng.FillUniform(bk.Data(), -2, 2)
 
 		want := New(m, n)
-		kmajorColsGeneric(want.Data(), a.Data(), bk.Data(), 0, m, 0, 8, k, n)
+		kmajorColsGeneric(want.Data(), a.Data(), bk.Data(), nil, m, 8, k, n)
 
 		got := New(m, n)
 		sgemm8cols(&a.Data()[0], &bk.Data()[0], &got.Data()[0], m, k, n)
@@ -40,7 +40,7 @@ func TestSGEMMKernelsAgree(t *testing.T) {
 		}
 
 		want4 := New(m, n)
-		kmajorColsGeneric(want4.Data(), a.Data(), bk.Data(), 0, m, 0, 4, k, n)
+		kmajorColsGeneric(want4.Data(), a.Data(), bk.Data(), nil, m, 4, k, n)
 		got4 := New(m, n)
 		sgemm4cols(&a.Data()[0], &bk.Data()[0], &got4.Data()[0], m, k, n)
 		for i := 0; i < m; i++ {
@@ -65,8 +65,8 @@ func TestSGEMMKernelsAgree(t *testing.T) {
 			// The 16-column reference is two adjacent 8-column generic
 			// blocks — lanes are independent, so the pairing is exact.
 			want16 := New(m, n)
-			kmajorColsGeneric(want16.Data(), a.Data(), bk.Data(), 0, m, 0, 8, k, n)
-			kmajorColsGeneric(want16.Data(), a.Data(), bk.Data(), 0, m, 8, 8, k, n)
+			kmajorColsGeneric(want16.Data(), a.Data(), bk.Data(), nil, m, 8, k, n)
+			kmajorColsGeneric(want16.Data()[8:], a.Data(), bk.Data()[8:], nil, m, 8, k, n)
 			got16 := New(m, n)
 			sgemm16colsAVX512(&a.Data()[0], &bk.Data()[0], &got16.Data()[0], m, k, n)
 			for i := range want16.Data() {
@@ -74,6 +74,44 @@ func TestSGEMMKernelsAgree(t *testing.T) {
 					t.Fatalf("avx512 16-col m=%d k=%d diverges at %d: %v vs %v", m, k, i, got16.Data()[i], want16.Data()[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSGEMMTapKernelsAgree cross-checks the table form of every assembly
+// rung against the pure-Go lane kernel reading the same table: B row l
+// starts at off[l], here scattered out of order and overlapping, as the
+// indirect conv forward's taps do.
+func TestSGEMMTapKernelsAgree(t *testing.T) {
+	rng := xrand.New(98)
+	for _, s := range [][2]int{{1, 3}, {2, 7}, {3, 16}, {4, 1}, {5, 9}, {8, 27}, {13, 64}, {1, 300}} {
+		m, k := s[0], s[1]
+		const n = 16
+		a := New(m, k)
+		rng.FillUniform(a.Data(), -2, 2)
+		b := New(k+1, n)
+		rng.FillUniform(b.Data(), -2, 2)
+		off := make([]int32, k)
+		for l := range off {
+			off[l] = int32((l*7)%k*n + l%5)
+		}
+		check := func(name string, w int, kern func(a, bk, c *float32, m, k, n int, off *int32)) {
+			t.Helper()
+			want := New(m, n)
+			for j := 0; j < w; j += 8 {
+				kmajorColsGeneric(want.Data()[j:], a.Data(), b.Data()[j:], off, m, min(8, w), k, n)
+			}
+			got := New(m, n)
+			kern(&a.Data()[0], &b.Data()[0], &got.Data()[0], m, k, n, &off[0])
+			sameBits(t, name+" m="+itoa(m)+" k="+itoa(k), got.Data(), want.Data())
+		}
+		check("sse2 8-col taps", 8, sgemm8colsTaps)
+		check("sse2 4-col taps", 4, sgemm4colsTaps)
+		if hasAVX2() {
+			check("avx2 8-col taps", 8, sgemm8colsAVX2Taps)
+		}
+		if hasAVX512() {
+			check("avx512 16-col taps", 16, sgemm16colsAVX512Taps)
 		}
 	}
 }

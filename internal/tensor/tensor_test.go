@@ -303,10 +303,11 @@ func TestDotNormProperty(t *testing.T) {
 	}
 }
 
-// The TestIm2Col… known-value and adjoint tests below exercise the conv
-// forward's tap-major lowering (through Im2ColMatMulInto, see im2col) and
-// the MatMulCol2ImInto fold, the package's only convolution lowering and
-// its adjoint; they keep the textbook name of the transform.
+// The TestIm2Col… known-value and adjoint tests below exercise the
+// tap-major lowering the conv forward reads in place from its padded copy
+// (materialised by im2col through IndirectConvInto and tapCols) and the
+// MatMulCol2ImInto fold, its adjoint; they keep the textbook name of the
+// transform.
 
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// A 1x1 kernel with stride 1 and no padding lowers to the input
@@ -316,7 +317,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	cols := im2col(x, g)
 	out := New(1, 2, 2)
 	out.Fill(99)
-	Im2ColMatMulInto(out, cols, x, FromSlice([]float32{1}, 1, 1), New(1), g)
+	IndirectConvInto(out, New(NewConvTaps(g).PaddedLen()), x, FromSlice([]float32{1}, 1, 1), New(1), NewConvTaps(g))
 	for i, v := range out.Data() {
 		if v != x.Data()[i] || cols.Data()[i] != x.Data()[i] {
 			t.Fatalf("identity im2col mismatch at %d", i)
