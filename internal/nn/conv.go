@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -161,12 +160,8 @@ func (c *Conv2D) scratchKeys() *convScratchNames {
 // (float32(g * v)), so arm64, where Go would otherwise fuse the update
 // into one FMA, computes the same bits as amd64. Four taps share each
 // gradient load; past the last tap the block re-reads it and drops those
-// sums.
-//
-// An exact-zero gradient adds nothing. When the copy holds no Inf or NaN
-// that needs no test: the product is then ±0, and a sum that starts at +0
-// never becomes −0, so adding ±0 leaves it unchanged. Only a copy holding
-// a non-finite value, whose product with 0 is NaN, takes the skip.
+// sums. An exact-zero gradient is passed over, as a direct per-tap
+// convolution would: its product with an Inf or NaN tap would be NaN.
 func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
 	n, p := c.lastBatch, c.lastOutHW
 	l := c.InC * c.K * c.K
@@ -182,13 +177,12 @@ func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
 		}
 	}
 	gq, q := c.gradAtRowStep(gd, nm)
-	skipZeros := !allFinite(xp)
 	off, sampleLen := c.taps.Offsets(), c.taps.PaddedLen()
 	wg := c.w.Grad.Data()
 	for oc := 0; oc < c.OutC; oc++ {
 		for li := 0; li < l; li += 4 {
 			taps := [4]int{int(off[li]), int(off[min(li+1, l-1)]), int(off[min(li+2, l-1)]), int(off[min(li+3, l-1)])}
-			sums := accum4(gq[oc*q:], c.OutC*q, q, xp, sampleLen, &taps, n, skipZeros)
+			sums := accum4(gq[oc*q:], c.OutC*q, q, xp, sampleLen, &taps, n)
 			for t, v := range sums[:min(4, l-li)] {
 				wg[oc*l+li+t] += v
 			}
@@ -200,16 +194,16 @@ func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
 // sample, Σ g·x over n samples in order, each sample pairing its q
 // gradient floats (g[s·gStride:]) with the q floats of its padded copy
 // from the tap on (xp[s·sampleLen + tap:]), in ascending position. Each
-// product is rounded before it is added; with skipZeros an exact-zero
-// gradient is passed over. A leaf of its own, so the loop keeps its sums
-// and index in registers.
-func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]int, n int, skipZeros bool) [4]float32 {
+// product is rounded before it is added, and an exact-zero gradient is
+// passed over. A leaf of its own, so the loop keeps its sums and index in
+// registers.
+func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]int, n int) [4]float32 {
 	var a0, a1, a2, a3 float32
 	for s := 0; s < n; s++ {
 		gs, xs := g[s*gStride:][:q], xp[s*sampleLen:]
 		c0, c1, c2, c3 := xs[taps[0]:][:q], xs[taps[1]:][:q], xs[taps[2]:][:q], xs[taps[3]:][:q]
 		for i, gv := range gs {
-			if skipZeros && gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
+			if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
 				continue
 			}
 			a0 += float32(gv * c0[i])
@@ -219,16 +213,6 @@ func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]i
 		}
 	}
 	return [4]float32{a0, a1, a2, a3}
-}
-
-// allFinite reports whether x holds no Inf or NaN (no all-ones exponent).
-func allFinite(x []float32) bool {
-	for _, v := range x {
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
-			return false
-		}
-	}
-	return true
 }
 
 // gradAtRowStep returns the [N,OutC,OutH,OutW] gradient gd laid out at the

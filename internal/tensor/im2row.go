@@ -113,14 +113,12 @@ func NewConvTaps(g ConvGeom) *ConvTaps {
 		panic(fmt.Sprintf("tensor: NewConvTaps: padded sample of %+v exceeds int32 offsets", g))
 	}
 	// Padded column x = ix + pad is column x div s of phase x mod s, so
-	// phase ph holds the input columns ix ≡ ph − pad (mod s) of the ix1
-	// that the grid reaches.
+	// the input columns ix0, ix0 + s, … of the ix1 that the grid reaches
+	// land in phase (ix0 + pad) mod s. The phases are listed by ix0.
 	ix1 := min(g.InW, s*wq-g.Pad)
-	for ph := 0; ph < s; ph++ {
-		ix0 := (ph - g.Pad%s + s) % s
-		if ix0 < ix1 {
-			t.phases = append(t.phases, colPhase{ix0: ix0, j0: (ix0 + g.Pad) / s, n: (ix1 - ix0 + s - 1) / s, dst: ph * hq * wq})
-		}
+	for ix0 := 0; ix0 < min(s, ix1); ix0++ {
+		ph := (ix0 + g.Pad) % s
+		t.phases = append(t.phases, colPhase{ix0: ix0, j0: (ix0 + g.Pad) / s, n: (ix1 - ix0 + s - 1) / s, dst: ph * hq * wq})
 	}
 	t.off = make([]int32, 0, g.InC*k*k)
 	for c := 0; c < g.InC; c++ {
@@ -158,7 +156,8 @@ func (t *ConvTaps) RowStep() int { return t.wq }
 // first — +0 in the padding and in the slots past the last padded row or
 // column, so a reused buffer carries nothing stale — and then each input
 // row the grid reaches is written to its polyphase position: a plain copy
-// at stride 1, one strided gather per column phase otherwise.
+// at stride 1, one pass that deals the even and odd columns out at stride
+// 2, one strided gather per column phase otherwise.
 func (t *ConvTaps) padChannel(dst, src []float32) {
 	g := t.g
 	s, sub := g.Stride, t.hq*t.wq
@@ -168,19 +167,34 @@ func (t *ConvTaps) padChannel(dst, src []float32) {
 	for iy := 0; iy < min(g.InH, s*t.hq-g.Pad); iy++ {
 		rows := dst[yp*s*sub+yq*t.wq:]
 		in := src[iy*g.InW : (iy+1)*g.InW]
-		for _, cp := range t.phases {
-			d := rows[cp.dst+cp.j0:][:cp.n]
-			if s == 1 {
-				copy(d, in)
-				continue
-			}
-			for j, ix := 0, cp.ix0; j < len(d); j, ix = j+1, ix+s {
-				d[j] = in[ix]
+		switch ph := t.phases; {
+		case s == 1:
+			copy(rows[ph[0].j0:][:ph[0].n], in)
+		case s == 2 && len(ph) == 2:
+			deinterleave(rows[ph[0].dst+ph[0].j0:][:ph[0].n], rows[ph[1].dst+ph[1].j0:][:ph[1].n], in)
+		default:
+			for _, cp := range ph {
+				d := rows[cp.dst+cp.j0:][:cp.n]
+				for j, ix := 0, cp.ix0; j < len(d); j, ix = j+1, ix+s {
+					d[j] = in[ix]
+				}
 			}
 		}
 		if yp++; yp == s {
 			yp, yq = 0, yq+1
 		}
+	}
+}
+
+// deinterleave writes in[2j] to even[j] and in[2j+1] to odd[j], reading
+// in once; even holds as many columns as odd or one more.
+func deinterleave(even, odd, in []float32) {
+	j := 0
+	for ; j < len(odd); j++ {
+		even[j], odd[j] = in[2*j], in[2*j+1]
+	}
+	if j < len(even) {
+		even[j] = in[2*j]
 	}
 }
 

@@ -30,9 +30,10 @@ import "fmt"
 // rung comes in two forms: strided, where B row l starts l·n floats on,
 // and tap-table, where it starts off[l] floats on — the indirect conv
 // forward's in-place taps; the pure-Go kernel serves both. Column counts
-// that are not a lane multiple stay on SIMD too: the leftover columns are
-// one overlapping lane block, and only products narrower than 4 columns
-// run scalar.
+// that are not a lane multiple stay on SIMD too: the leftover columns
+// step down through the narrower lane widths, the last ≤3 are one
+// overlapping lane block, and only products narrower than 4 columns run
+// scalar.
 //
 // Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
@@ -98,13 +99,12 @@ func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
 // b[j + l·n], or at b[j + off[l]] when a tap table is given (the indirect
 // conv forward, whose b starts where its band of grid positions reads the
 // padded input). It tiles the band into blocks of the widest lane width
-// bw the selected ladder rung supports and the band holds — 16 on
-// AVX-512, 8 on AVX2/SSE2 and the generic kernel, 4 on NEON. Columns left
-// over after the full blocks are finished by one more bw-column block on
-// the overlapping block [w−bw, w): a narrower kernel would cost nearly as
-// much as a full one, since every block streams the whole k-deep operand.
-// The overlap recomputes a few columns already written, but every lane is
-// an independent ascending-k dot with per-step rounding, so the rewrite
+// the selected ladder rung supports — 16 on AVX-512, 8 on AVX2/SSE2 and
+// the generic kernel, 4 on NEON — then steps down through the narrower
+// widths to 4. The fewer than 4 columns left after that are finished by
+// one more block, of the widest width the band holds, on the overlapping
+// columns [w−bw, w): it recomputes columns already written, but every lane
+// is an independent ascending-k dot with per-step rounding, so the rewrite
 // stores the same bits, from the same goroutine, inside the band. Only
 // bands narrower than 4 columns take the scalar kmajorScalar loop. All
 // paths agree bit for bit, so the tiling is invisible in the results.
@@ -121,15 +121,17 @@ func laneBlocks(c, a, b []float32, off []int32, m, k, n, w int) {
 		kmajorScalar(c, a, b, off, m, w, k, n)
 		return
 	}
-	bw := widest
-	for bw > w {
-		bw /= 2
-	}
 	j := 0
-	for ; j+bw <= w; j += bw {
-		sgemmLanes(c[j:], a, b[j:], off, m, bw, k, n)
+	for bw := widest; bw >= 4; bw /= 2 {
+		for ; j+bw <= w; j += bw {
+			sgemmLanes(c[j:], a, b[j:], off, m, bw, k, n)
+		}
 	}
 	if j < w {
+		bw := widest
+		for bw > w {
+			bw /= 2
+		}
 		sgemmLanes(c[w-bw:], a, b[w-bw:], off, m, bw, k, n)
 	}
 }
