@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/imaging"
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -35,5 +36,30 @@ func BenchmarkDiffPIRScaling(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkUNetTrainStep times one training step of the DiffPIR prior's
+// noise predictor: forward plus backward of one 5×64×64 input (3 image
+// channels and 2 timestep channels), with the parameter gradients
+// cleared first, as Diffusion.Train runs it. The optimizer step is left
+// out.
+func BenchmarkUNetTrainStep(b *testing.B) {
+	u := NewUNet(xrand.New(1), 5)
+	x, grad := tensor.New(5, 64, 64), tensor.New(3, 64, 64)
+	rng := xrand.New(2)
+	for i := range x.Data() {
+		x.Data()[i] = rng.Float32()
+	}
+	grad.Fill(1e-3)
+	step := func() {
+		u.ZeroGrad()
+		u.Forward(x, true)
+		u.Backward(grad)
+	}
+	step() // size the workspaces
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

@@ -7,63 +7,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReLU is the rectified linear activation, elementwise max(0, x).
-type ReLU struct {
-	scratch
-	lastIn *tensor.Tensor
-}
-
-var _ Layer = (*ReLU)(nil)
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	ws := r.workspace()
-	lastIn := ws.TensorLike(r, "lastIn", x)
-	copy(lastIn.Data(), x.Data())
-	r.lastIn = lastIn
-	out := ws.TensorLike(r, "out", x)
-	d := out.Data()
-	for i, v := range x.Data() {
-		if v < 0 {
-			v = 0
-		}
-		d[i] = v
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := r.workspace().TensorLike(r, "dx", grad)
-	od := out.Data()
-	xd := r.lastIn.Data()
-	for i, g := range grad.Data() {
-		if xd[i] <= 0 {
-			g = 0
-		}
-		od[i] = g
-	}
-	return out
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (r *ReLU) Clone() Layer { return &ReLU{} }
-
 // LeakyReLU is max(x, alpha*x); a small negative slope keeps gradients
 // flowing through inactive units, which stabilises the tiny detectors here.
 // Backward reads the sign of the layer's own forward output instead of a
 // copy of its input: for a finite alpha > 0, out ≤ 0 exactly when x ≤ 0
 // (±0 pass through, NaN stays NaN, alpha·x rounding to −0 is still ≤ 0,
 // and −Inf stays −Inf, where a zero slope would make it NaN). Both
-// directions pick between v and alpha·v on the bit pattern, without a
-// branch: activation signs are close to random, so a branch mispredicts
-// on about half the elements.
+// directions run tensor's elementwise kernels.
 type LeakyReLU struct {
 	Alpha float32
 
@@ -85,14 +35,7 @@ func NewLeakyReLU(alpha float32) *LeakyReLU {
 // Forward implements Layer: out = alpha·x where x < 0, else x.
 func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := r.workspace().TensorLike(r, "out", x)
-	d := out.Data()
-	a := r.Alpha
-	for i, v := range x.Data() {
-		b := math.Float32bits(v)
-		// All ones where v < 0: sign set and not NaN (−0·alpha is −0).
-		m := uint32(int32(b)>>31) &^ nanMask(b)
-		d[i] = math.Float32frombits(b ^ (b^math.Float32bits(a*v))&m)
-	}
+	tensor.LeakyReLUInto(out, x, r.Alpha)
 	r.lastOut = out
 	return out
 }
@@ -100,20 +43,9 @@ func (r *LeakyReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // Backward implements Layer: dx = alpha·g where out ≤ 0, else g.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := r.workspace().TensorLike(r, "dx", grad)
-	od := out.Data()
-	yd := r.lastOut.Data()[:len(od)]
-	a := r.Alpha
-	for i, g := range grad.Data() {
-		y, b := math.Float32bits(yd[i]), math.Float32bits(g)
-		// All ones where out ≤ 0: sign set or +0, and not NaN.
-		m := (uint32(int32(y)>>31) | ^uint32(int32(y|-y)>>31)) &^ nanMask(y)
-		od[i] = math.Float32frombits(b ^ (b^math.Float32bits(a*g))&m)
-	}
+	tensor.LeakyReLUBackwardInto(out, r.lastOut, grad, r.Alpha)
 	return out
 }
-
-// nanMask returns all ones when the float32 bit pattern b is a NaN, else 0.
-func nanMask(b uint32) uint32 { return uint32(int32(0x7f800000-b&0x7fffffff) >> 31) }
 
 // Params implements Layer.
 func (r *LeakyReLU) Params() []*Param { return nil }

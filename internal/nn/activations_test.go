@@ -14,7 +14,9 @@ import (
 // forward input (g·alpha where x ≤ 0, else g). The table covers ±0,
 // quiet and signalling NaNs of either sign, ±Inf, subnormals, negatives
 // whose alpha·x underflows to −0, and ±MaxFloat32, against gradients that
-// hold the same edge cases.
+// hold the same edge cases. It runs at every rotation, behind 0 to 7
+// leading filler elements, so each entry sits in every lane of an 8-float
+// vector and also in the scalar tail past the last whole vector.
 func TestLeakyReLUBackwardMatchesInputCopy(t *testing.T) {
 	nan := float32(math.NaN())
 	negNaN := math.Float32frombits(math.Float32bits(nan) | 1<<31)
@@ -32,31 +34,42 @@ func TestLeakyReLUBackwardMatchesInputCopy(t *testing.T) {
 	bits := math.Float32bits
 	for _, alpha := range []float32{0.1, 1, 3, math.MaxFloat32} {
 		r := NewLeakyReLU(alpha)
-		x := tensor.FromSlice(append([]float32(nil), in...), len(in))
-		y := r.Forward(x, false).Data()
-		for i, v := range in {
-			want := v
-			if v < 0 {
-				want = alpha * v
-			}
-			if bits(y[i]) != bits(want) {
-				t.Errorf("alpha %v, x = %v (%#x): out = %v (%#x), want %v (%#x)", alpha, v, bits(v), y[i], bits(y[i]), want, bits(want))
-			}
-		}
-		for shift := range grads {
-			grad := tensor.New(len(in))
-			for i := range grad.Data() {
-				grad.Data()[i] = grads[(i+shift)%len(grads)]
-			}
-			got := r.Backward(grad).Data()
-			for i, v := range in {
-				want := grad.Data()[i]
-				if v <= 0 {
-					want *= alpha
+		for lead := range 8 {
+			for rot := range in {
+				xs := make([]float32, lead+len(in))
+				for i := range xs {
+					xs[i] = -0.75 // filler
+					if i >= lead {
+						xs[i] = in[(i-lead+rot)%len(in)]
+					}
 				}
-				if bits(got[i]) != bits(want) {
-					t.Errorf("alpha %v, x = %v (%#x), g = %v: dx = %v (%#x), want %v (%#x)", alpha, v, bits(v),
-						grad.Data()[i], got[i], bits(got[i]), want, bits(want))
+				x := tensor.FromSlice(xs, len(xs))
+				y := r.Forward(x, false).Data()
+				for i, v := range xs {
+					want := v
+					if v < 0 {
+						want = alpha * v
+					}
+					if bits(y[i]) != bits(want) {
+						t.Errorf("alpha %v, lead %d, [%d] x = %v (%#x): out = %v (%#x), want %v (%#x)", alpha, lead, i, v, bits(v), y[i], bits(y[i]), want, bits(want))
+					}
+				}
+				for shift := range grads {
+					grad := tensor.New(len(xs))
+					for i := range grad.Data() {
+						grad.Data()[i] = grads[(i+shift)%len(grads)]
+					}
+					got := r.Backward(grad).Data()
+					for i, v := range xs {
+						want := grad.Data()[i]
+						if v <= 0 {
+							want *= alpha
+						}
+						if bits(got[i]) != bits(want) {
+							t.Errorf("alpha %v, lead %d, [%d] x = %v (%#x), g = %v: dx = %v (%#x), want %v (%#x)", alpha, lead, i, v, bits(v),
+								grad.Data()[i], got[i], bits(got[i]), want, bits(want))
+						}
+					}
 				}
 			}
 		}

@@ -74,7 +74,7 @@ func TestSequentialForwardBackwardSteadyStateAllocs(t *testing.T) {
 		NewLeakyReLU(0.1),
 		NewFlatten(),
 		NewLinear(rng, 12*12*12, 8),
-		NewReLU(),
+		NewLeakyReLU(0.1),
 		NewLinear(rng, 8, 1),
 	)
 	x := tensor.New(3, 24, 24)

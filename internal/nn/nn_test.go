@@ -28,7 +28,7 @@ func buildTestNet(rng *xrand.RNG) *Sequential {
 		NewLeakyReLU(0.1),
 		NewMaxPool2D(2),
 		NewConv2D(rng, 4, 6, 3, 2, 1),
-		NewReLU(),
+		NewLeakyReLU(0.1),
 		NewFlatten(),
 		NewLinear(rng, 6*2*2, 8),
 		NewTanh(),

@@ -124,3 +124,32 @@ func BenchmarkConvForward(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkElementwise times each elementwise kernel over 10×64×64 floats,
+// the output of the DiffPIR UNet's dec1 conv: LeakyReLU forward and
+// backward, axpy (AddScaledInPlace) and scale (ScaleInPlace).
+func BenchmarkElementwise(b *testing.B) {
+	x, y, dst := New(10, 64, 64), New(10, 64, 64), New(10, 64, 64)
+	fillSeq(x)
+	for i := range x.Data() {
+		x.Data()[i] -= 1.5 // both signs
+	}
+	copy(y.Data(), x.Data())
+	y.ScaleInPlace(-1)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"leakyReLU", func() { LeakyReLUInto(dst, x, 0.1) }},
+		{"leakyReLUGrad", func() { LeakyReLUBackwardInto(dst, y, x, 0.1) }},
+		{"axpy", func() { dst.AddScaledInPlace(x, 1e-3) }},
+		{"scale", func() { dst.ScaleInPlace(1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * x.Len()))
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+	}
+}

@@ -100,10 +100,7 @@ func biasGridRows(out, grid []float32, b float32, oy, ox, outW, wq int) {
 		n := min(len(grid), wq-ox)
 		if ox < outW {
 			src := grid[:min(n, outW-ox)]
-			o := out[oy*outW+ox:][:len(src)]
-			for i, v := range src {
-				o[i] = v + b
-			}
+			addConst(out[oy*outW+ox:][:len(src)], src, b)
 		}
 		grid = grid[n:]
 		oy, ox = oy+1, 0

@@ -194,18 +194,14 @@ func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
 
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
+	scale(t.data, s)
 	return t
 }
 
 // AddScaledInPlace performs t += s*o, the axpy primitive used by optimizers.
 func (t *Tensor) AddScaledInPlace(o *Tensor, s float32) *Tensor {
 	t.assertSame(o, "addScaled")
-	for i := range t.data {
-		t.data[i] += float32(s * o.data[i]) // rounded product: no FMA on arm64
-	}
+	axpy(t.data, o.data, s)
 	return t
 }
 
