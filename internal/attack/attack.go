@@ -11,6 +11,8 @@
 package attack
 
 import (
+	"math"
+
 	"repro/internal/box"
 	"repro/internal/imaging"
 	"repro/internal/tensor"
@@ -199,33 +201,53 @@ func AutoPGD(obj Objective, img *imaging.Image, cfg APGDConfig, mask *tensor.Ten
 }
 
 // project clips z into the ε L∞ ball around orig (and zeroes any movement
-// outside the mask), then into the valid pixel range.
+// outside the mask), then into the valid pixel range. Each clamp chooses
+// between bit patterns known up front, which the compiler turns into
+// conditional moves: Auto-PGD's steps land on and inside the ball's faces
+// in no predictable order, and a branch per clamp would mispredict on a
+// large share of pixels. The choices are those of the branching form — d
+// = z − o past ε gives ε, else below −ε gives −ε; o + d below 0 gives +0,
+// else above 1 gives 1; every comparison with a NaN is false, so a NaN
+// passes both clamps — so the bits are the same. Which NaN a sum of two
+// NaNs keeps is the compiler's choice of first operand, so it is set
+// explicitly: o's, quieted, as the branching form compiled on amd64 keeps
+// it. The mask stays a branch: a box mask is long runs of 0 and 1, which
+// predict well, and the pixels outside it skip the clamps.
 func project(z, orig *tensor.Tensor, eps float64, mask *tensor.Tensor) {
 	zd := z.Data()
-	od := orig.Data()
+	od := orig.Data()[:len(zd)]
 	var md []float32
 	if mask != nil {
-		md = mask.Data()
+		md = mask.Data()[:len(zd)]
 	}
 	e := float32(eps)
-	for i := range zd {
-		if md != nil && md[i] == 0 {
-			zd[i] = od[i]
+	ne, eb, nb := -e, math.Float32bits(e), math.Float32bits(-e)
+	for i, z := range zd {
+		o := od[i]
+		if md != nil && md[i] == 0 { // a mask entry of ±0 freezes the pixel
+			zd[i] = o
 			continue
 		}
-		d := zd[i] - od[i]
-		if d > e {
-			d = e
-		} else if d < -e {
-			d = -e
+		d := z - o
+		db := math.Float32bits(d)
+		if d < ne {
+			db = nb
 		}
-		v := od[i] + d
+		if d > e { // after the −ε test, so it wins as the first branch would
+			db = eb
+		}
+		v := o + math.Float32frombits(db)
+		vb, ob := math.Float32bits(v), math.Float32bits(o)
 		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
+			vb = 0
 		}
-		zd[i] = v
+		if v > 1 {
+			vb = 0x3f800000 // 1
+		}
+		if ob&^(1<<31) > 0x7f800000 { // o is NaN
+			vb = ob | 1<<22
+		}
+		zd[i] = math.Float32frombits(vb)
 	}
 }
 

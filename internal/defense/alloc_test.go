@@ -114,7 +114,7 @@ func TestProcessIntoMatchesProcess(t *testing.T) {
 // trainer's inner step: once the workspaces and the skip buffers (the
 // forward concatenations and Backward's split gradients) are sized, a
 // UNet forward plus backward must not allocate. The larger convs shard
-// over the pool, which may refill its WaitGroup pool after a GC, so like
+// over the pool, which may refill its job cache after a GC, so like
 // the other sharded budgets this one allows a fraction of an alloc.
 func TestUNetTrainStepSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {

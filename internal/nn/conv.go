@@ -50,7 +50,7 @@ type Conv2D struct {
 	// never re-derives shapes. lastBatch is the sample count (1 for a CHW
 	// input); lastRank4 records whether the input carried a leading batch
 	// dimension, so Backward returns a gradient of matching rank.
-	lastXP    []float32 // [N, taps.PaddedLen()]
+	lastXP    *tensor.Tensor // [N, taps.PaddedLen()]
 	lastGeom  tensor.ConvGeom
 	lastOutHW int
 	lastBatch int
@@ -118,7 +118,7 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 	}
 	xp := c.workspace().Tensor2(c, nm.pad, n, c.taps.PaddedLen())
 	tensor.IndirectConvInto(out, xp, x, c.w.Value, c.b.Value, c.taps)
-	c.lastXP = xp.Data()
+	c.lastXP = xp
 	c.lastGeom = g
 	c.lastOutHW = g.OutH() * g.OutW()
 	c.lastBatch = n
@@ -148,97 +148,18 @@ func (c *Conv2D) scratchKeys() *convScratchNames {
 	return &convSingleKeys
 }
 
-// accumParamGrads adds the batch's parameter gradients to the layer's:
-// db[oc] += Σ_p G[s][oc][p] per sample, and
-// dW[oc][l] += Σ_r G[oc][r] · cols[l][r] over r = s·P + p ascending, where
-// cols[l][p] = xp[s][oy·RowStep + ox + off[l]] is tap l of output position
-// p = (oy,ox), read from the forward's padded copy through the tap table.
-// The gradient is first laid out at the copy's row stride (gradAtRowStep),
-// so each (output channel, tap) sum walks a sample as one contiguous run
-// of the gradient against one contiguous run of the copy; the slots
-// between output rows hold 0. Each product is rounded before it is added
-// (float32(g * v)), so arm64, where Go would otherwise fuse the update
-// into one FMA, computes the same bits as amd64. Four taps share each
-// gradient load; past the last tap the block re-reads it and drops those
-// sums. An exact-zero gradient is passed over, as a direct per-tap
-// convolution would: its product with an Inf or NaN tap would be NaN.
+// accumParamGrads adds the batch's parameter gradients to the layer's in
+// one tensor.ConvParamGradsInto call: dW reads the incoming gradient,
+// laid out at the padded copy's row stride in workspace scratch, against
+// the forward's padded copy through the tap table, one unit per output
+// channel on the pool. Each weight keeps its per-element summation order,
+// exact-zero skip included, so the bits do not depend on the sharding.
 func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
-	n, p := c.lastBatch, c.lastOutHW
-	l := c.InC * c.K * c.K
-	gd, xp := grad.Data(), c.lastXP
-	bg := c.b.Grad.Data()
-	for s := 0; s < n; s++ {
-		for oc := range bg {
-			var sum float32
-			for _, v := range gd[(s*c.OutC+oc)*p : (s*c.OutC+oc+1)*p] {
-				sum += v
-			}
-			bg[oc] += sum
-		}
+	var gq *tensor.Tensor
+	if q := c.taps.GridLen(); q != c.lastOutHW {
+		gq = c.workspace().Tensor2(c, nm.dWGrad, c.lastBatch*c.OutC, q)
 	}
-	gq, q := c.gradAtRowStep(gd, nm)
-	off, sampleLen := c.taps.Offsets(), c.taps.PaddedLen()
-	wg := c.w.Grad.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		for li := 0; li < l; li += 4 {
-			taps := [4]int{int(off[li]), int(off[min(li+1, l-1)]), int(off[min(li+2, l-1)]), int(off[min(li+3, l-1)])}
-			sums := accum4(gq[oc*q:], c.OutC*q, q, xp, sampleLen, &taps, n)
-			for t, v := range sums[:min(4, l-li)] {
-				wg[oc*l+li+t] += v
-			}
-		}
-	}
-}
-
-// accum4 returns, for the four taps at offsets taps[0…3] of each padded
-// sample, Σ g·x over n samples in order, each sample pairing its q
-// gradient floats (g[s·gStride:]) with the q floats of its padded copy
-// from the tap on (xp[s·sampleLen + tap:]), in ascending position. Each
-// product is rounded before it is added, and an exact-zero gradient is
-// passed over. A leaf of its own, so the loop keeps its sums and index in
-// registers.
-func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]int, n int) [4]float32 {
-	var a0, a1, a2, a3 float32
-	for s := 0; s < n; s++ {
-		gs, xs := g[s*gStride:][:q], xp[s*sampleLen:]
-		c0, c1, c2, c3 := xs[taps[0]:][:q], xs[taps[1]:][:q], xs[taps[2]:][:q], xs[taps[3]:][:q]
-		for i, gv := range gs {
-			if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
-				continue
-			}
-			a0 += float32(gv * c0[i])
-			a1 += float32(gv * c1[i])
-			a2 += float32(gv * c2[i])
-			a3 += float32(gv * c3[i])
-		}
-	}
-	return [4]float32{a0, a1, a2, a3}
-}
-
-// gradAtRowStep returns the [N,OutC,OutH,OutW] gradient gd laid out at the
-// padded copy's row stride: q = (OutH−1)·RowStep + OutW floats per
-// (sample, channel), output (oy,ox) at oy·RowStep + ox and +0 in the
-// slots between rows. Where the row stride is OutW (a 1×1 unpadded
-// stride-1 conv) that is gd itself.
-func (c *Conv2D) gradAtRowStep(gd []float32, nm *convScratchNames) (gq []float32, q int) {
-	outW, step := c.lastGeom.OutW(), c.taps.RowStep()
-	p := c.lastOutHW
-	if step == outW {
-		return gd, p
-	}
-	outH := p / outW
-	q = (outH-1)*step + outW
-	gq = c.workspace().Tensor2(c, nm.dWGrad, c.lastBatch*c.OutC, q).Data()
-	for r := 0; r < c.lastBatch*c.OutC; r++ {
-		src, dst := gd[r*p:(r+1)*p], gq[r*q:(r+1)*q]
-		for oy := 0; oy < outH; oy++ {
-			copy(dst[oy*step:], src[oy*outW:(oy+1)*outW])
-			if oy+1 < outH {
-				clear(dst[oy*step+outW : (oy+1)*step])
-			}
-		}
-	}
-	return gq, q
+	tensor.ConvParamGradsInto(c.w.Grad, c.b.Grad, grad, gq, c.lastXP, c.taps)
 }
 
 // inputGrad computes dX = col2im(Wᵀ · G) in one tensor.MatMulCol2ImInto

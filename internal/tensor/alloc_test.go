@@ -24,8 +24,8 @@ func TestTranspose2DIntoAllocs(t *testing.T) {
 
 // TestIm2ColCol2ImIntoAllocs guards the conv forward, IndirectConvInto,
 // and its adjoint, MatMulCol2ImInto — below the work gate (serial on the
-// caller) and above it at GOMAXPROCS=2 (shards travel by value through
-// the pool).
+// caller) and above it at GOMAXPROCS=2 (sharded through the pool's
+// recycled jobs).
 func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -55,7 +55,7 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 	if avg := col2imAllocs(g); avg != 0 {
 		t.Fatalf("serial MatMulCol2ImInto allocates %.2f/op, want 0", avg)
 	}
-	// A sharded call may refill the WaitGroup pool after a GC emptied it,
+	// A sharded call may refill the pool's job cache after a GC emptied it,
 	// so like the other sharded budgets this one allows a fraction.
 	sharded := ConvGeom{InC: 5, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}
 	if avg := col2imAllocs(sharded); avg >= 1 {

@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // Kernel micro-benchmarks at the shapes the perception models actually
 // produce; the CI perf-smoke job runs these once per PR with -benchmem so
@@ -152,4 +156,41 @@ func BenchmarkElementwise(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPoolDispatch times one near-empty 2-way dispatch (a 2-row GEMM
+// of one column, one row per worker) at GOMAXPROCS=2: back to back, and
+// after ~30 µs of serial work on the caller, the gap between two convs of
+// a UNet pass. The second reports the dispatch alone as dispatch-ns/op;
+// its ns/op includes the serial work.
+func BenchmarkPoolDispatch(b *testing.B) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	t := poolTask{op: opGEMM, c: make([]float32, 2), a: []float32{1, 2}, bk: []float32{3}, k: 1, n: 1}
+	t.shard(2, 2) // start the pool
+	b.Run("back-to-back", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t.shard(2, 2)
+		}
+	})
+	b.Run("after-serial-work", func(b *testing.B) {
+		work := make([]float32, 1<<13)
+		fillSeq(FromSlice(work, len(work)))
+		var sink float32
+		var spent time.Duration
+		for i := 0; i < b.N; i++ {
+			for rep := 0; rep < 3; rep++ { // one dependent add chain: ~30 µs
+				for _, v := range work {
+					sink += v
+				}
+			}
+			start := time.Now()
+			t.shard(2, 2)
+			spent += time.Since(start)
+		}
+		b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "dispatch-ns/op")
+		if sink == 0 {
+			b.Log(sink)
+		}
+	})
 }

@@ -80,10 +80,11 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 //	xp[oy·Wq + ox + off[l]],  off[l] = ((c·s + ky mod s)·s + kx mod s)·Hq·Wq + (ky div s)·Wq + kx div s,
 //
 // so for a fixed tap, consecutive output columns read consecutive floats
-// and consecutive output rows lie RowStep() = Wq floats apart, at every
-// stride: every lane block of the forward reads each of its B rows in
-// place, with no lowering, and a weight gradient can walk all of a
-// sample's positions in one pass (see RowStep).
+// and consecutive output rows lie Wq floats apart, at every stride: every
+// lane block of the forward reads each of its B rows in place, with no
+// lowering, and a weight gradient can walk all of a sample's positions in
+// one pass (ConvParamGradsInto). Positions q = oy·Wq + ox with ox ≥ OutW
+// fall between two output rows and belong to no output.
 type ConvTaps struct {
 	g         ConvGeom
 	off       []int32    // start of tap (c,ky,kx) in a padded sample
@@ -138,18 +139,11 @@ func (t *ConvTaps) Geom() ConvGeom { return t.g }
 // PaddedLen returns the number of floats in one padded sample.
 func (t *ConvTaps) PaddedLen() int { return t.sampleLen }
 
-// Offsets returns the tap table: entry l = (c·K + ky)·K + kx is where tap
-// l of output position (0,0) sits in a padded sample. The slice is shared;
-// callers must not modify it.
-func (t *ConvTaps) Offsets() []int32 { return t.off }
-
-// RowStep returns Wq, the distance in a padded sample between the taps of
-// two consecutive output rows. Output position (oy,ox) reads its taps at
-// oy·RowStep() + ox + off[l]; positions q = oy·RowStep() + ox with
-// ox ≥ OutW fall between two output rows and belong to no output, so a
-// loop over q in ascending order that skips them visits the outputs in
-// ascending (oy,ox) order.
-func (t *ConvTaps) RowStep() int { return t.wq }
+// GridLen returns (OutH−1)·Wq + OutW: how many grid positions of a
+// padded sample one output channel spans, from output (0,0) to
+// (OutH−1, OutW−1). ConvParamGradsInto lays each (sample, channel)
+// gradient out over that many floats.
+func (t *ConvTaps) GridLen() int { return (t.g.OutH()-1)*t.wq + t.g.OutW() }
 
 // padChannel writes one channel of the padded copy: dst holds its Stride²
 // sub-images, src the channel's InH × InW input plane. dst is cleared

@@ -53,7 +53,7 @@ const gridChunk = 4096
 // [oy·OutW, (oy+1)·OutW) of that sample's output.
 //
 // Output (oy,ox) reads its taps at q + off[l] in the padded copy, with
-// q = oy·Wq + ox its position on the copy's grid (RowStep). So the lane
+// q = oy·Wq + ox its position on the copy's grid. So the lane
 // kernels run along the grid, not along output rows: consecutive units of
 // one sample cover the grid columns [oy0·Wq, (oy1−1)·Wq + OutW), which
 // laneBlocks tiles into full-width blocks that run across row ends. The
@@ -154,4 +154,116 @@ func col2imUnits(dx, cols, wT, grad []float32, g ConvGeom, oc, u0, u1 int) {
 		matMulKMajorSerial(rows, wT[ch*kk*oc:], grad[s*oc*p:], kk, oc, p)
 		col2imPlane(dx[u*plane:(u+1)*plane], rows, g)
 	}
+}
+
+// ConvParamGradsInto adds a convolution's parameter gradients to dw and
+// db: db[oc] += Σ_p G[s][oc][p] per sample, and
+// dW[oc][l] += Σ_r G[oc][r] · cols[l][r] over r = s·P + p ascending, where
+// cols[l][p] = xp[s][oy·Wq + ox + off[l]] is tap l of output position
+// p = (oy,ox), read from the forward's padded copy xp (N·t.PaddedLen()
+// floats, as IndirectConvInto left it) through t's tap table. dw is the
+// OutC × (InC·K·K) weight gradient, db holds OutC floats and grad is the
+// [N,OutC,OutH,OutW] — or single [OutC,OutH,OutW] — output gradient.
+//
+// The gradient is first laid out at the copy's row stride in gq
+// (N·OutC·t.GridLen() floats of scratch; unused, and may be nil, when
+// Wq is OutW), so each (output channel, tap) sum walks a sample as
+// one contiguous run of the gradient against one contiguous run of the
+// copy; the slots between output rows hold 0. Each product is rounded
+// before it is added (float32(g * v)), so arm64, where Go would otherwise
+// fuse the update into one FMA, computes the same bits as amd64. An
+// exact-zero gradient is passed over, as a direct per-tap convolution
+// would: its product with an Inf or NaN tap would be NaN.
+//
+// The work splits into one unit per output channel, which owns its row
+// of dw, its entry of db and its rows of gq. Past the GEMM's
+// parallelMinWork gate the units are sharded over the persistent pool;
+// each weight keeps its per-element summation order, so the result is
+// bit-identical at any GOMAXPROCS.
+//
+//advlint:noalloc
+func ConvParamGradsInto(dw, db, grad, gq, xp *Tensor, t *ConvTaps) {
+	g := t.g
+	l := len(t.off)
+	oc := db.Len()
+	n := xp.Len() / t.sampleLen
+	p, q := g.OutH()*g.OutW(), t.GridLen()
+	if xp.Len() != n*t.sampleLen || dw.Len() != oc*l || grad.Len() != n*oc*p {
+		panic(fmt.Sprintf("tensor: ConvParamGradsInto dw %v, db %v, grad %v and padded copy %v, want [OutC %d], [OutC], [N OutC %d %d] and [N %d]", dw.shape, db.shape, grad.shape, xp.shape, l, g.OutH(), g.OutW(), t.sampleLen))
+	}
+	var gqd []float32
+	if q != p {
+		if gq == nil || gq.Len() != n*oc*q {
+			panic(fmt.Sprintf("tensor: ConvParamGradsInto needs %d floats of scratch", n*oc*q))
+		}
+		gqd = gq.data
+	}
+	pt := poolTask{op: opParamGrad, c: dw.data, b: db.data, a: grad.data, dx: gqd, bk: xp.data, k: q, n: n, taps: t}
+	pt.shard(oc, shardWorkers(oc, l, n*q))
+}
+
+// paramGradUnits runs units [u0, u1) of a ConvParamGradsInto call (see
+// poolTask for the operands): unit u is output channel u. It adds the
+// channel's bias gradient, lays its gradient rows out at the copy's row
+// stride, then adds its row of the weight gradient four taps at a time;
+// past the last tap a block re-reads the last one and drops those sums.
+func paramGradUnits(pt *poolTask, u0, u1 int) {
+	t, gd, db, dw := pt.taps, pt.a, pt.b, pt.c
+	n, q, oc := pt.n, pt.k, len(pt.b)
+	outW, p, l := t.g.OutW(), t.g.OutH()*t.g.OutW(), len(t.off)
+	for u := u0; u < u1; u++ {
+		for s := 0; s < n; s++ {
+			var sum float32
+			for _, v := range gd[(s*oc+u)*p : (s*oc+u+1)*p] {
+				sum += v
+			}
+			db[u] += sum
+		}
+		gq := gd
+		if pt.dx != nil {
+			gq = pt.dx
+			for s := 0; s < n; s++ {
+				r := s*oc + u
+				src, dst := gd[r*p:(r+1)*p], gq[r*q:(r+1)*q]
+				for oy := 0; oy*outW < p; oy++ {
+					copy(dst[oy*t.wq:], src[oy*outW:(oy+1)*outW])
+					if (oy+1)*outW < p {
+						clear(dst[oy*t.wq+outW : (oy+1)*t.wq])
+					}
+				}
+			}
+		}
+		for li := 0; li < l; li += 4 {
+			taps := [4]int{int(t.off[li]), int(t.off[min(li+1, l-1)]), int(t.off[min(li+2, l-1)]), int(t.off[min(li+3, l-1)])}
+			sums := accum4(gq[u*q:], oc*q, q, pt.bk, t.sampleLen, &taps, n)
+			for k, v := range sums[:min(4, l-li)] {
+				dw[u*l+li+k] += v
+			}
+		}
+	}
+}
+
+// accum4 returns, for the four taps at offsets taps[0…3] of each padded
+// sample, Σ g·x over n samples in order, each sample pairing its q
+// gradient floats (g[s·gStride:]) with the q floats of its padded copy
+// from the tap on (xp[s·sampleLen + tap:]), in ascending position. Each
+// product is rounded before it is added, and an exact-zero gradient is
+// passed over. A leaf of its own, so the loop keeps its sums and index in
+// registers.
+func accum4(g []float32, gStride, q int, xp []float32, sampleLen int, taps *[4]int, n int) [4]float32 {
+	var a0, a1, a2, a3 float32
+	for s := 0; s < n; s++ {
+		gs, xs := g[s*gStride:][:q], xp[s*sampleLen:]
+		c0, c1, c2, c3 := xs[taps[0]:][:q], xs[taps[1]:][:q], xs[taps[2]:][:q], xs[taps[3]:][:q]
+		for i, gv := range gs {
+			if gv == 0 { //advlint:floatcmp-ok exact-zero skip: adds exactly 0 either way
+				continue
+			}
+			a0 += float32(gv * c0[i])
+			a1 += float32(gv * c1[i])
+			a2 += float32(gv * c2[i])
+			a3 += float32(gv * c3[i])
+		}
+	}
+	return [4]float32{a0, a1, a2, a3}
 }

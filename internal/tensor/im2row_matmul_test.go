@@ -194,8 +194,8 @@ func TestIm2RowMatMulExplicitWorkers(t *testing.T) {
 
 // TestIm2RowMatMulSteadyStateAllocs keeps the forward entry
 // allocation-free: exactly 0 allocs/op below the work gate (serial on the
-// caller), and below 1 above it at GOMAXPROCS=2 (conv shards travel by
-// value through the pool, which may refill its WaitGroup pool after a GC).
+// caller), and below 1 above it at GOMAXPROCS=2 (the pool may refill its
+// job cache after a GC).
 func TestIm2RowMatMulSteadyStateAllocs(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under -race")

@@ -68,16 +68,16 @@ func naiveCol2Im(cols *Tensor, g ConvGeom) *Tensor {
 // reads in place: for the n padded samples in xp, row s·L + l of the
 // (N·InC·K·K) × (OutH·OutW) result holds, at column p = oy·OutW + ox,
 // cols[l][p] = xp[s·PaddedLen + base(p) + off[l]] with
-// base(p) = oy·RowStep() + ox.
+// base(p) = oy·Wq + ox.
 func tapCols(xp []float32, t *ConvTaps, n int) *Tensor {
-	g, off := t.Geom(), t.Offsets()
+	g, off := t.Geom(), t.off
 	l, outW := len(off), g.OutW()
 	p := g.OutH() * outW
 	cols := New(n*l, p)
 	for s := 0; s < n; s++ {
 		for li, o := range off {
 			for pi := 0; pi < p; pi++ {
-				base := s*t.PaddedLen() + pi/outW*t.RowStep() + pi%outW
+				base := s*t.PaddedLen() + pi/outW*t.wq + pi%outW
 				cols.Set(xp[base+int(o)], s*l+li, pi)
 			}
 		}
