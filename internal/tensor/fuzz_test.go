@@ -117,14 +117,18 @@ func FuzzMatMulKMajorVsRef(f *testing.F) {
 	f.Add(uint8(0), uint8(6), uint8(0), int64(3))  // single row and column
 	f.Add(uint8(4), uint8(2), uint8(12), int64(4)) // n ≡ 1 mod 4: scalar column tail
 	f.Add(uint8(2), uint8(30), uint8(6), int64(5)) // row tail below the 4-row block
-	f.Add(uint8(16), uint8(40), uint8(47), int64(6))
-	f.Add(uint8(9), uint8(20), uint8(9), int64(7))  // n = 10: overlapping 8-wide tail
-	f.Add(uint8(5), uint8(13), uint8(26), int64(8)) // n = 27: overlapping 16- or 8-wide tail
-	f.Add(uint8(6), uint8(11), uint8(2), int64(9))  // n = 3: three-accumulator scalar path
+	f.Add(uint8(16), uint8(40), uint8(6), int64(6))
+	f.Add(uint8(9), uint8(20), uint8(9), int64(7))   // n = 10: overlapping 8-wide tail
+	f.Add(uint8(5), uint8(13), uint8(26), int64(8))  // n = 27: overlapping 16- or 8-wide tail
+	f.Add(uint8(6), uint8(11), uint8(2), int64(9))   // n = 3: three-accumulator scalar path
+	f.Add(uint8(9), uint8(17), uint8(31), int64(10)) // n = 32: one 32-column block, rows 4+4+2
+	f.Add(uint8(6), uint8(9), uint8(32), int64(11))  // n = 33: a 32-block and an overlapping finish
+	f.Add(uint8(2), uint8(25), uint8(47), int64(12)) // n = 48: a 32-block and a 16 step-down
+	f.Add(uint8(12), uint8(5), uint8(62), int64(13)) // n = 63: 32, 16, 8 and 4, then an overlapping finish
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, seed int64) {
 		m := int(mr)%17 + 1
 		k := int(kr) % 33 // 0 is a legal contraction length at the slice level
-		n := int(nr)%41 + 1
+		n := int(nr)%64 + 1
 		rng := xrand.New(seed)
 		a := make([]float32, m*k)
 		bk := make([]float32, k*n)

@@ -76,9 +76,10 @@ func indirectUnits(dst, xp, w, bias []float32, t *ConvTaps, oc, u0, u1 int) {
 		for o0 := 0; o0 < oc; o0 += og {
 			m := min(og, oc-o0)
 			// Split the grid columns into equal chunks that fit the buffer,
-			// rounded up to whole 16-column blocks.
+			// rounded up to whole widest lane blocks, so no chunk but the
+			// last ends on a narrower step-down block.
 			chunks := (q1 - q0 + gridChunk/m - 1) / (gridChunk / m)
-			cw := min(gridChunk/m, ((q1-q0+chunks-1)/chunks+15)&^15)
+			cw := min(gridChunk/m, ((q1-q0+chunks-1)/chunks+widest-1)&^(widest-1))
 			for qa := q0; qa < q1; qa += cw {
 				qb := min(q1, qa+cw)
 				laneBlocks(acc[:], w[o0*l:], xs[qa:], t.off, m, l, cw, qb-qa)

@@ -12,10 +12,12 @@ import (
 // im2colMatMulCases are the conv forward's edge cases: inputs whose
 // (sample, output row) shards split a sample mid-image at 2 and 4 workers,
 // stride 2, a 1×1 unpadded kernel, K=5 at stride 3, and output channel
-// counts from a pure sub-lane product (3) through an overlapping-tail
-// width (10, 17) to an exact lane multiple plus 4-block (12). Most are past
-// parallelMinWork at N=3 so the sharded path runs; N=1 and the stride-3
-// case stay below it and pin the serial path.
+// counts (the product's rows) that reach every row block of the lane
+// kernels: on the AVX-512 32-column body 3 runs a 2-row and a 1-row
+// block, 10 two 4-row blocks and a 2-row block, 12 three 4-row blocks and
+// 17 four 4-row blocks and a single row. Most are past parallelMinWork at
+// N=3 so the sharded path runs; N=1 and the stride-3 case stay below it
+// and pin the serial path.
 var im2colMatMulCases = []ConvGeom{
 	{InC: 5, InH: 19, InW: 21, K: 3, Stride: 1, Pad: 1},
 	{InC: 4, InH: 33, InW: 30, K: 3, Stride: 2, Pad: 1},
@@ -102,8 +104,10 @@ func TestIm2RowMatMulMatchesTwoCall(t *testing.T) {
 // over GOMAXPROCS ∈ {1,2,4,16} × N ∈ {1,3} × stride ∈ {1,2,3} ×
 // K ∈ {1,3,5} × pad ∈ {0,1,2} × OutW ∈ {3,6,8,17,64}: output rows that
 // take the scalar path, a 4-block with an overlapping tail, one 8-block,
-// a 16-block with an overlapping tail and four 16-blocks. (Where K=1 and
+// a 16-block with an overlapping tail and two 32-blocks. (Where K=1 and
 // a wide pad make a narrow output impossible, the narrowest one is used.)
+// Its 6 output channels run as a 4-row and a 2-row block on the AVX-512
+// 32-column body; im2colMatMulOutC reaches the single-row block.
 // The inputs hold ±0, NaN and ±Inf, and one weight is +Inf: a padding tap
 // must be multiplied, not skipped, because Inf·0 is NaN.
 //

@@ -23,17 +23,17 @@ import "fmt"
 // assembly tail keeps on SIMD), and the backward drives it for the
 // input-gradient products.
 //
-// Lane width is dispatched once at init — AVX-512 16-wide or AVX2 8-wide
-// where the CPU supports them, SSE2 8- and 4-wide on baseline amd64, NEON
-// 4-wide on arm64, a pure-Go lane kernel elsewhere or under the noasm
-// build tag (see sgemm_amd64.go / sgemm_arm64.go / sgemm_noasm.go). Each
-// rung comes in two forms: strided, where B row l starts l·n floats on,
-// and tap-table, where it starts off[l] floats on — the indirect conv
-// forward's in-place taps; the pure-Go kernel serves both. Column counts
-// that are not a lane multiple stay on SIMD too: the leftover columns
-// step down through the narrower lane widths, the last ≤3 are one
-// overlapping lane block, and only products narrower than 4 columns run
-// scalar.
+// Lane width is dispatched once at init — AVX-512 32- and 16-wide or AVX2
+// 8-wide where the CPU supports them, SSE2 8- and 4-wide on baseline
+// amd64, NEON 4-wide on arm64, a pure-Go lane kernel elsewhere or under
+// the noasm build tag (see sgemm_amd64.go / sgemm_arm64.go /
+// sgemm_noasm.go). Each rung comes in two forms: strided, where B row l
+// starts l·n floats on, and tap-table, where it starts off[l] floats on —
+// the indirect conv forward's in-place taps; the pure-Go kernel serves
+// both. Column counts that are not a lane multiple stay on SIMD too: the
+// leftover columns step down through the narrower lane widths, the last ≤3
+// are one overlapping lane block, and only products narrower than 4
+// columns run scalar.
 //
 // Above the parallelMinWork threshold the row dimension is sharded
 // across the persistent worker pool (parallel.go): each worker computes a
@@ -44,7 +44,7 @@ import "fmt"
 // through MatMulCol2ImInto, whose shards multiply and fold back whole
 // input channels.
 
-// widest is the widest lane block the selected ladder rung computes: 16
+// widest is the widest lane block the selected ladder rung computes: 32
 // on AVX-512, 8 on AVX2, SSE2 and the pure-Go kernel, 4 on NEON. Package
 // init assigns it once from CPU features, together with the rung asmLanes
 // dispatches to; it never changes after init, so kernel choice is
@@ -99,15 +99,16 @@ func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
 // b[j + l·n], or at b[j + off[l]] when a tap table is given (the indirect
 // conv forward, whose b starts where its band of grid positions reads the
 // padded input). It tiles the band into blocks of the widest lane width
-// the selected ladder rung supports — 16 on AVX-512, 8 on AVX2/SSE2 and
+// the selected ladder rung supports — 32 on AVX-512, 8 on AVX2/SSE2 and
 // the generic kernel, 4 on NEON — then steps down through the narrower
-// widths to 4. The fewer than 4 columns left after that are finished by
-// one more block, of the widest width the band holds, on the overlapping
-// columns [w−bw, w): it recomputes columns already written, but every lane
-// is an independent ascending-k dot with per-step rounding, so the rewrite
-// stores the same bits, from the same goroutine, inside the band. Only
-// bands narrower than 4 columns take the scalar kmajorScalar loop. All
-// paths agree bit for bit, so the tiling is invisible in the results.
+// widths to 4 (32 → 16 → 8 → 4 on AVX-512). The fewer than 4 columns left
+// after that are finished by one more block, of the widest width the band
+// holds, on the overlapping columns [w−bw, w): it recomputes columns
+// already written, but every lane is an independent ascending-k dot with
+// per-step rounding, so the rewrite stores the same bits, from the same
+// goroutine, inside the band. Only bands narrower than 4 columns take the
+// scalar kmajorScalar loop. All paths agree bit for bit, so the tiling is
+// invisible in the results.
 func laneBlocks(c, a, b []float32, off []int32, m, k, n, w int) {
 	switch {
 	case m == 0 || w <= 0:
@@ -140,8 +141,8 @@ func laneBlocks(c, a, b []float32, off []int32, m, k, n, w int) {
 // the w-column block at the start of c and b for every row of the product,
 // through the strided or (off non-nil) table assembly kernel of the rung
 // selected at init (asmLanes) when one exists for w, and the pure-Go lane
-// kernel otherwise. w must be 16 (only when widest is 16), 8 or 4, and
-// k > 0.
+// kernel otherwise. w must be 32 or 16 (only when widest is 32), 8 or 4,
+// and k > 0.
 func sgemmLanes(c, a, b []float32, off []int32, m, w, k, n int) {
 	var o *int32
 	if off != nil {

@@ -4,9 +4,9 @@ package tensor
 
 // Kernel selection for the k-major SGEMM on amd64. SSE2 is part of the
 // amd64 baseline (GOAMD64=v1) so the 4-wide kernels are always available;
-// the 8-wide AVX2 and 16-wide AVX-512 kernels are enabled by a one-time
-// CPUID+XGETBV probe at package init (or unconditionally when the binary
-// is compiled with GOAMD64=v3 / v4, which guarantee AVX2 / AVX-512
+// the 8-wide AVX2 and 16- and 32-wide AVX-512 kernels are enabled by a
+// one-time CPUID+XGETBV probe at package init (or unconditionally when the
+// binary is compiled with GOAMD64=v3 / v4, which guarantee AVX2 / AVX-512
 // respectively). The choice is made exactly once and depends only on the
 // CPU, never on GOMAXPROCS or operand values, so a given product always
 // runs the same kernel — and since every kernel performs the identical
@@ -48,8 +48,8 @@ func hasAVX2() bool {
 }
 
 // hasAVX512 reports whether the CPU and OS support the GOAMD64=v4 AVX-512
-// feature set (F+BW+CD+DQ+VL — the 16-wide kernel itself needs F for the
-// ZMM arithmetic and DQ for VXORPS on ZMM) and the OS saves the full
+// feature set (F+BW+CD+DQ+VL — the ZMM kernels themselves need only F:
+// they zero with VPXORQ, not the DQ VXORPS) and the OS saves the full
 // AVX-512 state (XCR0 opmask + ZMM bits on top of XMM/YMM). Matching the
 // v4 set keeps the runtime probe and the compile-time tag equivalent.
 func hasAVX512() bool {
@@ -79,12 +79,12 @@ func hasAVX512() bool {
 
 // The lane kernels, implemented in sgemm_amd64.s. Each computes
 // c[i][0:w] = Σ_l a[i][l]·B[l][0:w] for i in [0,m) — any m, rows in
-// blocks of 4 plus a single-row tail — with bk and c pre-offset to the
-// column block and c using row stride n floats. B row l is bk + l·n in
-// the strided kernels and bk + off[l] in the *Taps kernels, which share
-// each rung's loop body. Accumulation is strictly ascending l with
-// separate mul/add roundings per step: bit-identical to the scalar
-// kernels.
+// blocks of 4 plus a single-row tail (32 columns: blocks of 4, then 2,
+// then 1) — with bk and c pre-offset to the column block and c using row
+// stride n floats. B row l is bk + l·n in the strided kernels and
+// bk + off[l] in the *Taps kernels, which share each rung's loop body.
+// Accumulation is strictly ascending l with separate mul/add roundings
+// per step: bit-identical to the scalar kernels.
 
 //go:noescape
 func sgemm8cols(a, bk, c *float32, m, k, n int)
@@ -99,6 +99,9 @@ func sgemm8colsAVX2(a, bk, c *float32, m, k, n int)
 func sgemm16colsAVX512(a, bk, c *float32, m, k, n int)
 
 //go:noescape
+func sgemm32colsAVX512(a, bk, c *float32, m, k, n int)
+
+//go:noescape
 func sgemm8colsTaps(a, bk, c *float32, m, k, n int, off *int32)
 
 //go:noescape
@@ -109,6 +112,9 @@ func sgemm8colsAVX2Taps(a, bk, c *float32, m, k, n int, off *int32)
 
 //go:noescape
 func sgemm16colsAVX512Taps(a, bk, c *float32, m, k, n int, off *int32)
+
+//go:noescape
+func sgemm32colsAVX512Taps(a, bk, c *float32, m, k, n int, off *int32)
 
 // The amd64 rungs, in ascending width: which one init selected.
 const (
@@ -122,7 +128,7 @@ var rung = rungSSE2
 func init() {
 	switch {
 	case hasAVX512() && hasAVX2():
-		rung, widest, kmajorKernelName = rungAVX512, 16, "avx512"
+		rung, widest, kmajorKernelName = rungAVX512, 32, "avx512"
 	case hasAVX2():
 		rung, kmajorKernelName = rungAVX2, "avx2"
 	default:
@@ -135,9 +141,13 @@ func init() {
 // The kernels are called directly rather than through function values, so
 // escape analysis sees their go:noescape operands: a caller's stack buffer
 // stays on the stack. Every amd64 rung has 8- and 4-column kernels (AVX2
-// and AVX-512 use the AVX2 one for 8); only AVX-512 has 16.
+// and AVX-512 use the AVX2 one for 8); only AVX-512 has 16 and 32.
 func asmLanes(w int, a, b, c *float32, m, k, n int, off *int32) bool {
 	switch {
+	case w == 32 && off == nil:
+		sgemm32colsAVX512(a, b, c, m, k, n)
+	case w == 32:
+		sgemm32colsAVX512Taps(a, b, c, m, k, n, off)
 	case w == 16 && off == nil:
 		sgemm16colsAVX512(a, b, c, m, k, n)
 	case w == 16:

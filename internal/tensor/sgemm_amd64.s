@@ -6,9 +6,10 @@
 // element and accumulates a[i][l]·B[l][j] in strictly ascending l with a
 // separate multiply and add rounding per step, so results are
 // bit-identical to the scalar kernels. Rows run in blocks of 4 with a
-// single-row tail, so any m ≥ 1 is handled entirely in assembly (m = 1 is
-// the gemv shape of the single-frame Linear forward and the batched
-// input-gradient head).
+// single-row tail, except in the AVX-512 32-column body, which runs its
+// leftover rows as one block of 2 and then one of 1, so any m ≥ 1 is
+// handled entirely in assembly (m = 1 is the gemv shape of the
+// single-frame Linear forward and the batched input-gradient head).
 //
 // Every rung comes in two forms that differ only in where row l of B
 // starts:
@@ -28,7 +29,9 @@
 //   SI  a row-block base          DX  B base           DI  c row-block base
 //   R8  remaining rows            R9  k
 //   R11 a row stride (k*4 bytes)  R12 c (and strided B) row stride (n*4 bytes)
-//   AX,BX,R13,R14  the four current a row pointers
+//   AX,BX,R13,R14  the four current a row pointers, advanced 4 bytes a
+//                  step; in the 32-column body they point at their rows'
+//                  ends and stay put, and a[i][l] is (AX)(CX*4)
 //   R15 B row cursor (strided) or off[l] (table)
 //   R10 one past the table's end (table form)
 //   CX  l − k, counting up to 0, so off[l] is (R10)(CX*4)
@@ -387,6 +390,139 @@ zt16l: \
 zdone16: \
 	VZEROUPPER
 
+// The AVX-512 32-column body: two ZMM accumulators per row (Z{2r}
+// columns 0-15, Z{2r+1} columns 16-31), Z8/Z9 the B row halves, Z10 the
+// broadcast a, Z11/Z12 the products. Rows run in blocks of 4, then one
+// block of 2, then 1, so a block keeps 8, 4 or 2 add chains in flight.
+// The a row pointers point at their rows' ends and are indexed by CX,
+// which runs from −k to 0, so a step advances no pointer but the strided
+// B cursor.
+#define AVX512W32BODY \
+	TESTQ R9, R9; \
+	JZ   wdone; \
+wrows4: \
+	CMPQ R8, $4; \
+	JL   wrows2; \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z3, Z3, Z3; \
+	VPXORQ Z4, Z4, Z4; \
+	VPXORQ Z5, Z5, Z5; \
+	VPXORQ Z6, Z6, Z6; \
+	VPXORQ Z7, Z7, Z7; \
+	LEAQ (SI)(R11*1), AX; \
+	LEAQ (SI)(R11*2), BX; \
+	LEAQ (AX)(R11*2), R13; \
+	LEAQ (SI)(R11*4), R14; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+wl4: \
+	BOFF; \
+	VMOVUPS BROW(0), Z8; \
+	VMOVUPS BROW(64), Z9; \
+	VBROADCASTSS (AX)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z0, Z0; \
+	VADDPS Z12, Z1, Z1; \
+	VBROADCASTSS (BX)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z2, Z2; \
+	VADDPS Z12, Z3, Z3; \
+	VBROADCASTSS (R13)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z4, Z4; \
+	VADDPS Z12, Z5, Z5; \
+	VBROADCASTSS (R14)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z6, Z6; \
+	VADDPS Z12, Z7, Z7; \
+	BADV; \
+	INCQ CX; \
+	JNZ  wl4; \
+	MOVQ DI, AX; \
+	VMOVUPS Z0, (AX); \
+	VMOVUPS Z1, 64(AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z2, (AX); \
+	VMOVUPS Z3, 64(AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z4, (AX); \
+	VMOVUPS Z5, 64(AX); \
+	ADDQ R12, AX; \
+	VMOVUPS Z6, (AX); \
+	VMOVUPS Z7, 64(AX); \
+	MOVQ R14, SI; \
+	LEAQ (DI)(R12*4), DI; \
+	SUBQ $4, R8; \
+	JMP  wrows4; \
+wrows2: \
+	CMPQ R8, $2; \
+	JL   wrows1; \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z3, Z3, Z3; \
+	LEAQ (SI)(R11*1), AX; \
+	LEAQ (SI)(R11*2), BX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+wl2: \
+	BOFF; \
+	VMOVUPS BROW(0), Z8; \
+	VMOVUPS BROW(64), Z9; \
+	VBROADCASTSS (AX)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z0, Z0; \
+	VADDPS Z12, Z1, Z1; \
+	VBROADCASTSS (BX)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z2, Z2; \
+	VADDPS Z12, Z3, Z3; \
+	BADV; \
+	INCQ CX; \
+	JNZ  wl2; \
+	VMOVUPS Z0, (DI); \
+	VMOVUPS Z1, 64(DI); \
+	VMOVUPS Z2, (DI)(R12*1); \
+	VMOVUPS Z3, 64(DI)(R12*1); \
+	MOVQ BX, SI; \
+	LEAQ (DI)(R12*2), DI; \
+	SUBQ $2, R8; \
+wrows1: \
+	TESTQ R8, R8; \
+	JZ   wdone; \
+	VPXORQ Z0, Z0, Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	LEAQ (SI)(R11*1), AX; \
+	BSET; \
+	MOVQ R9, CX; \
+	NEGQ CX; \
+wl1: \
+	BOFF; \
+	VMOVUPS BROW(0), Z8; \
+	VMOVUPS BROW(64), Z9; \
+	VBROADCASTSS (AX)(CX*4), Z10; \
+	VMULPS Z8, Z10, Z11; \
+	VMULPS Z9, Z10, Z12; \
+	VADDPS Z11, Z0, Z0; \
+	VADDPS Z12, Z1, Z1; \
+	BADV; \
+	INCQ CX; \
+	JNZ  wl1; \
+	VMOVUPS Z0, (DI); \
+	VMOVUPS Z1, 64(DI); \
+wdone: \
+	VZEROUPPER
+
 // ARGS loads the six operands every kernel shares and derives the byte
 // strides.
 #define ARGS \
@@ -443,6 +579,14 @@ TEXT ·sgemm16colsAVX512(SB), NOSPLIT, $0-48
 	AVX512BODY
 	RET
 
+// func sgemm32colsAVX512(a, bk, c *float32, m, k, n int)
+//
+// The widest block on the AVX-512 rung; gated like sgemm16colsAVX512.
+TEXT ·sgemm32colsAVX512(SB), NOSPLIT, $0-48
+	ARGS
+	AVX512W32BODY
+	RET
+
 #undef BSET
 #undef BOFF
 #undef BROW
@@ -482,4 +626,11 @@ TEXT ·sgemm16colsAVX512Taps(SB), NOSPLIT, $0-56
 	ARGS
 	TABLE
 	AVX512BODY
+	RET
+
+// func sgemm32colsAVX512Taps(a, bk, c *float32, m, k, n int, off *int32)
+TEXT ·sgemm32colsAVX512Taps(SB), NOSPLIT, $0-56
+	ARGS
+	TABLE
+	AVX512W32BODY
 	RET
