@@ -47,7 +47,8 @@
 //
 // The perception stack is batch-first: Regressor.PredictBatch and
 // Detector.ForwardBatch/DetectBatch run whole frame batches through one
-// tap-major lowering and k-major GEMM call per layer, bit-identical
+// k-major GEMM dispatch per layer (a conv reads its taps in place from a
+// padded copy of the input; nothing is lowered), bit-identical
 // frame-for-frame to the per-frame calls.
 //
 // The serving layer (NewServer; `advrepro serve`) exposes the same core

@@ -270,8 +270,12 @@ func TestCAPWarmStartCarriesPatch(t *testing.T) {
 	cfg := DefaultCAPConfig()
 	cfg.StepsPerFrame = 1 // starve the per-frame budget so inheritance matters
 
-	frames := scene.GenerateDriveSequence(xrand.New(7), scene.DefaultDriveConfig(), 8, 0.1, 25,
-		func(t float64) float64 { return -5 })
+	// The lead closes at 5 m/s from 25 m, one frame every 0.1 s.
+	r := scene.NewRenderer(xrand.New(7), scene.DefaultDriveConfig())
+	frames := make([]scene.DriveScene, 8)
+	for i := range frames {
+		frames[i] = r.Render(25 - 0.5*float64(i))
+	}
 
 	run := func(cold bool) float64 {
 		c := NewCAP(cfg)
@@ -280,8 +284,8 @@ func TestCAPWarmStartCarriesPatch(t *testing.T) {
 			if cold {
 				c.Reset()
 			}
-			adv := c.Apply(obj, f.Scene.Img, f.Scene.LeadBox)
-			total += reg.Predict(adv) - reg.Predict(f.Scene.Img)
+			adv := c.Apply(obj, f.Img, f.LeadBox)
+			total += reg.Predict(adv) - reg.Predict(f.Img)
 		}
 		return total
 	}
@@ -315,20 +319,6 @@ func TestCAPRespectsEpsilon(t *testing.T) {
 		if d := math.Abs(float64(adv.Pix[i] - sc.Img.Pix[i])); d > 0.1+1e-5 {
 			t.Fatalf("CAP exceeded epsilon: %v", d)
 		}
-	}
-}
-
-func TestNPSZeroForPaletteColors(t *testing.T) {
-	_, det := victims(t)
-	_ = det
-	sc := firstSignScene(t)
-	// A zero patch leaves the (palette-drawn) sign colors mostly printable;
-	// NPS should be small but non-negative.
-	mask := BoxMask(sc.Img.C, sc.Img.H, sc.Img.W, sc.Box, 0)
-	delta := BoxMask(sc.Img.C, sc.Img.H, sc.Img.W, box.Box{}, 0) // zeros
-	nps := NPS(sc.Img, delta, mask)
-	if nps < 0 {
-		t.Fatalf("NPS must be non-negative, got %v", nps)
 	}
 }
 

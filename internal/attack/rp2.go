@@ -118,29 +118,6 @@ func RP2(obj Objective, img *imaging.Image, signBox box.Box, cfg RP2Config) *ima
 	return out.Clamp()
 }
 
-// NPS returns the non-printability score of the patched region: for each
-// patched pixel, the squared distance from its color to the nearest
-// printable palette color.
-func NPS(img *imaging.Image, delta *tensor.Tensor, mask *tensor.Tensor) float64 {
-	patched := img.Clone()
-	patched.Tensor().AddInPlace(delta.Mul(mask))
-	patched.Clamp()
-	md := mask.Data()
-	plane := img.H * img.W
-	var total float64
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			i := y*img.W + x
-			if md[i] == 0 {
-				continue
-			}
-			col := patched.RGBAt(y, x)
-			total += nearestPaletteDist2(col)
-		}
-	}
-	return total / float64(plane)
-}
-
 // npsGrad approximates the gradient of the per-pixel NPS term for flat
 // index i (which lives in channel i/plane at spatial position i%plane):
 // 2·(color − nearestPaletteColor) in that channel.
@@ -170,16 +147,6 @@ func nearestPalette(col imaging.Color) imaging.Color {
 		}
 	}
 	return best
-}
-
-func nearestPaletteDist2(col imaging.Color) float64 {
-	bestD := math.MaxFloat64
-	for _, p := range printablePalette {
-		if d := colorDist2(col, p); d < bestD {
-			bestD = d
-		}
-	}
-	return bestD
 }
 
 func colorDist2(a, b imaging.Color) float64 {

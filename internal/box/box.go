@@ -83,11 +83,6 @@ func (b Box) Clip(w, h float64) Box {
 	}
 }
 
-// Scale returns the box with all coordinates multiplied by s.
-func (b Box) Scale(s float64) Box {
-	return Box{X0: b.X0 * s, Y0: b.Y0 * s, X1: b.X1 * s, Y1: b.Y1 * s}
-}
-
 // Expand grows the box by m pixels on every side.
 func (b Box) Expand(m float64) Box {
 	return Box{X0: b.X0 - m, Y0: b.Y0 - m, X1: b.X1 + m, Y1: b.Y1 + m}

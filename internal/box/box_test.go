@@ -117,10 +117,6 @@ func TestExpandAndScale(t *testing.T) {
 	if e.X0 != 1 || e.Y1 != 5 {
 		t.Fatalf("Expand = %+v", e)
 	}
-	s := b.Scale(2)
-	if s.X0 != 4 || s.X1 != 8 {
-		t.Fatalf("Scale = %+v", s)
-	}
 }
 
 func TestContains(t *testing.T) {

@@ -36,13 +36,6 @@ func (s *SignSet) Split(trainFrac float64) (train, test *SignSet) {
 	return &SignSet{Scenes: s.Scenes[:k]}, &SignSet{Scenes: s.Scenes[k:]}
 }
 
-// Shuffle permutes the scenes in place.
-func (s *SignSet) Shuffle(rng *xrand.RNG) {
-	rng.Shuffle(len(s.Scenes), func(i, j int) {
-		s.Scenes[i], s.Scenes[j] = s.Scenes[j], s.Scenes[i]
-	})
-}
-
 // Len returns the number of scenes.
 func (s *SignSet) Len() int { return len(s.Scenes) }
 
@@ -100,13 +93,6 @@ func (s *DriveSet) Split(trainFrac float64) (train, test *DriveSet) {
 		k = len(s.Scenes)
 	}
 	return &DriveSet{Scenes: s.Scenes[:k]}, &DriveSet{Scenes: s.Scenes[k:]}
-}
-
-// Shuffle permutes the scenes in place.
-func (s *DriveSet) Shuffle(rng *xrand.RNG) {
-	rng.Shuffle(len(s.Scenes), func(i, j int) {
-		s.Scenes[i], s.Scenes[j] = s.Scenes[j], s.Scenes[i]
-	})
 }
 
 // Len returns the number of scenes.

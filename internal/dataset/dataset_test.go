@@ -98,22 +98,6 @@ func TestWithImagesLengthMismatchPanics(t *testing.T) {
 	set.WithImages(make([]*imaging.Image, 2))
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	set := GenerateDriveSet(xrand.New(7), scene.DefaultDriveConfig(), 20, 5, 50)
-	sum := 0.0
-	for _, sc := range set.Scenes {
-		sum += sc.Distance
-	}
-	set.Shuffle(xrand.New(8))
-	sum2 := 0.0
-	for _, sc := range set.Scenes {
-		sum2 += sc.Distance
-	}
-	if sum != sum2 {
-		t.Fatal("shuffle changed contents")
-	}
-}
-
 func TestBatches(t *testing.T) {
 	bs := Batches(10, 4)
 	if len(bs) != 3 {

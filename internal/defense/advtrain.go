@@ -12,18 +12,6 @@ import (
 // agnostic to which attack produced the perturbation.
 type AttackFn func(i int, img *imaging.Image) *imaging.Image
 
-// AdvSignSet materialises an adversarially perturbed copy of a sign set:
-// images are attacked, labels are kept.
-func AdvSignSet(set *dataset.SignSet, att AttackFn) ([]*imaging.Image, [][]detect.Box) {
-	imgs := make([]*imaging.Image, set.Len())
-	gts := make([][]detect.Box, set.Len())
-	for i, sc := range set.Scenes {
-		imgs[i] = att(i, sc.Img)
-		gts[i] = detect.GTBoxes(sc)
-	}
-	return imgs, gts
-}
-
 // AdvDriveSet materialises an adversarially perturbed copy of a driving
 // set: frames are attacked, true distances are kept.
 func AdvDriveSet(set *dataset.DriveSet, att AttackFn) ([]*imaging.Image, []float64) {

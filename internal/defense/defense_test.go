@@ -113,21 +113,6 @@ func TestMedianBlurMitigatesNoiseAttack(t *testing.T) {
 	}
 }
 
-func TestAdvSignSetKeepsLabels(t *testing.T) {
-	setup(t)
-	imgs, gts := AdvSignSet(signs, func(i int, img *imaging.Image) *imaging.Image {
-		return img.AdjustBrightness(0.9)
-	})
-	if len(imgs) != signs.Len() || len(gts) != signs.Len() {
-		t.Fatal("AdvSignSet lengths wrong")
-	}
-	for i, sc := range signs.Scenes {
-		if sc.HasSign != (len(gts[i]) == 1) {
-			t.Fatal("labels must mirror scene ground truth")
-		}
-	}
-}
-
 func TestMixSetsFraction(t *testing.T) {
 	rng := xrand.New(7)
 	mk := func(n int) []*imaging.Image {
@@ -305,7 +290,7 @@ func TestDiffusionTrainReducesLoss(t *testing.T) {
 			img := drives.Scenes[i].Img
 			x0 := img.Tensor()
 			tt := (i * 7) % cfg.T
-			ab := d.AlphaBar(tt)
+			ab := d.alphaBar[tt]
 			noise := tensor.New(x0.Shape()...)
 			rng.FillNormal(noise.Data(), 0, 1)
 			xt := x0.Scale(float32(math.Sqrt(ab)))

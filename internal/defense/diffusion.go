@@ -68,9 +68,6 @@ func NewDiffusion(rng *xrand.RNG, cfg DiffusionConfig) *Diffusion {
 	return d
 }
 
-// AlphaBar returns ᾱ_t.
-func (d *Diffusion) AlphaBar(t int) float64 { return d.alphaBar[t] }
-
 // Clone returns an independent copy (deep-copied network, shared
 // immutable schedule), safe to use from another goroutine.
 func (d *Diffusion) Clone() *Diffusion {

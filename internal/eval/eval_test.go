@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/imaging"
 	"repro/internal/metrics"
 )
 
@@ -242,5 +243,41 @@ func TestQuickAndPaperPresets(t *testing.T) {
 	b := DefaultBudgets()
 	if b.RegAPGDEps <= b.RegFGSMEps {
 		t.Fatal("APGD budget should exceed FGSM (iterative attack, same family)")
+	}
+}
+
+// TestRangeErrsFromCleanIsZero runs the Table I path with the clean frames
+// as the "attacked" ones: every bucket's shift must be exactly zero.
+func TestRangeErrsFromCleanIsZero(t *testing.T) {
+	e := sharedEnv(t)
+	clean := make([]*imaging.Image, e.DriveTest.Len())
+	for i, sc := range e.DriveTest.Scenes {
+		clean[i] = sc.Img
+	}
+	for i, m := range rangeErrsFrom(e.Reg, e, clean, nil) {
+		if m != 0 {
+			t.Fatalf("bucket %d clean error %v, want 0", i, m)
+		}
+	}
+}
+
+// TestRangeErrsFromDetectsShift feeds a white frame for every scene: the
+// predictions move, so some bucket must register a nonzero shift.
+func TestRangeErrsFromDetectsShift(t *testing.T) {
+	e := sharedEnv(t)
+	white := imaging.NewRGB(e.DriveTest.Scenes[0].Img.H, e.DriveTest.Scenes[0].Img.W)
+	white.Fill(imaging.White)
+	adv := make([]*imaging.Image, e.DriveTest.Len())
+	for i := range adv {
+		adv[i] = white
+	}
+	var nonzero bool
+	for _, m := range rangeErrsFrom(e.Reg, e, adv, nil) {
+		if m != 0 {
+			nonzero = true
+		}
+	}
+	if !nonzero {
+		t.Fatal("range errors failed to register a prediction shift")
 	}
 }

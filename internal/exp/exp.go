@@ -290,26 +290,6 @@ func (x *Experiment) runTable(s Spec) (*Result, error) {
 	return res, nil
 }
 
-// Merge joins shard JSONL files against the spec's grid identity under
-// this environment's preset (supporting custom presets, unlike the
-// standalone MergeSpec).
-func (x *Experiment) Merge(s Spec, paths []string) (eval.MatrixReport, error) {
-	if s.Kind != KindMatrix && s.Kind != KindSweep {
-		return eval.MatrixReport{}, fmt.Errorf("exp: merge needs a matrix or sweep spec, got kind %q", s.Kind)
-	}
-	if err := s.Validate(); err != nil {
-		return eval.MatrixReport{}, err
-	}
-	if s.Preset != "" && s.Preset != x.env.Preset.Name {
-		return eval.MatrixReport{}, fmt.Errorf("exp: spec preset %q does not address this environment (preset %q)", s.Preset, x.env.Preset.Name)
-	}
-	cfg, err := s.matrixConfig()
-	if err != nil {
-		return eval.MatrixReport{}, err
-	}
-	return eval.NewGrid(cfg, x.env.Preset).Merge(paths)
-}
-
 // MergeSpec joins the JSONL shard files of a distributed sweep back into
 // the combined grid report, verifying coverage and per-cell consistency
 // against the spec's grid identity. It needs no trained environment —

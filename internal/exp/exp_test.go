@@ -225,7 +225,8 @@ func TestSpecRoutedRunsMatchGoldens(t *testing.T) {
 }
 
 // TestSpecSweepShardsMergeToMatrix: two sweep shards run via specs, then
-// Experiment.Merge verifies coverage and reassembles the unsharded grid.
+// Grid.Merge, under the test environment's preset, verifies coverage and
+// reassembles the unsharded grid.
 func TestSpecSweepShardsMergeToMatrix(t *testing.T) {
 	x := sharedExperiment(t)
 	ctx := context.Background()
@@ -248,7 +249,12 @@ func TestSpecSweepShardsMergeToMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := x.Merge(grid, paths)
+	cfg, err := grid.matrixConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := eval.NewGrid(cfg, x.env.Preset)
+	merged, err := g.Merge(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +271,7 @@ func TestSpecSweepShardsMergeToMatrix(t *testing.T) {
 	} else if got := merged.CSV(); got != readGolden(t, "golden_matrix.csv") {
 		t.Fatal("merged shard specs diverge from the unsharded golden grid")
 	}
-	if _, err := x.Merge(grid, paths[:1]); err == nil {
+	if _, err := g.Merge(paths[:1]); err == nil {
 		t.Fatal("merge with a missing shard must be rejected")
 	}
 }
@@ -300,7 +306,7 @@ func TestRegisteredAxesAreRunnable(t *testing.T) {
 			return defense.NewMedianBlur()
 		},
 	})
-	MustRegisterScenario(pipeline.Scenario{
+	if err := RegisterScenario(pipeline.Scenario{
 		Name:        "test-tailgate",
 		Description: "short gap cruise",
 		Mutate: func(cfg *pipeline.Config) {
@@ -308,7 +314,9 @@ func TestRegisteredAxesAreRunnable(t *testing.T) {
 			cfg.EgoSpeed, cfg.LeadSpeed = 20, 20
 		},
 		LeadAccel: func(t float64) float64 { return 0 },
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	s := Spec{
 		Kind: KindMatrix,

@@ -150,13 +150,6 @@ func RegisterScenario(s pipeline.Scenario) error {
 	return scenarioReg.register(s.Name, s)
 }
 
-// MustRegisterScenario is RegisterScenario, panicking on error.
-func MustRegisterScenario(s pipeline.Scenario) {
-	if err := RegisterScenario(s); err != nil {
-		panic(err)
-	}
-}
-
 // LookupScenario resolves a scenario name against the built-in pipeline
 // registry first, then exp registrations.
 func LookupScenario(name string) (pipeline.Scenario, bool) {

@@ -155,16 +155,10 @@ func BitDepthReduceInto(dst, im *Image, bits int) *Image {
 	return dst
 }
 
-// GaussianBlur convolves each channel with a separable Gaussian kernel of
-// the given sigma (radius 3σ, clamp-to-edge).
-func GaussianBlur(im *Image, sigma float64) *Image {
-	out := NewImage(im.C, im.H, im.W)
-	return GaussianBlurInto(out, im, sigma)
-}
-
-// GaussianBlurInto is GaussianBlur writing into dst, which must match im's
-// geometry and not alias it. The intermediate horizontal-pass image comes
-// from the package image pool.
+// GaussianBlurInto convolves each channel of im with a separable Gaussian
+// kernel of the given sigma (radius 3σ, clamp-to-edge) into dst, which
+// must match im's geometry and not alias it. The intermediate
+// horizontal-pass image comes from the package image pool.
 func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 	checkInto(dst, im, "GaussianBlurInto")
 	// The negated comparison also catches NaN, which would otherwise
@@ -255,33 +249,6 @@ func blurClamped(src, kernel []float32, x0 int) float32 {
 		acc += float32(kv * src[clampInt(x0+i, 0, len(src)-1)])
 	}
 	return acc
-}
-
-// BoxBlur is a cheap k×k mean filter (k odd), used by scene generation for
-// soft shadows and by tests as a smoothing reference.
-func BoxBlur(im *Image, k int) *Image {
-	if k%2 == 0 {
-		panic("imaging: BoxBlur kernel must be odd")
-	}
-	r := k / 2
-	out := NewImage(im.C, im.H, im.W)
-	norm := float32(1) / float32(k*k)
-	for c := 0; c < im.C; c++ {
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				var acc float32
-				for dy := -r; dy <= r; dy++ {
-					sy := clampInt(y+dy, 0, im.H-1)
-					for dx := -r; dx <= r; dx++ {
-						sx := clampInt(x+dx, 0, im.W-1)
-						acc += im.At(c, sy, sx)
-					}
-				}
-				out.Set(c, y, x, acc*norm)
-			}
-		}
-	}
-	return out
 }
 
 // checkInto validates the destination-passing contract shared by the

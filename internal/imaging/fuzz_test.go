@@ -229,32 +229,10 @@ func FuzzGaussianBlur(f *testing.F) {
 	f.Add(uint8(11), uint8(0), float64(0.7), int64(10)) // 12×1
 	f.Fuzz(func(t *testing.T, h, w uint8, sigma float64, seed int64) {
 		im := fuzzImage(h, w, seed, false)
-		out := GaussianBlur(im, sigma)
+		out := GaussianBlurInto(NewImage(im.C, im.H, im.W), im, sigma)
 		sameBits(t, out, naiveGaussianBlur(im, sigma))
 		// A normalised non-negative kernel yields convex combinations:
 		// output stays within the input's per-channel range (+ float slop).
-		const eps = 1e-4
-		for c := 0; c < im.C; c++ {
-			lo, hi := channelBounds(im, c)
-			for i, v := range out.Pix[c*im.H*im.W : (c+1)*im.H*im.W] {
-				if v < lo-eps || v > hi+eps {
-					t.Fatalf("channel %d pixel %d escaped input range: %v not in [%v,%v]", c, i, v, lo, hi)
-				}
-			}
-		}
-	})
-}
-
-func FuzzBoxBlur(f *testing.F) {
-	f.Add(uint8(4), uint8(4), uint8(1), int64(1))
-	f.Add(uint8(6), uint8(2), uint8(2), int64(7))
-	f.Fuzz(func(t *testing.T, h, w, kRaw uint8, seed int64) {
-		im := fuzzImage(h, w, seed, false)
-		k := int(kRaw)%3*2 + 1
-		out := BoxBlur(im, k)
-		if out.C != im.C || out.H != im.H || out.W != im.W {
-			t.Fatal("shape changed")
-		}
 		const eps = 1e-4
 		for c := 0; c < im.C; c++ {
 			lo, hi := channelBounds(im, c)

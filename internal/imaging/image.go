@@ -96,15 +96,6 @@ func (im *Image) SetRGB(y, x int, col Color) {
 	}
 }
 
-// RGBAt reads the RGB color at (y, x).
-func (im *Image) RGBAt(y, x int) Color {
-	var col Color
-	for c := 0; c < 3; c++ {
-		col[c] = im.Pix[(c*im.H+y)*im.W+x]
-	}
-	return col
-}
-
 // Fill paints the whole image with a color.
 func (im *Image) Fill(col Color) {
 	plane := im.H * im.W
@@ -149,25 +140,6 @@ func FromTensor(t *tensor.Tensor) *Image {
 		panic(fmt.Sprintf("imaging: FromTensor needs CHW, got %v", t.Shape()))
 	}
 	return &Image{C: t.Dim(0), H: t.Dim(1), W: t.Dim(2), Pix: t.Data(), view: t}
-}
-
-// Sub returns a deep copy of the axis-aligned window [y0,y1)×[x0,x1),
-// clipped to the image bounds.
-func (im *Image) Sub(y0, x0, y1, x1 int) *Image {
-	y0, x0 = max(0, y0), max(0, x0)
-	y1, x1 = min(im.H, y1), min(im.W, x1)
-	if y1 <= y0 || x1 <= x0 {
-		return NewImage(im.C, 1, 1)
-	}
-	out := NewImage(im.C, y1-y0, x1-x0)
-	for c := 0; c < im.C; c++ {
-		for y := y0; y < y1; y++ {
-			src := im.Pix[(c*im.H+y)*im.W+x0 : (c*im.H+y)*im.W+x1]
-			dst := out.Pix[(c*out.H+y-y0)*out.W : (c*out.H+y-y0)*out.W+out.W]
-			copy(dst, src)
-		}
-	}
-	return out
 }
 
 // MeanAbsDiff returns the mean absolute per-pixel difference between two
@@ -220,25 +192,6 @@ func (im *Image) SavePNG(path string) (err error) {
 		}
 	}()
 	return im.EncodePNG(f)
-}
-
-// DecodePNG reads an 8-bit PNG into a 3-channel float image.
-func DecodePNG(r io.Reader) (*Image, error) {
-	src, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("decode png: %w", err)
-	}
-	b := src.Bounds()
-	out := NewRGB(b.Dy(), b.Dx())
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			r16, g16, b16, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			out.Set(0, y, x, float32(r16)/65535)
-			out.Set(1, y, x, float32(g16)/65535)
-			out.Set(2, y, x, float32(b16)/65535)
-		}
-	}
-	return out, nil
 }
 
 func to8(v float32) uint8 {

@@ -4,15 +4,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// ResizeBilinear returns the image resampled to (h, w) with bilinear
-// interpolation; the standard resizer used by the randomization defense and
-// by RP2's expectation-over-transforms sampling.
-func (im *Image) ResizeBilinear(h, w int) *Image {
-	return im.ResizeBilinearInto(NewImage(im.C, h, w))
-}
-
-// ResizeBilinearInto resamples im into dst (whose geometry defines the
-// target size; same channel count, no aliasing) and returns dst.
+// ResizeBilinearInto resamples im into dst with bilinear interpolation
+// (dst's geometry defines the target size; same channel count, no
+// aliasing) and returns dst: the resizer of the randomization defense
+// and of CAP's patch carry-over.
 func (im *Image) ResizeBilinearInto(dst *Image) *Image {
 	if dst.C != im.C {
 		panic("imaging: ResizeBilinearInto channel mismatch")
@@ -60,14 +55,9 @@ func (im *Image) ResizeBilinearInto(dst *Image) *Image {
 	return out
 }
 
-// PadTo embeds the image in a (h, w) canvas filled with fill, placing the
-// original at offset (oy, ox). Pixels falling outside are dropped.
-func (im *Image) PadTo(h, w, oy, ox int, fill Color) *Image {
-	return im.PadToInto(NewImage(im.C, h, w), oy, ox, fill)
-}
-
-// PadToInto is PadTo writing into dst (whose geometry defines the canvas;
-// same channel count, no aliasing) and returns dst.
+// PadToInto embeds the image in dst (whose geometry defines the canvas;
+// same channel count, no aliasing) filled with fill, placing the original
+// at offset (oy, ox), and returns dst. Pixels falling outside are dropped.
 func (im *Image) PadToInto(dst *Image, oy, ox int, fill Color) *Image {
 	if dst.C != im.C {
 		panic("imaging: PadToInto channel mismatch")
@@ -86,19 +76,6 @@ func (im *Image) PadToInto(dst *Image, oy, ox int, fill Color) *Image {
 					continue
 				}
 				out.Set(c, ty, tx, im.At(c, y, x))
-			}
-		}
-	}
-	return out
-}
-
-// FlipH returns the image mirrored left-right.
-func (im *Image) FlipH() *Image {
-	out := NewImage(im.C, im.H, im.W)
-	for c := 0; c < im.C; c++ {
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				out.Set(c, y, x, im.At(c, y, im.W-1-x))
 			}
 		}
 	}

@@ -198,10 +198,3 @@ func (r *RangeAccumulator) Means() []float64 {
 	}
 	return out
 }
-
-// Counts returns the number of samples per bucket.
-func (r *RangeAccumulator) Counts() []int {
-	out := make([]int, len(r.counts))
-	copy(out, r.counts)
-	return out
-}

@@ -156,7 +156,7 @@ func TestRangeAccumulator(t *testing.T) {
 	if means[3] != 10 {
 		t.Fatalf("bucket3 mean = %v, want 10", means[3])
 	}
-	counts := acc.Counts()
+	counts := acc.counts
 	if counts[0] != 2 || counts[1] != 1 || counts[2] != 0 || counts[3] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -165,7 +165,7 @@ func TestRangeAccumulator(t *testing.T) {
 func TestRangeAccumulatorBoundaries(t *testing.T) {
 	acc := NewRangeAccumulator(PaperRanges)
 	acc.Add(20, 1) // falls in [20,40), not [0,20)
-	if acc.Counts()[0] != 0 || acc.Counts()[1] != 1 {
-		t.Fatalf("boundary sample misrouted: %v", acc.Counts())
+	if acc.counts[0] != 0 || acc.counts[1] != 1 {
+		t.Fatalf("boundary sample misrouted: %v", acc.counts)
 	}
 }

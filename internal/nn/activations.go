@@ -53,96 +53,10 @@ func (r *LeakyReLU) Params() []*Param { return nil }
 // Clone implements Layer.
 func (r *LeakyReLU) Clone() Layer { return &LeakyReLU{Alpha: r.Alpha} }
 
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	scratch
-	lastOut *tensor.Tensor
-}
-
-var _ Layer = (*Tanh)(nil)
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	ws := t.workspace()
-	out := ws.TensorLike(t, "out", x)
-	d := out.Data()
-	for i, v := range x.Data() {
-		d[i] = float32(math.Tanh(float64(v)))
-	}
-	lastOut := ws.TensorLike(t, "lastOut", x)
-	copy(lastOut.Data(), d)
-	t.lastOut = lastOut
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := t.workspace().TensorLike(t, "dx", grad)
-	od := out.Data()
-	yd := t.lastOut.Data()
-	for i, g := range grad.Data() {
-		// float32(y*y) rounds the square on its own, so arm64 cannot fuse
-		// 1 − y·y into one FMSUB: every platform computes the amd64 bits.
-		od[i] = g * (1 - float32(yd[i]*yd[i]))
-	}
-	return out
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (t *Tanh) Clone() Layer { return &Tanh{} }
-
-// Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	scratch
-	lastOut *tensor.Tensor
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
 // SigmoidScalar applies the logistic function to a single value.
 func SigmoidScalar(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
 }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	ws := s.workspace()
-	out := ws.TensorLike(s, "out", x)
-	d := out.Data()
-	for i, v := range x.Data() {
-		d[i] = SigmoidScalar(v)
-	}
-	lastOut := ws.TensorLike(s, "lastOut", x)
-	copy(lastOut.Data(), d)
-	s.lastOut = lastOut
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := s.workspace().TensorLike(s, "dx", grad)
-	od := out.Data()
-	yd := s.lastOut.Data()
-	for i, g := range grad.Data() {
-		od[i] = g * yd[i] * (1 - yd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (s *Sigmoid) Clone() Layer { return &Sigmoid{} }
 
 // Flatten reshapes the input to a flat vector — or, for a rank-4 [N,C,H,W]
 // batch, to a [N, C·H·W] matrix so a following Linear sees one row per

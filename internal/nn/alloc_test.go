@@ -100,10 +100,10 @@ func TestWorkspaceReuseKeepsResults(t *testing.T) {
 	rng := xrand.New(3)
 	net := NewSequential(
 		NewConv2D(rng, 3, 8, 3, 1, 1),
-		NewTanh(),
+		NewLeakyReLU(0.1),
 		NewFlatten(),
 		NewLinear(rng, 8*10*10, 4),
-		NewSigmoid(),
+		NewLeakyReLU(0.1),
 	)
 	x := tensor.New(3, 10, 10)
 	for i := range x.Data() {

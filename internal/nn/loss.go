@@ -1,18 +1,11 @@
 package nn
 
-import (
-	"math"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Losses return the scalar loss and the gradient of the loss with respect
-// to the prediction, ready to feed into Sequential.Backward. All losses
-// average over elements so gradient magnitudes are insensitive to output
-// size.
-
-// MSE is the mean squared error ½·mean((pred-target)²); its gradient is
-// (pred-target)/n.
+// MSE is the mean squared error ½·mean((pred-target)²); it returns the
+// loss and its gradient (pred-target)/n with respect to the prediction,
+// ready to feed into Sequential.Backward. Averaging over elements keeps
+// the gradient magnitude insensitive to output size.
 func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	grad := pred.Sub(target)
 	n := float64(grad.Len())
@@ -22,135 +15,4 @@ func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	}
 	grad.ScaleInPlace(float32(1.0 / n))
 	return loss / n, grad
-}
-
-// WeightedMSE is MSE with a per-element weight mask; elements with zero
-// weight contribute nothing to loss or gradient. The detection loss uses it
-// to restrict box regression to cells containing an object.
-func WeightedMSE(pred, target, weight *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := pred.Sub(target)
-	grad.MulInPlace(weight)
-	n := float64(grad.Len())
-	var loss float64
-	gd := grad.Data()
-	for _, v := range gd {
-		loss += 0.5 * float64(v) * float64(v)
-	}
-	grad.ScaleInPlace(float32(1.0 / n))
-	return loss / n, grad
-}
-
-// SmoothL1 is the Huber loss with delta=1, averaged over elements. It is
-// more robust to outlier distance targets than plain MSE.
-func SmoothL1(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	diff := pred.Sub(target)
-	grad := tensor.New(pred.Shape()...)
-	n := float64(diff.Len())
-	var loss float64
-	dd := diff.Data()
-	gd := grad.Data()
-	for i, v := range dd {
-		a := float64(v)
-		if math.Abs(a) < 1 {
-			loss += 0.5 * a * a
-			gd[i] = float32(a / n)
-		} else {
-			loss += math.Abs(a) - 0.5
-			if a > 0 {
-				gd[i] = float32(1 / n)
-			} else {
-				gd[i] = float32(-1 / n)
-			}
-		}
-	}
-	return loss / n, grad
-}
-
-// BCEWithLogits is the binary cross-entropy over raw logits, numerically
-// stable via the log-sum-exp form. target entries must be in [0,1].
-func BCEWithLogits(logits, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape()...)
-	ld := logits.Data()
-	td := target.Data()
-	gd := grad.Data()
-	n := float64(len(ld))
-	var loss float64
-	for i, z := range ld {
-		zf := float64(z)
-		t := float64(td[i])
-		// loss = max(z,0) - z*t + log(1+exp(-|z|))
-		loss += math.Max(zf, 0) - zf*t + math.Log1p(math.Exp(-math.Abs(zf)))
-		gd[i] = float32((float64(SigmoidScalar(z)) - t) / n)
-	}
-	return loss / n, grad
-}
-
-// WeightedBCEWithLogits applies per-element weights to BCEWithLogits; the
-// detector uses it to balance the rare positive cells against the many
-// background cells.
-func WeightedBCEWithLogits(logits, target, weight *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape()...)
-	ld := logits.Data()
-	td := target.Data()
-	wd := weight.Data()
-	gd := grad.Data()
-	n := float64(len(ld))
-	var loss float64
-	for i, z := range ld {
-		w := float64(wd[i])
-		if w == 0 { //advlint:floatcmp-ok exact-zero weight masks the sample out
-			continue
-		}
-		zf := float64(z)
-		t := float64(td[i])
-		loss += w * (math.Max(zf, 0) - zf*t + math.Log1p(math.Exp(-math.Abs(zf))))
-		gd[i] = float32(w * (float64(SigmoidScalar(z)) - t) / n)
-	}
-	return loss / n, grad
-}
-
-// SoftmaxCE computes softmax cross-entropy of a logit vector against an
-// integer class label, returning loss and gradient w.r.t. the logits.
-func SoftmaxCE(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
-	ld := logits.Data()
-	maxv := ld[0]
-	for _, v := range ld[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	probs := make([]float64, len(ld))
-	for i, v := range ld {
-		probs[i] = math.Exp(float64(v - maxv))
-		sum += probs[i]
-	}
-	grad := tensor.New(logits.Shape()...)
-	gd := grad.Data()
-	for i := range probs {
-		probs[i] /= sum
-		gd[i] = float32(probs[i])
-	}
-	gd[label] -= 1
-	return -math.Log(math.Max(probs[label], 1e-12)), grad
-}
-
-// Softmax returns the softmax probabilities of a logit slice.
-func Softmax(logits []float32) []float64 {
-	maxv := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		out[i] = math.Exp(float64(v - maxv))
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
 }

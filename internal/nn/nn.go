@@ -1,6 +1,6 @@
 // Package nn implements the minimal deep-learning stack the reproduction
-// needs: composable layers with explicit forward/backward passes, losses,
-// optimizers and parameter serialization.
+// needs: composable layers with explicit forward/backward passes, the MSE
+// loss, the Adam optimizer and parameter serialization.
 //
 // Design notes:
 //
@@ -38,8 +38,8 @@ import "repro/internal/tensor"
 // Param carries a version counter that layers use to cache expensive
 // weight-derived scratch (the transposed weight matrix of Linear and
 // Conv2D, a transposeCache) across calls: every code path that mutates
-// Value — optimizer steps, CopyParamsFrom, LoadParams, finite-difference
-// probes — must call MarkMutated afterwards, or a stale cache silently
+// Value — optimizer steps, DecodeParams, finite-difference probes, direct
+// writes — must call MarkMutated afterwards, or a stale cache silently
 // corrupts later forwards.
 type Param struct {
 	Name  string
@@ -196,27 +196,4 @@ func (s *Sequential) Clone() *Sequential {
 		ls[i] = l.Clone()
 	}
 	return NewSequential(ls...)
-}
-
-// CopyParamsFrom copies parameter values from src into s. The two networks
-// must have identical architectures. Gradients are not copied.
-func (s *Sequential) CopyParamsFrom(src *Sequential) {
-	dst := s.Params()
-	from := src.Params()
-	if len(dst) != len(from) {
-		panic("nn: CopyParamsFrom architecture mismatch")
-	}
-	for i := range dst {
-		copy(dst[i].Value.Data(), from[i].Value.Data())
-		dst[i].MarkMutated()
-	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (s *Sequential) NumParams() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
 }

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -20,18 +18,16 @@ func mseLoss(target *tensor.Tensor) LossFn {
 	return func(out *tensor.Tensor) (float64, *tensor.Tensor) { return MSE(out, target) }
 }
 
-// buildTestNet returns a small conv net covering every layer type.
+// buildTestNet returns a small conv net covering every parameterised layer.
 func buildTestNet(rng *xrand.RNG) *Sequential {
 	return NewSequential(
 		NewConv2D(rng, 2, 4, 3, 1, 1),
-		NewGroupNorm(2, 4),
 		NewLeakyReLU(0.1),
-		NewMaxPool2D(2),
 		NewConv2D(rng, 4, 6, 3, 2, 1),
 		NewLeakyReLU(0.1),
 		NewFlatten(),
-		NewLinear(rng, 6*2*2, 8),
-		NewTanh(),
+		NewLinear(rng, 6*4*4, 8),
+		NewLeakyReLU(0.1),
 		NewLinear(rng, 8, 3),
 	)
 }
@@ -44,8 +40,8 @@ func TestForwardShapes(t *testing.T) {
 	if out.Len() != 3 {
 		t.Fatalf("output len %d, want 3", out.Len())
 	}
-	if net.NumParams() == 0 {
-		t.Fatal("network reports zero parameters")
+	if len(net.Params()) == 0 {
+		t.Fatal("network reports no parameters")
 	}
 }
 
@@ -65,17 +61,16 @@ func TestInputGradientMatchesFiniteDifferences(t *testing.T) {
 
 func TestParamGradientsMatchFiniteDifferences(t *testing.T) {
 	rng := xrand.New(3)
-	// A smooth variant (no MaxPool/ReLU kinks) so central differences are
-	// valid everywhere; the kinked layers are covered by exact-value tests.
+	// A smooth variant (no LeakyReLU kinks) so central differences are
+	// valid everywhere; the kinked layer is covered by exact-value tests.
 	net := NewSequential(
 		NewConv2D(rng, 2, 4, 3, 2, 1),
-		NewGroupNorm(2, 4),
-		NewTanh(),
+		&tanh{},
 		NewConv2D(rng, 4, 6, 3, 2, 1),
-		NewTanh(),
+		&tanh{},
 		NewFlatten(),
 		NewLinear(rng, 6*2*2, 8),
-		NewTanh(),
+		&tanh{},
 		NewLinear(rng, 8, 3),
 	)
 	x := randInput(rng.Split(), 2, 8, 8)
@@ -86,40 +81,6 @@ func TestParamGradientsMatchFiniteDifferences(t *testing.T) {
 	}
 	if worst > 0.05 {
 		t.Fatalf("param gradient rel err %.4f at %s exceeds tolerance", worst, name)
-	}
-}
-
-func TestBCEGradientCheck(t *testing.T) {
-	rng := xrand.New(4)
-	net := NewSequential(
-		NewConv2D(rng, 1, 3, 3, 2, 1),
-		NewLeakyReLU(0.1),
-		NewFlatten(),
-		NewLinear(rng, 3*4*4, 5),
-	)
-	x := randInput(rng.Split(), 1, 8, 8)
-	target := tensor.FromSlice([]float32{1, 0, 1, 0, 1}, 5)
-	loss := func(out *tensor.Tensor) (float64, *tensor.Tensor) { return BCEWithLogits(out, target) }
-	worst, err := CheckInputGradient(net, x, loss, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 0.05 {
-		t.Fatalf("BCE input grad rel err %.4f", worst)
-	}
-}
-
-func TestSoftmaxCEGradientCheck(t *testing.T) {
-	rng := xrand.New(5)
-	net := NewSequential(NewFlatten(), NewLinear(rng, 12, 4))
-	x := randInput(rng.Split(), 12)
-	loss := func(out *tensor.Tensor) (float64, *tensor.Tensor) { return SoftmaxCE(out, 2) }
-	worst, _, err := CheckParamGradients(net, x, loss, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 0.05 {
-		t.Fatalf("softmax CE param grad rel err %.4f", worst)
 	}
 }
 
@@ -152,97 +113,12 @@ func TestLossValues(t *testing.T) {
 		t.Fatalf("MSE grad = %v", grad.Data())
 	}
 
-	// BCE at logit 0 with target 0.5 is log(2); gradient is 0.
-	logits := tensor.FromSlice([]float32{0}, 1)
-	tg := tensor.FromSlice([]float32{0.5}, 1)
-	bl, bg := BCEWithLogits(logits, tg)
-	if !almost(bl, math.Log(2), 1e-6) {
-		t.Fatalf("BCE = %v, want ln2", bl)
-	}
-	if !almost(float64(bg.Data()[0]), 0, 1e-6) {
-		t.Fatalf("BCE grad = %v, want 0", bg.Data()[0])
-	}
-}
-
-func TestSmoothL1Regions(t *testing.T) {
-	pred := tensor.FromSlice([]float32{0.5, 3}, 2)
-	target := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := SmoothL1(pred, target)
-	// Element 0: quadratic 0.5*0.25 = 0.125; element 1: linear 3-0.5 = 2.5.
-	if !almost(loss, (0.125+2.5)/2, 1e-6) {
-		t.Fatalf("SmoothL1 = %v", loss)
-	}
-	if !almost(float64(grad.Data()[0]), 0.25, 1e-6) {
-		t.Fatalf("quad grad = %v", grad.Data()[0])
-	}
-	if !almost(float64(grad.Data()[1]), 0.5, 1e-6) {
-		t.Fatalf("linear grad = %v", grad.Data()[1])
-	}
-}
-
-func TestWeightedLossesMask(t *testing.T) {
-	pred := tensor.FromSlice([]float32{5, 5}, 2)
-	target := tensor.FromSlice([]float32{0, 0}, 2)
-	w := tensor.FromSlice([]float32{0, 1}, 2)
-	_, grad := WeightedMSE(pred, target, w)
-	if grad.Data()[0] != 0 {
-		t.Fatal("masked element should have zero gradient")
-	}
-	if grad.Data()[1] == 0 {
-		t.Fatal("unmasked element should have gradient")
-	}
-	_, bg := WeightedBCEWithLogits(pred, target, w)
-	if bg.Data()[0] != 0 || bg.Data()[1] == 0 {
-		t.Fatal("weighted BCE mask not applied")
-	}
-}
-
-func TestSoftmaxSumsToOne(t *testing.T) {
-	f := func(seed int64) bool {
-		r := xrand.New(seed)
-		n := 2 + r.Intn(10)
-		logits := make([]float32, n)
-		r.FillNormal(logits, 0, 5)
-		p := Softmax(logits)
-		var sum float64
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// SGD on a quadratic converges to the minimum.
-func TestSGDConverges(t *testing.T) {
-	rng := xrand.New(7)
-	net := NewSequential(NewLinear(rng, 1, 1))
-	opt := NewSGD(0.1, 0.9)
-	x := tensor.FromSlice([]float32{1}, 1)
-	target := tensor.FromSlice([]float32{3}, 1)
-	var loss float64
-	for i := 0; i < 200; i++ {
-		out := net.Forward(x, true)
-		var grad *tensor.Tensor
-		loss, grad = MSE(out, target)
-		net.ZeroGrad()
-		net.Backward(grad)
-		opt.Step(net.Params())
-	}
-	if loss > 1e-6 {
-		t.Fatalf("SGD failed to converge, loss=%v", loss)
-	}
 }
 
 // Adam fits a tiny regression problem faster than raw loss start.
 func TestAdamConverges(t *testing.T) {
 	rng := xrand.New(8)
-	net := NewSequential(NewLinear(rng, 2, 4), NewTanh(), NewLinear(rng, 4, 1))
+	net := NewSequential(NewLinear(rng, 2, 4), NewLeakyReLU(0.1), NewLinear(rng, 4, 1))
 	opt := NewAdam(0.02)
 	inputs := [][]float32{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	targets := []float32{0, 1, 1, 0} // XOR
@@ -303,33 +179,18 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestCopyParamsFrom(t *testing.T) {
-	rng := xrand.New(10)
-	a := buildTestNet(rng)
-	b := buildTestNet(rng.Split())
-	x := randInput(rng.Split(), 2, 8, 8)
-	b.CopyParamsFrom(a)
-	oa := a.Forward(x, false)
-	ob := b.Forward(x, false)
-	for i := range oa.Data() {
-		if oa.Data()[i] != ob.Data()[i] {
-			t.Fatal("CopyParamsFrom did not equalise outputs")
-		}
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := xrand.New(11)
 	net := buildTestNet(rng)
 	x := randInput(rng.Split(), 2, 8, 8)
 	want := net.Forward(x, false).Clone()
 
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, net.Params()); err != nil {
+	data, err := EncodeParams(net.Params())
+	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := buildTestNet(xrand.New(999))
-	if err := LoadParams(&buf, fresh.Params()); err != nil {
+	if err := DecodeParams(data, fresh.Params()); err != nil {
 		t.Fatal(err)
 	}
 	got := fresh.Forward(x, false)
@@ -343,58 +204,37 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadParamsRejectsMismatch(t *testing.T) {
 	rng := xrand.New(12)
 	net := NewSequential(NewLinear(rng, 2, 2))
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, net.Params()); err != nil {
+	data, err := EncodeParams(net.Params())
+	if err != nil {
 		t.Fatal(err)
 	}
 	other := NewSequential(NewLinear(rng, 3, 3))
-	if err := LoadParams(&buf, other.Params()); err == nil {
+	if err := DecodeParams(data, other.Params()); err == nil {
 		t.Fatal("loading mismatched params should error")
 	}
 }
 
-func TestGroupNormNormalises(t *testing.T) {
-	gn := NewGroupNorm(1, 2)
-	x := randInput(xrand.New(13), 2, 4, 4)
-	out := gn.Forward(x, false)
-	// With gamma=1, beta=0 the output should have ~zero mean, ~unit variance.
-	if m := out.Mean(); math.Abs(m) > 1e-4 {
-		t.Fatalf("GroupNorm mean %v, want ~0", m)
-	}
-	var varSum float64
-	for _, v := range out.Data() {
-		varSum += float64(v) * float64(v)
-	}
-	varSum /= float64(out.Len())
-	if math.Abs(varSum-1) > 1e-2 {
-		t.Fatalf("GroupNorm var %v, want ~1", varSum)
-	}
-}
-
-func TestMaxPoolForwardBackward(t *testing.T) {
-	mp := NewMaxPool2D(2)
-	x := tensor.FromSlice([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		0, 0, 1, 0,
-		0, 9, 0, 1,
-	}, 1, 4, 4)
-	out := mp.Forward(x, false)
-	want := []float32{4, 8, 9, 1}
-	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("maxpool[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	grad := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
-	dx := mp.Backward(grad)
-	// Gradient must land exactly on the argmax positions.
-	if dx.At(0, 1, 1) != 1 || dx.At(0, 1, 3) != 1 || dx.At(0, 3, 1) != 1 {
-		t.Fatalf("maxpool backward misrouted: %v", dx.Data())
-	}
-	if dx.Sum() != 4 {
-		t.Fatalf("maxpool backward total %v, want 4", dx.Sum())
-	}
-}
-
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// tanh is a smooth activation for the finite-difference checks, which a
+// LeakyReLU kink would break.
+type tanh struct{ y *tensor.Tensor }
+
+func (l *tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	l.y = x.Clone()
+	for i, v := range l.y.Data() {
+		l.y.Data()[i] = float32(math.Tanh(float64(v)))
+	}
+	return l.y
+}
+
+func (l *tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	dx := grad.Clone()
+	for i, y := range l.y.Data() {
+		dx.Data()[i] *= 1 - y*y
+	}
+	return dx
+}
+
+func (l *tanh) Params() []*Param { return nil }
+func (l *tanh) Clone() Layer     { return &tanh{} }

@@ -6,51 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients. Step does
-// not zero gradients; callers decide when to clear them (ZeroGrad) so that
-// gradient accumulation across a mini-batch works naturally.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with classical momentum and optional
-// decoupled weight decay.
-type SGD struct {
-	LR          float32
-	Momentum    float32
-	WeightDecay float32
-
-	vel map[*Param]*tensor.Tensor
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]*tensor.Tensor)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		p.MarkMutated()
-		if s.WeightDecay != 0 { //advlint:floatcmp-ok config sentinel: exact 0 disables decay
-			p.Value.ScaleInPlace(1 - s.LR*s.WeightDecay)
-		}
-		if s.Momentum == 0 { //advlint:floatcmp-ok config sentinel: exact 0 selects plain SGD
-			p.Value.AddScaledInPlace(p.Grad, -s.LR)
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = tensor.New(p.Value.Shape()...)
-			s.vel[p] = v
-		}
-		v.ScaleInPlace(s.Momentum).AddScaledInPlace(p.Grad, 1)
-		p.Value.AddScaledInPlace(v, -s.LR)
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR     float32
@@ -64,8 +19,6 @@ type Adam struct {
 	v map[*Param]*tensor.Tensor
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam returns an Adam optimizer with standard defaults for the betas.
 func NewAdam(lr float32) *Adam {
 	return &Adam{
@@ -75,7 +28,9 @@ func NewAdam(lr float32) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients. It does not
+// zero them; callers decide when to clear them (ZeroGrad) so that gradient
+// accumulation across a mini-batch works naturally.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(float64(a.Beta1), float64(a.t))

@@ -6,103 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// MaxPool2D downsamples by taking the maximum over non-overlapping K×K
-// windows (stride = K). It accepts CHW samples or [N,C,H,W] batches; the
-// windows of each sample are independent, so both paths agree bit for bit.
-type MaxPool2D struct {
-	K int
-
-	scratch
-	lastC, lastH, lastW int
-	lastBatch           int
-	lastArg             []int // flat input index of the max for each output element
-}
-
-var _ Layer = (*MaxPool2D)(nil)
-
-// NewMaxPool2D returns a max-pooling layer with window and stride k.
-func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
-
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	var nb, c, h, w int
-	switch x.Rank() {
-	case 3:
-		nb, c, h, w = 1, x.Dim(0), x.Dim(1), x.Dim(2)
-	case 4:
-		nb, c, h, w = x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	default:
-		panic(fmt.Sprintf("nn: MaxPool2D expects CHW or NCHW, got %v", x.Shape()))
-	}
-	oh, ow := h/m.K, w/m.K
-	if oh == 0 || ow == 0 {
-		panic(fmt.Sprintf("nn: MaxPool2D window %d too large for %v", m.K, x.Shape()))
-	}
-	var out *tensor.Tensor
-	if x.Rank() == 3 {
-		out = m.workspace().Tensor3(m, "out", c, oh, ow)
-	} else {
-		out = m.workspace().Tensor4(m, "out4", nb, c, oh, ow)
-	}
-	m.lastC, m.lastH, m.lastW = c, h, w
-	m.lastBatch = nb
-	if len(m.lastArg) != nb*c*oh*ow {
-		m.lastArg = make([]int, nb*c*oh*ow)
-	}
-	inSample := c * h * w
-	outSample := c * oh * ow
-	for s := 0; s < nb; s++ {
-		xd := x.Data()[s*inSample : (s+1)*inSample]
-		od := out.Data()[s*outSample : (s+1)*outSample]
-		arg := m.lastArg[s*outSample : (s+1)*outSample]
-		for ch := 0; ch < c; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(0)
-					bestIdx := -1
-					for ky := 0; ky < m.K; ky++ {
-						iy := oy*m.K + ky
-						for kx := 0; kx < m.K; kx++ {
-							ix := ox*m.K + kx
-							idx := (ch*h+iy)*w + ix
-							if bestIdx == -1 || xd[idx] > best {
-								best, bestIdx = xd[idx], idx
-							}
-						}
-					}
-					oidx := (ch*oh+oy)*ow + ox
-					od[oidx] = best
-					arg[oidx] = s*inSample + bestIdx
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	var dx *tensor.Tensor
-	if m.lastBatch == 1 && grad.Rank() == 3 {
-		dx = m.workspace().Tensor3(m, "dx", m.lastC, m.lastH, m.lastW)
-	} else {
-		dx = m.workspace().Tensor4(m, "dx4", m.lastBatch, m.lastC, m.lastH, m.lastW)
-	}
-	dx.Zero()
-	dxd := dx.Data()
-	gd := grad.Data()
-	for i, src := range m.lastArg {
-		dxd[src] += gd[i]
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (m *MaxPool2D) Clone() Layer { return &MaxPool2D{K: m.K} }
-
 // Upsample2x doubles spatial resolution by nearest-neighbour repetition;
 // the decoder half of the diffusion UNet uses it. Like the other layers it
 // accepts CHW samples or [N,C,H,W] batches.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 )
 
 // savedParam is the on-disk form of one parameter tensor.
@@ -14,25 +13,27 @@ type savedParam struct {
 	Data  []float32
 }
 
-// SaveParams writes all parameter values to w in declaration order using
-// encoding/gob. The architecture itself is not serialized; callers must
-// reconstruct the same network before loading.
-func SaveParams(w io.Writer, params []*Param) error {
+// EncodeParams serializes all parameter values in declaration order with
+// encoding/gob — the unit the model artifact store reads and writes. The
+// architecture itself is not serialized; callers must reconstruct the
+// same network before decoding.
+func EncodeParams(params []*Param) ([]byte, error) {
 	out := make([]savedParam, len(params))
 	for i, p := range params {
 		out[i] = savedParam{Name: p.Name, Shape: p.Value.Shape(), Data: p.Value.Data()}
 	}
-	if err := gob.NewEncoder(w).Encode(out); err != nil {
-		return fmt.Errorf("encode params: %w", err)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
+		return nil, fmt.Errorf("encode params: %w", err)
 	}
-	return nil
+	return buf.Bytes(), nil
 }
 
-// LoadParams reads parameter values written by SaveParams into params.
-// Count and shapes must match exactly.
-func LoadParams(r io.Reader, params []*Param) error {
+// DecodeParams loads parameter values written by EncodeParams into params.
+// Count and sizes must match exactly.
+func DecodeParams(data []byte, params []*Param) error {
 	var in []savedParam
-	if err := gob.NewDecoder(r).Decode(&in); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
 		return fmt.Errorf("decode params: %w", err)
 	}
 	if len(in) != len(params) {
@@ -47,20 +48,4 @@ func LoadParams(r io.Reader, params []*Param) error {
 		p.MarkMutated()
 	}
 	return nil
-}
-
-// EncodeParams serializes parameter values to a byte slice (SaveParams
-// into memory) — the unit the model artifact store reads and writes.
-func EncodeParams(params []*Param) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, params); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeParams loads parameter values from a byte slice written by
-// EncodeParams (or SaveParams). Count and shapes must match exactly.
-func DecodeParams(data []byte, params []*Param) error {
-	return LoadParams(bytes.NewReader(data), params)
 }

@@ -88,16 +88,6 @@ func (w *Workspace) TensorLike(owner any, name string, like *tensor.Tensor) *ten
 	return t
 }
 
-// Bytes reports the total scratch footprint in bytes (for diagnostics).
-func (w *Workspace) Bytes() int {
-	n := 0
-	//advlint:ordered-ok integer sum over scratch tensors; order-free
-	for _, t := range w.m {
-		n += 4 * t.Len()
-	}
-	return n
-}
-
 // workspaceUser is implemented by layers that keep scratch in a model
 // workspace; Sequential attaches its workspace to them at assembly time.
 type workspaceUser interface {

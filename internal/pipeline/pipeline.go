@@ -145,8 +145,11 @@ func Run(cfg Config) sim.Result {
 			}
 			img = defense.Apply(cfg.Defense, defBuf, img)
 		}
+		// A NaN prediction reads as a zero gap, like a negative one: past
+		// this point it would turn the ego speed and the true gap into NaN,
+		// and trueGap <= 0 would never detect a collision.
 		perceived := cfg.Reg.Predict(img)
-		if perceived < 0 {
+		if !(perceived >= 0) {
 			perceived = 0
 		}
 

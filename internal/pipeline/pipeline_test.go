@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,6 +161,33 @@ func TestDefendedRunsMatchReferences(t *testing.T) {
 		}
 		if got, want := run(defense.None{}), run(nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: identity defense diverges from the undefended run", sc.Name)
+		}
+	}
+}
+
+// TestNaNPredictionReadsAsZeroGap feeds the regressor a NaN pixel every
+// frame, so every prediction is NaN. The loop must read it as a zero gap,
+// as it does a negative one: a NaN that reached the gap filter would turn
+// the ego speed and the true gap into NaN, and the collision check
+// trueGap <= 0 would never fire again.
+func TestNaNPredictionReadsAsZeroGap(t *testing.T) {
+	cfg := DefaultConfig(trainedReg(t))
+	cfg.FrameFilter = func(img *imaging.Image, _ *xrand.RNG) { img.Pix[0] = float32(math.NaN()) }
+	res := Run(cfg)
+	if len(res.PerceivedGaps) == 0 {
+		t.Fatal("no frames ran")
+	}
+	for i, g := range res.PerceivedGaps {
+		if g != 0 {
+			t.Fatalf("frame %d: perceived gap %v, want 0", i, g)
+		}
+	}
+	if math.IsNaN(res.MinGap) || math.IsInf(res.MinGap, 0) {
+		t.Fatalf("min gap %v, want finite", res.MinGap)
+	}
+	for i, v := range res.EgoSpeeds {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("frame %d: ego speed %v, want finite", i, v)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/imaging"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -271,31 +270,6 @@ func (r *Regressor) RMSE(set *dataset.DriveSet) float64 {
 		sq += d * d
 	}
 	return math.Sqrt(sq / float64(set.Len()))
-}
-
-// RangeErrors evaluates the attack-induced prediction shift per distance
-// bucket: for every scene it compares the prediction on attacked(img)
-// against the prediction on the clean image, exactly the paper's Table I
-// protocol ("predicted relative distances under attack ... compared to the
-// predictions on clean images in each frame"). Both sides run through the
-// batched forward path, which is bit-identical to per-frame prediction;
-// attacked(i) is called for every index up front, so its results must stay
-// valid until the call returns (don't reuse one destination frame).
-func (r *Regressor) RangeErrors(set *dataset.DriveSet, buckets [][2]float64, attacked func(i int) *imaging.Image) *metrics.RangeAccumulator {
-	n := set.Len()
-	clean := make([]*imaging.Image, n)
-	adv := make([]*imaging.Image, n)
-	for i, sc := range set.Scenes {
-		clean[i] = sc.Img
-		adv[i] = attacked(i)
-	}
-	cleanP := r.PredictBatch(clean)
-	advP := r.PredictBatch(adv)
-	acc := metrics.NewRangeAccumulator(buckets)
-	for i, sc := range set.Scenes {
-		acc.Add(sc.Distance, advP[i]-cleanP[i])
-	}
-	return acc
 }
 
 func scaleGrads(params []*nn.Param, s float32) {

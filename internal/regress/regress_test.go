@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/imaging"
-	"repro/internal/metrics"
 	"repro/internal/scene"
 	"repro/internal/xrand"
 )
@@ -72,41 +71,6 @@ func TestDistanceGradPointsUphill(t *testing.T) {
 	after := r.Predict(stepped)
 	if after <= pred {
 		t.Fatalf("gradient ascent did not raise prediction: %.2f -> %.2f", pred, after)
-	}
-}
-
-func TestRangeErrorsCleanIsZero(t *testing.T) {
-	rng := xrand.New(5)
-	cfg := scene.DefaultDriveConfig()
-	set := dataset.GenerateDriveSetStratified(rng.Split(), cfg, 3, metrics.PaperRanges)
-	r := New(rng.Split(), cfg.Size)
-	acc := r.RangeErrors(set, metrics.PaperRanges, func(i int) *imaging.Image {
-		return set.Scenes[i].Img // identity "attack"
-	})
-	for i, m := range acc.Means() {
-		if m != 0 {
-			t.Fatalf("bucket %d clean error %v, want 0", i, m)
-		}
-	}
-}
-
-func TestRangeErrorsDetectsShift(t *testing.T) {
-	rng := xrand.New(6)
-	cfg := scene.DefaultDriveConfig()
-	set := dataset.GenerateDriveSetStratified(rng.Split(), cfg, 2, metrics.PaperRanges)
-	r := New(rng.Split(), cfg.Size)
-	// "Attack" = white image; predictions will differ from clean.
-	white := imaging.NewRGB(cfg.Size, cfg.Size)
-	white.Fill(imaging.White)
-	acc := r.RangeErrors(set, metrics.PaperRanges, func(i int) *imaging.Image { return white })
-	var nonzero bool
-	for _, m := range acc.Means() {
-		if m != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Fatal("range errors failed to register a prediction shift")
 	}
 }
 

@@ -202,39 +202,6 @@ func drawLeadCar(img *imaging.Image, cam Camera, cfg DriveConfig, z, lateral flo
 	return clipped
 }
 
-// DriveFrame is one element of a kinematic driving sequence.
-type DriveFrame struct {
-	Scene DriveScene
-	T     float64 // seconds since sequence start
-}
-
-// GenerateDriveSequence renders n frames at dt spacing while the lead
-// vehicle's distance evolves from startZ with the given relative speed
-// profile (m/s, positive = opening gap). Appearance (car color) is fixed
-// across the sequence; per-frame noise varies. CAP-Attack consumes these.
-func GenerateDriveSequence(rng *xrand.RNG, cfg DriveConfig, n int, dt, startZ float64, relSpeed func(t float64) float64) []DriveFrame {
-	frames := make([]DriveFrame, 0, n)
-	z := startZ
-	// Freeze appearance choices by splitting a dedicated stream and reusing
-	// identical draws each frame.
-	carIdx := rng.Intn(len(carPalette))
-	lateral := rng.Uniform(-0.3, 0.3)
-	bright := float32(rng.Uniform(0.85, 1.05))
-	for i := 0; i < n; i++ {
-		t := float64(i) * dt
-		sc := generateDriveFixed(rng, cfg, z, lateral, carPalette[carIdx], bright)
-		frames = append(frames, DriveFrame{Scene: sc, T: t})
-		z += relSpeed(t) * dt
-		if z < 1 {
-			z = 1
-		}
-		if z > cfg.MaxZ {
-			z = cfg.MaxZ
-		}
-	}
-	return frames
-}
-
 // Renderer renders driving frames with frozen appearance (car color,
 // lateral offset, lighting), so closed-loop simulations see a temporally
 // coherent world where only geometry changes frame to frame.

@@ -24,8 +24,8 @@ import "fmt"
 // input-gradient products.
 //
 // Lane width is dispatched once at init — AVX-512 32- and 16-wide or AVX2
-// 8-wide where the CPU supports them, SSE2 8- and 4-wide on baseline
-// amd64, NEON 4-wide on arm64, a pure-Go lane kernel elsewhere or under
+// 8-wide where the CPU supports them, SSE2 4-wide on baseline amd64, NEON
+// 4-wide on arm64, a pure-Go lane kernel elsewhere or under
 // the noasm build tag (see sgemm_amd64.go / sgemm_arm64.go /
 // sgemm_noasm.go). Each rung comes in two forms: strided, where B row l
 // starts l·n floats on, and tap-table, where it starts off[l] floats on —
@@ -45,7 +45,7 @@ import "fmt"
 // input channels.
 
 // widest is the widest lane block the selected ladder rung computes: 32
-// on AVX-512, 8 on AVX2, SSE2 and the pure-Go kernel, 4 on NEON. Package
+// on AVX-512, 8 on AVX2 and the pure-Go kernel, 4 on SSE2 and NEON. Package
 // init assigns it once from CPU features, together with the rung asmLanes
 // dispatches to; it never changes after init, so kernel choice is
 // CPU-gated only and can never vary with parallelism.
@@ -99,8 +99,8 @@ func matMulKMajorSerial(c, a, bk []float32, m, k, n int) {
 // b[j + l·n], or at b[j + off[l]] when a tap table is given (the indirect
 // conv forward, whose b starts where its band of grid positions reads the
 // padded input). It tiles the band into blocks of the widest lane width
-// the selected ladder rung supports — 32 on AVX-512, 8 on AVX2/SSE2 and
-// the generic kernel, 4 on NEON — then steps down through the narrower
+// the selected ladder rung supports — 32 on AVX-512, 8 on AVX2 and the
+// generic kernel, 4 on SSE2 and NEON — then steps down through the narrower
 // widths to 4 (32 → 16 → 8 → 4 on AVX-512). The fewer than 4 columns left
 // after that are finished by one more block, of the widest width the band
 // holds, on the overlapping columns [w−bw, w): it recomputes columns

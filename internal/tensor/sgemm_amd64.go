@@ -3,7 +3,7 @@
 package tensor
 
 // Kernel selection for the k-major SGEMM on amd64. SSE2 is part of the
-// amd64 baseline (GOAMD64=v1) so the 4-wide kernels are always available;
+// amd64 baseline (GOAMD64=v1) so the 4-wide kernel is always available;
 // the 8-wide AVX2 and 16- and 32-wide AVX-512 kernels are enabled by a
 // one-time CPUID+XGETBV probe at package init (or unconditionally when the
 // binary is compiled with GOAMD64=v3 / v4, which guarantee AVX2 / AVX-512
@@ -87,9 +87,6 @@ func hasAVX512() bool {
 // per step: bit-identical to the scalar kernels.
 
 //go:noescape
-func sgemm8cols(a, bk, c *float32, m, k, n int)
-
-//go:noescape
 func sgemm4cols(a, bk, c *float32, m, k, n int)
 
 //go:noescape
@@ -100,9 +97,6 @@ func sgemm16colsAVX512(a, bk, c *float32, m, k, n int)
 
 //go:noescape
 func sgemm32colsAVX512(a, bk, c *float32, m, k, n int)
-
-//go:noescape
-func sgemm8colsTaps(a, bk, c *float32, m, k, n int, off *int32)
 
 //go:noescape
 func sgemm4colsTaps(a, bk, c *float32, m, k, n int, off *int32)
@@ -132,7 +126,7 @@ func init() {
 	case hasAVX2():
 		rung, kmajorKernelName = rungAVX2, "avx2"
 	default:
-		kmajorKernelName = "sse2"
+		widest, kmajorKernelName = 4, "sse2"
 	}
 }
 
@@ -140,8 +134,9 @@ func init() {
 // strided form (off nil) or its table form, and reports whether one ran.
 // The kernels are called directly rather than through function values, so
 // escape analysis sees their go:noescape operands: a caller's stack buffer
-// stays on the stack. Every amd64 rung has 8- and 4-column kernels (AVX2
-// and AVX-512 use the AVX2 one for 8); only AVX-512 has 16 and 32.
+// stays on the stack. Every amd64 rung has the SSE2 4-column kernel; AVX2
+// adds 8, and AVX-512 uses the AVX2 one for 8 and adds 16 and 32. No
+// block wider than the rung's widest reaches asmLanes.
 func asmLanes(w int, a, b, c *float32, m, k, n int, off *int32) bool {
 	switch {
 	case w == 32 && off == nil:
@@ -152,14 +147,10 @@ func asmLanes(w int, a, b, c *float32, m, k, n int, off *int32) bool {
 		sgemm16colsAVX512(a, b, c, m, k, n)
 	case w == 16:
 		sgemm16colsAVX512Taps(a, b, c, m, k, n, off)
-	case w == 8 && rung >= rungAVX2 && off == nil:
-		sgemm8colsAVX2(a, b, c, m, k, n)
-	case w == 8 && rung >= rungAVX2:
-		sgemm8colsAVX2Taps(a, b, c, m, k, n, off)
 	case w == 8 && off == nil:
-		sgemm8cols(a, b, c, m, k, n)
+		sgemm8colsAVX2(a, b, c, m, k, n)
 	case w == 8:
-		sgemm8colsTaps(a, b, c, m, k, n, off)
+		sgemm8colsAVX2Taps(a, b, c, m, k, n, off)
 	case w == 4 && off == nil:
 		sgemm4cols(a, b, c, m, k, n)
 	case w == 4:

@@ -36,117 +36,6 @@
 //   R10 one past the table's end (table form)
 //   CX  l − k, counting up to 0, so off[l] is (R10)(CX*4)
 
-// The SSE2 8-column body: two accumulators per row (X{2r} columns 0-3,
-// X{2r+1} columns 4-7), X8/X9 the B row halves, X10 the broadcast a,
-// X11 product scratch.
-#define SSE8BODY \
-	TESTQ R9, R9; \
-	JZ   done8; \
-rows8: \
-	CMPQ R8, $4; \
-	JL   tail8; \
-	XORPS X0, X0; \
-	XORPS X1, X1; \
-	XORPS X2, X2; \
-	XORPS X3, X3; \
-	XORPS X4, X4; \
-	XORPS X5, X5; \
-	XORPS X6, X6; \
-	XORPS X7, X7; \
-	MOVQ SI, AX; \
-	LEAQ (SI)(R11*1), BX; \
-	LEAQ (SI)(R11*2), R13; \
-	LEAQ (BX)(R11*2), R14; \
-	BSET; \
-	MOVQ R9, CX; \
-	NEGQ CX; \
-l8: \
-	BOFF; \
-	MOVUPS BROW(0), X8; \
-	MOVUPS BROW(16), X9; \
-	MOVSS (AX), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MULPS X10, X11; \
-	ADDPS X11, X0; \
-	MULPS X9, X10; \
-	ADDPS X10, X1; \
-	MOVSS (BX), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MULPS X10, X11; \
-	ADDPS X11, X2; \
-	MULPS X9, X10; \
-	ADDPS X10, X3; \
-	MOVSS (R13), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MULPS X10, X11; \
-	ADDPS X11, X4; \
-	MULPS X9, X10; \
-	ADDPS X10, X5; \
-	MOVSS (R14), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MULPS X10, X11; \
-	ADDPS X11, X6; \
-	MULPS X9, X10; \
-	ADDPS X10, X7; \
-	ADDQ $4, AX; \
-	ADDQ $4, BX; \
-	ADDQ $4, R13; \
-	ADDQ $4, R14; \
-	BADV; \
-	INCQ CX; \
-	JNZ  l8; \
-	MOVQ DI, AX; \
-	MOVUPS X0, (AX); \
-	MOVUPS X1, 16(AX); \
-	ADDQ R12, AX; \
-	MOVUPS X2, (AX); \
-	MOVUPS X3, 16(AX); \
-	ADDQ R12, AX; \
-	MOVUPS X4, (AX); \
-	MOVUPS X5, 16(AX); \
-	ADDQ R12, AX; \
-	MOVUPS X6, (AX); \
-	MOVUPS X7, 16(AX); \
-	LEAQ (SI)(R11*4), SI; \
-	LEAQ (DI)(R12*4), DI; \
-	SUBQ $4, R8; \
-	JMP  rows8; \
-tail8: \
-	TESTQ R8, R8; \
-	JZ   done8; \
-	XORPS X0, X0; \
-	XORPS X1, X1; \
-	MOVQ SI, AX; \
-	BSET; \
-	MOVQ R9, CX; \
-	NEGQ CX; \
-t8l: \
-	BOFF; \
-	MOVUPS BROW(0), X8; \
-	MOVUPS BROW(16), X9; \
-	MOVSS (AX), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MULPS X10, X11; \
-	ADDPS X11, X0; \
-	MULPS X9, X10; \
-	ADDPS X10, X1; \
-	ADDQ $4, AX; \
-	BADV; \
-	INCQ CX; \
-	JNZ  t8l; \
-	MOVUPS X0, (DI); \
-	MOVUPS X1, 16(DI); \
-	ADDQ R11, SI; \
-	ADDQ R12, DI; \
-	DECQ R8; \
-	JMP  tail8; \
-done8:
-
 // The SSE2 4-column body: one accumulator register per row.
 #define SSE4BODY \
 	TESTQ R9, R9; \
@@ -547,15 +436,10 @@ wdone: \
 #define BROW(d) d(R15)
 #define BADV ADDQ R12, R15
 
-// func sgemm8cols(a, bk, c *float32, m, k, n int)
-//
-// c[i][0:8] = Σ_l a[i][l]·bk[l][0:8] for i in [0,m), SSE2.
-TEXT ·sgemm8cols(SB), NOSPLIT, $0-48
-	ARGS
-	SSE8BODY
-	RET
-
 // func sgemm4cols(a, bk, c *float32, m, k, n int)
+//
+// c[i][0:4] = Σ_l a[i][l]·bk[l][0:4] for i in [0,m), SSE2: the only
+// block of the SSE2 rung and every rung's narrowest step-down.
 TEXT ·sgemm4cols(SB), NOSPLIT, $0-48
 	ARGS
 	SSE4BODY
@@ -597,15 +481,6 @@ TEXT ·sgemm32colsAVX512(SB), NOSPLIT, $0-48
 #define BOFF MOVLQSX (R10)(CX*4), R15
 #define BROW(d) d(DX)(R15*4)
 #define BADV
-
-// func sgemm8colsTaps(a, bk, c *float32, m, k, n int, off *int32)
-//
-// c[i][0:8] = Σ_l a[i][l]·bk[off[l]:][0:8] for i in [0,m), SSE2.
-TEXT ·sgemm8colsTaps(SB), NOSPLIT, $0-56
-	ARGS
-	TABLE
-	SSE8BODY
-	RET
 
 // func sgemm4colsTaps(a, bk, c *float32, m, k, n int, off *int32)
 TEXT ·sgemm4colsTaps(SB), NOSPLIT, $0-56

@@ -44,8 +44,8 @@ func kernelOperands(rng *xrand.RNG, m, k, rows int) (a, b *Tensor) {
 
 // TestSGEMMKernelsAgree cross-checks every assembly lane kernel directly
 // against the pure-Go lane kernel, independent of which one init selected:
-// the SSE2 8- and 4-column kernels, and — when the CPU supports them — the
-// AVX2 8-column and AVX-512 16- and 32-column kernels. This is the
+// the SSE2 4-column kernel, and — when the CPU supports them — the AVX2
+// 8-column and AVX-512 16- and 32-column kernels. This is the
 // ladder's bit-identity proof: a machine that dispatches AVX-512
 // certifies AVX2 and SSE2 in the same run and vice versa. (The NEON rung
 // is pinned the same way on arm64: its 4-wide lane semantics are exactly
@@ -68,7 +68,6 @@ func TestSGEMMKernelsAgree(t *testing.T) {
 			kern(&a.Data()[0], &b.Data()[0], &got.Data()[0], m, k, kernelCols)
 			sameBits(t, name+" m="+itoa(m)+" k="+itoa(k), got.Data(), want.Data())
 		}
-		check("sse2 8-col", 8, sgemm8cols)
 		check("sse2 4-col", 4, sgemm4cols)
 		if hasAVX2() {
 			check("avx2 8-col", 8, sgemm8colsAVX2)
@@ -103,7 +102,6 @@ func TestSGEMMTapKernelsAgree(t *testing.T) {
 			kern(&a.Data()[0], &b.Data()[0], &got.Data()[0], m, k, kernelCols, &off[0])
 			sameBits(t, name+" m="+itoa(m)+" k="+itoa(k), got.Data(), want.Data())
 		}
-		check("sse2 8-col taps", 8, sgemm8colsTaps)
 		check("sse2 4-col taps", 4, sgemm4colsTaps)
 		if hasAVX2() {
 			check("avx2 8-col taps", 8, sgemm8colsAVX2Taps)
@@ -125,9 +123,7 @@ func TestSGEMMKernelsZeroK(t *testing.T) {
 	bk := New(1, kernelCols)
 	off := []int32{0}
 	pa, pb, pc := &a.Data()[0], &bk.Data()[0], &c.Data()[0]
-	sgemm8cols(pa, pb, pc, 4, 0, kernelCols)
 	sgemm4cols(pa, pb, pc, 4, 0, kernelCols)
-	sgemm8colsTaps(pa, pb, pc, 4, 0, kernelCols, &off[0])
 	sgemm4colsTaps(pa, pb, pc, 4, 0, kernelCols, &off[0])
 	if hasAVX2() {
 		sgemm8colsAVX2(pa, pb, pc, 4, 0, kernelCols)
@@ -151,8 +147,7 @@ func TestSGEMMKernelsZeroK(t *testing.T) {
 // x86 returns the first source's, so the order shows in the bits: a
 // product a·b keeps a's NaN, and a sum acc + p keeps the accumulator's.
 // Every row holds the pattern and m runs 1 to 7, so each row block of
-// each body is checked in both forms. (The SSE2 8-column body is left
-// out: its columns 0-3 multiply b·a.)
+// each body is checked in both forms.
 func TestSGEMMNaNOperandOrder(t *testing.T) {
 	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
 	type kernel struct {

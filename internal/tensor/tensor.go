@@ -205,9 +205,6 @@ func (t *Tensor) AddScaledInPlace(o *Tensor, s float32) *Tensor {
 	return t
 }
 
-// Add returns t + o as a new tensor.
-func (t *Tensor) Add(o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
-
 // Sub returns t - o as a new tensor.
 func (t *Tensor) Sub(o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
 
@@ -216,18 +213,6 @@ func (t *Tensor) Mul(o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
 
 // Scale returns s*t as a new tensor.
 func (t *Tensor) Scale(s float32) *Tensor { return t.Clone().ScaleInPlace(s) }
-
-// ClampInPlace clips every element to [lo, hi].
-func (t *Tensor) ClampInPlace(lo, hi float32) *Tensor {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
-	return t
-}
 
 // SignInPlace replaces each element with its sign: +1 for positive values
 // and +Inf, −1 for negative values and −Inf, +0 for ±0 and NaN. It works on
@@ -264,39 +249,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Max returns the largest element. It panics on an empty tensor.
-func (t *Tensor) Max() float32 {
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest element. It panics on an empty tensor.
-func (t *Tensor) Min() float32 {
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index (into flattened storage) of the largest element.
-func (t *Tensor) ArgMax() int {
-	best, bi := t.data[0], 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // Dot returns the inner product of t and o viewed as flat vectors.
 func (t *Tensor) Dot(o *Tensor) float64 {
 	t.assertSame(o, "dot")
@@ -309,27 +261,6 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 
 // L2Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) L2Norm() float64 { return math.Sqrt(t.Dot(t)) }
-
-// L1Norm returns the sum of absolute values.
-func (t *Tensor) L1Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += math.Abs(float64(v))
-	}
-	return s
-}
-
-// LInfNorm returns the maximum absolute value.
-func (t *Tensor) LInfNorm() float64 {
-	var m float64
-	for _, v := range t.data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // String implements fmt.Stringer with a compact summary.
 func (t *Tensor) String() string {

@@ -105,8 +105,8 @@ func TestReshapeSharesStorage(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{4, 5, 6}, 3)
-	if got := a.Add(b).Data(); got[0] != 5 || got[2] != 9 {
-		t.Fatalf("Add = %v", got)
+	if got := a.Clone().AddInPlace(b).Data(); got[0] != 5 || got[2] != 9 {
+		t.Fatalf("AddInPlace = %v", got)
 	}
 	if got := b.Sub(a).Data(); got[0] != 3 || got[2] != 3 {
 		t.Fatalf("Sub = %v", got)
@@ -129,33 +129,20 @@ func TestShapeMismatchPanics(t *testing.T) {
 	b := New(4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add with mismatched shapes should panic")
+			t.Fatal("AddInPlace with mismatched shapes should panic")
 		}
 	}()
-	a.Add(b)
+	a.AddInPlace(b)
 }
 
 func TestClampSignNorms(t *testing.T) {
 	x := FromSlice([]float32{-3, -0.5, 0, 0.5, 3}, 5)
-	c := x.Clone().ClampInPlace(-1, 1)
-	want := []float32{-1, -0.5, 0, 0.5, 1}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Fatalf("Clamp[%d] = %v, want %v", i, v, want[i])
-		}
-	}
 	s := x.Clone().SignInPlace()
 	wantS := []float32{-1, -1, 0, 1, 1}
 	for i, v := range s.Data() {
 		if v != wantS[i] {
 			t.Fatalf("Sign[%d] = %v, want %v", i, v, wantS[i])
 		}
-	}
-	if got := x.L1Norm(); !almostEq(got, 7, 1e-6) {
-		t.Fatalf("L1 = %v", got)
-	}
-	if got := x.LInfNorm(); !almostEq(got, 3, 1e-6) {
-		t.Fatalf("LInf = %v", got)
 	}
 	if got := x.L2Norm(); !almostEq(got, math.Sqrt(9+0.25+0.25+9), 1e-5) {
 		t.Fatalf("L2 = %v", got)
@@ -169,15 +156,6 @@ func TestReductions(t *testing.T) {
 	}
 	if got := x.Mean(); !almostEq(got, 0.5, 1e-9) {
 		t.Fatalf("Mean = %v", got)
-	}
-	if got := x.Max(); got != 3 {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := x.Min(); got != -2 {
-		t.Fatalf("Min = %v", got)
-	}
-	if got := x.ArgMax(); got != 2 {
-		t.Fatalf("ArgMax = %v", got)
 	}
 }
 
@@ -256,8 +234,8 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
 		c := randTensor(r, k, n)
-		left := matMul(a, b.Add(c))
-		right := matMul(a, b).Add(matMul(a, c))
+		left := matMul(a, b.Clone().AddInPlace(c))
+		right := matMul(a, b).AddInPlace(matMul(a, c))
 		for i := range left.Data() {
 			if !almostEq(float64(left.Data()[i]), float64(right.Data()[i]), 1e-3) {
 				return false

@@ -62,14 +62,6 @@ func (r *RNG) Normal(mean, std float64) float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
 
-// Sign returns +1 or -1 with equal probability.
-func (r *RNG) Sign() float32 {
-	if r.src.Intn(2) == 0 {
-		return 1
-	}
-	return -1
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
@@ -95,24 +87,4 @@ func (r *RNG) FillUniform(dst []float32, lo, hi float64) {
 func (r *RNG) Xavier(dst []float32, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	r.FillUniform(dst, -limit, limit)
-}
-
-// Choice returns a uniformly chosen index weighted by w (all w >= 0).
-// If the weights sum to zero it falls back to uniform choice.
-func (r *RNG) Choice(w []float64) int {
-	var total float64
-	for _, v := range w {
-		total += v
-	}
-	if total <= 0 {
-		return r.Intn(len(w))
-	}
-	x := r.Uniform(0, total)
-	for i, v := range w {
-		x -= v
-		if x < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

@@ -86,20 +86,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestSignIsBalanced(t *testing.T) {
-	r := New(11)
-	pos := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if r.Sign() > 0 {
-			pos++
-		}
-	}
-	if pos < n/2-300 || pos > n/2+300 {
-		t.Fatalf("Sign imbalance: %d/%d positive", pos, n)
-	}
-}
-
 func TestXavierBounds(t *testing.T) {
 	r := New(13)
 	dst := make([]float32, 1000)
@@ -109,33 +95,6 @@ func TestXavierBounds(t *testing.T) {
 		if float64(v) < -limit || float64(v) > limit {
 			t.Fatalf("Xavier[%d]=%v outside ±%v", i, v, limit)
 		}
-	}
-}
-
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := New(17)
-	counts := [3]int{}
-	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[r.Choice([]float64{1, 0, 3})]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight option chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weight ratio %v, want ~3", ratio)
-	}
-}
-
-func TestChoiceZeroWeightsFallsBack(t *testing.T) {
-	r := New(19)
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		seen[r.Choice([]float64{0, 0, 0})] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("zero-weight Choice should fall back to uniform")
 	}
 }
 
