@@ -217,7 +217,7 @@ func TestRP2ConfinedToSign(t *testing.T) {
 	outer := sc.Box.Expand(1)
 	for y := 0; y < adv.H; y++ {
 		for x := 0; x < adv.W; x++ {
-			if outer.Contains(float64(x), float64(y)) {
+			if inBox(outer, x, y) {
 				continue
 			}
 			for c := 0; c < 3; c++ {
@@ -252,7 +252,7 @@ func TestCAPConfinedToLeadBox(t *testing.T) {
 	outer := sc.LeadBox.Expand(1.5)
 	for y := 0; y < adv.H; y++ {
 		for x := 0; x < adv.W; x++ {
-			if outer.Contains(float64(x), float64(y)) {
+			if inBox(outer, x, y) {
 				continue
 			}
 			for ch := 0; ch < 3; ch++ {
@@ -332,4 +332,10 @@ func TestAttributionThreshold(t *testing.T) {
 	if th := attributionThreshold(g, 0.5); th > 1 {
 		t.Fatalf("threshold %v exceeds max magnitude", th)
 	}
+}
+
+// inBox reports whether pixel (x, y) lies inside b.
+func inBox(b box.Box, x, y int) bool {
+	fx, fy := float64(x), float64(y)
+	return fx >= b.X0 && fx < b.X1 && fy >= b.Y0 && fy < b.Y1
 }

@@ -125,15 +125,12 @@ func npsGrad(img *imaging.Image, delta *tensor.Tensor, i int) float32 {
 	plane := img.H * img.W
 	ch := i / plane
 	pos := i % plane
-	y, x := pos/img.W, pos%img.W
 	var col imaging.Color
 	for c := 0; c < 3; c++ {
 		v := img.Pix[c*plane+pos] + delta.Data()[c*plane+pos]
 		col[c] = clamp01(v)
 	}
 	best := nearestPalette(col)
-	_ = y
-	_ = x
 	return 2 * (col[ch] - best[ch])
 }
 

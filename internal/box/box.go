@@ -87,8 +87,3 @@ func (b Box) Clip(w, h float64) Box {
 func (b Box) Expand(m float64) Box {
 	return Box{X0: b.X0 - m, Y0: b.Y0 - m, X1: b.X1 + m, Y1: b.Y1 + m}
 }
-
-// Contains reports whether the point (x, y) lies inside the box.
-func (b Box) Contains(x, y float64) bool {
-	return x >= b.X0 && x < b.X1 && y >= b.Y0 && y < b.Y1
-}

@@ -118,10 +118,3 @@ func TestExpandAndScale(t *testing.T) {
 		t.Fatalf("Expand = %+v", e)
 	}
 }
-
-func TestContains(t *testing.T) {
-	b := New(0, 0, 10, 10)
-	if !b.Contains(5, 5) || b.Contains(10, 5) || b.Contains(-1, 5) {
-		t.Fatal("Contains boundary semantics wrong")
-	}
-}

@@ -171,9 +171,12 @@ func TestTrainLossReturnsInputGradient(t *testing.T) {
 	if grad.Dim(0) != 3 || grad.Dim(1) != 64 || grad.Dim(2) != 64 {
 		t.Fatalf("input grad shape %v", grad.Shape())
 	}
-	if grad.L2Norm() == 0 {
-		t.Fatal("input gradient is identically zero")
+	for _, v := range grad.Data() {
+		if v != 0 {
+			return
+		}
 	}
+	t.Fatal("input gradient is identically zero")
 }
 
 func TestGTBoxes(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/box"
 	"repro/internal/imaging"
 	"repro/internal/metrics"
 )
@@ -81,7 +82,7 @@ func TestAttackDriveSetMaskConfinement(t *testing.T) {
 		outer := sc.LeadBox.Expand(2.5)
 		for y := 0; y < adv.H; y++ {
 			for x := 0; x < adv.W; x++ {
-				if outer.Contains(float64(x), float64(y)) {
+				if inBox(outer, x, y) {
 					continue
 				}
 				for c := 0; c < 3; c++ {
@@ -280,4 +281,10 @@ func TestRangeErrsFromDetectsShift(t *testing.T) {
 	if !nonzero {
 		t.Fatal("range errors failed to register a prediction shift")
 	}
+}
+
+// inBox reports whether pixel (x, y) lies inside b.
+func inBox(b box.Box, x, y int) bool {
+	fx, fy := float64(x), float64(y)
+	return fx >= b.X0 && fx < b.X1 && fy >= b.Y0 && fy < b.Y1
 }

@@ -19,10 +19,12 @@ import (
 // Every output element is an ascending-(c,ky,kx) float32 dot product plus
 // one bias rounding — the order of a direct per-tap convolution, which the
 // tests pin the forward and backward against bit for bit. The input
-// gradient runs tap-major: cols = Wᵀ·G straight from the incoming
-// gradient, folded back per input channel (tensor.MatMulCol2ImInto), and
-// dW reads the incoming gradient and the forward's padded copy through the
-// same table, one contiguous run per sample.
+// gradient runs the same plan as its adjoint: cols = Wᵀ·G straight from
+// the incoming gradient, each tap's block added into a padded channel at
+// the tap's offset and the input pixels written back out of it
+// (tensor.MatMulCol2ImInto), and dW reads the incoming gradient and the
+// forward's padded copy through the same table, one contiguous run per
+// sample.
 //
 // Weights are stored as an (outC)×(inC·K·K) matrix, which the forward
 // reads directly; bias is per output channel. The transposed
@@ -41,17 +43,16 @@ type Conv2D struct {
 	scratch
 
 	// taps is the padded layout and tap table of the last forward's
-	// geometry, rebuilt only when the input size changes.
+	// geometry, rebuilt only when the input size changes; Backward runs
+	// the same plan, so it never re-derives shapes.
 	taps *tensor.ConvTaps
 
 	// Activation caches for Backward: the padded copy of what the input
 	// held at the last forward (private, so a caller may change its input
-	// before Backward), and the geometry it was built with, so Backward
-	// never re-derives shapes. lastBatch is the sample count (1 for a CHW
+	// before Backward). lastBatch is the sample count (1 for a CHW
 	// input); lastRank4 records whether the input carried a leading batch
 	// dimension, so Backward returns a gradient of matching rank.
 	lastXP    *tensor.Tensor // [N, taps.PaddedLen()]
-	lastGeom  tensor.ConvGeom
 	lastOutHW int
 	lastBatch int
 	lastRank4 bool
@@ -61,14 +62,24 @@ type Conv2D struct {
 // and batched paths use disjoint key sets so a model alternating between
 // per-frame and batched calls keeps both shape families warm instead of
 // reallocating on every switch. The transposed weight matrix is absent:
-// its shape is batch-independent, so both paths share one "wT" key.
+// its shape is batch-independent, so both paths share one "wT" key. So
+// are the input gradient's product and fold scratch: dead once inputGrad
+// returns, they live in buffers every conv layer of the model shares
+// (Workspace.Shared2, convCols and convFold).
 type convScratchNames struct {
-	pad, dWGrad, col2im, dX string
+	pad, dWGrad, dX string
 }
 
 var (
-	convSingleKeys = convScratchNames{"padS", "dWGradS", "col2imS", "dXS"}
-	convBatchKeys  = convScratchNames{"padB", "dWGradB", "col2imB", "dXB"}
+	convSingleKeys = convScratchNames{"padS", "dWGradS", "dXS"}
+	convBatchKeys  = convScratchNames{"padB", "dWGradB", "dXB"}
+)
+
+// The shared workspace names of the input gradient's scratch: the
+// tap-major product Wᵀ·G and the padded channels it is folded through.
+const (
+	convCols = "convCols"
+	convFold = "convFold"
 )
 
 var _ Layer = (*Conv2D)(nil)
@@ -119,7 +130,6 @@ func (c *Conv2D) runForward(out, x *tensor.Tensor, n int, g tensor.ConvGeom, nm 
 	xp := c.workspace().Tensor2(c, nm.pad, n, c.taps.PaddedLen())
 	tensor.IndirectConvInto(out, xp, x, c.w.Value, c.b.Value, c.taps)
 	c.lastXP = xp
-	c.lastGeom = g
 	c.lastOutHW = g.OutH() * g.OutW()
 	c.lastBatch = n
 }
@@ -165,19 +175,21 @@ func (c *Conv2D) accumParamGrads(grad *tensor.Tensor, nm *convScratchNames) {
 // inputGrad computes dX = col2im(Wᵀ · G) in one tensor.MatMulCol2ImInto
 // call. The incoming [N,OutC,P] gradient is already k-major for this
 // product (the contraction runs over OutC), so the SIMD kernel reads it in
-// place, and the transposed weights come from the layer's cached Wᵀ.
+// place, the transposed weights come from the layer's cached Wᵀ, and the
+// fold runs through a padded copy in the forward's layout.
 func (c *Conv2D) inputGrad(grad *tensor.Tensor, nm *convScratchNames) *tensor.Tensor {
 	ws := c.workspace()
-	g := c.lastGeom
+	g := c.taps.Geom()
 	n, p := c.lastBatch, c.lastOutHW
-	cols := ws.Tensor2(c, nm.col2im, n*c.InC*c.K*c.K, p)
+	cols := ws.Shared2(convCols, n*c.InC*c.K*c.K, p)
+	fold := ws.Shared2(convFold, n, c.taps.PaddedLen())
 	var dX *tensor.Tensor
 	if c.lastRank4 {
 		dX = ws.Tensor4(c, nm.dX, n, g.InC, g.InH, g.InW)
 	} else {
 		dX = ws.Tensor3(c, nm.dX, g.InC, g.InH, g.InW)
 	}
-	tensor.MatMulCol2ImInto(dX, cols, c.wT.of(ws, c, c.w), grad, g)
+	tensor.MatMulCol2ImInto(dX, cols, fold, c.wT.of(ws, c, c.w), grad, c.taps)
 	return dX
 }
 

@@ -4,8 +4,9 @@ import "repro/internal/tensor"
 
 // Workspace owns the reusable scratch tensors of one model instance:
 // tap-major conv lowerings, GEMM outputs, transposes, activation caches
-// and gradient buffers. Layers request buffers keyed by (layer, name); a buffer
-// is allocated on the first Forward/Backward that needs it and reused on
+// and gradient buffers. Layers request buffers keyed by (layer, name), or
+// by name alone for scratch that layers share (Shared2); a buffer is
+// allocated on the first Forward/Backward that needs it and reused on
 // every later call with the same shape, which makes steady-state inference,
 // training and attack gradient loops allocation-free.
 //
@@ -23,7 +24,15 @@ import "repro/internal/tensor"
 //   - Buffer contents are whatever the previous use left behind; a layer
 //     must fully overwrite (or Zero) a buffer before reading it.
 type Workspace struct {
-	m map[wsKey]*tensor.Tensor
+	m      map[wsKey]*tensor.Tensor
+	shared map[string]*sharedBuf
+}
+
+// sharedBuf is the buffer every owner of one shared name uses, and the
+// views of it made so far, by shape.
+type sharedBuf struct {
+	data  []float32
+	views map[[2]int]*tensor.Tensor
 }
 
 type wsKey struct {
@@ -33,7 +42,7 @@ type wsKey struct {
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{m: make(map[wsKey]*tensor.Tensor)}
+	return &Workspace{m: make(map[wsKey]*tensor.Tensor), shared: make(map[string]*sharedBuf)}
 }
 
 // Tensor2, Tensor3 and Tensor4 return the scratch tensor registered under
@@ -50,6 +59,30 @@ func (w *Workspace) Tensor2(owner any, name string, d0, d1 int) *tensor.Tensor {
 	}
 	t := tensor.New(d0, d1)
 	w.m[k] = t
+	return t
+}
+
+// Shared2 returns a d0×d1 scratch tensor over the one buffer that every
+// owner asking for name shares: the buffer grows to the largest size asked
+// for and never shrinks, and each shape's view of it is made once. It
+// holds only scratch that is dead once the caller returns — the conv
+// input gradient's product and fold — so a model pays for its largest
+// layer's, not the sum over its layers.
+func (w *Workspace) Shared2(name string, d0, d1 int) *tensor.Tensor {
+	b := w.shared[name]
+	if b == nil {
+		b = &sharedBuf{views: make(map[[2]int]*tensor.Tensor)}
+		w.shared[name] = b
+	}
+	if t, ok := b.views[[2]int{d0, d1}]; ok {
+		return t
+	}
+	if d0*d1 > len(b.data) {
+		b.data = make([]float32, d0*d1)
+		clear(b.views) // views of the old buffer
+	}
+	t := tensor.FromSlice(b.data[:d0*d1], d0, d1)
+	b.views[[2]int{d0, d1}] = t
 	return t
 }
 

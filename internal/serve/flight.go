@@ -133,7 +133,7 @@ func (f *flight) unsubscribe(sub *subscriber) {
 	}
 }
 
-// subscribers returns the current subscriber count (tests and /healthz).
+// subscribers returns the current subscriber count; only tests read it.
 func (f *flight) subscribers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -46,9 +46,10 @@ func TestIm2ColCol2ImIntoAllocs(t *testing.T) {
 		wT, grad := New(l, oc), New(oc, g.OutH(), g.OutW())
 		fillSeq(wT)
 		fillSeq(grad)
-		cols, dx := New(l, p), New(g.InC, g.InH, g.InW)
-		MatMulCol2ImInto(dx, cols, wT, grad, g) // warm the pool
-		return testing.AllocsPerRun(100, func() { MatMulCol2ImInto(dx, cols, wT, grad, g) })
+		taps := NewConvTaps(g)
+		cols, fold, dx := New(l, p), New(taps.PaddedLen()), New(g.InC, g.InH, g.InW)
+		MatMulCol2ImInto(dx, cols, fold, wT, grad, taps) // warm the pool
+		return testing.AllocsPerRun(100, func() { MatMulCol2ImInto(dx, cols, fold, wT, grad, taps) })
 	}
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -110,10 +111,10 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	fillSeq(wT)
 	fillSeq(grad)
 	wantIm := New(2, 9, 7)
-	MatMulCol2ImInto(wantIm, cols, wT, grad, g)
+	MatMulCol2ImInto(wantIm, cols, New(taps.PaddedLen()), wT, grad, taps)
 	cols.Fill(99)
 	im := New(2, 9, 7)
 	im.Fill(99)
-	MatMulCol2ImInto(im, cols, wT, grad, g)
+	MatMulCol2ImInto(im, cols, stalePadded(taps, 1), wT, grad, taps)
 	same("MatMulCol2ImInto", im, wantIm)
 }

@@ -77,13 +77,15 @@ func BenchmarkTranspose2DInto(b *testing.B) {
 // BenchmarkIm2ColStride2 is the conv forward's input copy alone — the
 // zero-padded, polyphase-split copy the indirect forward reads its taps
 // from — at the stride-2 shapes of the models: DistNet's conv4 (24×16×16 →
-// 8×8) and the UNet's second encoder stage (10×64×64 → 32×32). It keeps
-// the name of the tap-major lowering it replaced, which wrote K·K floats
-// per output position where the copy writes about one per input pixel.
+// 8×8) and conv0 (3×64×64 → 32×32), and the UNet's second encoder stage
+// (10×64×64 → 32×32). It keeps the name of the tap-major lowering it
+// replaced, which wrote K·K floats per output position where the copy
+// writes about one per input pixel.
 func BenchmarkIm2ColStride2(b *testing.B) {
 	for _, g := range []ConvGeom{
 		{InC: 24, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1},
 		{InC: 10, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1},
+		{InC: 3, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1},
 	} {
 		b.Run(itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW), func(b *testing.B) {
 			x := New(g.InC, g.InH, g.InW)
@@ -124,6 +126,38 @@ func BenchmarkConvForward(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				IndirectConvInto(out, xp, x, w, bias, taps)
+			}
+		})
+	}
+}
+
+// BenchmarkConvBackwardInput is one whole conv input gradient
+// (MatMulCol2ImInto: the Wᵀ·G product and the fold) of a single sample at
+// the stride-2 layers an attack gradient runs through: DistNet's conv0
+// (3→12 channels, 64×64 → 32×32), conv2 (12→24, 32×32 → 16×16) and conv4
+// (24→32, 16×16 → 8×8), and the UNet's enc2 (10→16, 64×64 → 32×32).
+func BenchmarkConvBackwardInput(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    ConvGeom
+		oc   int
+	}{
+		{"conv0", ConvGeom{InC: 3, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}, 12},
+		{"conv2", ConvGeom{InC: 12, InH: 32, InW: 32, K: 3, Stride: 2, Pad: 1}, 24},
+		{"conv4", ConvGeom{InC: 24, InH: 16, InW: 16, K: 3, Stride: 2, Pad: 1}, 32},
+		{"enc2", ConvGeom{InC: 10, InH: 64, InW: 64, K: 3, Stride: 2, Pad: 1}, 16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.g
+			l, p := g.InC*g.K*g.K, g.OutH()*g.OutW()
+			wT, grad := New(l, tc.oc), New(tc.oc, g.OutH(), g.OutW())
+			fillSeq(wT)
+			fillSeq(grad)
+			taps := NewConvTaps(g)
+			cols, fold, dx := New(l, p), New(taps.PaddedLen()), New(g.InC, g.InH, g.InW)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulCol2ImInto(dx, cols, fold, wT, grad, taps)
 			}
 		})
 	}

@@ -6,13 +6,17 @@ import (
 )
 
 // The elementwise kernels: LeakyReLU in both directions, the conv forward's
-// bias add, axpy and scale. Each rounds once per element and fuses
-// nothing, so a vector form computes the same bits as the scalar loop as
-// long as it keeps the loop's operand order: when both operands of an
-// x86 add or multiply are NaN, the result carries the first source's
-// payload. On the AVX2 and AVX-512 rungs the whole 8-float vectors run in
-// assembly (elemLanes, elementwise_amd64.s); the loops below take the
-// rest, and all of it on every other build.
+// bias add, axpy and scale, and the conv layout's data movement — the
+// stride-2 split of an input row into its even and odd columns, its
+// inverse merge, and the block add of the input-gradient fold. Each rounds
+// once per element and fuses nothing, so a vector form computes the same
+// bits as the scalar loop as long as it keeps the loop's operand order:
+// when both operands of an x86 add or multiply are NaN, the result carries
+// the first source's payload. The split and merge only move floats, so
+// any permute is bit-safe. On the AVX2 and AVX-512 rungs the whole 8-float
+// vectors run in assembly (elemLanes, splitLanes, mergeLanes and
+// addRowsLanes, elementwise_amd64.s); the loops below take the rest, and
+// all of it on every other build.
 
 // elemOp names one elementwise kernel for elemLanes, in terms of its
 // operands dst, x, y and s.
@@ -81,9 +85,48 @@ func scale(t []float32, s float32) {
 	scaleGo(t[n:], s)
 }
 
+// deinterleave deals rows rows of in out into their even and odd columns,
+// reading each row once: in[r·is + 2j] goes to even[r·ps + j] for j < ne
+// and in[r·is + 2j + 1] to odd[r·ps + j] for j < no; ne is no or no + 1.
+func deinterleave(even, odd, in []float32, rows, ne, no, ps, is int) {
+	n := splitLanes(even, odd, in, rows, no, ps, is)
+	if n == ne {
+		return
+	}
+	for r := range rows {
+		deinterleaveGo(even[r*ps+n:r*ps+ne], odd[r*ps+n:r*ps+no], in[r*is+2*n:])
+	}
+}
+
+// interleave is deinterleave's inverse: it writes even[r·ps + j] to
+// out[r·os + 2j] for j < ne and odd[r·ps + j] to out[r·os + 2j + 1] for
+// j < no, the ne + no floats of each of the rows rows of out.
+func interleave(out, even, odd []float32, rows, ne, no, os, ps int) {
+	n := mergeLanes(out, even, odd, rows, no, os, ps)
+	if n == ne {
+		return
+	}
+	for r := range rows {
+		interleaveGo(out[r*os+2*n:], even[r*ps+n:r*ps+ne], odd[r*ps+n:r*ps+no])
+	}
+}
+
+// addRows adds a rows × cols block of src, whose rows lie ss floats apart,
+// into dst, whose rows lie ds floats apart: dst[r·ds + i] += src[r·ss + i].
+func addRows(dst, src []float32, rows, cols, ds, ss int) {
+	n := addRowsLanes(dst, src, rows, cols, ds, ss)
+	if n == cols {
+		return
+	}
+	for r := range rows {
+		addRowGo(dst[r*ds+n:r*ds+cols], src[r*ss+n:r*ss+cols])
+	}
+}
+
 // The scalar loops. Each computes alpha·v, v + b, s·x and t·s with the
 // first source the amd64 listing shows (alpha, v, x and t; t first in
-// axpy's add), which the vector kernels copy. Go treats float add and
+// axpy's add), which the vector kernels copy; addRowGo keeps dst first
+// whatever the listing. Go treats float add and
 // multiply as commutative, so the first source is the register
 // allocator's choice, not the source order: a bounds hint x = x[:len(t)]
 // in axpyGo lets the compiler fold the load of t[i] into the add and
@@ -132,5 +175,41 @@ func axpyGo(t, x []float32, s float32) {
 func scaleGo(t []float32, s float32) {
 	for i := range t {
 		t[i] *= s
+	}
+}
+
+// deinterleaveGo is deinterleave's loop over one row.
+func deinterleaveGo(even, odd, in []float32) {
+	j := 0
+	for ; j < len(odd); j++ {
+		even[j], odd[j] = in[2*j], in[2*j+1]
+	}
+	if j < len(even) {
+		even[j] = in[2*j]
+	}
+}
+
+// interleaveGo is interleave's loop over one row.
+func interleaveGo(out, even, odd []float32) {
+	j := 0
+	for ; j < len(odd); j++ {
+		out[2*j], out[2*j+1] = even[j], odd[j]
+	}
+	if j < len(even) {
+		out[2*j] = even[j]
+	}
+}
+
+// addRowGo adds src into dst with dst as the first source, as in
+// addRowsAVX2 and in the GEMM's accumulator-first add: where both are NaN
+// the sum keeps dst's payload, the earlier taps'. Which source of a Go
+// float add the compiler makes first is its own choice (a -race build
+// flips this loop's), so a NaN dst is added to itself, which gives its
+// payload, quieted, in either order.
+func addRowGo(dst, src []float32) {
+	for i, v := range src[:len(dst)] {
+		d := dst[i]
+		db, vb := math.Float32bits(d), math.Float32bits(v)
+		dst[i] = d + math.Float32frombits(vb^(vb^db)&nanMask(db))
 	}
 }

@@ -7,3 +7,12 @@ package tensor
 
 // elemLanes reports that no vector kernel ran: 0 elements done.
 func elemLanes(op elemOp, dst, x, y []float32, s float32) int { return 0 }
+
+// splitLanes reports that no vector kernel ran.
+func splitLanes(even, odd, in []float32, rows, no, ps, is int) int { return 0 }
+
+// mergeLanes reports that no vector kernel ran.
+func mergeLanes(out, even, odd []float32, rows, no, os, ps int) int { return 0 }
+
+// addRowsLanes reports that no vector kernel ran.
+func addRowsLanes(dst, src []float32, rows, cols, ds, ss int) int { return 0 }

@@ -9,7 +9,11 @@ import (
 
 // elemKernels pairs each elementwise kernel's dispatching form with its
 // scalar loop, over one operand layout: d (also the in-place operand of
-// axpy and scale), x, y and the scalar s.
+// axpy, scale and addRows), x, y and the scalar s. The row kernels run two
+// rows (halves): split deals each row of x out into its even and odd
+// columns, stored one after the other in d's row, and merge deals them
+// back; addRows adds two rows of x, packed, into two rows of d one float
+// apart when the length is odd, so the strides differ.
 var elemKernels = []struct {
 	name      string
 	run, loop func(d, x, y []float32, s float32)
@@ -29,11 +33,45 @@ var elemKernels = []struct {
 	{"scale",
 		func(d, _, _ []float32, s float32) { scale(d, s) },
 		func(d, _, _ []float32, s float32) { scaleGo(d, s) }},
+	{"split",
+		func(d, x, _ []float32, _ float32) {
+			w, ne, no := halves(d)
+			deinterleave(d, d[ne:], x, 2, ne, no, w, w)
+		},
+		func(d, x, _ []float32, _ float32) {
+			w, ne, no := halves(d)
+			for r := range 2 {
+				deinterleaveGo(d[r*w:][:ne], d[r*w+ne:][:no], x[r*w:])
+			}
+		}},
+	{"merge",
+		func(d, x, _ []float32, _ float32) { w, ne, no := halves(d); interleave(d, x, x[ne:], 2, ne, no, w, w) },
+		func(d, x, _ []float32, _ float32) {
+			w, ne, no := halves(d)
+			for r := range 2 {
+				interleaveGo(d[r*w:], x[r*w:][:ne], x[r*w+ne:][:no])
+			}
+		}},
+	{"addRows",
+		func(d, x, _ []float32, _ float32) { c := len(d) / 2; addRows(d, x, 2, c, len(d)-c, c) },
+		func(d, x, _ []float32, _ float32) {
+			c := len(d) / 2
+			addRowGo(d[:c], x[:c])
+			addRowGo(d[len(d)-c:], x[c:2*c])
+		}},
 }
 
-// maxElemLen is the longest operand the elementwise tests run: three
-// whole 8-float vectors plus a 3-element scalar tail.
-const maxElemLen = 3*8 + 3
+// halves splits d into two rows of w floats (a last float is left over
+// when len(d) is odd), each holding ne even and no odd columns.
+func halves(d []float32) (w, ne, no int) {
+	w = len(d) / 2
+	return w, (w + 1) / 2, w / 2
+}
+
+// maxElemLen is the longest operand the elementwise tests run: five
+// whole 8-float vectors, so the row kernels reach two whole vectors a
+// row (addRows) and one plus a tail a phase (split, merge).
+const maxElemLen = 5 * 8
 
 // runElem runs f over n-element operands filled from d, x and y (each
 // cycled from index off) and returns d afterwards.
@@ -71,6 +109,7 @@ func TestElementwiseNaNOperandOrder(t *testing.T) {
 		{"axpy", nanA, nanB, 0, 1, nanA},           // t first in t + s·x
 		{"axpy", 1, nanA, 0, nanB, nanA},           // x first in s·x
 		{"scale", nanA, 0, 0, nanB, nanA},          // t first in t·s
+		{"addRows", nanA, nanB, 0, 0, nanA},        // dst first in dst + src
 	}
 	for _, c := range cases {
 		for _, k := range elemKernels {

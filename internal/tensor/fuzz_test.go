@@ -201,19 +201,21 @@ func FuzzMatMulKMajorParallelVsSerial(f *testing.F) {
 // Wᵀ·G product and its per-channel fold, sharded over an arbitrary worker
 // count — against the naive G·W product followed by the naive per-tap
 // scatter (col2imReference), over random geometries including 1×1 kernels,
-// strides past the kernel size, padding wider than the image and output
-// widths below one lane block. The gradient holds ±0 and, on odd seeds, a
+// strides past the kernel size, padding wider than the image, output
+// widths below one lane block and (InW up to 40) stride-2 rows of two
+// whole vectors plus a tail. The gradient holds ±0 and, on odd seeds, a
 // NaN; the result must agree in its bits.
 func FuzzCol2Im(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(6), uint8(1), uint8(1), uint8(1), uint8(4), uint8(1), uint8(2), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))  // 1×1 image, 1×1 kernel
 	f.Add(uint8(2), uint8(10), uint8(9), uint8(2), uint8(2), uint8(2), uint8(9), uint8(2), uint8(4), int64(3)) // K=5, stride 3, pad 2
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint8(0), uint8(15), int64(4)) // pad past a 2×2 image
-	f.Add(uint8(11), uint8(5), uint8(12), uint8(1), uint8(1), uint8(0), uint8(16), uint8(1), uint8(3), int64(5))
-	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(7), int64(6)) // stride 4 > K = 3
+	f.Add(uint8(11), uint8(5), uint8(0), uint8(1), uint8(1), uint8(0), uint8(16), uint8(1), uint8(3), int64(5))
+	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(7), int64(6))  // stride 4 > K = 3
+	f.Add(uint8(1), uint8(6), uint8(36), uint8(1), uint8(1), uint8(1), uint8(5), uint8(1), uint8(2), int64(7)) // InW 37, stride 2: OutW 19
 	f.Fuzz(func(t *testing.T, cr, hr, wr, kr, sr, pr, ocr, nr, workr uint8, seed int64) {
 		g := ConvGeom{
-			InC: int(cr)%12 + 1, InH: int(hr)%12 + 1, InW: int(wr)%12 + 1,
+			InC: int(cr)%12 + 1, InH: int(hr)%12 + 1, InW: int(wr)%40 + 1,
 			K: 2*(int(kr)%3) + 1, Stride: int(sr)%4 + 1, Pad: int(pr) % 3,
 		}
 		if g.Validate() != nil {
@@ -234,7 +236,8 @@ func FuzzCol2Im(f *testing.F) {
 		got := New(want.Shape()...)
 		got.Fill(99) // stale garbage must be fully overwritten
 		p := g.OutH() * g.OutW()
-		task := poolTask{op: opCol2Im, c: make([]float32, n*g.InC*g.K*g.K*p), a: wT.Data(), bk: grad.Data(), k: oc, n: p, dx: got.Data(), g: g}
+		taps := NewConvTaps(g)
+		task := poolTask{op: opCol2Im, c: make([]float32, n*g.InC*g.K*g.K*p), a: wT.Data(), bk: grad.Data(), b: stalePadded(taps, n).Data(), k: oc, n: p, dx: got.Data(), taps: taps}
 		task.shard(n*g.InC, workers)
 		sameBits(t, "fuzz "+itoa(g.InC)+"x"+itoa(g.InH)+"x"+itoa(g.InW)+" K="+itoa(g.K)+" stride="+itoa(g.Stride)+" pad="+itoa(g.Pad), got.Data(), want.Data())
 	})
@@ -246,9 +249,10 @@ func FuzzCol2Im(f *testing.F) {
 // against the naive lowering followed by the naive GEMM (fusedOperands),
 // over random geometries including 1×1 unpadded kernels, strides past the
 // kernel size, padding wider than the image and rows narrower than one
-// lane block. The input holds ±0 and, on odd seeds, a NaN; the product and
-// the lowering materialised from the padded copy (tapCols) must agree in
-// their bits.
+// lane block, and (InW up to 40) stride-2 rows whose even and odd halves
+// are two whole vectors plus a tail. The input holds ±0 and, on odd seeds,
+// a NaN; the product and the lowering materialised from the padded copy
+// (tapCols) must agree in their bits.
 func FuzzIm2Col(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(6), uint8(1), uint8(1), uint8(1), uint8(4), uint8(1), uint8(2), int64(1))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))  // 1×1 image, 1×1 kernel
@@ -256,9 +260,10 @@ func FuzzIm2Col(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), uint8(2), uint8(0), uint8(15), int64(4)) // pad past a 2×2 image
 	f.Add(uint8(9), uint8(5), uint8(11), uint8(0), uint8(0), uint8(0), uint8(2), uint8(1), uint8(3), int64(5)) // 1×1 kernel, OutC 3
 	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), uint8(3), uint8(1), uint8(1), uint8(2), uint8(7), int64(6))  // stride 4 > K = 3
+	f.Add(uint8(1), uint8(6), uint8(36), uint8(1), uint8(1), uint8(1), uint8(5), uint8(1), uint8(2), int64(7)) // InW 37, stride 2: OutW 19
 	f.Fuzz(func(t *testing.T, cr, hr, wr, kr, sr, pr, ocr, nr, workr uint8, seed int64) {
 		g := ConvGeom{
-			InC: int(cr)%12 + 1, InH: int(hr)%12 + 1, InW: int(wr)%12 + 1,
+			InC: int(cr)%12 + 1, InH: int(hr)%12 + 1, InW: int(wr)%40 + 1,
 			K: 2*(int(kr)%3) + 1, Stride: int(sr)%4 + 1, Pad: int(pr) % 3,
 		}
 		if g.Validate() != nil {

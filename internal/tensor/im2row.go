@@ -16,14 +16,17 @@ import "fmt"
 // padding taps multiply +0, so batched convolution is bit-identical per
 // frame to a single-sample call and to the lowering it replaces.
 //
-// The input gradient runs the other way round: MatMulCol2ImInto forms the
-// tap-major cols = Wᵀ·G and col2imPlane, the exact adjoint of the
-// forward's taps, folds each channel's K·K rows into its input plane
-// reading every row contiguously.
+// The input gradient runs the same plan the other way round:
+// MatMulCol2ImInto forms the tap-major cols = Wᵀ·G, and foldChannel, the
+// exact adjoint of the forward's taps, adds each tap's whole block of
+// cols into a padded channel of the same layout at the tap's offset, then
+// writes the input pixels back out of it. The padding absorbs the taps
+// that fall outside the image, so neither direction tests a range per
+// element; the fold's adds, and at strides 1 and 2 both directions'
+// copies, move whole rows on the vector lanes.
 
 // ConvGeom describes the geometry of a 2-D convolution over a CHW tensor.
-// It is shared by the forward's tap table (ConvTaps) and the backward
-// MatMulCol2ImInto fold so the two always agree.
+// ConvTaps builds both directions' plan from it, so the two always agree.
 type ConvGeom struct {
 	InC, InH, InW int // input channels, height, width
 	K             int // square kernel size
@@ -64,10 +67,12 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 	return x.shape[0]
 }
 
-// ConvTaps is the indirect-convolution plan of one geometry: the layout of
-// the zero-padded copy the forward reads its taps from, and a table of
-// where each tap starts in it. It depends only on the geometry, so a layer
-// builds it once and reuses it on every call.
+// ConvTaps is the convolution plan of one geometry, for both directions:
+// the layout of the zero-padded copy the forward reads its taps from, and
+// a table of where each tap starts in it. The input gradient's fold adds
+// each tap's gradient into a padded channel of the same layout at the
+// same offsets. The plan depends only on the geometry, so a layer builds
+// it once and reuses it on every call.
 //
 // The padded copy of a CHW sample is split, per channel, into Stride²
 // polyphase sub-images, one per (row phase, column phase): padded pixel
@@ -86,17 +91,25 @@ func batchGeomCheck(x *Tensor, g ConvGeom, op string) int {
 // one pass (ConvParamGradsInto). Positions q = oy·Wq + ox with ox ≥ OutW
 // fall between two output rows and belong to no output.
 type ConvTaps struct {
-	g         ConvGeom
-	off       []int32    // start of tap (c,ky,kx) in a padded sample
-	phases    []colPhase // how each column phase gathers an input row
-	hq, wq    int        // rows and columns of one polyphase sub-image
-	sampleLen int        // floats per padded sample
+	g              ConvGeom
+	off            []int32    // start of tap (c,ky,kx) in a padded sample
+	phases         []colPhase // how each column phase gathers an input row, by ix0
+	rowPhases      []rowPhase // where each row phase's input rows go, by phase
+	hq, wq         int        // rows and columns of one polyphase sub-image
+	inRows, inCols int        // the input rows and columns the grid reaches
+	sampleLen      int        // floats per padded sample
 }
 
 // colPhase is one column phase's share of an input row: n input columns
 // from ix0 on, every Stride-th, land at columns [j0, j0+n) of its
 // sub-image row, which starts dst floats into the row phase's sub-images.
+// n is 0 for a phase past the columns the grid reaches.
 type colPhase struct{ ix0, j0, n, dst int }
+
+// rowPhase is one row phase's share of the input rows: n input rows from
+// iy0 on, every Stride-th, land in rows [yq0, yq0+n) of the phase's
+// Stride sub-images (yq0 is 0 when n is 0).
+type rowPhase struct{ iy0, yq0, n int }
 
 // NewConvTaps builds the padded layout and offset table of a geometry. It
 // panics on an invalid geometry, or one whose padded sample would not fit
@@ -109,17 +122,27 @@ func NewConvTaps(g ConvGeom) *ConvTaps {
 	// The windows reach (Out−1)·s + K padded rows and columns.
 	hq := ((g.OutH()-1)*s + k + s - 1) / s
 	wq := ((g.OutW()-1)*s + k + s - 1) / s
-	t := &ConvTaps{g: g, hq: hq, wq: wq, sampleLen: g.InC * s * s * hq * wq}
+	t := &ConvTaps{g: g, hq: hq, wq: wq, sampleLen: g.InC * s * s * hq * wq,
+		inRows: max(0, min(g.InH, s*hq-g.Pad)), inCols: max(0, min(g.InW, s*wq-g.Pad))}
 	if t.sampleLen > 1<<31-1 {
 		panic(fmt.Sprintf("tensor: NewConvTaps: padded sample of %+v exceeds int32 offsets", g))
 	}
 	// Padded column x = ix + pad is column x div s of phase x mod s, so
-	// the input columns ix0, ix0 + s, … of the ix1 that the grid reaches
-	// land in phase (ix0 + pad) mod s. The phases are listed by ix0.
-	ix1 := min(g.InW, s*wq-g.Pad)
-	for ix0 := 0; ix0 < min(s, ix1); ix0++ {
+	// the input columns ix0, ix0 + s, … that the grid reaches land in
+	// phase (ix0 + pad) mod s: each phase has one ix0 < s.
+	for ix0 := 0; ix0 < s; ix0++ {
 		ph := (ix0 + g.Pad) % s
-		t.phases = append(t.phases, colPhase{ix0: ix0, j0: (ix0 + g.Pad) / s, n: (ix1 - ix0 + s - 1) / s, dst: ph * hq * wq})
+		n := max(0, (t.inCols-ix0+s-1)/s)
+		t.phases = append(t.phases, colPhase{ix0: ix0, j0: min(wq, (ix0+g.Pad)/s), n: n, dst: ph * hq * wq})
+	}
+	// Likewise padded row y = iy + pad is row y div s of the sub-images
+	// of row phase y mod s: each phase's rows start at one iy0 < s.
+	for yp := 0; yp < s; yp++ {
+		rp := rowPhase{iy0: ((yp-g.Pad)%s + s) % s}
+		if rp.iy0 < t.inRows {
+			rp.yq0, rp.n = (rp.iy0+g.Pad)/s, (t.inRows-rp.iy0+s-1)/s
+		}
+		t.rowPhases = append(t.rowPhases, rp)
 	}
 	t.off = make([]int32, 0, g.InC*k*k)
 	for c := 0; c < g.InC; c++ {
@@ -146,49 +169,60 @@ func (t *ConvTaps) PaddedLen() int { return t.sampleLen }
 func (t *ConvTaps) GridLen() int { return (t.g.OutH()-1)*t.wq + t.g.OutW() }
 
 // padChannel writes one channel of the padded copy: dst holds its Stride²
-// sub-images, src the channel's InH × InW input plane. dst is cleared
-// first — +0 in the padding and in the slots past the last padded row or
-// column, so a reused buffer carries nothing stale — and then each input
-// row the grid reaches is written to its polyphase position: a plain copy
-// at stride 1, one pass that deals the even and odd columns out at stride
-// 2, one strided gather per column phase otherwise.
+// sub-images, src the channel's InH × InW input plane. Each input row the
+// grid reaches is written to its polyphase position — a plain copy at
+// stride 1, one pass per row phase that deals the even and odd columns
+// out at stride 2 (deinterleave), one strided gather per column phase
+// otherwise — and every other float gets +0: the padding, and the slots
+// past the last padded row or column, so a reused buffer carries nothing
+// stale. Each float is written once.
 func (t *ConvTaps) padChannel(dst, src []float32) {
 	g := t.g
-	s, sub := g.Stride, t.hq*t.wq
-	clear(dst)
-	// Padded row y = iy + pad is row yq of the sub-images of row phase yp.
-	yp, yq := g.Pad%s, g.Pad/s
-	for iy := 0; iy < min(g.InH, s*t.hq-g.Pad); iy++ {
-		rows := dst[yp*s*sub+yq*t.wq:]
-		in := src[iy*g.InW : (iy+1)*g.InW]
-		switch ph := t.phases; {
-		case s == 1:
-			copy(rows[ph[0].j0:][:ph[0].n], in)
-		case s == 2 && len(ph) == 2:
-			deinterleave(rows[ph[0].dst+ph[0].j0:][:ph[0].n], rows[ph[1].dst+ph[1].j0:][:ph[1].n], in)
+	s, wq, sub, ph := g.Stride, t.wq, t.hq*t.wq, t.phases
+	for yp, rp := range t.rowPhases {
+		iy0, yq0, n := rp.iy0, rp.yq0, rp.n
+		grp := dst[yp*s*sub:][:s*sub]
+		// Sub-image rows outside [yq0, yq0+n) are padding, and so are the
+		// columns outside a column phase's [j0, j0+n) of the rows inside.
+		for _, cp := range ph {
+			img := grp[cp.dst:][:sub]
+			clear(img[:yq0*wq])
+			clear(img[(yq0+n)*wq:])
+			zeroCols(img[yq0*wq:(yq0+n)*wq], 0, cp.j0, wq)
+			zeroCols(img[yq0*wq:(yq0+n)*wq], cp.j0+cp.n, wq, wq)
+		}
+		if n == 0 {
+			continue
+		}
+		pr, in := grp[yq0*wq:], src[iy0*g.InW:]
+		switch s {
+		case 1:
+			for r := range n {
+				copy(pr[r*wq+ph[0].j0:][:ph[0].n], in[r*g.InW:])
+			}
+		case 2:
+			deinterleave(pr[ph[0].dst+ph[0].j0:], pr[ph[1].dst+ph[1].j0:], in, n, ph[0].n, ph[1].n, wq, s*g.InW)
 		default:
-			for _, cp := range ph {
-				d := rows[cp.dst+cp.j0:][:cp.n]
-				for j, ix := 0, cp.ix0; j < len(d); j, ix = j+1, ix+s {
-					d[j] = in[ix]
+			for r := range n {
+				for _, cp := range ph {
+					d := pr[r*wq+cp.dst+cp.j0:][:cp.n]
+					for j, ix := 0, r*s*g.InW+cp.ix0; j < len(d); j, ix = j+1, ix+s {
+						d[j] = in[ix]
+					}
 				}
 			}
-		}
-		if yp++; yp == s {
-			yp, yq = 0, yq+1
 		}
 	}
 }
 
-// deinterleave writes in[2j] to even[j] and in[2j+1] to odd[j], reading
-// in once; even holds as many columns as odd or one more.
-func deinterleave(even, odd, in []float32) {
-	j := 0
-	for ; j < len(odd); j++ {
-		even[j], odd[j] = in[2*j], in[2*j+1]
-	}
-	if j < len(even) {
-		even[j] = in[2*j]
+// zeroCols writes +0 to columns [j0, j1) of every row of rows, whose rows
+// are wq floats long: one strided store per row and column, where
+// clearing whole rows would write each row twice.
+func zeroCols(rows []float32, j0, j1, wq int) {
+	for j := j0; j < j1; j++ {
+		for r := j; r < len(rows); r += wq {
+			rows[r] = 0
+		}
 	}
 }
 
@@ -204,55 +238,58 @@ func (t *ConvTaps) padUnits(xp, x []float32, u0, u1 int) {
 	}
 }
 
-// col2imPlane folds one channel's tap-major gradient rows back into its
-// input plane: rows holds K·K rows of OutH·OutW elements, row ky·K+kx
-// being the gradient of the pixels tap (ky,kx) read. The plane is cleared
-// first, then the taps run (ky,kx) outer and the output positions inner,
-// so every pixel sums its overlapping-window contributions in ascending
-// tap order from +0 — the order the per-tap references in the tensor and
-// nn tests pin. Each tap's valid output range is found once, so the inner
-// loops read a row contiguously with no per-element padding tests.
-func col2imPlane(plane, rows []float32, g ConvGeom) {
-	k, s := g.K, g.Stride
+// foldChannel is padChannel's adjoint: it folds one channel's tap-major
+// gradient rows back into its input plane dst, through pc, one padded
+// channel of scratch in the forward's layout. cols holds K·K rows of
+// OutH·OutW elements, row ky·K+kx being the gradient of the pixels tap
+// (ky,kx) read. pc is cleared, then each tap's whole OutH × OutW block is
+// added in at the tap's offset — output row oy at oy·Wq, so one addRows
+// call per tap — in ascending (ky,kx) order: every padded pixel sums the
+// taps that read it in ascending tap order from +0, the order the per-tap
+// references in the tensor and nn tests pin, and a tap that reads the
+// padding adds into the padding, with no range test. A last pass writes
+// the input pixels back out of the polyphase layout — a plain copy at
+// stride 1, one pass per row phase that merges the even and odd columns
+// at stride 2 (interleave), one strided scatter per column phase
+// otherwise — with +0 for the pixels past the grid's reach, which no tap
+// reads.
+func (t *ConvTaps) foldChannel(dst, pc, cols []float32) {
+	g := t.g
+	s, wq, sub, ph := g.Stride, t.wq, t.hq*t.wq, t.phases
 	outH, outW := g.OutH(), g.OutW()
-	clear(plane)
-	for ky := 0; ky < k; ky++ {
-		oy0, oy1 := tapRange(ky, g.Pad, s, g.InH, outH)
-		for kx := 0; kx < k; kx++ {
-			ox0, ox1 := tapRange(kx, g.Pad, s, g.InW, outW)
-			if ox0 >= ox1 {
-				continue
+	p := outH * outW
+	clear(pc)
+	for l, off := range t.off[:g.K*g.K] {
+		addRows(pc[off:], cols[l*p:(l+1)*p], outH, outW, wq, outW)
+	}
+	for yp, rp := range t.rowPhases {
+		iy0, yq0, n := rp.iy0, rp.yq0, rp.n
+		if n == 0 {
+			continue
+		}
+		pr, out := pc[yp*s*sub+yq0*wq:], dst[iy0*g.InW:]
+		switch s {
+		case 1:
+			for r := range n {
+				copy(out[r*g.InW:][:t.inCols], pr[r*wq+ph[0].j0:])
 			}
-			row := rows[(ky*k+kx)*outH*outW:]
-			for oy := oy0; oy < oy1; oy++ {
-				dst := plane[(oy*s-g.Pad+ky)*g.InW:]
-				src := row[oy*outW+ox0 : oy*outW+ox1]
-				ix := ox0*s - g.Pad + kx
-				if s == 1 {
-					dst = dst[ix : ix+len(src)]
-					for i, v := range src {
-						dst[i] += v
+		case 2:
+			interleave(out, pr[ph[0].dst+ph[0].j0:], pr[ph[1].dst+ph[1].j0:], n, ph[0].n, ph[1].n, s*g.InW, wq)
+		default:
+			for r := range n {
+				for _, cp := range ph {
+					d := pr[r*wq+cp.dst+cp.j0:][:cp.n]
+					for j, ix := 0, r*s*g.InW+cp.ix0; j < len(d); j, ix = j+1, ix+s {
+						out[ix] = d[j]
 					}
-					continue
-				}
-				for _, v := range src {
-					dst[ix] += v
-					ix += s
 				}
 			}
 		}
 	}
-}
-
-// tapRange returns the output positions [o0, o1) whose tap at offset t
-// (of a stride-s window starting at o·s − pad) lands inside [0, in).
-func tapRange(t, pad, s, in, out int) (o0, o1 int) {
-	last := in - 1 + pad - t // the largest o·s whose tap lands inside
-	if last < 0 {
-		return 0, 0
+	if t.inCols < g.InW {
+		for iy := range t.inRows {
+			clear(dst[iy*g.InW+t.inCols : (iy+1)*g.InW])
+		}
 	}
-	if d := pad - t; d > 0 {
-		o0 = (d + s - 1) / s
-	}
-	return o0, max(o0, min(out, last/s+1))
+	clear(dst[t.inRows*g.InW:])
 }

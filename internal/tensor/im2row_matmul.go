@@ -108,52 +108,59 @@ func biasGridRows(out, grid []float32, b float32, oy, ox, outW, wq int) {
 	}
 }
 
-// MatMulCol2ImInto is the convolution's input gradient in one call: it
-// computes the tap-major product cols = Wᵀ·G of each sample and folds it
-// back into dst, the adjoint of IndirectConvInto's product.
-// wT is the (InC·K·K) × OutC transposed weight matrix, grad the
-// incoming [N,OutC,OutH,OutW] output gradient read in place (N·OutC·OutH·OutW
-// elements, a single sample treated as N=1), cols (N·InC·K·K) ×
-// (OutH·OutW) scratch, and dst the [N,C,H,W] — or single [C,H,W] — input
-// gradient. dst and cols are fully overwritten.
+// MatMulCol2ImInto is the convolution's input gradient in one call, with
+// the forward's plan t run as its adjoint: it computes the tap-major
+// product cols = Wᵀ·G of each sample and folds it back into dst through
+// fold, a padded copy in t's layout. wT is the (InC·K·K) × OutC
+// transposed weight matrix, grad the incoming [N,OutC,OutH,OutW] output
+// gradient read in place (N·OutC·OutH·OutW elements, a single sample
+// treated as N=1), cols (N·InC·K·K) × (OutH·OutW) scratch, fold
+// N·t.PaddedLen() floats of scratch, and dst the [N,C,H,W] — or single
+// [C,H,W] — input gradient. dst, cols and fold are fully overwritten.
 //
 // The work splits into (sample, input channel) units: a unit computes the
 // K·K rows of cols its channel's taps own — an ascending-OutC dot per
 // element, exactly as MatMulKMajorInto — and folds them into its own
-// channel plane, each pixel summing its taps in ascending (ky,kx) order
-// from +0 (col2imPlane). Past the GEMM's parallelMinWork gate the units
-// are sharded over the persistent pool; units write disjoint rows and
-// planes, so the result is bit-identical at any GOMAXPROCS.
+// channel plane through its own padded channel of fold (foldChannel): one
+// vector block add per tap at the tap's offset in the forward's table,
+// each pixel summing its taps in ascending (ky,kx) order from +0, then
+// one pass that writes the input pixels out of the polyphase layout. Past
+// the GEMM's parallelMinWork gate the units are sharded over the
+// persistent pool; units write disjoint rows, padded channels and planes,
+// so the result is bit-identical at any GOMAXPROCS.
 //
 //advlint:noalloc
-func MatMulCol2ImInto(dst, cols, wT, grad *Tensor, g ConvGeom) {
+func MatMulCol2ImInto(dst, cols, fold, wT, grad *Tensor, t *ConvTaps) {
+	g := t.g
 	n := batchGeomCheck(dst, g, "MatMulCol2ImInto")
 	p := g.OutH() * g.OutW()
-	l := g.InC * g.K * g.K
-	if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p {
-		panic(fmt.Sprintf("tensor: MatMulCol2ImInto cols %v, want [%d %d]", cols.shape, n*l, p))
+	l := len(t.off)
+	if cols.Rank() != 2 || cols.shape[0] != n*l || cols.shape[1] != p || fold.Len() != n*t.sampleLen {
+		panic(fmt.Sprintf("tensor: MatMulCol2ImInto cols %v and fold %v, want [%d %d] and %d floats", cols.shape, fold.shape, n*l, p, n*t.sampleLen))
 	}
 	if wT.Rank() != 2 || wT.shape[0] != l || grad.Len() != n*wT.shape[1]*p {
 		panic(fmt.Sprintf("tensor: MatMulCol2ImInto wT %v and grad %v, want [%d OutC] and [%d OutC %d %d]", wT.shape, grad.shape, l, n, g.OutH(), g.OutW()))
 	}
 	oc := wT.shape[1]
-	t := poolTask{op: opCol2Im, c: cols.data, a: wT.data, bk: grad.data, k: oc, n: p, dx: dst.data, g: g}
-	t.shard(n*g.InC, shardWorkers(n*l, oc, p))
+	pt := poolTask{op: opCol2Im, c: cols.data, a: wT.data, bk: grad.data, b: fold.data, k: oc, n: p, dx: dst.data, taps: t}
+	pt.shard(n*g.InC, shardWorkers(n*l, oc, p))
 }
 
-// col2imUnits runs units [u0, u1) of a MatMulCol2ImInto call: unit u is
-// input channel u mod InC of sample u div InC. It multiplies the channel's
-// K·K rows of wT by the sample's OutC × P gradient into its rows of cols,
-// then folds those rows into the channel's plane of dx.
-func col2imUnits(dx, cols, wT, grad []float32, g ConvGeom, oc, u0, u1 int) {
+// col2imUnits runs units [u0, u1) of a MatMulCol2ImInto call (see
+// poolTask for the operands): unit u is input channel u mod InC of sample
+// u div InC. It multiplies the channel's K·K rows of wT by the sample's
+// OutC × P gradient into its rows of cols, then folds those rows into the
+// channel's plane of dx through its padded channel of the fold scratch.
+func col2imUnits(pt *poolTask, u0, u1 int) {
+	t, oc, p := pt.taps, pt.k, pt.n
+	g := t.g
 	kk := g.K * g.K
-	p := g.OutH() * g.OutW()
-	plane := g.InH * g.InW
+	plane, chanLen := g.InH*g.InW, t.sampleLen/g.InC
 	for u := u0; u < u1; u++ {
 		s, ch := u/g.InC, u%g.InC
-		rows := cols[u*kk*p : (u+1)*kk*p]
-		matMulKMajorSerial(rows, wT[ch*kk*oc:], grad[s*oc*p:], kk, oc, p)
-		col2imPlane(dx[u*plane:(u+1)*plane], rows, g)
+		rows := pt.c[u*kk*p : (u+1)*kk*p]
+		matMulKMajorSerial(rows, pt.a[ch*kk*oc:], pt.bk[s*oc*p:], kk, oc, p)
+		t.foldChannel(pt.dx[u*plane:(u+1)*plane], pt.b[u*chanLen:(u+1)*chanLen], rows)
 	}
 }
 

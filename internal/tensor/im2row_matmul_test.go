@@ -274,6 +274,8 @@ func col2imOperands(rng *xrand.RNG, n int, g ConvGeom, oc int) (grad, wT *Tensor
 // at GOMAXPROCS ∈ {1,2,4,16} over batch sizes, channel counts, strides,
 // kernel sizes and paddings. The largest geometries are past
 // parallelMinWork, so the (sample, channel) sharding runs under -race.
+// InW 37 at stride 2 gives OutW 19 at K=3, two whole vectors and a tail
+// of the fold's block adds and of its even/odd merge.
 func TestMatMulCol2ImMatchesTwoCall(t *testing.T) {
 	rng := xrand.New(144)
 	const oc = 10
@@ -282,19 +284,26 @@ func TestMatMulCol2ImMatchesTwoCall(t *testing.T) {
 			for _, stride := range []int{1, 2, 3} {
 				for _, k := range []int{1, 3, 5} {
 					for _, pad := range []int{0, 1, 2} {
-						g := ConvGeom{InC: inC, InH: 11, InW: 9, K: k, Stride: stride, Pad: pad}
-						grad, wT := col2imOperands(rng, n, g, oc)
-						want := col2imReference(grad, wT, n, g)
-						what := "N=" + itoa(n) + " InC=" + itoa(inC) + " stride=" + itoa(stride) + " K=" + itoa(k) + " pad=" + itoa(pad)
-						for _, procs := range []int{1, 2, 4, 16} {
-							old := runtime.GOMAXPROCS(procs)
-							cols := New(n*g.InC*k*k, g.OutH()*g.OutW())
-							cols.Fill(99)
-							got := New(want.Shape()...)
-							got.Fill(99) // stale garbage must be fully overwritten
-							MatMulCol2ImInto(got, cols, wT, grad, g)
-							runtime.GOMAXPROCS(old)
-							sameBits(t, what+" GOMAXPROCS="+itoa(procs), got.Data(), want.Data())
+						widths := []int{9}
+						if stride == 2 && k == 3 {
+							widths = append(widths, 37)
+						}
+						for _, inW := range widths {
+							g := ConvGeom{InC: inC, InH: 11, InW: inW, K: k, Stride: stride, Pad: pad}
+							taps := NewConvTaps(g)
+							grad, wT := col2imOperands(rng, n, g, oc)
+							want := col2imReference(grad, wT, n, g)
+							what := "N=" + itoa(n) + " InC=" + itoa(inC) + " InW=" + itoa(inW) + " stride=" + itoa(stride) + " K=" + itoa(k) + " pad=" + itoa(pad)
+							for _, procs := range []int{1, 2, 4, 16} {
+								old := runtime.GOMAXPROCS(procs)
+								cols := New(n*g.InC*k*k, g.OutH()*g.OutW())
+								cols.Fill(99)
+								got := New(want.Shape()...)
+								got.Fill(99) // stale garbage must be fully overwritten
+								MatMulCol2ImInto(got, cols, stalePadded(taps, n), wT, grad, taps)
+								runtime.GOMAXPROCS(old)
+								sameBits(t, what+" GOMAXPROCS="+itoa(procs), got.Data(), want.Data())
+							}
 						}
 					}
 				}

@@ -133,7 +133,8 @@ func col2im(dst, grad *Tensor, g ConvGeom) {
 	for i := 0; i < l; i++ {
 		eye.Set(1, i, i)
 	}
-	MatMulCol2ImInto(dst, New(grad.Len()/p, p), eye, grad, g)
+	t := NewConvTaps(g)
+	MatMulCol2ImInto(dst, New(grad.Len()/p, p), stalePadded(t, grad.Len()/(l*p)), eye, grad, t)
 }
 
 // TestRow2ImIsAdjoint verifies <Im2Col(x), R> == <x, Col2Im(R)> — the
@@ -155,7 +156,7 @@ func TestRow2ImIsAdjoint(t *testing.T) {
 	back.Fill(99) // the fold must clear before it accumulates
 	col2im(back, grad, g)
 
-	lhs := cols.Dot(grad.Reshape(n*l, p))
+	lhs := dot(cols, grad)
 	var rhs float64
 	for i, v := range back.Data() {
 		rhs += float64(v) * float64(batch.Data()[i])

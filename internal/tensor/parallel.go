@@ -109,8 +109,9 @@ const (
 //     bias and n the output channel count; each unit is multiplied
 //     through taps' offset table and biased (indirectUnits).
 //   - opCol2Im: c is the tap-major scratch, a the transposed weights, bk
-//     the output gradient, k the output channel count and dx the input
-//     gradient each unit folds into (col2imUnits).
+//     the output gradient, b the padded fold scratch in the layout of
+//     taps, k the output channel count, n the output positions and dx
+//     the input gradient each unit folds into (col2imUnits).
 //   - opParamGrad: c is the weight gradient, b the bias gradient, a the
 //     output gradient, dx the same gradient at the padded copy's row
 //     stride (k floats per sample and channel), bk the padded copy and n
@@ -121,7 +122,6 @@ type poolTask struct {
 	k, n     int
 	b, dx    []float32
 	taps     *ConvTaps
-	g        ConvGeom
 }
 
 // run computes units [lo, hi) on the calling goroutine.
@@ -132,7 +132,7 @@ func (t *poolTask) run(lo, hi int) {
 	case opConv:
 		indirectUnits(t.c, t.bk, t.a, t.b, t.taps, t.n, lo, hi)
 	case opCol2Im:
-		col2imUnits(t.dx, t.c, t.a, t.bk, t.g, t.k, lo, hi)
+		col2imUnits(t, lo, hi)
 	case opParamGrad:
 		paramGradUnits(t, lo, hi)
 	default:

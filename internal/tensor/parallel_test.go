@@ -239,10 +239,10 @@ func shardCases(rng *xrand.RNG) []*shardCase {
 			outs: [][]float32{out.Data()}})
 
 		grad, wT := col2imOperands(rng, n, g, oc)
-		cols, dx := New(n*l, p), New(n, g.InC, g.InH, g.InW)
+		cols, fold, dx := New(n*l, p), New(n*taps.PaddedLen()), New(n, g.InC, g.InH, g.InW)
 		cases = append(cases, &shardCase{name: "col2im" + what, units: n * g.InC,
-			task: poolTask{op: opCol2Im, c: cols.Data(), a: wT.Data(), bk: grad.Data(), k: oc, n: p, dx: dx.Data(), g: g},
-			outs: [][]float32{cols.Data(), dx.Data()}})
+			task: poolTask{op: opCol2Im, c: cols.Data(), a: wT.Data(), bk: grad.Data(), b: fold.Data(), k: oc, n: p, dx: dx.Data(), taps: taps},
+			outs: [][]float32{cols.Data(), fold.Data(), dx.Data()}})
 
 		dw, db := New(oc, l), New(oc)
 		var gq []float32

@@ -249,19 +249,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	t.assertSame(o, "dot")
-	var s float64
-	for i := range t.data {
-		s += float64(float64(t.data[i]) * float64(o.data[i])) // rounded product: no FMA on arm64
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 { return math.Sqrt(t.Dot(t)) }
-
 // String implements fmt.Stringer with a compact summary.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v(n=%d, mean=%.4g)", t.shape, len(t.data), t.Mean())
