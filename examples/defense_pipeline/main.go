@@ -79,7 +79,8 @@ func run() error {
 	})
 	ac := regress.DefaultTrainConfig()
 	ac.Epochs, ac.LR = 6, 1e-3
-	hardened := defense.AdvTrainRegressor(reg, advImgs, dists, ac)
+	hardened := reg.Clone()
+	hardened.TrainImages(advImgs, dists, ac)
 	// Re-attack against the hardened model (adaptive evaluation).
 	hobj := &attack.RegressionObjective{Reg: hardened}
 	reAttacked := make([]*advp.Image, testSet.Len())

@@ -97,21 +97,3 @@ func (s *DriveSet) Split(trainFrac float64) (train, test *DriveSet) {
 
 // Len returns the number of scenes.
 func (s *DriveSet) Len() int { return len(s.Scenes) }
-
-// Batches yields index slices of size batch covering [0, n), the last batch
-// possibly short. Trainers iterate these to accumulate gradients.
-func Batches(n, batch int) [][]int {
-	var out [][]int
-	for i := 0; i < n; i += batch {
-		j := i + batch
-		if j > n {
-			j = n
-		}
-		idx := make([]int, j-i)
-		for k := range idx {
-			idx[k] = i + k
-		}
-		out = append(out, idx)
-	}
-	return out
-}

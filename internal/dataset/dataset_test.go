@@ -97,25 +97,3 @@ func TestWithImagesLengthMismatchPanics(t *testing.T) {
 	}()
 	set.WithImages(make([]*imaging.Image, 2))
 }
-
-func TestBatches(t *testing.T) {
-	bs := Batches(10, 4)
-	if len(bs) != 3 {
-		t.Fatalf("batches = %d", len(bs))
-	}
-	if len(bs[0]) != 4 || len(bs[2]) != 2 {
-		t.Fatalf("batch sizes %d/%d", len(bs[0]), len(bs[2]))
-	}
-	seen := map[int]bool{}
-	for _, b := range bs {
-		for _, i := range b {
-			if seen[i] {
-				t.Fatalf("index %d duplicated", i)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("covered %d indices, want 10", len(seen))
-	}
-}

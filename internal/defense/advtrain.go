@@ -4,7 +4,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/imaging"
-	"repro/internal/regress"
 	"repro/internal/xrand"
 )
 
@@ -56,20 +55,4 @@ func MixDriveSets(rng *xrand.RNG, frac float64, imgSets [][]*imaging.Image, dist
 		}
 	}
 	return imgs, dists
-}
-
-// AdvTrainDetector fine-tunes a copy of the base detector on adversarial
-// examples and returns the hardened model. The base model is not modified.
-func AdvTrainDetector(base *detect.Detector, imgs []*imaging.Image, gts [][]detect.Box, cfg detect.TrainConfig) *detect.Detector {
-	hardened := base.Clone()
-	hardened.TrainImages(imgs, gts, cfg)
-	return hardened
-}
-
-// AdvTrainRegressor fine-tunes a copy of the base regressor on adversarial
-// frames and returns the hardened model. The base model is not modified.
-func AdvTrainRegressor(base *regress.Regressor, imgs []*imaging.Image, dists []float64, cfg regress.TrainConfig) *regress.Regressor {
-	hardened := base.Clone()
-	hardened.TrainImages(imgs, dists, cfg)
-	return hardened
 }

@@ -65,34 +65,31 @@ func ContrastiveFineTune(base *detect.Detector, set *dataset.SignSet, cfg Contra
 		idx[i] = i
 	}
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for _, batch := range dataset.Batches(len(idx), cfg.Batch) {
-			// Two augmented views per scene.
-			views := make([]*imaging.Image, 0, 2*len(batch))
-			for _, bi := range batch {
-				img := set.Scenes[idx[bi]].Img
-				views = append(views, augmentView(rng, img), augmentView(rng, img))
-			}
+	nn.Epochs(rng, idx, cfg.Epochs, cfg.Batch, func(_ int, b []int) {
+		// Two augmented views per scene.
+		views := make([]*imaging.Image, 0, 2*len(b))
+		for _, k := range b {
+			img := set.Scenes[k].Img
+			views = append(views, augmentView(rng, img), augmentView(rng, img))
+		}
 
-			// Pass 1: embeddings (forward only).
-			raw := make([]*tensor.Tensor, len(views))
-			unit := make([][]float64, len(views))
-			norms := make([]float64, len(views))
-			for i, v := range views {
-				z := proj.Forward(backbone.Forward(v.Tensor(), true), true)
-				raw[i] = z.Clone()
-				u, n := normalise(z)
-				unit[i] = u
-				norms[i] = n
-			}
+		// Pass 1: embeddings (forward only).
+		raw := make([]*tensor.Tensor, len(views))
+		unit := make([][]float64, len(views))
+		norms := make([]float64, len(views))
+		for i, v := range views {
+			z := proj.Forward(backbone.Forward(v.Tensor(), true), true)
+			raw[i] = z.Clone()
+			u, n := normalise(z)
+			unit[i] = u
+			norms[i] = n
+		}
 
-			// NT-Xent gradients w.r.t. the unit embeddings.
-			gradU := ntXentGrad(unit, cfg.Tau, cfg.Margin)
+		// NT-Xent gradients w.r.t. the unit embeddings.
+		gradU := ntXentGrad(unit, cfg.Tau, cfg.Margin)
 
-			// Pass 2: backprop each view with its embedding gradient.
-			backbone.ZeroGrad()
-			proj.ZeroGrad()
+		// Pass 2: backprop each view with its embedding gradient.
+		opt.TrainStep(params, func() int {
 			for i, v := range views {
 				gz := normBackward(raw[i], unit[i], norms[i], gradU[i])
 				feat := backbone.Forward(v.Tensor(), true)
@@ -100,38 +97,26 @@ func ContrastiveFineTune(base *detect.Detector, set *dataset.SignSet, cfg Contra
 				gFeat := proj.Backward(gz)
 				backbone.Backward(gFeat)
 			}
-			scale := 1 / float32(len(views))
-			for _, p := range params {
-				p.Grad.ScaleInPlace(scale)
-			}
-			nn.ClipGradNorm(params, 10)
-			opt.Step(params)
-		}
-	}
+			return len(views)
+		})
+	}, nil)
 
 	// Detection refit on clean data: the contrastive pre-training moved
 	// the backbone, so the whole network is fine-tuned at a low rate to
 	// restore detection calibration while keeping the contrastive-shaped
 	// features (freezing the backbone here loses too much accuracy).
 	headOpt := nn.NewAdam(cfg.HeadLR)
-	allParams := out.Net.Params()
-	for epoch := 0; epoch < cfg.HeadEpochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for _, batch := range dataset.Batches(len(idx), cfg.Batch) {
-			out.Net.ZeroGrad()
-			for _, bi := range batch {
-				sc := set.Scenes[idx[bi]]
+	nn.Epochs(rng, idx, cfg.HeadEpochs, cfg.Batch, func(_ int, b []int) {
+		headOpt.TrainStep(out.Net.Params(), func() int {
+			for _, k := range b {
+				sc := set.Scenes[k]
 				rawOut := out.Net.Forward(sc.Img.Tensor(), true)
 				_, grad := out.LossGrad(rawOut, detect.GTBoxes(sc))
 				out.Net.Backward(grad)
 			}
-			for _, p := range allParams {
-				p.Grad.ScaleInPlace(1 / float32(len(batch)))
-			}
-			nn.ClipGradNorm(allParams, 10)
-			headOpt.Step(allParams)
-		}
-	}
+			return len(b)
+		})
+	}, nil)
 	return out
 }
 

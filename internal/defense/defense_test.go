@@ -142,7 +142,8 @@ func TestAdvTrainRegressorImprovesRobustness(t *testing.T) {
 	rc := regress.DefaultTrainConfig()
 	rc.Epochs = 4
 	rc.LR = 1e-3
-	hardened := AdvTrainRegressor(baseReg, advImgs, dists, rc)
+	hardened := baseReg.Clone()
+	hardened.TrainImages(advImgs, dists, rc)
 
 	// Evaluate on the same adversarial examples (transfer setting).
 	var baseErr, hardErr float64

@@ -110,30 +110,27 @@ func (d *Diffusion) Train(cfg DiffusionConfig, next func() *imaging.Image) {
 	rng := xrand.New(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
 	for step := 0; step < cfg.TrainSteps; step++ {
-		d.Net.ZeroGrad()
 		var lossSum float64
-		for b := 0; b < cfg.Batch; b++ {
-			img := next()
-			x0 := img.Tensor()
-			t := rng.Intn(d.T)
-			ab := d.alphaBar[t]
+		opt.TrainStep(d.Net.Params(), func() int {
+			for b := 0; b < cfg.Batch; b++ {
+				img := next()
+				x0 := img.Tensor()
+				t := rng.Intn(d.T)
+				ab := d.alphaBar[t]
 
-			noise := tensor.New(x0.Shape()...)
-			rng.FillNormal(noise.Data(), 0, 1)
+				noise := tensor.New(x0.Shape()...)
+				rng.FillNormal(noise.Data(), 0, 1)
 
-			xt := x0.Scale(float32(math.Sqrt(ab)))
-			xt.AddScaledInPlace(noise, float32(math.Sqrt(1-ab)))
+				xt := x0.Scale(float32(math.Sqrt(ab)))
+				xt.AddScaledInPlace(noise, float32(math.Sqrt(1-ab)))
 
-			pred := d.Net.Forward(d.stack(xt, t), true)
-			loss, grad := nn.MSE(pred, noise)
-			lossSum += loss
-			d.Net.Backward(grad)
-		}
-		for _, p := range d.Net.Params() {
-			p.Grad.ScaleInPlace(1 / float32(cfg.Batch))
-		}
-		nn.ClipGradNorm(d.Net.Params(), 10)
-		opt.Step(d.Net.Params())
+				pred := d.Net.Forward(d.stack(xt, t), true)
+				loss, grad := nn.MSE(pred, noise)
+				lossSum += loss
+				d.Net.Backward(grad)
+			}
+			return cfg.Batch
+		})
 		if cfg.Logf != nil && (step+1)%50 == 0 {
 			cfg.Logf("diffusion: step %d/%d loss %.5f", step+1, cfg.TrainSteps, lossSum/float64(cfg.Batch))
 		}

@@ -146,8 +146,9 @@ func trainPath(t *testing.T, name string) trainedBits {
 		dcfg.LR = 1e-3
 		rcfg := regress.DefaultTrainConfig()
 		rcfg.Epochs, rcfg.Batch, rcfg.LR, rcfg.Logf = 2, 4, 1e-3, logf
-		hd := AdvTrainDetector(det, imgs, gts, dcfg)
-		hr := AdvTrainRegressor(reg, frames, dists, rcfg)
+		hd, hr := det.Clone(), reg.Clone()
+		hd.TrainImages(imgs, gts, dcfg)
+		hr.TrainImages(frames, dists, rcfg)
 		if digest(det.Net.Params()) != baseDet || digest(reg.Net.Params()) != baseReg {
 			t.Fatal("adversarial fine-tuning modified its base model")
 		}
@@ -156,7 +157,7 @@ func trainPath(t *testing.T, name string) trainedBits {
 	return out
 }
 
-func tinyDetectConfig(logf func(string, ...any)) detect.TrainConfig {
+func tinyDetectConfig(logf func(string, ...any)) nn.TrainConfig {
 	cfg := detect.DefaultTrainConfig()
 	cfg.Epochs, cfg.Batch, cfg.Logf = 5, 4, logf
 	return cfg

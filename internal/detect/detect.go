@@ -41,7 +41,7 @@ type Detector struct {
 	Size int // input image side (pixels)
 	Grid int // grid side (cells)
 
-	batchBuf *tensor.Tensor // reusable [N,3,S,S] input pack for ForwardBatch
+	batchBuf *tensor.Tensor // reusable [N,3,S,S] input pack for ForwardBatch and TrainImages
 
 	// Reusable loss scratch: LossGrad/TrainLoss encode targets and build
 	// the raw-map gradient into these, so steady-state attack and training
@@ -99,18 +99,7 @@ func (d *Detector) Forward(img *imaging.Image) *tensor.Tensor {
 // (owned by the model workspace, valid until the next model call). Results
 // are bit-identical per frame to Forward.
 func (d *Detector) ForwardBatch(imgs []*imaging.Image) *tensor.Tensor {
-	n := len(imgs)
-	if d.batchBuf == nil || !d.batchBuf.ShapeEq(n, 3, d.Size, d.Size) {
-		d.batchBuf = tensor.New(n, 3, d.Size, d.Size)
-	}
-	sample := 3 * d.Size * d.Size
-	bd := d.batchBuf.Data()
-	for i, img := range imgs {
-		if len(img.Pix) != sample {
-			panic(fmt.Sprintf("detect: ForwardBatch frame %d has %d pixels, want %d", i, len(img.Pix), sample))
-		}
-		copy(bd[i*sample:(i+1)*sample], img.Pix)
-	}
+	d.batchBuf = imaging.PackInto(d.batchBuf, imgs, d.Size)
 	return d.Net.Forward(d.batchBuf, false)
 }
 

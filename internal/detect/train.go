@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/scene"
-	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -32,31 +31,24 @@ func gtBoxes(sc scene.SignScene) []Box {
 // GTBoxes exposes gtBoxes for the attack and defense packages.
 func GTBoxes(sc scene.SignScene) []Box { return gtBoxes(sc) }
 
-// TrainConfig controls detector training.
-type TrainConfig struct {
-	Epochs int
-	Batch  int
-	LR     float32
-	Seed   int64
-	// DecayAt is the fraction of epochs after which LR is multiplied by
-	// DecayFactor (0 disables the schedule).
-	DecayAt     float64
-	DecayFactor float32
-	// Logf, when non-nil, receives one line per epoch.
-	Logf func(format string, args ...any)
-}
+// The detector's one-step learning-rate schedule: from epoch
+// int(decayAt·Epochs) on, training runs at decayFactor·LR.
+const (
+	decayAt     = 0.6
+	decayFactor = 0.3
+)
 
 // DefaultTrainConfig returns settings that train TinyDet to high clean
 // accuracy on the synthetic stop-sign distribution.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 30, Batch: 16, LR: 3e-3, Seed: 1, DecayAt: 0.6, DecayFactor: 0.3}
+func DefaultTrainConfig() nn.TrainConfig {
+	return nn.TrainConfig{Epochs: 30, Batch: 16, LR: 3e-3, Seed: 1}
 }
 
 // Train fits the detector on the sign set. Each epoch shuffles the data
 // and runs each mini-batch as one batched forward and one batched backward
 // (two GEMM-shaped passes) before applying an Adam step. It returns the
 // final mean epoch loss.
-func (d *Detector) Train(set *dataset.SignSet, cfg TrainConfig) float64 {
+func (d *Detector) Train(set *dataset.SignSet, cfg nn.TrainConfig) float64 {
 	imgs := make([]*imaging.Image, set.Len())
 	gts := make([][]Box, set.Len())
 	for i, sc := range set.Scenes {
@@ -66,65 +58,51 @@ func (d *Detector) Train(set *dataset.SignSet, cfg TrainConfig) float64 {
 	return d.TrainImages(imgs, gts, cfg)
 }
 
-// TrainImages fits the detector on explicit image/ground-truth pairs; the
-// adversarial-training defense uses it with perturbed images. Per-sample
-// losses and raw-map gradients match the old per-sample loop exactly;
-// parameter gradients accumulate across each batch in one backward pass
-// (float-rounding-level difference only).
-func (d *Detector) TrainImages(imgs []*imaging.Image, gts [][]Box, cfg TrainConfig) float64 {
+// TrainImages fits the detector on explicit image/ground-truth pairs and
+// returns the final mean epoch loss; adversarial training runs it on a
+// Clone of the base detector with perturbed images. Each mini-batch is one
+// batched forward and one batched backward, whose parameter gradients
+// accumulate across the batch in one pass.
+func (d *Detector) TrainImages(imgs []*imaging.Image, gts [][]Box, cfg nn.TrainConfig) float64 {
 	rng := xrand.New(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
 	idx := make([]int, len(imgs))
 	for i := range idx {
 		idx[i] = i
 	}
+	decayEpoch := int(decayAt * float64(cfg.Epochs))
 	var (
-		batchBuf  *tensor.Tensor
-		batchGTs  [][]Box
-		losses    []float64
-		sample    = 3 * d.Size * d.Size
-		epochLoss float64
+		batchImgs = make([]*imaging.Image, 0, cfg.Batch)
+		batchGTs  = make([][]Box, 0, cfg.Batch)
+		losses    = make([]float64, cfg.Batch)
+		sum, loss float64
 	)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		maybeDecay(opt, cfg, epoch)
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		epochLoss = 0
-		for _, batch := range dataset.Batches(len(idx), cfg.Batch) {
-			nb := len(batch)
-			// Pack buffers live at full cfg.Batch capacity; a short tail
-			// batch is a view, so the epoch boundary never reallocates.
-			if batchBuf == nil || batchBuf.Len() < cfg.Batch*sample {
-				batchBuf = tensor.New(cfg.Batch, 3, d.Size, d.Size)
-				batchGTs = make([][]Box, cfg.Batch)
-				losses = make([]float64, cfg.Batch)
-			}
-			in := batchBuf
-			if nb != in.Dim(0) {
-				in = tensor.FromSlice(in.Data()[:nb*sample], nb, 3, d.Size, d.Size)
-			}
-			bd := in.Data()
-			for bi, b := range batch {
-				k := idx[b]
-				copy(bd[bi*sample:(bi+1)*sample], imgs[k].Pix)
-				batchGTs[bi] = gts[k]
-			}
-			d.Net.ZeroGrad()
-			raw := d.Net.Forward(in, true)
-			grad := d.LossGradBatch(losses[:nb], raw, batchGTs[:nb])
-			for _, l := range losses[:nb] {
-				epochLoss += l
+	nn.Epochs(rng, idx, cfg.Epochs, cfg.Batch, func(epoch int, b []int) {
+		if epoch >= decayEpoch {
+			opt.LR = cfg.LR * decayFactor
+		}
+		batchImgs, batchGTs = batchImgs[:0], batchGTs[:0]
+		for _, k := range b {
+			batchImgs = append(batchImgs, imgs[k])
+			batchGTs = append(batchGTs, gts[k])
+		}
+		opt.TrainStep(d.Net.Params(), func() int {
+			d.batchBuf = imaging.PackInto(d.batchBuf, batchImgs, d.Size)
+			raw := d.Net.Forward(d.batchBuf, true)
+			grad := d.LossGradBatch(losses[:len(b)], raw, batchGTs)
+			for _, l := range losses[:len(b)] {
+				sum += l
 			}
 			d.Net.Backward(grad)
-			scaleGrads(d.Net.Params(), 1/float32(nb))
-			nn.ClipGradNorm(d.Net.Params(), 10)
-			opt.Step(d.Net.Params())
-		}
-		epochLoss /= float64(len(imgs))
+			return len(b)
+		})
+	}, func(epoch int) {
+		loss, sum = sum/float64(len(imgs)), 0
 		if cfg.Logf != nil {
-			cfg.Logf("detect: epoch %d/%d loss %.5f", epoch+1, cfg.Epochs, epochLoss)
+			cfg.Logf("detect: epoch %d/%d loss %.5f", epoch+1, cfg.Epochs, loss)
 		}
-	}
-	return epochLoss
+	})
+	return loss
 }
 
 // Evaluate runs the detector over a set and returns the paper's three
@@ -152,21 +130,4 @@ func (d *Detector) EvaluateImages(imgs []*imaging.Image, gts [][]Box, scoreThres
 		evals[i] = metrics.ImageEval{Dets: dets[i], GT: gts[i]}
 	}
 	return metrics.EvalDetections(evals, scoreThresh)
-}
-
-// maybeDecay applies the one-step learning-rate schedule at the epoch
-// boundary given by cfg.DecayAt.
-func maybeDecay(opt *nn.Adam, cfg TrainConfig, epoch int) {
-	if cfg.DecayAt <= 0 || cfg.DecayFactor <= 0 {
-		return
-	}
-	if epoch == int(cfg.DecayAt*float64(cfg.Epochs)) {
-		opt.LR *= cfg.DecayFactor
-	}
-}
-
-func scaleGrads(params []*nn.Param, s float32) {
-	for _, p := range params {
-		p.Grad.ScaleInPlace(s)
-	}
 }

@@ -155,12 +155,14 @@ func (e *Env) hardenOn(src Kind, train advSets) (*detect.Detector, *regress.Regr
 	if src == MixedKind {
 		signImgs, signGTs := train.mixedSign(rng, 0.25)
 		driveImgs, driveDists := train.mixedDrive(rng, 0.25)
-		det := defense.AdvTrainDetector(e.Det, signImgs, signGTs, dcfg)
-		reg := defense.AdvTrainRegressor(e.Reg, driveImgs, driveDists, rcfg)
+		det, reg := e.Det.Clone(), e.Reg.Clone()
+		det.TrainImages(signImgs, signGTs, dcfg)
+		reg.TrainImages(driveImgs, driveDists, rcfg)
 		return det, reg
 	}
-	det := defense.AdvTrainDetector(e.Det, train.signImgs[src], train.signGTs, dcfg)
-	reg := defense.AdvTrainRegressor(e.Reg, train.driveImgs[src], train.driveDist, rcfg)
+	det, reg := e.Det.Clone(), e.Reg.Clone()
+	det.TrainImages(train.signImgs[src], train.signGTs, dcfg)
+	reg.TrainImages(train.driveImgs[src], train.driveDist, rcfg)
 	return det, reg
 }
 

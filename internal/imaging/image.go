@@ -134,6 +134,27 @@ func (im *Image) Tensor() *tensor.Tensor {
 	return im.view
 }
 
+// PackInto copies size×size RGB frames into one [N,3,size,size] model
+// input and returns it. dst is reused when it already has that shape and
+// replaced by a new tensor otherwise, so a caller that keeps the result
+// and packs the same batch size again allocates nothing. It panics if a
+// frame has the wrong pixel count.
+func PackInto(dst *tensor.Tensor, imgs []*Image, size int) *tensor.Tensor {
+	n := len(imgs)
+	if dst == nil || !dst.ShapeEq(n, 3, size, size) {
+		dst = tensor.New(n, 3, size, size)
+	}
+	sample := 3 * size * size
+	d := dst.Data()
+	for i, img := range imgs {
+		if len(img.Pix) != sample {
+			panic(fmt.Sprintf("imaging: PackInto frame %d has %d pixels, want %d", i, len(img.Pix), sample))
+		}
+		copy(d[i*sample:(i+1)*sample], img.Pix)
+	}
+	return dst
+}
+
 // FromTensor wraps a CHW tensor as an image sharing storage.
 func FromTensor(t *tensor.Tensor) *Image {
 	if t.Rank() != 3 {

@@ -1,10 +1,12 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/testenv"
 	"repro/internal/xrand"
 )
 
@@ -133,7 +135,7 @@ func TestAdamConverges(t *testing.T) {
 			total += l
 			net.Backward(g)
 		}
-		opt.Step(net.Params())
+		opt.step(net.Params())
 	}
 	if total/4 > 0.02 {
 		t.Fatalf("Adam failed to fit XOR, loss=%v", total/4)
@@ -144,7 +146,7 @@ func TestClipGradNorm(t *testing.T) {
 	p := newParam("p", tensor.FromSlice([]float32{0, 0}, 2))
 	p.Grad.Data()[0] = 3
 	p.Grad.Data()[1] = 4
-	norm := ClipGradNorm([]*Param{p}, 1)
+	norm := clipGradNorm([]*Param{p}, 1)
 	if !almost(norm, 5, 1e-6) {
 		t.Fatalf("pre-clip norm %v, want 5", norm)
 	}
@@ -154,6 +156,70 @@ func TestClipGradNorm(t *testing.T) {
 	}
 	if !almost(math.Sqrt(after), 1, 1e-5) {
 		t.Fatalf("post-clip norm %v, want 1", math.Sqrt(after))
+	}
+}
+
+// TestEpochs checks the minibatches of each pass: the shuffle of that
+// pass cut into consecutive sub-slices of at most size indices, the last
+// short, covering every index once.
+func TestEpochs(t *testing.T) {
+	idx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	ref := append([]int(nil), idx...)
+	refRNG := xrand.New(5)
+	var sizes []int
+	var seen []int
+	Epochs(xrand.New(5), idx, 2, 4, func(epoch int, b []int) {
+		sizes = append(sizes, len(b))
+		seen = append(seen, b...)
+	}, func(epoch int) {
+		refRNG.Shuffle(len(ref), func(i, j int) { ref[i], ref[j] = ref[j], ref[i] })
+		for i, k := range seen {
+			if k != ref[i] {
+				t.Fatalf("epoch %d: batches %v, want the shuffle %v", epoch, seen, ref)
+			}
+		}
+		if len(seen) != len(ref) {
+			t.Fatalf("epoch %d covered %d indices, want %d", epoch, len(seen), len(ref))
+		}
+		seen = seen[:0]
+	})
+	if want := []int{4, 4, 2, 4, 4, 2}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	}
+	if testenv.RaceEnabled {
+		return
+	}
+	// Handing out 64 one-index batches costs no more than one pass's shuffle.
+	big := make([]int, 64)
+	rng := xrand.New(6)
+	noop := func(int, []int) {}
+	if avg := testing.AllocsPerRun(20, func() { Epochs(rng, big, 1, 1, noop, nil) }); avg > 1 {
+		t.Fatalf("Epochs allocates %.1f per pass, want at most 1", avg)
+	}
+}
+
+// TestTrainStep checks the step against its parts: stale gradients are
+// cleared, the summed gradient is averaged over the reported count and
+// clipped before the Adam update.
+func TestTrainStep(t *testing.T) {
+	mk := func() *Param {
+		p := newParam("p", tensor.FromSlice([]float32{1, -2}, 2))
+		p.Grad.Data()[0] = 99 // stale
+		return p
+	}
+	a, b := mk(), mk()
+	NewAdam(0.1).TrainStep([]*Param{a}, func() int {
+		a.Grad.Data()[0] += 30
+		a.Grad.Data()[1] += 40
+		return 2
+	})
+	b.Grad.Data()[0], b.Grad.Data()[1] = 15, 20
+	clipGradNorm([]*Param{b}, maxGradNorm)
+	NewAdam(0.1).step([]*Param{b})
+	for i, v := range a.Value.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Value.Data()[i]) {
+			t.Fatalf("value[%d] = %v, want %v", i, v, b.Value.Data()[i])
+		}
 	}
 }
 

@@ -4,7 +4,54 @@ import (
 	"math"
 
 	"repro/internal/tensor"
+	"repro/internal/xrand"
 )
+
+// TrainConfig controls a minibatch training run.
+type TrainConfig struct {
+	Epochs int
+	Batch  int
+	LR     float32
+	Seed   int64
+	// Logf, when non-nil, receives one line per epoch.
+	Logf func(format string, args ...any)
+}
+
+// maxGradNorm is the global gradient L2 norm every training step clips to.
+const maxGradNorm = 10
+
+// TrainStep takes one optimisation step on params: it zeroes their
+// gradients, runs fwdBwd (which accumulates the summed gradients of some
+// samples and returns how many it summed), scales every gradient by
+// 1/count, clips their global norm at maxGradNorm and applies one Adam
+// update. It is the one place the trainers update weights.
+func (a *Adam) TrainStep(params []*Param, fwdBwd func() int) {
+	for _, p := range params {
+		p.Grad.Zero()
+	}
+	s := 1 / float32(fwdBwd())
+	for _, p := range params {
+		p.Grad.ScaleInPlace(s)
+	}
+	clipGradNorm(params, maxGradNorm)
+	a.step(params)
+}
+
+// Epochs runs epochs passes over idx. Each pass shuffles idx with rng, then
+// calls batch with consecutive sub-slices of idx holding at most size
+// indices, the last possibly short; a sub-slice aliases idx, so it is
+// valid only during the call. end, when non-nil, runs after each pass.
+func Epochs(rng *xrand.RNG, idx []int, epochs, size int, batch func(epoch int, b []int), end func(epoch int)) {
+	for e := 0; e < epochs; e++ {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for lo := 0; lo < len(idx); lo += size {
+			batch(e, idx[lo:min(lo+size, len(idx))])
+		}
+		if end != nil {
+			end(e)
+		}
+	}
+}
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -28,10 +75,8 @@ func NewAdam(lr float32) *Adam {
 	}
 }
 
-// Step applies one update from the accumulated gradients. It does not
-// zero them; callers decide when to clear them (ZeroGrad) so that gradient
-// accumulation across a mini-batch works naturally.
-func (a *Adam) Step(params []*Param) {
+// step applies one update from the accumulated gradients.
+func (a *Adam) step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(float64(a.Beta1), float64(a.t))
 	bc2 := 1 - math.Pow(float64(a.Beta2), float64(a.t))
@@ -61,9 +106,9 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// ClipGradNorm rescales gradients so their global L2 norm is at most max.
-// It returns the pre-clip norm, which trainers log to monitor stability.
-func ClipGradNorm(params []*Param, max float64) float64 {
+// clipGradNorm rescales gradients so their global L2 norm is at most max.
+// It returns the pre-clip norm.
+func clipGradNorm(params []*Param, max float64) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad.Data() {

@@ -53,7 +53,7 @@ func TestLinearTransposeCacheTracksMutations(t *testing.T) {
 	}
 	l.Forward(x, false)
 	l.Backward(grad)
-	NewAdam(0.01).Step(l.Params())
+	NewAdam(0.01).step(l.Params())
 	check("after Adam step")
 
 	// Direct write + MarkMutated (the finite-difference protocol).
@@ -123,7 +123,7 @@ func TestConv2DTransposeCacheTracksMutations(t *testing.T) {
 
 	c.Forward(x, false)
 	c.Backward(grad)
-	NewAdam(0.01).Step(c.Params())
+	NewAdam(0.01).step(c.Params())
 	check("after Adam step", true)
 
 	blob, err := EncodeParams(NewConv2D(xrand.New(10), 3, 8, 3, 2, 1).Params())

@@ -23,10 +23,8 @@ type Regressor struct {
 	MaxDist float64 // normalisation constant: output 1.0 == MaxDist meters
 
 	seed     *tensor.Tensor // reusable backward seed for DistanceGrad
-	seedB    *tensor.Tensor // reusable [N,1] backward seed for DistanceGradBatch
-	batchBuf *tensor.Tensor // reusable [N,3,S,S] input pack for PredictBatch
-	trainBuf *tensor.Tensor // reusable [B,3,S,S] input pack for TrainImages
-	trainTgt *tensor.Tensor // reusable [B,1] gradient seed for TrainImages
+	seedB    *tensor.Tensor // reusable [N,1] backward seed for DistanceGradBatch and TrainImages
+	batchBuf *tensor.Tensor // reusable [N,3,S,S] input pack for ForwardBatch and TrainImages
 }
 
 // BatchSize is the frame count PredictBatch feeds the network per forward:
@@ -77,18 +75,7 @@ func (r *Regressor) Predict(img *imaging.Image) float64 {
 // the model workspace, valid until the next model call). Results are
 // bit-identical per frame to Predict.
 func (r *Regressor) ForwardBatch(imgs []*imaging.Image) *tensor.Tensor {
-	n := len(imgs)
-	if r.batchBuf == nil || !r.batchBuf.ShapeEq(n, 3, r.Size, r.Size) {
-		r.batchBuf = tensor.New(n, 3, r.Size, r.Size)
-	}
-	sample := 3 * r.Size * r.Size
-	bd := r.batchBuf.Data()
-	for i, img := range imgs {
-		if len(img.Pix) != sample {
-			panic(fmt.Sprintf("regress: ForwardBatch frame %d has %d pixels, want %d", i, len(img.Pix), sample))
-		}
-		copy(bd[i*sample:(i+1)*sample], img.Pix)
-	}
+	r.batchBuf = imaging.PackInto(r.batchBuf, imgs, r.Size)
 	return r.Net.Forward(r.batchBuf, false)
 }
 
@@ -160,35 +147,32 @@ func (r *Regressor) DistanceGradBatch(preds []float64, imgs []*imaging.Image) *t
 		panic(fmt.Sprintf("regress: DistanceGradBatch preds %d vs %d frames", len(preds), len(imgs)))
 	}
 	out := r.ForwardBatch(imgs)
-	n := len(imgs)
-	for i := 0; i < n; i++ {
+	for i := range imgs {
 		preds[i] = float64(out.Data()[i]) * r.MaxDist
 	}
+	seed := r.batchSeed(len(imgs))
+	seed.Fill(1)
+	return r.Net.BackwardInput(seed)
+}
+
+// batchSeed returns the reusable [n,1] backward seed, reallocated only
+// when n changes.
+func (r *Regressor) batchSeed(n int) *tensor.Tensor {
 	if r.seedB == nil || !r.seedB.ShapeEq(n, 1) {
 		r.seedB = tensor.New(n, 1)
 	}
-	r.seedB.Fill(1)
-	return r.Net.BackwardInput(r.seedB)
-}
-
-// TrainConfig controls regressor training.
-type TrainConfig struct {
-	Epochs int
-	Batch  int
-	LR     float32
-	Seed   int64
-	Logf   func(format string, args ...any)
+	return r.seedB
 }
 
 // DefaultTrainConfig returns settings that fit DistNet to a few meters of
 // RMS error over the synthetic driving distribution.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 30, Batch: 16, LR: 2e-3, Seed: 2}
+func DefaultTrainConfig() nn.TrainConfig {
+	return nn.TrainConfig{Epochs: 30, Batch: 16, LR: 2e-3, Seed: 2}
 }
 
 // Train fits the regressor on a driving set and returns final epoch loss
 // (MSE in normalised units).
-func (r *Regressor) Train(set *dataset.DriveSet, cfg TrainConfig) float64 {
+func (r *Regressor) Train(set *dataset.DriveSet, cfg nn.TrainConfig) float64 {
 	imgs := make([]*imaging.Image, set.Len())
 	dists := make([]float64, set.Len())
 	for i, sc := range set.Scenes {
@@ -198,62 +182,45 @@ func (r *Regressor) Train(set *dataset.DriveSet, cfg TrainConfig) float64 {
 	return r.TrainImages(imgs, dists, cfg)
 }
 
-// TrainImages fits on explicit image/distance pairs (the adversarial-
-// training defense passes perturbed frames). Each mini-batch runs as one
-// batched forward and one batched backward — two GEMM-shaped passes —
-// instead of per-sample loops; per-sample losses and gradient seeds match
-// the old per-sample MSE exactly, with parameter gradients accumulating
-// across the batch in one pass (float-rounding-level difference only).
-func (r *Regressor) TrainImages(imgs []*imaging.Image, dists []float64, cfg TrainConfig) float64 {
+// TrainImages fits on explicit image/distance pairs and returns the final
+// epoch loss; adversarial training runs it on a Clone of the base
+// regressor with perturbed frames. Each mini-batch is one batched forward
+// and one batched backward of the per-sample MSE on the normalised output
+// (loss 0.5·d², gradient seed d).
+func (r *Regressor) TrainImages(imgs []*imaging.Image, dists []float64, cfg nn.TrainConfig) float64 {
 	rng := xrand.New(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
 	idx := make([]int, len(imgs))
 	for i := range idx {
 		idx[i] = i
 	}
-	sample := 3 * r.Size * r.Size
-	var epochLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		epochLoss = 0
-		for _, batch := range dataset.Batches(len(idx), cfg.Batch) {
-			nb := len(batch)
-			// Pack buffers live at full cfg.Batch capacity; a short tail
-			// batch is a view, so the epoch boundary never reallocates.
-			if r.trainBuf == nil || r.trainBuf.Len() < cfg.Batch*sample {
-				r.trainBuf = tensor.New(cfg.Batch, 3, r.Size, r.Size)
-				r.trainTgt = tensor.New(cfg.Batch, 1)
-			}
-			in, tgt := r.trainBuf, r.trainTgt
-			if nb != in.Dim(0) {
-				in = tensor.FromSlice(in.Data()[:nb*sample], nb, 3, r.Size, r.Size)
-				tgt = tensor.FromSlice(tgt.Data()[:nb], nb, 1)
-			}
-			bd := in.Data()
-			for bi, b := range batch {
-				copy(bd[bi*sample:(bi+1)*sample], imgs[idx[b]].Pix)
-			}
-			r.Net.ZeroGrad()
-			out := r.Net.Forward(in, true)
-			// Per-sample MSE on the single normalised output: loss 0.5·d²
-			// and gradient seed d, exactly the old per-sample values.
-			sd := tgt.Data()
-			for bi, b := range batch {
-				d := out.Data()[bi] - float32(dists[idx[b]]/r.MaxDist)
-				epochLoss += 0.5 * float64(d) * float64(d)
-				sd[bi] = d
-			}
-			r.Net.Backward(tgt)
-			scaleGrads(r.Net.Params(), 1/float32(nb))
-			nn.ClipGradNorm(r.Net.Params(), 10)
-			opt.Step(r.Net.Params())
+	batch := make([]*imaging.Image, 0, cfg.Batch)
+	var sum, loss float64
+	nn.Epochs(rng, idx, cfg.Epochs, cfg.Batch, func(_ int, b []int) {
+		batch = batch[:0]
+		for _, k := range b {
+			batch = append(batch, imgs[k])
 		}
-		epochLoss /= float64(len(imgs))
+		opt.TrainStep(r.Net.Params(), func() int {
+			r.batchBuf = imaging.PackInto(r.batchBuf, batch, r.Size)
+			out := r.Net.Forward(r.batchBuf, true).Data()
+			seed := r.batchSeed(len(b))
+			sd := seed.Data()
+			for i, k := range b {
+				d := out[i] - float32(dists[k]/r.MaxDist)
+				sum += 0.5 * float64(d) * float64(d)
+				sd[i] = d
+			}
+			r.Net.Backward(seed)
+			return len(b)
+		})
+	}, func(epoch int) {
+		loss, sum = sum/float64(len(imgs)), 0
 		if cfg.Logf != nil {
-			cfg.Logf("regress: epoch %d/%d loss %.6f", epoch+1, cfg.Epochs, epochLoss)
+			cfg.Logf("regress: epoch %d/%d loss %.6f", epoch+1, cfg.Epochs, loss)
 		}
-	}
-	return epochLoss
+	})
+	return loss
 }
 
 // RMSE returns the root-mean-square prediction error in meters over a set,
@@ -270,10 +237,4 @@ func (r *Regressor) RMSE(set *dataset.DriveSet) float64 {
 		sq += d * d
 	}
 	return math.Sqrt(sq / float64(set.Len()))
-}
-
-func scaleGrads(params []*nn.Param, s float32) {
-	for _, p := range params {
-		p.Grad.ScaleInPlace(s)
-	}
 }
