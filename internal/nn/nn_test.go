@@ -173,13 +173,13 @@ func TestEpochs(t *testing.T) {
 		seen = append(seen, b...)
 	}, func(epoch int) {
 		refRNG.Shuffle(len(ref), func(i, j int) { ref[i], ref[j] = ref[j], ref[i] })
+		if len(seen) != len(ref) {
+			t.Fatalf("epoch %d covered %d indices, want %d", epoch, len(seen), len(ref))
+		}
 		for i, k := range seen {
 			if k != ref[i] {
 				t.Fatalf("epoch %d: batches %v, want the shuffle %v", epoch, seen, ref)
 			}
-		}
-		if len(seen) != len(ref) {
-			t.Fatalf("epoch %d covered %d indices, want %d", epoch, len(seen), len(ref))
 		}
 		seen = seen[:0]
 	})
