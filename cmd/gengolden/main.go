@@ -18,27 +18,12 @@ import (
 	"repro/internal/pipeline"
 )
 
-// microPreset mirrors the eval test suite's preset exactly: the golden
-// files pin the outputs the tests recompute under the same configuration.
-func microPreset() eval.Preset {
-	return eval.Preset{
-		Name:      "micro",
-		SignTrain: 40, SignTest: 12,
-		DriveTrain: 50, DrivePerBucket: 3,
-		DetEpochs: 4, RegEpochs: 4,
-		AdvEpochs: 1, ContrastiveEpochs: 1,
-		DiffusionSteps: 10, DiffPIRSteps: 3,
-		APGDSteps: 4, SimBASteps: 20, RP2Iters: 4,
-		Seed: 5,
-	}
-}
-
 func main() {
 	dir := filepath.Join("internal", "eval", "testdata")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	env := eval.NewEnv(microPreset())
+	env := eval.NewEnv(eval.Micro())
 
 	write := func(name, content string) {
 		path := filepath.Join(dir, name)

@@ -5,52 +5,56 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	advp "repro"
-
-	"repro/internal/attack"
-	"repro/internal/defense"
-	"repro/internal/regress"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Stdout, advp.Quick()); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run trains DistNet at the preset's set size and epochs, then drives the
+// three closed-loop runs, writing the report to w.
+func run(ctx context.Context, w io.Writer, p advp.Preset) error {
 	rng := advp.NewRNG(9)
 	cfg := advp.DefaultDriveConfig()
-	drives := advp.GenerateDriveSet(rng.Split(), cfg, 400, cfg.MinZ, cfg.MaxZ)
+	drives := advp.GenerateDriveSet(rng.Split(), cfg, p.DriveTrain, cfg.MinZ, cfg.MaxZ)
 
 	reg := advp.NewRegressor(rng.Split(), cfg.Size)
-	rc := regress.DefaultTrainConfig()
-	rc.Epochs = 16
+	rc := advp.DefaultRegressorTrainConfig()
+	rc.Epochs = p.RegEpochs
 	reg.Train(drives, rc)
-	fmt.Printf("regressor trained, RMSE=%.2f m over training distribution\n", reg.RMSE(drives))
+	fmt.Fprintf(w, "regressor trained, RMSE=%.2f m over training distribution\n", reg.RMSE(drives))
 
 	scenario := func(name string, attacked bool, defended bool) {
 		pc := advp.DefaultPipelineConfig(reg)
 		pc.Drive = cfg
 		if attacked {
 			capAtt := advp.NewCAP(advp.DefaultCAPConfig())
-			obj := &attack.RegressionObjective{Reg: reg.Clone()}
+			obj := &advp.RegressionObjective{Reg: reg.Clone()}
 			pc.Attacker = attackerFunc(func(img *advp.Image, leadBox advp.Box) *advp.Image {
 				return capAtt.Apply(obj, img, leadBox)
 			})
 		}
 		if defended {
-			pc.Defense = defense.NewMedianBlur()
+			pc.Defense = advp.NewMedianBlur()
 		}
 		res := advp.RunPipeline(pc)
-		fmt.Printf("%-26s min gap %6.2f m   min TTC %6.2fs   collision=%v\n",
+		fmt.Fprintf(w, "%-26s min gap %6.2f m   min TTC %6.2fs   collision=%v\n",
 			name, res.MinGap, capTTC(res.MinTTC), res.Collision)
 	}
 
-	fmt.Println("\nclosed-loop ACC, lead brakes at t=4s for 2s:")
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\nclosed-loop ACC, lead brakes at t=4s for 2s:")
 	scenario("clean", false, false)
 	scenario("CAP-Attack", true, false)
 	scenario("CAP-Attack + MedianBlur", true, true)

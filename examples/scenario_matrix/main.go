@@ -10,6 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -22,29 +23,37 @@ func main() {
 	apgd := flag.Bool("apgd", false, "add the closed-loop Auto-PGD attack column")
 	flag.Parse()
 
-	ctx := context.Background()
-	start := time.Now()
-	fmt.Println("training victim models (quick preset)...")
-	x, err := advp.NewExperiment(ctx,
-		advp.WithPresetName("quick"),
-		advp.WithObserver(&advp.ProgressPrinter{W: os.Stdout}))
-	if err != nil {
+	if err := run(context.Background(), os.Stdout, advp.Quick(), *duration, *apgd); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run trains the victims under the preset and runs the grid with
+// duration seconds per cell, writing progress and the report to w.
+func run(ctx context.Context, w io.Writer, p advp.Preset, duration float64, apgd bool) error {
+	start := time.Now()
+	fmt.Fprintf(w, "training victim models (%s preset)...\n", p.Name)
+	x, err := advp.NewExperiment(ctx,
+		advp.WithPreset(p),
+		advp.WithObserver(&advp.ProgressPrinter{W: w}))
+	if err != nil {
+		return err
 	}
 
 	spec := advp.Spec{
 		Kind:   advp.SpecMatrix,
-		Matrix: &advp.MatrixSpec{Duration: *duration},
+		Matrix: &advp.MatrixSpec{Duration: duration},
 	}
-	if *apgd {
+	if apgd {
 		spec.Matrix.Attacks = []string{"None", "CAP-Attack", "FGSM", "Auto-PGD"}
 	}
 
-	fmt.Printf("running %d scenarios x attacks x defenses...\n\n", len(advp.ScenarioNames()))
+	fmt.Fprintf(w, "running %d scenarios x attacks x defenses...\n\n", len(advp.ScenarioNames()))
 	res, err := x.Run(ctx, spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println(res.Text)
-	fmt.Printf("%d cells in %v\n", len(res.Matrix.Cells), time.Since(start).Round(time.Second))
+	fmt.Fprintln(w, res.Text)
+	fmt.Fprintf(w, "%d cells in %v\n", len(res.Matrix.Cells), time.Since(start).Round(time.Second))
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -28,52 +29,63 @@ func main() {
 	merge := flag.Bool("merge", false, "merge the shard files given as arguments instead of running")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Stdout, advp.Quick(), *duration, *shard, *shards, *jsonl, *merge, flag.Args()); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs one shard of the grid under the preset, checkpointing to
+// jsonl, or with merge joins the shard files into the full grid; it
+// writes progress and the report to w.
+func run(ctx context.Context, w io.Writer, p advp.Preset, duration float64, shard, shards int, jsonl string, merge bool, files []string) error {
+	// An empty spec preset addresses whichever environment run trains.
+	// A merge takes the grid identity from the spec alone, where it
+	// means the quick preset.
 	spec := advp.Spec{
 		Kind:   advp.SpecSweep,
-		Preset: "quick",
-		Matrix: &advp.MatrixSpec{Duration: *duration},
+		Matrix: &advp.MatrixSpec{Duration: duration},
 		Sweep: &advp.SweepSpec{
-			Shard: *shard, NumShards: *shards,
-			JSONL: *jsonl, Resume: true,
+			Shard: shard, NumShards: shards,
+			JSONL: jsonl, Resume: true,
 		},
 	}
 
-	if *merge {
-		// Grid identity comes from the spec alone: merging verifies
-		// coverage and per-cell seeds without training anything.
-		rep, err := advp.MergeSweeps(spec, flag.Args())
+	if merge {
+		// Merging verifies coverage and per-cell seeds without training
+		// anything.
+		rep, err := advp.MergeSweeps(spec, files)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println(rep.Format())
-		fmt.Printf("merged %d cells from %d shard files\n", len(rep.Cells), len(flag.Args()))
-		return
+		fmt.Fprintln(w, rep.Format())
+		fmt.Fprintf(w, "merged %d cells from %d shard files\n", len(rep.Cells), len(files))
+		return nil
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	start := time.Now()
-	fmt.Println("training victim models (quick preset)...")
-	x, err := advp.NewExperiment(ctx, advp.WithPresetName("quick"))
+	fmt.Fprintf(w, "training victim models (%s preset)...\n", p.Name)
+	x, err := advp.NewExperiment(ctx, advp.WithPreset(p))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("running shard %d/%d of a %d-scenario grid (checkpoint: %s)...\n\n",
-		*shard, *shards, len(advp.ScenarioNames()), *jsonl)
+	fmt.Fprintf(w, "running shard %d/%d of a %d-scenario grid (checkpoint: %s)...\n\n",
+		shard, shards, len(advp.ScenarioNames()), jsonl)
 	res, err := x.Run(ctx, spec)
 	if err != nil {
 		if ctx.Err() != nil {
-			fmt.Printf("interrupted; finished cells are in %s — run again to resume\n", *jsonl)
-			return
+			fmt.Fprintf(w, "interrupted; finished cells are in %s — run again to resume\n", jsonl)
+			return nil
 		}
-		log.Fatal(err)
+		return err
 	}
 
 	rep := res.Sweep
-	fmt.Println(res.Text)
-	fmt.Printf("shard %d/%d: %d cells run, %d resumed from checkpoint, grid total %d, in %v\n",
+	fmt.Fprintln(w, res.Text)
+	fmt.Fprintf(w, "shard %d/%d: %d cells run, %d resumed from checkpoint, grid total %d, in %v\n",
 		rep.Shard, rep.NumShards, len(rep.Cells)-rep.Resumed, rep.Resumed, rep.Total,
 		time.Since(start).Round(time.Second))
+	return nil
 }

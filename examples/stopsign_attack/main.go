@@ -5,36 +5,37 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	advp "repro"
-
-	"repro/internal/attack"
-	"repro/internal/defense"
-	"repro/internal/detect"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Stdout, advp.Quick()); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run trains TinyDet at the preset's set sizes and epochs, then sweeps the
+// attacks at the preset's attack steps, writing the report to w.
+func run(ctx context.Context, w io.Writer, p advp.Preset) error {
 	rng := advp.NewRNG(3)
 	cfg := advp.DefaultSignConfig()
-	signs := advp.GenerateSignSet(rng.Split(), cfg, 240)
-	train, test := signs.Split(0.8)
+	train := advp.GenerateSignSet(rng.Split(), cfg, p.SignTrain)
+	test := advp.GenerateSignSet(rng.Split(), cfg, p.SignTest)
 
 	det := advp.NewDetector(rng.Split(), cfg.Size)
-	tc := detect.DefaultTrainConfig()
-	tc.Epochs = 14
+	tc := advp.DefaultDetectorTrainConfig()
+	tc.Epochs = p.DetEpochs
 	det.Train(train, tc)
 
 	gts := make([][]advp.Box, test.Len())
 	for i, sc := range test.Scenes {
-		gts[i] = detect.GTBoxes(sc)
+		gts[i] = advp.GTBoxes(sc)
 	}
 
 	// The attack sweep of Fig. 2.
@@ -44,35 +45,42 @@ func run() error {
 	}{
 		{"None", func(i int) *advp.Image { return test.Scenes[i].Img.Clone() }},
 		{"FGSM", func(i int) *advp.Image {
-			obj := &attack.DetectionObjective{Det: det, GT: gts[i]}
+			obj := &advp.DetectionObjective{Det: det, GT: gts[i]}
 			return advp.FGSM(obj, test.Scenes[i].Img, 0.004, nil)
 		}},
 		{"Auto-PGD", func(i int) *advp.Image {
-			obj := &attack.DetectionObjective{Det: det, GT: gts[i]}
-			return advp.AutoPGD(obj, test.Scenes[i].Img, attack.DefaultAPGDConfig(0.0007), nil)
+			obj := &advp.DetectionObjective{Det: det, GT: gts[i]}
+			c := advp.DefaultAPGDConfig(0.0007)
+			c.Steps = p.APGDSteps
+			return advp.AutoPGD(obj, test.Scenes[i].Img, c, nil)
 		}},
 		{"RP2", func(i int) *advp.Image {
 			sc := test.Scenes[i]
 			if !sc.HasSign {
 				return sc.Img.Clone()
 			}
-			obj := &attack.DetectionObjective{Det: det, GT: gts[i]}
-			return advp.RP2(obj, sc.Img, sc.Box, attack.DefaultRP2Config())
+			obj := &advp.DetectionObjective{Det: det, GT: gts[i]}
+			c := advp.DefaultRP2Config()
+			c.Iters = p.RP2Iters
+			return advp.RP2(obj, sc.Img, sc.Box, c)
 		}},
 		{"Gaussian", func(i int) *advp.Image {
 			return advp.GaussianNoise(advp.NewRNG(int64(i)), test.Scenes[i].Img, 0.27, nil)
 		}},
 		{"SimBA", func(i int) *advp.Image {
-			obj := &attack.DetectionObjective{Det: det, GT: gts[i]}
-			c := attack.DefaultSimBAConfig()
-			c.Eps, c.Steps, c.Seed = 0.12, 200, int64(i)
+			obj := &advp.DetectionObjective{Det: det, GT: gts[i]}
+			c := advp.DefaultSimBAConfig()
+			c.Eps, c.Steps, c.Seed = 0.12, p.SimBASteps, int64(i)
 			return advp.SimBA(obj, test.Scenes[i].Img, c, nil)
 		}},
 	}
 
-	fmt.Printf("%-10s %8s %10s %8s\n", "Attack", "mAP50", "Precision", "Recall")
+	fmt.Fprintf(w, "%-10s %8s %10s %8s\n", "Attack", "mAP50", "Precision", "Recall")
 	var fgsmImgs []*advp.Image
 	for _, sw := range sweeps {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		imgs := make([]*advp.Image, test.Len())
 		for i := range imgs {
 			imgs[i] = sw.gen(i)
@@ -81,23 +89,23 @@ func run() error {
 			fgsmImgs = imgs
 		}
 		s := det.EvaluateImages(imgs, gts, 0.5)
-		fmt.Printf("%-10s %8.2f %10.2f %8.2f\n", sw.name, 100*s.MAP50, 100*s.Precision, 100*s.Recall)
+		fmt.Fprintf(w, "%-10s %8.2f %10.2f %8.2f\n", sw.name, 100*s.MAP50, 100*s.Precision, 100*s.Recall)
 	}
 
 	// Table II-style defense pass on the FGSM outputs.
-	fmt.Printf("\nFGSM + preprocessing defenses:\n")
-	preps := []defense.Preprocessor{
-		defense.NewMedianBlur(),
-		defense.NewRandomization(5),
-		defense.NewBitDepth(),
+	fmt.Fprintf(w, "\nFGSM + preprocessing defenses:\n")
+	preps := []advp.Preprocessor{
+		advp.NewMedianBlur(),
+		advp.NewRandomization(5),
+		advp.NewBitDepth(),
 	}
-	for _, p := range preps {
+	for _, prep := range preps {
 		cleaned := make([]*advp.Image, len(fgsmImgs))
 		for i, img := range fgsmImgs {
-			cleaned[i] = p.Process(img)
+			cleaned[i] = prep.Process(img)
 		}
 		s := det.EvaluateImages(cleaned, gts, 0.5)
-		fmt.Printf("%-18s mAP50=%.2f%% P=%.2f%% R=%.2f%%\n", p.Name(), 100*s.MAP50, 100*s.Precision, 100*s.Recall)
+		fmt.Fprintf(w, "%-18s mAP50=%.2f%% P=%.2f%% R=%.2f%%\n", prep.Name(), 100*s.MAP50, 100*s.Precision, 100*s.Recall)
 	}
 	return nil
 }

@@ -5,12 +5,11 @@ package advperception
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/attack"
-	"repro/internal/detect"
-	"repro/internal/regress"
+	"repro/internal/eval"
 )
 
 func TestFacadeDetectionFlow(t *testing.T) {
@@ -20,7 +19,7 @@ func TestFacadeDetectionFlow(t *testing.T) {
 	train, test := set.Split(0.8)
 
 	det := NewDetector(rng.Split(), cfg.Size)
-	tc := detect.DefaultTrainConfig()
+	tc := DefaultDetectorTrainConfig()
 	tc.Epochs = 8
 	det.Train(train, tc)
 
@@ -33,8 +32,8 @@ func TestFacadeDetectionFlow(t *testing.T) {
 	imgs := make([]*Image, test.Len())
 	gts := make([][]Box, test.Len())
 	for i, sc := range test.Scenes {
-		gts[i] = detect.GTBoxes(sc)
-		obj := &attack.DetectionObjective{Det: det, GT: gts[i]}
+		gts[i] = GTBoxes(sc)
+		obj := &DetectionObjective{Det: det, GT: gts[i]}
 		imgs[i] = FGSM(obj, sc.Img, 0.02, nil)
 	}
 	adv := det.EvaluateImages(imgs, gts, 0.5)
@@ -50,22 +49,21 @@ func TestFacadeRegressionFlow(t *testing.T) {
 	train, test := set.Split(0.8)
 
 	reg := NewRegressor(rng.Split(), cfg.Size)
-	rc := regress.DefaultTrainConfig()
+	rc := DefaultRegressorTrainConfig()
 	rc.Epochs = 8
 	reg.Train(train, rc)
 
 	sc := test.Scenes[0]
-	obj := &attack.RegressionObjective{Reg: reg}
+	obj := &RegressionObjective{Reg: reg}
 	mask := BoxMask(sc.Img.C, sc.Img.H, sc.Img.W, sc.LeadBox, 1)
-	adv := AutoPGD(obj, sc.Img, attack.DefaultAPGDConfig(0.04), mask)
+	adv := AutoPGD(obj, sc.Img, DefaultAPGDConfig(0.04), mask)
 	if reg.Predict(adv) <= reg.Predict(sc.Img) {
 		t.Fatal("Auto-PGD failed to inflate the predicted distance")
 	}
 }
 
 func TestFacadeDefenses(t *testing.T) {
-	img := &Image{}
-	*img = *benchImage()
+	img := GenerateDriveSet(NewRNG(3), DefaultDriveConfig(), 1, 10, 20).Scenes[0].Img
 	for _, p := range []Preprocessor{NewMedianBlur(), NewBitDepth(), NewRandomization(1)} {
 		out := p.Process(img)
 		if out.H != img.H || out.W != img.W {
@@ -74,18 +72,12 @@ func TestFacadeDefenses(t *testing.T) {
 	}
 }
 
-func benchImage() *Image {
-	rng := NewRNG(3)
-	cfg := DefaultDriveConfig()
-	return GenerateDriveSet(rng, cfg, 1, 10, 20).Scenes[0].Img
-}
-
 func TestFacadePipeline(t *testing.T) {
 	rng := NewRNG(4)
 	cfg := DefaultDriveConfig()
 	set := GenerateDriveSet(rng.Split(), cfg, 80, cfg.MinZ, cfg.MaxZ)
 	reg := NewRegressor(rng.Split(), cfg.Size)
-	rc := regress.DefaultTrainConfig()
+	rc := DefaultRegressorTrainConfig()
 	rc.Epochs = 6
 	reg.Train(set, rc)
 
@@ -102,12 +94,12 @@ func TestFacadeCAP(t *testing.T) {
 	cfg := DefaultDriveConfig()
 	set := GenerateDriveSet(rng.Split(), cfg, 60, 8, 40)
 	reg := NewRegressor(rng.Split(), cfg.Size)
-	rc := regress.DefaultTrainConfig()
+	rc := DefaultRegressorTrainConfig()
 	rc.Epochs = 6
 	reg.Train(set, rc)
 
 	c := NewCAP(DefaultCAPConfig())
-	obj := &attack.RegressionObjective{Reg: reg}
+	obj := &RegressionObjective{Reg: reg}
 	var total float64
 	for _, sc := range set.Scenes[:5] {
 		adv := c.Apply(obj, sc.Img, sc.LeadBox)
@@ -125,25 +117,30 @@ func TestPresetsExposed(t *testing.T) {
 }
 
 // TestFacadeExperimentV2 exercises the v2 surface end to end through the
-// facade: functional options, a spec run, the registries and spec JSON.
+// facade: functional options, a registered scenario, a spec run, the
+// registries and spec JSON.
 func TestFacadeExperimentV2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a micro environment; the non-short job covers it")
 	}
 	ctx := context.Background()
-	micro := Preset{
-		Name:      "facade-micro",
-		SignTrain: 30, SignTest: 8,
-		DriveTrain: 40, DrivePerBucket: 2,
-		DetEpochs: 3, RegEpochs: 3,
-		AdvEpochs: 1, ContrastiveEpochs: 1,
-		DiffusionSteps: 8, DiffPIRSteps: 2,
-		APGDSteps: 3, SimBASteps: 10, RP2Iters: 3,
-		Seed: 11,
+
+	// A scenario registered at run time is one more name on the axis:
+	// both scenario views see it, and a spec may list it.
+	probe := Scenario{Name: "facade-probe", Description: "the default cruise, registered by a test"}
+	if err := RegisterScenario(probe); err != nil && !slices.Contains(ScenarioNames(), probe.Name) {
+		t.Fatal(err) // a repeated run (-count) finds it registered already
 	}
+	if !slices.Contains(ScenarioNames(), probe.Name) {
+		t.Fatalf("ScenarioNames() misses the registered %q: %v", probe.Name, ScenarioNames())
+	}
+	if s, ok := LookupScenario(probe.Name); !ok || s.Description != probe.Description {
+		t.Fatalf("LookupScenario(%q) = %+v, %v", probe.Name, s, ok)
+	}
+
 	var logged bool
 	x, err := NewExperiment(ctx,
-		WithPreset(micro),
+		WithPreset(eval.Micro()),
 		WithWorkers(2),
 		WithLogger(func(format string, args ...any) { logged = true }))
 	if err != nil {
@@ -156,7 +153,7 @@ func TestFacadeExperimentV2(t *testing.T) {
 	spec := Spec{
 		Kind: SpecMatrix,
 		Matrix: &MatrixSpec{
-			Scenarios: []string{"gentle-brake"},
+			Scenarios: []string{probe.Name},
 			Attacks:   []string{"None", "FGSM"},
 			Defenses:  []string{"None"},
 			Duration:  0.5, DT: 0.1, BaseSeed: 3,
@@ -187,7 +184,7 @@ func TestFacadeExperimentV2(t *testing.T) {
 		t.Fatalf("spec run produced %d cells, observer saw %d, want 2/2", len(res.Matrix.Cells), cells.Load())
 	}
 
-	if len(Attacks()) < 7 || len(Defenses()) < 5 || len(ScenarioNames()) < 8 {
+	if len(Attacks()) < 7 || len(Defenses()) < 5 || len(ScenarioNames()) < 9 {
 		t.Fatalf("registries too small: %d attacks, %d defenses, %d scenarios",
 			len(Attacks()), len(Defenses()), len(ScenarioNames()))
 	}

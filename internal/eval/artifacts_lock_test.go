@@ -34,7 +34,7 @@ func fillParams(d *detect.Detector) {
 
 func TestEnsureTrainsExactlyOnceAcrossStores(t *testing.T) {
 	dir := t.TempDir()
-	p := microPreset()
+	p := Micro()
 
 	const contenders = 6
 	var trained atomic.Int32
@@ -93,7 +93,7 @@ func TestEnsureStealsLockOfDeadOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.lockPoll = 2 * time.Millisecond
-	p := microPreset()
+	p := Micro()
 	key := store.DetectorKey(p)
 
 	// Manufacture a genuinely dead pid: run a short-lived child and wait
@@ -134,7 +134,7 @@ func TestLockStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := microPreset()
+	p := Micro()
 	key := store.DetectorKey(p)
 	lock := store.lockPath(key)
 
@@ -185,7 +185,7 @@ func TestLockStaleness(t *testing.T) {
 
 func TestEnsureWaiterLogsAndWarms(t *testing.T) {
 	dir := t.TempDir()
-	p := microPreset()
+	p := Micro()
 
 	holder, err := NewModelStore(dir)
 	if err != nil {

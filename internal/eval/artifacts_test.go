@@ -54,7 +54,7 @@ func TestModelStoreRoundTripBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := microPreset()
+	p := Micro()
 	e := sharedEnv(t) // trained victims to serialize
 
 	if err := store.SaveDetector(e.Det, p); err != nil {
@@ -111,7 +111,7 @@ func TestArtifactKeysForAnyPresetName(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	p := microPreset()
+	p := Micro()
 	p.Name = "a/b c"
 	trains := 0
 	for run := 0; run < 2; run++ {
@@ -154,7 +154,7 @@ func TestModelStoreConcurrentSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := microPreset()
+	p := Micro()
 	e := sharedEnv(t)
 
 	// Concurrent savers of one key race benignly (atomic rename of
@@ -198,7 +198,7 @@ func TestNewEnvCachedWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := microPreset()
+	p := Micro()
 	ctx := context.Background()
 
 	coldLogf, coldLog := collectLogf()

@@ -11,21 +11,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// microPreset is deliberately tiny: the eval tests certify plumbing
-// (shapes, labels, determinism), not experiment quality.
-func microPreset() Preset {
-	return Preset{
-		Name:      "micro",
-		SignTrain: 40, SignTest: 12,
-		DriveTrain: 50, DrivePerBucket: 3,
-		DetEpochs: 4, RegEpochs: 4,
-		AdvEpochs: 1, ContrastiveEpochs: 1,
-		DiffusionSteps: 10, DiffPIRSteps: 3,
-		APGDSteps: 4, SimBASteps: 20, RP2Iters: 4,
-		Seed: 5,
-	}
-}
-
 var (
 	envOnce sync.Once
 	testEnv *Env
@@ -34,7 +19,7 @@ var (
 func sharedEnv(t testing.TB) *Env {
 	t.Helper()
 	envOnce.Do(func() {
-		testEnv = NewEnv(microPreset())
+		testEnv = NewEnv(Micro())
 	})
 	return testEnv
 }

@@ -2,9 +2,9 @@
 // datasets, trains the victim models, runs every attack and defense, and
 // formats the result rows the way Tables I–V and Figures 1–2 report them.
 //
-// Two presets exist: Quick (seconds, used by tests and benchmarks to
-// exercise every code path) and Paper (minutes, the configuration whose
-// outputs are recorded in EXPERIMENTS.md).
+// Three presets exist: Micro (about a second, used by tests), Quick
+// (seconds, used by benchmarks and the examples) and Paper (minutes, the
+// configuration whose outputs are recorded in EXPERIMENTS.md).
 package eval
 
 // Preset bundles every dataset size, training schedule and attack budget
@@ -48,6 +48,24 @@ func Quick() Preset {
 		DiffusionSteps: 120, DiffPIRSteps: 8,
 		APGDSteps: 12, SimBASteps: 150, RP2Iters: 20,
 		Seed: 7,
+	}
+}
+
+// Micro returns the smallest preset: every code path runs, in about a
+// second, and certifies plumbing (shapes, labels, determinism), not
+// experiment quality. The package tests, the goldens under testdata/
+// (cmd/gengolden) and the example tests run it. It is not a spec preset
+// name.
+func Micro() Preset {
+	return Preset{
+		Name:      "micro",
+		SignTrain: 40, SignTest: 12,
+		DriveTrain: 50, DrivePerBucket: 3,
+		DetEpochs: 4, RegEpochs: 4,
+		AdvEpochs: 1, ContrastiveEpochs: 1,
+		DiffusionSteps: 10, DiffPIRSteps: 3,
+		APGDSteps: 4, SimBASteps: 20, RP2Iters: 4,
+		Seed: 5,
 	}
 }
 

@@ -18,21 +18,6 @@ import (
 	"repro/internal/regress"
 )
 
-// microPreset mirrors the eval test suite's preset: the exp tests pin the
-// spec-routed entrypoints against the same goldens.
-func microPreset() eval.Preset {
-	return eval.Preset{
-		Name:      "micro",
-		SignTrain: 40, SignTest: 12,
-		DriveTrain: 50, DrivePerBucket: 3,
-		DetEpochs: 4, RegEpochs: 4,
-		AdvEpochs: 1, ContrastiveEpochs: 1,
-		DiffusionSteps: 10, DiffPIRSteps: 3,
-		APGDSteps: 4, SimBASteps: 20, RP2Iters: 4,
-		Seed: 5,
-	}
-}
-
 var (
 	expOnce sync.Once
 	testExp *Experiment
@@ -41,7 +26,7 @@ var (
 func sharedExperiment(t testing.TB) *Experiment {
 	t.Helper()
 	expOnce.Do(func() {
-		x, err := New(context.Background(), WithPreset(microPreset()))
+		x, err := New(context.Background(), WithPreset(eval.Micro()))
 		if err != nil {
 			panic(err)
 		}
@@ -416,7 +401,7 @@ func TestNewOptionErrors(t *testing.T) {
 func TestNewCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := New(ctx, WithPreset(microPreset())); err == nil {
+	if _, err := New(ctx, WithPreset(eval.Micro())); err == nil {
 		t.Fatal("cancelled construction must fail")
 	}
 }

@@ -16,27 +16,11 @@ import (
 	"repro/internal/exp"
 )
 
-// e2eMicroPreset is the tiny preset of the real-Experiment e2e tests:
-// they certify the serving pipeline end to end (validate → train →
-// stream → cache), not experiment quality.
-func e2eMicroPreset() eval.Preset {
-	return eval.Preset{
-		Name:      "micro",
-		SignTrain: 40, SignTest: 12,
-		DriveTrain: 50, DrivePerBucket: 3,
-		DetEpochs: 4, RegEpochs: 4,
-		AdvEpochs: 1, ContrastiveEpochs: 1,
-		DiffusionSteps: 10, DiffPIRSteps: 3,
-		APGDSteps: 4, SimBASteps: 20, RP2Iters: 4,
-		Seed: 5,
-	}
-}
-
 // microFactory builds real Experiments over the micro preset, ignoring
 // the requested preset name (specs with an empty preset address any
 // environment).
 func microFactory(ctx context.Context, _ string, logf func(string, ...any)) (Runner, error) {
-	return exp.New(ctx, exp.WithPreset(e2eMicroPreset()), exp.WithLogger(logf), exp.WithWorkers(1))
+	return exp.New(ctx, exp.WithPreset(eval.Micro()), exp.WithLogger(logf), exp.WithWorkers(1))
 }
 
 // microMatrixSpec is a 2-cell grid: enough to observe a real event

@@ -295,8 +295,9 @@ func gemmJobOf(j *poolJob, c []float32) bool {
 // outer dispatch would: a dispatch must then run serially on its caller
 // (no helper ever sees its job), open the overlap window, and still
 // produce the serial bits. Inside the window no helper polls, and a
-// dispatch that overlaps nothing runs serially too. Then real concurrent
-// callers must reach the same path.
+// dispatch that overlaps nothing runs serially too. Then a real second
+// caller, dispatching while a first one is held inside its dispatch,
+// must reach the same path.
 func TestPoolStepsAsideUnderOverlap(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -336,28 +337,54 @@ func TestPoolStepsAsideUnderOverlap(t *testing.T) {
 		t.Fatalf("serial dispatches signalled %d helpers", helped.Load())
 	}
 
+	// Real callers: hold a first caller inside its dispatch, then let a
+	// second one dispatch. A helper signalled for the first caller's job
+	// claims one of its chunks and finishes it only after the second
+	// caller has returned, so the first caller waits in its dispatch
+	// throughout. When the first caller runs every chunk before a helper
+	// wakes, nothing is held and it dispatches again.
 	quietUntil.Store(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := New(m, n)
-			for rep := 0; rep < 200 && quietUntil.Load() == 0; rep++ {
-				c.Fill(99)
-				MatMulKMajorInto(c, a, bk)
-				for i, v := range want.Data() {
-					if math.Float32bits(c.Data()[i]) != math.Float32bits(v) {
-						t.Errorf("concurrent GEMM diverged at %d", i)
-						return
-					}
-				}
-			}
-		}()
+	first := New(m, n)
+	holding, released := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	setHelperHook(t, func(j *poolJob) {
+		if !gemmJobOf(j, first.Data()) || held.Load() {
+			return
+		}
+		i := int(j.next.Add(1)) - 1
+		if i >= j.chunks {
+			return // the caller claimed every chunk already
+		}
+		if held.CompareAndSwap(false, true) {
+			close(holding)
+			<-released
+		}
+		j.task.run(i*j.units/j.chunks, (i+1)*j.units/j.chunks)
+		j.done.Add(1)
+	})
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		for rep := 0; rep < 1000 && !held.Load(); rep++ {
+			first.Fill(99)
+			matMulKMajorParallel(first.Data(), a.Data(), bk.Data(), m, k, n, 4)
+		}
+	}()
+	select {
+	case <-holding:
+	case <-firstDone:
+		t.Fatal("no helper claimed a chunk before its caller finished in 1000 dispatches")
 	}
-	wg.Wait()
-	if quietUntil.Load() == 0 {
-		t.Fatal("4 concurrent callers never overlapped in a dispatch")
+	second := New(m, n)
+	second.Fill(99)
+	MatMulKMajorInto(second, a, bk)
+	overlapped := quietUntil.Load() != 0
+	close(released)
+	<-firstDone
+	sameBits(t, "held concurrent GEMM", first.Data(), want.Data())
+	sameBits(t, "concurrent GEMM", second.Data(), want.Data())
+	if !overlapped {
+		t.Fatal("a dispatch entered while another was in progress did not open the no-polling window")
 	}
 	quietUntil.Store(0)
 }
